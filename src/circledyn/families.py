@@ -29,7 +29,7 @@ from .markov import (
     transitivity_certificate,
 )
 from .oracle import periods_up_to
-from .periods import PeriodSet, per_from_rotation
+from .periods import PeriodSet, infer_sho_type, per_from_rotation
 
 DEFAULT_POLY_TOL = Fraction(1, 10**12)
 
@@ -506,7 +506,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
     rot = rotation_interval(F)
     rot_ok = rot.c == inst.expected_rot.c and rot.d == inst.expected_rot.d
 
-    per = per_from_rotation(F, M)
+    per = per_from_rotation(F, M, rot)
     per_ok = per == inst.expected_per
 
     char = markov_char_poly(M)
@@ -550,8 +550,6 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
     oracle_ok = True
     endpoint_types = {}
     if run_oracle:
-        from .periods import infer_sho_type
-
         P = creport.sbc + 3
         oracle_result = periods_up_to(F, M, P)
         oracle_ok = oracle_result.periods() == inst.expected_per.up_to(P)
@@ -659,7 +657,7 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
     for n in scan_values(family, n_from, n_to):
         inst = make(family, n)
         rot = rotation_interval(inst.lifting)
-        per = per_from_rotation(inst.lifting, inst.markov)
+        per = per_from_rotation(inst.lifting, inst.markov, rot)
         crep = cofin_report(per)
         sigma = markov_entropy(inst.markov, tol)
         flags = {"per_matches_closed_form": per == inst.expected_per}

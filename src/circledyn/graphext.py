@@ -405,11 +405,8 @@ def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
     base_root = markov_entropy(E.base, tol)
     entropy_strict = ext_root.lower > base_root.upper
 
-    try:
-        expected_root = largest_root_above_safe(E.expected_poly, tol)
-        root_ok = expected_root is not None and ext_root.overlaps(expected_root, slack=tol)
-    except Exception:
-        root_ok = False
+    expected_root = largest_root_above_safe(E.expected_poly, tol)
+    root_ok = expected_root is not None and ext_root.overlaps(expected_root, slack=tol)
 
     proj_ok = projection_preserves_arrows(E)
 

@@ -301,13 +301,6 @@ def compose(A: Lifting, B: Lifting) -> Lifting:
     return Lifting(tuple(bps), tuple(vals))
 
 
-def _power(F: Lifting, q: int) -> Lifting:
-    H = F
-    for _ in range(q - 1):
-        H = compose(H, F)
-    return H
-
-
 def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     """Iterate a plateau value exactly; a repeat mod 1 exhibits a periodic
     orbit whose rotation number is the rotation number of the monotone map."""
@@ -340,7 +333,8 @@ def rotation_number_monotone(
 
     Fast path: the exactly-periodic orbit of a plateau value.  General path:
     Stern-Brocot bisection where each mediant p/q is tested on the exact
-    piecewise-affine composition F^q (a sign change of F^q(x) - x - p confirms
+    piecewise-affine composition F^q, composed from the powers the two parent
+    bounds already carry (a sign change of F^q(x) - x - p confirms
     equality; otherwise the strict side is certified by the displacement
     extrema of the full composition).  DepthExceeded signals denominators past
     the bound, i.e. a plausibly irrational rotation number.
@@ -360,20 +354,21 @@ def rotation_number_monotone(
             return Fraction(p)
     k = floor_frac(lo_d)  # both extrema in (k, k+1), so rho is too
 
-    pl, ql = k, 1
-    pr, qr = k + 1, 1
+    # each bound p/q carries F^q; the mediant's power is F^(ql) then F^(qr)
+    pl, ql, Hl = k, 1, F
+    pr, qr, Hr = k + 1, 1, F
     while True:
         p, q = pl + pr, ql + qr
         if q > denominator_bound:
             raise DepthExceeded(f"denominator bound {denominator_bound} passed")
-        H = _power(F, q)
+        H = compose(Hl, Hr)
         dlo, dhi = _displacement_extrema(H)
         if dlo <= p <= dhi:
             return Fraction(p, q)
         if dlo > p:
-            pl, ql = p, q  # rho > p/q
+            pl, ql, Hl = p, q, H  # rho > p/q
         else:
-            pr, qr = p, q  # rho < p/q
+            pr, qr, Hr = p, q, H  # rho < p/q
 
 
 def rotation_interval(

@@ -3,7 +3,10 @@
 A MarkovSystem holds the partition (one fundamental domain), the basic
 interval classes (consecutive partition points, wrap included), the 0/1
 transition matrix of the covering relation, the integer translate realizing
-each covering, and the orientation of the map on each class.
+each covering, and the orientation of the map on each class.  It also keeps
+the map on the partition as integers (the lifted index of each point's image)
+and the affine branch of the map on each class, so that later stages walk
+indices and compose branches instead of evaluating the lifting.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ class MarkovSystem:
     matrix: tuple  # 0/1 rows
     shifts: tuple  # integer translate k of each covering: F(rep_i) >= rep_j + k
     orientation: tuple  # +1 increasing, -1 decreasing, 0 degenerate
+    index_map: tuple  # lifted index G[i] = j + n*k for F(partition[i]) = partition[j] + k
+    branches: tuple  # (slope, offset) of F on each class: F(x) = slope*x + offset
 
     @property
     def size(self) -> int:
@@ -63,7 +68,14 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     closure does not terminate within budget, NotShort if some basic interval
     has an image of length >= 1 (the partition would not project to a Markov
     partition of the circle map).
+
+    Lifted index L stands for the point partition[L mod n] + L div n, and the
+    lifted class L for [point L, point L+1].  With F(partition[i]) at lifted
+    index G[i], class i (affine, since every breakpoint is a partition point)
+    covers exactly the lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1,
+    where G[n] = G[0] + n closes the wrap class.
     """
+    images = {}
     pts = {b for b in F.breakpoints}
     for p in extra_points:
         p = Fraction(p)
@@ -73,7 +85,7 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         if len(pts) > _CLOSURE_BUDGET:
             raise NotInvariant("forward closure of the partition does not stabilize")
         x = frontier.pop()
-        y = F.eval(x)
+        y = images[x] = F.eval(x)
         y -= floor_frac(y)
         if y not in pts:
             pts.add(y)
@@ -83,33 +95,34 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     if n < 2:
         raise NotInvariant("need at least two partition points mod 1")
 
-    classes = [(partition[i], partition[i + 1]) for i in range(n - 1)]
-    classes.append((partition[-1], partition[0] + 1))
+    index = {p: i for i, p in enumerate(partition)}
+    G = []
+    for p in partition:
+        y = images[p]
+        k = floor_frac(y)
+        G.append(index[y - k] + n * k)
+    ends = partition + (partition[0] + 1,)
+    values = [images[p] for p in partition] + [images[partition[0]] + 1]
+    lifted = G + [G[0] + n]
 
+    classes = [(ends[i], ends[i + 1]) for i in range(n)]
     matrix = [[0] * n for _ in range(n)]
     shifts = [[0] * n for _ in range(n)]
     orientation = []
+    branches = []
     for i, (a, b) in enumerate(classes):
-        fa, fb = F.eval(a), F.eval(b)
-        if fa < fb:
-            orientation.append(1)
-        elif fa > fb:
-            orientation.append(-1)
-        else:
-            orientation.append(0)
-        lo, hi = min(fa, fb), max(fa, fb)
-        if hi - lo >= 1:
-            raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {hi - lo} >= 1")
-        for j, (c, d) in enumerate(classes):
-            # unique k with [c+k, d+k] inside [lo, hi], if any
-            kmin = lo - c
-            kmax = hi - d
-            if kmax < kmin:
-                continue
-            k = floor_frac(kmax)
-            if k >= kmin:
-                matrix[i][j] = 1
-                shifts[i][j] = k
+        g0, g1 = lifted[i], lifted[i + 1]
+        if abs(g1 - g0) >= n:
+            length = abs(values[i + 1] - values[i])
+            raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {length} >= 1")
+        orientation.append((g1 > g0) - (g1 < g0))
+        slope = (values[i + 1] - values[i]) / (b - a)
+        branches.append((slope, values[i] - slope * a))
+        row, srow = matrix[i], shifts[i]
+        for L in range(min(g0, g1), max(g0, g1)):
+            k, j = divmod(L, n)
+            row[j] = 1
+            srow[j] = k
 
     return MarkovSystem(
         lifting=F,
@@ -118,6 +131,8 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         matrix=tuple(tuple(r) for r in matrix),
         shifts=tuple(tuple(r) for r in shifts),
         orientation=tuple(orientation),
+        index_map=tuple(G),
+        branches=tuple(branches),
     )
 
 

@@ -2,15 +2,15 @@
 
 Every loop of the Markov graph modulo 1 carries a composed affine branch whose
 fixed point (solved exactly over Q) is a candidate periodic point; partition
-points are classified by direct iteration.  Zero tolerance anywhere: witnesses
-satisfy their defining equations as rationals.
+points are classified by walking the Markov system's index map.  Zero
+tolerance anywhere: witnesses satisfy their defining equations as rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .arith import floor_frac, rat_str
+from .arith import rat_str
 from .lifting import Lifting
 from .markov import DEFAULT_LOOP_CAP, MarkovSystem, enumerate_loops
 
@@ -90,32 +90,40 @@ def loop_branch(F: Lifting, M: MarkovSystem, word: tuple) -> tuple[Fraction, Fra
     Each step is y -> F(y) - shift on the class representative, so a fixed
     point of the composition is a point whose F-orbit realizes the itinerary
     and comes back to itself modulo the accumulated integer translation.
+    The steps use the branches M caches for F on its classes.
     """
     A, B = Fraction(1), Fraction(0)
     for t in range(len(word)):
         i = word[t]
-        j = word[(t + 1) % len(word)]
-        a, b = M.classes[i]
-        fa, fb = F.eval(a), F.eval(b)
-        alpha = (fb - fa) / (b - a)
-        beta = fa - alpha * a
-        s = M.shifts[i][j]
-        A, B = alpha * A, alpha * B + beta - s
+        alpha, beta = M.branches[i]
+        A, B = alpha * A, alpha * B + beta - M.shifts[i][word[(t + 1) % len(word)]]
     return A, B
 
 
-def _follows_itinerary(F: Lifting, M: MarkovSystem, word: tuple, x0: Fraction) -> bool:
-    """Does x0's orbit stay strictly inside the representatives of the word
-    (translated back by the arrow shifts) and return exactly?"""
-    z = x0
-    for t in range(len(word)):
+def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction):
+    """(minimal period, rotation number) of x0 if its orbit stays strictly
+    inside the representatives of the word (translated back by the arrow
+    shifts) and returns exactly; None otherwise.
+
+    Orbit points strictly inside representatives differ by an integer only
+    when equal, so the first return to x0 at a divisor of the word length is
+    the minimal period, and the shifts summed up to it are its integer gain.
+    """
+    L = len(word)
+    z, gain = x0, 0
+    period = None
+    for t in range(L):
         i = word[t]
-        j = word[(t + 1) % len(word)]
         a, b = M.classes[i]
         if not (a < z < b):
-            return False
-        z = F.eval(z) - M.shifts[i][j]
-    return z == x0
+            return None
+        s = M.shifts[i][word[(t + 1) % L]]
+        alpha, beta = M.branches[i]
+        z = alpha * z + beta - s
+        gain += s
+        if period is None and z == x0 and L % (t + 1) == 0:
+            period = (t + 1, Fraction(gain, t + 1))
+    return period if z == x0 else None
 
 
 def solve_loop(F: Lifting, M: MarkovSystem, word: tuple):
@@ -130,73 +138,49 @@ def solve_loop(F: Lifting, M: MarkovSystem, word: tuple):
     if A == 1:
         return ("degenerate", None) if B == 0 else ("none", None)
     y = B / (1 - A)
-    if _follows_itinerary(F, M, word, y):
+    if _orbit_data(M, word, y) is not None:
         return "point", y
     return "none", None
 
 
-def _minimal_period_data(F: Lifting, x: Fraction, L: int) -> tuple[int, Fraction]:
-    """Minimal period m | L of the periodic point x, with rotation number."""
-    z = x
-    for m in range(1, L + 1):
-        z = F.eval(z)
-        if L % m == 0 and (z - x).denominator == 1:
-            return m, Fraction((z - x).numerator, m)
-    raise AssertionError("point not periodic with period dividing L")
-
-
-def _class_of_point(M: MarkovSystem, x: Fraction) -> int:
-    from bisect import bisect_right
-
-    r = x - floor_frac(x)
-    i = bisect_right(M.partition, r) - 1
-    if i < 0:
-        return len(M.classes) - 1  # r below partition[0]: wrap class
-    return i
-
-
-def _itinerary_of(F: Lifting, M: MarkovSystem, x: Fraction, m: int) -> tuple:
-    out = []
-    z = x
-    for _ in range(m):
-        out.append(_class_of_point(M, z))
-        z = F.eval(z)
-    return tuple(out)
-
-
-def _classify_partition_orbits(F: Lifting, M: MarkovSystem, result: OracleResult, bound: int):
+def _classify_partition_orbits(M: MarkovSystem, result: OracleResult, bound: int):
+    """Periodic partition points, found by walking the lifted index map: a
+    partition point is periodic when its index orbit repeats mod n, and its
+    itinerary is the sequence of indices (partition point i starts class i)."""
+    n = len(M.partition)
+    G = M.index_map
     seen: set = set()
-    for start in M.partition:
+    for start in range(n):
         if start in seen:
             continue
         index_of: dict = {}
         lifts: list = []
-        z = start
+        L = start
         while True:
-            r = z - floor_frac(z)
+            r = L % n
             if r in index_of:
                 j = index_of[r]
-                L = len(lifts) - j
-                x0 = lifts[j] - floor_frac(lifts[j])
-                m, rho = _minimal_period_data(F, x0, L)
+                m = len(lifts) - j
                 if m <= bound:
-                    result.add(PeriodicWitness(x0, m, rho, _itinerary_of(F, M, x0, m)))
+                    orbit = tuple(idx % n for idx in lifts[j:])
+                    rho = Fraction((L - lifts[j]) // n, m)
+                    result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
                 break
             index_of[r] = len(lifts)
-            lifts.append(z)
+            lifts.append(L)
             seen.add(r)
-            z = F.eval(z)
+            L = G[r] + L - r
 
 
-def _sample_degenerate(F, M, word, result: OracleResult, bound: int):
+def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int):
     """Witnesses from an identity branch: several interior sample points."""
     a, b = M.classes[word[0]]
     for num, den in ((1, 2), (1, 3), (2, 5)):
         x0 = a + (b - a) * Fraction(num, den)
-        if _follows_itinerary(F, M, word, x0):
-            m, rho = _minimal_period_data(F, x0, len(word))
-            if m <= bound:
-                result.add(PeriodicWitness(x0, m, rho, _itinerary_of(F, M, x0, m)))
+        data = _orbit_data(M, word, x0)
+        if data is not None and data[0] <= bound:
+            m, rho = data
+            result.add(PeriodicWitness(x0, m, rho, tuple(word[:m])))
 
 
 def periods_up_to(
@@ -214,7 +198,7 @@ def periods_up_to(
     if P < 1:
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
-    _classify_partition_orbits(F, M, result, P)
+    _classify_partition_orbits(M, result, P)
     for loop in enumerate_loops(M, P, cap=loop_cap):
         if not loop.simple:
             continue
@@ -223,16 +207,16 @@ def periods_up_to(
         if A == 1:
             if B == 0:
                 result.degenerate_loops.append(DegenerateLoopReport(word, loop.length))
-                _sample_degenerate(F, M, word, result, P)
+                _sample_degenerate(M, word, result, P)
             continue
         y = B / (1 - A)
-        if _follows_itinerary(F, M, word, y):
-            m, rho = _minimal_period_data(F, y, loop.length)
-            if m <= P:
-                result.add(PeriodicWitness(y, m, rho, tuple(word[:m])))
+        data = _orbit_data(M, word, y)
+        if data is not None and data[0] <= P:
+            m, rho = data
+            result.add(PeriodicWitness(y, m, rho, tuple(word[:m])))
         if A == -1 and 2 * loop.length <= P:
             # doubled branch is the identity: an interval of period-2L points
             doubled = word + word
             result.degenerate_loops.append(DegenerateLoopReport(doubled, 2 * loop.length))
-            _sample_degenerate(F, M, doubled, result, P)
+            _sample_degenerate(M, doubled, result, P)
     return result

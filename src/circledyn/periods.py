@@ -14,6 +14,8 @@ from typing import Optional
 
 from .arith import ShoNumber, ceil_frac, floor_frac, rat_str, sharkovskii_geq, sharkovskii_tail
 from .errors import DegenerateRotationInterval
+from .lifting import RotationInterval, rotation_interval
+from .oracle import OracleResult, _classify_partition_orbits, periods_up_to
 
 # pattern component forms:
 #   ("pow2",)                 -> {2^b : b >= 0}
@@ -165,8 +167,6 @@ def endpoint_periods(F, M, c: Fraction, bound: int, irrational: bool = False) ->
     For an endpoint marked irrational the contribution is empty.
     Verifies the structural containment Q_F(c) ⊆ sN for c = r/s reduced.
     """
-    from .oracle import periods_up_to
-
     if irrational:
         return set()
     c = Fraction(c)
@@ -215,7 +215,7 @@ def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
     return ShoInference(sho=best, bounded_evidence=True, ambiguous_two_infinity=ambiguous)
 
 
-def per_from_rotation(F, M) -> PeriodSet:
+def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet:
     """Exact Per(f) = Q_F(c) ∪ M(c,d) ∪ Q_F(d) for the lifting F.
 
     Only endpoint periods below the M(c,d) tail threshold need resolution:
@@ -223,11 +223,10 @@ def per_from_rotation(F, M) -> PeriodSet:
     tail, so finitely many oracle queries settle the set exactly.  Partition
     orbits are classified first (cheap); loop enumeration runs only when some
     candidate multiple of an endpoint denominator is still unresolved.
+    `rot` is Rot(F) when the caller already has it; it is computed otherwise.
     """
-    from .lifting import rotation_interval
-    from .oracle import OracleResult, _classify_partition_orbits, periods_up_to
-
-    rot = rotation_interval(F)
+    if rot is None:
+        rot = rotation_interval(F)
     c, d = rot.c, rot.d
     if c == d:
         raise DegenerateRotationInterval(f"Rot(F) = [{rat_str(c)}, {rat_str(c)}]")
@@ -241,7 +240,7 @@ def per_from_rotation(F, M) -> PeriodSet:
     extra: set[int] = set()
     if candidates:
         cheap = OracleResult(bound=bound)
-        _classify_partition_orbits(F, M, cheap, bound)
+        _classify_partition_orbits(M, cheap, bound)
         for (m, rho) in cheap.period_rotations():
             if m <= bound and (rho == c or rho == d):
                 extra.add(m)

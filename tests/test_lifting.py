@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,20 @@ class TestRotationNumbers:
     def test_requires_monotone(self):
         with pytest.raises(ValueError):
             rotation_number_monotone(sample_lifting())
+
+    @given(
+        q=st.integers(min_value=1, max_value=9),
+        p=st.integers(min_value=-9, max_value=18),
+        points=st.sets(st.fractions(min_value=0, max_value=F2(99, 100), max_denominator=100), min_size=9, max_size=9),
+    )
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_homeomorphism_from_rotation_orbit(self, q, p, points):
+        # one twist orbit of rotation p/q interpolated: strictly increasing,
+        # no plateau, so the Stern-Brocot path composes the parents' powers
+        if math.gcd(p, q) != 1:
+            p = 1
+        F = build_from_orbits([LiftedOrbit(tuple(sorted(points)[:q]), p)])
+        assert rotation_number_monotone(F) == F2(p, q)
 
     def test_depth_exceeded_signal(self):
         F = rigid(F2(355, 113000))

@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circledyn.arith import IntPolynomial, char_poly
-from circledyn.errors import InvalidRome, NotShort
+from circledyn.arith import IntPolynomial, char_poly, floor_frac, rat_str
+from circledyn.errors import InvalidRome, NotInvariant, NotShort
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
-from circledyn.lifting import Lifting
+from circledyn.lifting import LiftedOrbit, Lifting, build_from_orbits
 from circledyn.markov import (
     Rome,
     build_markov_system,
@@ -18,6 +21,7 @@ from circledyn.markov import (
     transitivity_certificate,
     validate_rome,
 )
+from circledyn.oracle import periods_up_to
 
 F2 = Fraction
 
@@ -28,6 +32,142 @@ class FakeSystem:
     def __init__(self, matrix, orientation=None):
         self.matrix = tuple(tuple(r) for r in matrix)
         self.orientation = tuple(orientation or [1] * len(matrix))
+
+
+def reference_build(F: Lifting, extra_points=()):
+    """The covering relation by pairwise Fraction comparisons, O(n^2): for
+    each class pair, the unique integer k with [c+k, d+k] inside the image of
+    class i.  Returns (partition, classes, matrix, shifts, orientation)."""
+    pts = {b for b in F.breakpoints}
+    for p in extra_points:
+        p = Fraction(p)
+        pts.add(p - floor_frac(p))
+    frontier = list(pts)
+    while frontier:
+        if len(pts) > 100000:
+            raise NotInvariant("forward closure of the partition does not stabilize")
+        y = F.eval(frontier.pop())
+        y -= floor_frac(y)
+        if y not in pts:
+            pts.add(y)
+            frontier.append(y)
+    partition = tuple(sorted(pts))
+    n = len(partition)
+    if n < 2:
+        raise NotInvariant("need at least two partition points mod 1")
+    classes = [(partition[i], partition[i + 1]) for i in range(n - 1)]
+    classes.append((partition[-1], partition[0] + 1))
+    matrix = [[0] * n for _ in range(n)]
+    shifts = [[0] * n for _ in range(n)]
+    orientation = []
+    for i, (a, b) in enumerate(classes):
+        fa, fb = F.eval(a), F.eval(b)
+        orientation.append((fa < fb) - (fa > fb))
+        lo, hi = min(fa, fb), max(fa, fb)
+        if hi - lo >= 1:
+            raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {hi - lo} >= 1")
+        for j, (c, d) in enumerate(classes):
+            kmin, kmax = lo - c, hi - d
+            if kmax < kmin:
+                continue
+            k = floor_frac(kmax)
+            if k >= kmin:
+                matrix[i][j] = 1
+                shifts[i][j] = k
+    return (
+        partition,
+        tuple(classes),
+        tuple(tuple(r) for r in matrix),
+        tuple(tuple(r) for r in shifts),
+        tuple(orientation),
+    )
+
+
+@st.composite
+def twist_orbit_maps(draw):
+    """(lifting of two interleaved twist orbits on the grid j/N, extra points
+    on the finer grid j/(N*m), whose forward orbits stay on that grid)."""
+    shapes = []
+    for _ in range(2):
+        q = draw(st.integers(min_value=1, max_value=7))
+        p = draw(st.integers(min_value=-q, max_value=2 * q).filter(lambda p: math.gcd(p, q) == 1))
+        shapes.append((q, p))
+    (q1, p1), (q2, p2) = shapes
+    labels = draw(st.permutations([0] * q1 + [1] * q2))
+    N = q1 + q2
+    xs = tuple(Fraction(j, N) for j, lab in enumerate(labels) if lab == 0)
+    ys = tuple(Fraction(j, N) for j, lab in enumerate(labels) if lab == 1)
+    F = build_from_orbits([LiftedOrbit(xs, p1), LiftedOrbit(ys, p2)])
+    m = draw(st.integers(min_value=1, max_value=3))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=N * m - 1), max_size=2))
+    return F, [Fraction(j, N * m) for j in extra]
+
+
+@st.composite
+def grid_maps(draw):
+    """Liftings with a breakpoint at every j/N and values on that grid, so
+    that slopes are integers and the closure stays on the grid: any lap
+    structure; steps between breakpoints stay under a turn, and the wrap
+    class covers a turn or more (NotShort) when the values drift down."""
+    N = draw(st.integers(min_value=1, max_value=8))
+    steps = draw(st.lists(st.integers(min_value=1 - N, max_value=N - 1), min_size=N - 1, max_size=N - 1))
+    vals = [draw(st.integers(min_value=0, max_value=N - 1))]
+    for d in steps:
+        vals.append(vals[-1] + d)
+    return Lifting(tuple(Fraction(j, N) for j in range(N)), tuple(Fraction(v, N) for v in vals)), []
+
+
+def _build_outcome(build, F, extra):
+    try:
+        return build(F, extra)
+    except (NotInvariant, NotShort) as e:
+        return (type(e), str(e))
+
+
+def _check_against_reference(F, extra):
+    ref = _build_outcome(reference_build, F, extra)
+    got = _build_outcome(build_markov_system, F, extra)
+    if isinstance(ref, tuple) and len(ref) == 2:
+        assert got == ref
+        return
+    M = got
+    assert (M.partition, M.classes, M.matrix, M.shifts, M.orientation) == ref
+    n = M.size
+    for i, (a, b) in enumerate(M.classes):
+        y = F.eval(M.partition[i])
+        assert y == M.partition[M.index_map[i] % n] + M.index_map[i] // n
+        slope, offset = M.branches[i]
+        assert slope * a + offset == F.eval(a) and slope * b + offset == F.eval(b)
+    for w in periods_up_to(F, M, 3).witnesses.values():
+        assert w.check(F)
+
+
+class TestIndexWalkBuild:
+    """The index-walk build against the pairwise reference, and the oracle's
+    witnesses (built on cached branches) against direct iteration."""
+
+    @given(twist_orbit_maps())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_twist_orbit_pairs(self, case):
+        _check_against_reference(*case)
+
+    @given(grid_maps())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_non_monotone_maps(self, case):
+        _check_against_reference(*case)
+
+    def test_not_short_matches_reference(self):
+        F = Lifting((F2(0), F2(1, 2)), (F2(0), F2(2)))
+        with pytest.raises(NotShort) as ref:
+            reference_build(F)
+        with pytest.raises(NotShort) as got:
+            build_markov_system(F)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("name,n", [("persistent", 9), ("montevideo", 4), ("dream", 7)])
+    def test_families_match_reference(self, name, n):
+        M = make(name, n).markov
+        assert (M.partition, M.classes, M.matrix, M.shifts, M.orientation) == reference_build(M.lifting)
 
 
 def rigid_half_system():
