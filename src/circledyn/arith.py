@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
-from .errors import NoRootAbove
+from .errors import BudgetExceeded, NoRootAbove
 
 Rational = Fraction
 
@@ -29,10 +30,6 @@ def rat_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def floor_frac(q: Fraction) -> int:
@@ -247,6 +244,16 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x: Fraction) -> int:
+        """Sign of p(x) for x = a/b in lowest terms, from the integer
+        b^d p(a/b) = sum c_i a^i b^(d-i) (b > 0, so the signs agree)."""
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c * scale
+            scale *= b
+        return _sign(acc)
+
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Euclidean division when it stays over the integers.
 
@@ -329,22 +336,57 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def largest_root_above(
-    p: IntPolynomial,
-    floor: Fraction,
-    tol: Fraction,
-    probes: int = 200,
-    grid_checks: int = 64,
-) -> CertifiedRoot:
+def bisect_root(sign_at: Callable[[Fraction], int], lo: Fraction, hi: Fraction, tol: Fraction) -> CertifiedRoot:
+    """Bisection with certified signs; sign_at(lo) <= 0 < sign_at(hi).
+
+    The bracket keeps that invariant, so it always holds a sign change (or a
+    root at its lower end) and its upper end stays strictly on the positive
+    side."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if sign_at(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return CertifiedRoot(lo, hi)
+
+
+def _shifted(c: list[int], a: int = 1) -> list[int]:
+    """Coefficients of q(x + a) from those of q(x), constant term first.
+
+    Each pass of synthetic division by (x - a) leaves the next coefficient;
+    for a = 1 a pass is a plain running sum."""
+    step = None if a == 1 else (lambda s, x: s * a + x)
+    rest, out = c[::-1], []
+    while rest:
+        rest = list(accumulate(rest, step))
+        out.append(rest.pop())
+    return out
+
+
+def _descartes_bound(q: list[int]) -> int:
+    """Sign variations of (1+x)^d q(1/(1+x)), whose positive roots are the
+    roots of q in (0, 1): by Descartes' rule of signs a bound on their number
+    with the same parity, so 0 and 1 are exact counts."""
+    signs = [c > 0 for c in _shifted(q[::-1]) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> CertifiedRoot:
     """Certified bracket of width <= tol around the largest real root > floor.
 
-    Strategy: descend geometrically from the Cauchy bound looking for a point
-    whose sign differs from the sign at +infinity, then bisect keeping the
-    sign-at-infinity side on the right.  Roots exactly at `floor` are deflated
-    first (x - floor factors for integer floor; otherwise rejected by a probe).
-    The "no sign change above the bracket" condition is sampled on a geometric
-    grid up to the Cauchy bound; for characteristic polynomials of nonnegative
-    matrices it holds a priori (Perron root dominates all real eigenvalues).
+    Roots exactly at `floor` are deflated first.  The open interval
+    (floor, Cauchy bound) is then subdivided from the right, and the roots of p
+    in each piece are counted exactly with Descartes' rule on the Moebius
+    transform of p to (0, 1), built by integer Taylor shifts
+    (Vincent-Collins-Akritas).  Pieces with no root are dropped; the first one
+    with exactly one root holds the largest root, and bisection with exact
+    integer signs narrows it.  So the result certifies both a sign change in
+    the bracket and no root above it; a largest root that a cut hits exactly
+    comes back as the exact bracket [r, r].  NoRootAbove when the count finds no
+    root above the floor; BudgetExceeded when the largest root still cannot be
+    told apart from another root (or a complex pair) at width tol, as for a
+    repeated root.
     """
     floor = Fraction(floor)
     tol = Fraction(tol)
@@ -353,59 +395,46 @@ def largest_root_above(
     if p.is_zero() or p.degree == 0:
         raise NoRootAbove("constant polynomial")
 
-    # deflate roots at the floor itself (only x - floor with integer floor,
-    # which covers the unit-circle cofactors met in practice)
-    while p.eval(floor) == 0:
-        if floor.denominator == 1:
-            p, _ = p.divmod_exact(IntPolynomial.x_minus(int(floor)))
-        else:
-            num, den = floor.numerator, floor.denominator
-            p, _ = p.divmod_exact(IntPolynomial([-num, den]))
-        if p.is_zero() or p.degree == 0:
+    while p.sign_at(floor) == 0:
+        p, _ = p.divmod_exact(IntPolynomial([-floor.numerator, floor.denominator]))
+        if p.degree == 0:
             raise NoRootAbove("all roots at the floor")
 
     bound = p.cauchy_root_bound()
     if bound <= floor:
         raise NoRootAbove("Cauchy bound at or below floor")
+
+    # q(t) = gamma^d p((alpha + beta t) / gamma) maps (floor, bound) to (0, 1)
+    d = p.degree
+    width = bound - floor
+    alpha = floor.numerator * width.denominator
+    beta = floor.denominator * width.numerator
+    gamma = floor.denominator * width.denominator
+    q = _shifted([c * gamma ** (d - i) for i, c in enumerate(p.coeffs)], alpha)
+    q = [c * beta**i for i, c in enumerate(q)]
+
+    # depth-first from the right; (q, lo, hi) with lo == hi is a root at a cut
     s_inf = _sign(p.leading())
-    hi = bound
-    assert _sign(p.eval(hi)) == s_inf
-
-    lo = None
-    span = bound - floor
-    x = floor + span / 2
-    for _ in range(probes):
-        sx = _sign(p.eval(x))
-        if sx != s_inf and sx != 0:
-            lo = x
-            break
-        if sx == 0:
-            # probe hit a root exactly; bracket it by nudging
-            lo = x - span / (2 * probes)
-            break
-        x = floor + (x - floor) / 2
-    if lo is None:
-        raise NoRootAbove("no sign change found above floor")
-
-    while hi - lo > tol:
+    pending = [(q, floor, bound)]
+    while pending:
+        q, lo, hi = pending.pop()
+        if lo == hi:
+            return CertifiedRoot(lo, hi)
+        count = _descartes_bound(q)
+        if count == 1:
+            return bisect_root(lambda x: s_inf * p.sign_at(x), lo, hi, tol)
+        if count == 0:
+            continue
+        if hi - lo <= tol:
+            raise BudgetExceeded(f"roots closer than tol near {float(hi)}: cannot isolate the largest")
         mid = (lo + hi) / 2
-        sm = _sign(p.eval(mid))
-        if sm == s_inf:
-            hi = mid
-        elif sm == 0:
-            half = tol / 4
-            lo, hi = mid - half, mid + half
-            break
-        else:
-            lo = mid
-
-    # sampled certificate that no sign change exists above the bracket
-    step = (bound - hi) / grid_checks
-    if step > 0:
-        for j in range(1, grid_checks + 1):
-            if _sign(p.eval(hi + j * step)) != s_inf:
-                raise NoRootAbove("sign change above candidate bracket: not the largest root")
-    return CertifiedRoot(lo, hi)
+        left = [c << (d - i) for i, c in enumerate(q)]  # 2^d q(t/2)
+        right = _shifted(left)  # 2^d q((t+1)/2)
+        pending.append((left, lo, mid))
+        if right[0] == 0:
+            pending.append((None, mid, mid))
+        pending.append((right, mid, hi))
+    raise NoRootAbove("no root above floor")
 
 
 # ---------------------------------------------------------------------------

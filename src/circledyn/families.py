@@ -511,7 +511,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
 
     char = markov_char_poly(M)
     poly_exact = char * inst.poly_cofactor == inst.expected_poly
-    sigma = markov_entropy(M, tol)
+    sigma = markov_entropy(M, tol, char)
     try:
         expected_root = largest_root_above(inst.expected_poly, Fraction(1), tol)
         poly_root_ok = sigma.overlaps(expected_root, slack=tol)

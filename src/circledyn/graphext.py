@@ -13,12 +13,13 @@ the return class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .arith import IntPolynomial
-from .errors import BadParameter, NotExtendable
+from .arith import IntPolynomial, largest_root_above
+from .errors import BadParameter, NoRootAbove, NotExtendable
 from .families import FamilyInstance
-from .markov import transitivity_certificate
+from .markov import entropy as markov_entropy, enumerate_loops, markov_char_poly, transitivity_certificate
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,6 @@ class CombGraph:
             if not rest.is_connected():
                 out.add(i)
         return out
-
-    def has_circuit(self) -> bool:
-        return len(self.bridges()) < len(self.edges)
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
@@ -389,10 +387,6 @@ def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
     polynomial identity char * cofactor == x^pow * expected, root bracket
     agreement, entropy strictly above the circle instance, and the projection
     and loop facts the period-preservation argument uses."""
-    from fractions import Fraction
-
-    from .markov import entropy as markov_entropy, enumerate_loops, markov_char_poly
-
     if tol is None:
         tol = Fraction(1, 10**12)
     cert = transitivity_certificate(E)
@@ -401,12 +395,15 @@ def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
     power = lhs.degree - E.expected_poly.degree
     ident = power >= 0 and lhs == E.expected_poly.shift(power)
 
-    ext_root = markov_entropy(E, tol)
+    ext_root = markov_entropy(E, tol, char)
     base_root = markov_entropy(E.base, tol)
     entropy_strict = ext_root.lower > base_root.upper
 
-    expected_root = largest_root_above_safe(E.expected_poly, tol)
-    root_ok = expected_root is not None and ext_root.overlaps(expected_root, slack=tol)
+    try:
+        expected_root = largest_root_above(E.expected_poly, Fraction(1), tol)
+        root_ok = ext_root.overlaps(expected_root, slack=tol)
+    except NoRootAbove:
+        root_ok = False
 
     proj_ok = projection_preserves_arrows(E)
 
@@ -436,26 +433,12 @@ def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
     return result
 
 
-def largest_root_above_safe(p: IntPolynomial, tol):
-    from fractions import Fraction
-
-    from .arith import largest_root_above
-    from .errors import NoRootAbove
-
-    try:
-        return largest_root_above(p, Fraction(1), tol)
-    except NoRootAbove:
-        return None
-
-
 def _persistent_class(E: ExtendedMarkov, which: str) -> int:
     """Base indices of J0 = [x0, y0] and J2 = [x1, y_(n-2)] for the persistent
     family, recovered from the base system's class list."""
     base = E.base
     n = E.n
     # x-orbit has period 2: x0 is partition[0] = 0
-    from fractions import Fraction
-
     if which == "J0":
         a = Fraction(0)
         for i, (ca, cb) in enumerate(base.classes):
@@ -472,8 +455,6 @@ def _persistent_class(E: ExtendedMarkov, which: str) -> int:
 
 def _loops_within(E: ExtendedMarkov, allowed: set) -> set:
     """Lengths of simple loops staying inside `allowed` (tiny vertex sets)."""
-    from .markov import enumerate_loops
-
     class _Sub:
         pass
 

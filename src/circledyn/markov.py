@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import CertifiedRoot, IntPolynomial, floor_frac, rat_str
+from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
 from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
 from .lifting import Lifting
 
@@ -366,91 +366,32 @@ def markov_char_poly(system) -> IntPolynomial:
     return rome_char_poly(system, find_rome(system))
 
 
-def perron_bracket(system, tol: Fraction = Fraction(1, 10**12)) -> CertifiedRoot:
-    """Certified bracket for the largest real eigenvalue above 1, isolated by
-    sign evaluations of det(xI - M) through the rome matrix (no expansion)."""
-    rome = find_rome(system)
-    members, rm = rome_matrix(system, rome)
-    n = len(system.matrix)
-    m = len(members)
-    if m == 0:
-        raise NoRootAbove("acyclic covering graph")
-
-    def det_at(z: Fraction) -> Fraction:
-        y = 1 / z
-        vals = [
-            [rm[i][j].eval(y) - (1 if i == j else 0) for j in range(m)]
-            for i in range(m)
-        ]
-        return _frac_det(vals)
-
-    hi = Fraction(max(sum(row) for row in system.matrix) + 1)  # row-sum bound
-    s_norm = 1 if det_at(hi) > 0 else -1
-
-    def char_sign(z: Fraction) -> int:
-        v = det_at(z)
-        return s_norm * ((v > 0) - (v < 0))
-
-    lo = None
-    span = hi - 1
-    probe = 1 + span / 2
-    for _ in range(80):
-        s = char_sign(probe)
-        if s < 0:
-            lo = probe
-            break
-        probe = 1 + (probe - 1) / 2
-    if lo is None:
-        for j in range(1, 1024):
-            z = 1 + span * Fraction(j, 1024)
-            if char_sign(z) < 0:
-                lo = z
-                break
-    if lo is None:
-        raise NoRootAbove("no sign change located above 1")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s = char_sign(mid)
-        if s >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return CertifiedRoot(lo, hi)
+def perron_bracket(
+    system, tol: Fraction = Fraction(1, 10**12), char: Optional[IntPolynomial] = None
+) -> CertifiedRoot:
+    """Certified bracket for the largest real eigenvalue above 1: the largest
+    root above 1 of the rome characteristic polynomial, isolated by an exact
+    root count.  `char` is that polynomial when the caller already has it."""
+    if char is None:
+        char = markov_char_poly(system)
+    return largest_root_above(char, Fraction(1), tol)
 
 
-def _frac_det(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    a = [row[:] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] * inv
-                for c in range(k, n):
-                    a[r][c] -= f * a[k][c]
-    return det
-
-
-def entropy(system, tol: Fraction = Fraction(1, 10**12)) -> CertifiedRoot:
+def entropy(
+    system, tol: Fraction = Fraction(1, 10**12), char: Optional[IntPolynomial] = None
+) -> CertifiedRoot:
     """Certified bracket for the spectral radius sigma(M); entropy is its log.
 
-    The exact bracket [1, 1] is returned when no eigenvalue exceeds 1
-    (permutation-like or union-of-cycles systems).  A transitive system whose
-    Perron root escaped the probe grid re-raises instead of understating."""
+    The bracket holds the largest real root above 1 of the characteristic
+    polynomial, and the exact root count certifies that no real root lies
+    above it; for a nonnegative matrix that root is the spectral radius.  The
+    exact bracket [1, 1] is returned when the count finds no root above 1
+    (permutation-like or union-of-cycles systems); a transitive system, whose
+    Perron root must exceed 1, re-raises instead.  A repeated Perron root
+    (a reducible system with two equal components) cannot be isolated and
+    raises BudgetExceeded."""
     try:
-        return perron_bracket(system, tol)
+        return perron_bracket(system, tol, char)
     except NoRootAbove:
         if transitivity_certificate(system)["transitive"]:
             raise

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .arith import CertifiedRoot, floor_frac, rat_str
+from .arith import CertifiedRoot, bisect_root, floor_frac, rat_str
 from .errors import TruncationStall
 from .lifting import Lifting
 from .periods import interior_integer_count
@@ -104,18 +104,6 @@ def _certified_sign(f: Callable[[int], tuple[Fraction, Fraction]]) -> int:
     raise TruncationStall("series enclosure cannot separate from zero")
 
 
-def _bisect_root(sign_at: Callable[[Fraction], int], lo: Fraction, hi: Fraction, tol: Fraction) -> CertifiedRoot:
-    """Bisection with certified signs; sign_at(lo) < 0 < sign_at(hi)."""
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s = sign_at(mid)
-        if s >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return CertifiedRoot(lo, hi)
-
-
 def _normalize(c: Fraction, d: Fraction) -> tuple[Fraction, Fraction]:
     c, d = Fraction(c), Fraction(d)
     if not c < d:
@@ -146,7 +134,7 @@ def _root_of(c: Fraction, d: Fraction, tol: Fraction, encl) -> CertifiedRoot:
         probe = 1 + (probe - 1) / 2
     if lo is None:
         raise TruncationStall("no certified negative point above 1")
-    return _bisect_root(sign_at, lo, hi, tol)
+    return bisect_root(sign_at, lo, hi, tol)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledyn.arith import (
+    CertifiedRoot,
     IntPolynomial,
     ShoNumber,
     bareiss_det,
@@ -13,7 +15,7 @@ from circledyn.arith import (
     sharkovskii_geq,
     sharkovskii_tail,
 )
-from circledyn.errors import NoRootAbove
+from circledyn.errors import BudgetExceeded, NoRootAbove
 from circledyn.families import dream, dream_poly
 from circledyn.markov import markov_char_poly
 
@@ -158,6 +160,80 @@ class TestLargestRoot:
         p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([-3, 1])
         r = largest_root_above(p, Fraction(1), Fraction(1, 10**9))
         assert r.lower <= 3 <= r.upper
+
+
+def linear(root: Fraction) -> IntPolynomial:
+    """The primitive integer linear factor with the given rational root."""
+    root = Fraction(root)
+    return IntPolynomial([-root.numerator, root.denominator])
+
+
+@st.composite
+def known_root_polys(draw):
+    """(roots, p, floor): p is the product of linear factors at `roots` (some
+    pairs only 1e-7 apart) and an irreducible quadratic whose complex roots
+    may lie right of every real root."""
+    roots = [Fraction(k, 8) for k in draw(st.lists(st.integers(-40, 80), max_size=4, unique=True))]
+    if roots:
+        roots += [r + Fraction(1, 10**7) for r in draw(st.lists(st.sampled_from(roots), unique=True))]
+    u, s = draw(st.integers(-20, 40)), draw(st.integers(1, 64))
+    p = IntPolynomial([u * u + s, -8 * u, 16])  # 16 (x - u/4)^2 + s
+    for r in roots:
+        p = p * linear(r)
+    return roots, p, Fraction(draw(st.integers(-16, 48)), 4)
+
+
+class TestRootKernel:
+    """Exact root counting: the bracket holds the largest root above the
+    floor, however close its neighbours are."""
+
+    TOL = Fraction(1, 10**9)
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            (3, 10, 10 + Fraction(1, 10**6)),
+            (2, 7, 7 + Fraction(1, 10**4)),
+        ],
+    )
+    def test_close_pair_brackets_the_largest(self, roots):
+        p = IntPolynomial([1])
+        for r in roots:
+            p = p * linear(r)
+        b = largest_root_above(p, Fraction(1), self.TOL)
+        assert b.lower <= max(roots) <= b.upper and b.width <= self.TOL
+
+    def test_complex_roots_right_of_real_root(self):
+        # (x - 2)((x - 3)^2 + 1): roots 2 and 3 +- i
+        p = linear(2) * IntPolynomial([10, -6, 1])
+        b = largest_root_above(p, Fraction(1), self.TOL)
+        assert b.lower <= 2 <= b.upper and b.width <= self.TOL
+
+    def test_repeated_largest_root_raises(self):
+        # (x - 2)^2 (2x + 1): the double root cannot be isolated by a count of 1
+        p = linear(2) * linear(2) * linear(Fraction(-1, 2))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            largest_root_above(p, Fraction(1), self.TOL)
+        assert time.perf_counter() - start < 10
+
+    def test_root_at_a_cut_is_exact(self):
+        # x^2 (x - 2)^2: the cuts of (1, 5) reach the double root 2 exactly
+        p = IntPolynomial([0, 0, 4, -4, 1])
+        assert largest_root_above(p, Fraction(1), self.TOL) == CertifiedRoot(Fraction(2), Fraction(2))
+
+    @given(known_root_polys())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_largest_known_root(self, case):
+        roots, p, floor = case
+        above = [r for r in roots if r > floor]
+        if not above:
+            with pytest.raises(NoRootAbove):
+                largest_root_above(p, floor, self.TOL)
+            return
+        b = largest_root_above(p, floor, self.TOL)
+        assert b.lower <= max(above) <= b.upper and b.width <= self.TOL
+        assert b.lower > floor
 
 
 class TestCharPoly:

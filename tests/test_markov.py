@@ -1,12 +1,13 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn.arith import IntPolynomial, char_poly, floor_frac, rat_str
-from circledyn.errors import InvalidRome, NotInvariant, NotShort
+from circledyn.arith import CertifiedRoot, IntPolynomial, char_poly, floor_frac, rat_str
+from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
 from circledyn.lifting import LiftedOrbit, Lifting, build_from_orbits
 from circledyn.markov import (
@@ -170,6 +171,32 @@ class TestIndexWalkBuild:
         assert (M.partition, M.classes, M.matrix, M.shifts, M.orientation) == reference_build(M.lifting)
 
 
+@st.composite
+def graphs_with_cycle(draw):
+    """0/1 matrices of size <= 10 with at least one cycle (a drawn one plus
+    arbitrary further arrows)."""
+    n = draw(st.integers(1, 10))
+    matrix = [[int(draw(st.integers(0, 3)) == 0) for _ in range(n)] for _ in range(n)]
+    cycle = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        matrix[v][w] = 1
+    return matrix
+
+
+def _spectral_radius_above_one(matrix) -> bool:
+    """A 0/1 matrix has spectral radius > 1 iff some strongly connected
+    component is more than one simple cycle, i.e. some vertex has two arrows
+    back into its own component (Warshall closure)."""
+    n = len(matrix)
+    reach = [[bool(x) for x in row] for row in matrix]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return any(sum(1 for w in range(n) if matrix[v][w] and reach[w][v]) >= 2 for v in range(n))
+
+
 def rigid_half_system():
     F = Lifting((F2(0),), (F2(1, 2),))
     return build_markov_system(F, extra_points=[F2(0)])
@@ -330,6 +357,41 @@ class TestEntropy:
     def test_perron_bracket_width(self):
         b = perron_bracket(persistent(5).markov, F2(1, 10**9))
         assert b.width <= F2(1, 10**9)
+
+    def test_acyclic_graph_has_no_root_above(self):
+        M = FakeSystem([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+        with pytest.raises(NoRootAbove):
+            perron_bracket(M)
+        assert entropy(M) == CertifiedRoot(F2(1), F2(1))
+
+    def test_repeated_perron_root_raises(self):
+        # two disjoint copies of dream(3): the Perron root is a double root,
+        # which no bracket can isolate; it must not read as entropy zero
+        A = dream(3).markov.matrix
+        n = len(A)
+        M = FakeSystem([list(r) + [0] * n for r in A] + [[0] * n + list(r) for r in A])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            entropy(M, F2(1, 10**12))
+        assert time.perf_counter() - start < 10
+
+    @given(graphs_with_cycle())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_rome_equals_bareiss_and_brackets_perron_root(self, matrix):
+        M = FakeSystem(matrix)
+        char = char_poly(M.matrix)
+        assert rome_char_poly(M, find_rome(M)) == char
+        tol = F2(1, 10**9)
+        if not _spectral_radius_above_one(matrix):
+            with pytest.raises(NoRootAbove):
+                perron_bracket(M, tol)
+            assert entropy(M, tol) == CertifiedRoot(F2(1), F2(1))
+            return
+        b = perron_bracket(M, tol)
+        assert b.lower > 1 and b.width <= tol
+        # upper on the side of +infinity, lower not; [r, r] is an exact root
+        assert char.sign_at(b.upper) == 1 or (b.width == 0 and char.sign_at(b.upper) == 0)
+        assert char.sign_at(b.lower) <= 0
 
 
 class TestLoops:
