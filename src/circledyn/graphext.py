@@ -12,6 +12,7 @@ the return class.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -187,8 +188,6 @@ def traversal(X: CombGraph, a, b) -> Traversal:
                 parent_path[w] = (i, u)
                 dfs(w)
             steps.append((i, w, u))
-
-    import sys
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 4 * len(G.edges) + 100))

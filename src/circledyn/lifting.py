@@ -223,12 +223,13 @@ def lower_map(F: Lifting) -> Lifting:
             capped.append((xL, xc, vL, cap))
             capped.append((xc, xR, cap, cap))
 
-    bps, vals = [], []
+    bps, vals, seen = [], [], set()
     for (xL, _, vL, _) in capped:
         if xL >= 1:
             xL, vL = xL - 1, vL - 1
-        if xL in bps:
+        if xL in seen:
             continue
+        seen.add(xL)
         bps.append(xL)
         vals.append(vL)
     order = sorted(range(len(bps)), key=lambda i: bps[i])

@@ -11,23 +11,25 @@ each q, every integer k with qc < k < qd (one term z^-q per pair (k, q); the
 pair count is what the series identity Q = (z-1)(1 - 2R) matches, and it
 refines the plain M(c,d) membership predicate).
 
-Everything runs in exact rational arithmetic: series are evaluated as a
-partial sum plus an explicit geometric majorant of the tail, so every sign
-decision and every bracket endpoint is certified.
+For rational c, d both series are rational functions: with a = p/s in
+lowest terms, floor((n+p)/a) = floor(n/a) + s and floor((q+s)a) = floor(qa) + p.
+Clearing denominators positive on z > 1 turns Q and 1 - 2R into two integer
+balance polynomials, each built from its own series, and the one certified
+root kernel `arith.largest_root_above` brackets the largest root above 1 of
+each, in exact arithmetic with nothing truncated.  The enclosures
+`q_series_enclosure` and `r_series_enclosure` (partial sum plus geometric
+tail) stay as the independent truncated-series reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .arith import CertifiedRoot, bisect_root, floor_frac, rat_str
-from .errors import TruncationStall
-from .lifting import Lifting
+from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
+from .errors import BudgetExceeded
+from .lifting import Lifting, lower_map, upper_map
 from .periods import interior_integer_count
-
-_STALL_TERMS = 1 << 16
 
 
 def _geom_tail(w: Fraction, first_exp: int) -> Fraction:
@@ -91,19 +93,6 @@ def r_series_enclosure(c: Fraction, d: Fraction, z: Fraction, terms: int) -> tup
     return partial, partial + tail
 
 
-def _certified_sign(f: Callable[[int], tuple[Fraction, Fraction]]) -> int:
-    """Sign of a function given by shrinking enclosures f(terms) -> [lo, hi]."""
-    terms = 32
-    while terms <= _STALL_TERMS:
-        lo, hi = f(terms)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        terms *= 2
-    raise TruncationStall("series enclosure cannot separate from zero")
-
-
 def _normalize(c: Fraction, d: Fraction) -> tuple[Fraction, Fraction]:
     c, d = Fraction(c), Fraction(d)
     if not c < d:
@@ -115,26 +104,48 @@ def _normalize(c: Fraction, d: Fraction) -> tuple[Fraction, Fraction]:
     return c, d
 
 
-def _root_of(c: Fraction, d: Fraction, tol: Fraction, encl) -> CertifiedRoot:
-    def sign_at(z: Fraction) -> int:
-        return _certified_sign(lambda t: encl(c, d, z, t))
+_Z_MINUS_1 = IntPolynomial.x_minus(1)
 
-    hi = Fraction(4)
-    while sign_at(hi) <= 0:
-        hi *= 2
-    lo = None
-    probe = 1 + (hi - 1) / 2
-    for _ in range(200):
-        try:
-            if sign_at(probe) < 0:
-                lo = probe
-                break
-        except TruncationStall:
-            pass  # too close to 1: series too slow there, step back up
-        probe = 1 + (probe - 1) / 2
-    if lo is None:
-        raise TruncationStall("no certified negative point above 1")
-    return bisect_root(sign_at, lo, hi, tol)
+
+def _cycles(c: Fraction, d: Fraction) -> list[IntPolynomial]:
+    """z^s1 - 1 and z^s2 - 1 for s1 = den c, s2 = den d."""
+    return [IntPolynomial.monomial(1, x.denominator) - IntPolynomial([1]) for x in (c, d)]
+
+
+def _t_numerator(alpha: Fraction) -> IntPolynomial:
+    """N with T_alpha(z) = N(z) / (z^s - 1) for alpha = p/s in (0, 1]:
+    N = sum_{n<p} z^(s - floor(ns/p))."""
+    p, s = alpha.numerator, alpha.denominator
+    coeffs = [0] * (s + 1)
+    for n in range(p):
+        coeffs[s - n * s // p] += 1
+    return IntPolynomial(coeffs)
+
+
+def _floor_numerator(x: Fraction) -> IntPolynomial:
+    """M with S_x(z) = sum_{q>=1} floor(qx) z^-q = M(z) / ((z-1)(z^s - 1))
+    for x = p/s: M = (z-1) sum_{r=1..s} floor(rx) z^(s-r) + p."""
+    p, s = x.numerator, x.denominator
+    return _Z_MINUS_1 * IntPolynomial([r * p // s for r in range(s, 0, -1)]) + IntPolynomial([p])
+
+
+def q_balance(c: Fraction, d: Fraction) -> tuple[IntPolynomial, IntPolynomial]:
+    """(P, D) with Q_{c,d} = P / D, where D = (z-1)(z^s1 - 1)(z^s2 - 1),
+    s1 = den c, s2 = den d, is positive on z > 1; c, d as for `beta`."""
+    c, d = _normalize(c, d)
+    c1, c2 = _cycles(c, d)
+    twice_t = 2 * _Z_MINUS_1 * (_t_numerator(1 - c) * c2 + _t_numerator(d) * c1)
+    # (z + 1)(z - 1) + 2z = z^2 + 2z - 1
+    return IntPolynomial([-1, 2, 1]) * c1 * c2 - twice_t, _Z_MINUS_1 * c1 * c2
+
+
+def r_balance(c: Fraction, d: Fraction) -> tuple[IntPolynomial, IntPolynomial]:
+    """(P, D) with 1 - 2R = P / D, D as in `q_balance`.  The count
+    #{k : qc < k < qd} is ceil(qd) - 1 - floor(qc), so R = -S_{-d} - 1/(z-1) - S_c."""
+    c, d = _normalize(c, d)
+    c1, c2 = _cycles(c, d)
+    twice_s = 2 * (_floor_numerator(-d) * c1 + _floor_numerator(c) * c2)
+    return IntPolynomial([1, 1]) * c1 * c2 + twice_s, _Z_MINUS_1 * c1 * c2
 
 
 @dataclass(frozen=True)
@@ -156,21 +167,14 @@ class BetaResult:
 def beta(c: Fraction, d: Fraction, tol: Fraction = Fraction(1, 10**9)) -> BetaResult:
     """Certified bracket of beta_{c,d} > 1, by two independent computations.
 
-    Primary: largest (indeed unique) root of Q_{c,d}(z) = 0 via the T-series.
-    Cross-check: the unique solution of the integer-pair count series
-    R(z) = 1/2.  Both series are monotone in z past 1, so bisection with
-    certified enclosures is sound; agreement within 3*tol is reported.
+    Primary: the largest (indeed unique) root above 1 of Q_{c,d}, through its
+    balance polynomial.  Cross-check: the unique solution of R(z) = 1/2,
+    through the balance polynomial of 1 - 2R, built from the integer-pair
+    counts alone.  Agreement within 3*tol is reported.
     """
-    c, d = _normalize(c, d)
     tol = Fraction(tol)
-    root_q = _root_of(c, d, tol, q_series_enclosure)
-
-    def r_shifted(cc, dd, z, t):
-        lo, hi = r_series_enclosure(cc, dd, z, t)
-        # R decreasing: sign convention positive past the root
-        return Fraction(1, 2) - hi, Fraction(1, 2) - lo
-
-    root_r = _root_of(c, d, tol, r_shifted)
+    root_q = largest_root_above(q_balance(c, d)[0], Fraction(1), tol)
+    root_r = largest_root_above(r_balance(c, d)[0], Fraction(1), tol)
     agreement = abs(root_q.midpoint() - root_r.midpoint()) <= 3 * tol
     return BetaResult(beta=root_q, beta_counts=root_r, method_agreement=agreement, tol=tol)
 
@@ -240,34 +244,22 @@ class MinEntropyModel:
         }
 
 
-def _offset_series(c: Fraction, z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] of sum_{n>=1} floor(nc) z^-(n+1); coefficients below nc."""
-    w = 1 / z
-    partial = Fraction(0)
-    for n in range(1, terms + 1):
-        k = floor_frac(n * c)
-        if k:
-            partial += k * w ** (n + 1)
-    n = terms
-    qs = w ** (n + 1) * ((n + 1) - n * w) / (1 - w) ** 2  # sum_{q>n} q w^q
-    return partial, partial + c * qs * w
+def _offset_sum(c: Fraction, z: Fraction) -> Fraction:
+    """sum_{n>=1} floor(nc) z^-(n+1) = S_c(z) / z, exact for z > 1; it
+    decreases in z for c >= 0."""
+    return _floor_numerator(c).eval(z) / (z * (z - 1) * (z**c.denominator - 1))
 
 
 def min_entropy_model(c: Fraction, d: Fraction, tol: Fraction = Fraction(1, 10**9)) -> MinEntropyModel:
     c0, d0 = _normalize(c, d)
     res = beta(c0, d0, tol)
     blo, bhi = res.beta.lower, res.beta.upper
-    terms = 64
-    while True:
-        s_lo, _ = _offset_series(c0, bhi, terms)
-        _, s_hi = _offset_series(c0, blo, terms)
-        off_lo = (blo - 1) ** 2 * s_lo
-        off_hi = (bhi - 1) ** 2 * s_hi
-        if off_hi - off_lo <= 8 * tol or terms > _STALL_TERMS:
-            break
-        terms *= 2
+    if blo == 1:
+        raise BudgetExceeded("beta bracket reaches 1, where the offset sum diverges")
+    off_lo = (blo - 1) ** 2 * _offset_sum(c0, bhi)
+    off_hi = (bhi - 1) ** 2 * _offset_sum(c0, blo)
     if off_hi - off_lo > 8 * tol:
-        raise TruncationStall("offset series did not certify")
+        raise BudgetExceeded("offset bracket wider than 8*tol")
 
     beta_mid = res.beta.midpoint()
     b_mid = (off_lo + off_hi) / 2
@@ -286,8 +278,6 @@ def min_entropy_model(c: Fraction, d: Fraction, tol: Fraction = Fraction(1, 10**
 def envelope_rotation_bounds(G: Lifting, steps: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Certified enclosures of rho(G_l) and rho(G_u) by orbit displacement:
     |G^n(x) - x - n*rho| <= 1 for monotone maps gives width-2/n brackets."""
-    from .lifting import lower_map, upper_map
-
     out = []
     for H in (lower_map(G), upper_map(G)):
         x0 = H.breakpoints[0]

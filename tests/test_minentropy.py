@@ -1,14 +1,22 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circledyn.arith import IntPolynomial
+from circledyn.errors import BudgetExceeded
 from circledyn.families import dream, persistent
 from circledyn.markov import entropy as markov_entropy
 from circledyn.minentropy import (
+    _offset_sum,
     beta,
     envelope_rotation_bounds,
     min_entropy_model,
+    q_balance,
     q_series_enclosure,
+    r_balance,
     r_series_enclosure,
 )
 
@@ -45,6 +53,79 @@ class TestTwoMethods:
             rlo, rhi = r_series_enclosure(c, d, z, 4000)
             tlo, thi = (z - 1) * (1 - 2 * rhi), (z - 1) * (1 - 2 * rlo)
             assert qlo <= thi and tlo <= qhi
+
+
+@st.composite
+def intervals(draw):
+    """0 <= c < d <= 1 with denominators at most 12."""
+    s1 = draw(st.integers(min_value=1, max_value=12))
+    c = F2(draw(st.integers(min_value=0, max_value=s1 - 1)), s1)
+    s2 = draw(st.integers(min_value=1, max_value=12))
+    d = F2(draw(st.integers(min_value=s2 * c.numerator // c.denominator + 1, max_value=s2)), s2)
+    return c, d
+
+
+above_one = st.builds(lambda p, q: 1 + F2(p, q), st.integers(1, 40), st.integers(1, 20))
+
+
+class TestClosedForm:
+    """The balance polynomials against the truncated series, each other and the kernel."""
+
+    @given(intervals(), above_one)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_exact_values_inside_series_enclosures(self, cd, z):
+        c, d = cd
+        pq, dq = q_balance(c, d)
+        pr, dr = r_balance(c, d)
+        q = pq.eval(z) / dq.eval(z)
+        r = (1 - pr.eval(z) / dr.eval(z)) / 2
+        qlo, qhi = q_series_enclosure(c, d, z, 200)
+        rlo, rhi = r_series_enclosure(c, d, z, 200)
+        assert qlo <= q <= qhi
+        assert rlo <= r <= rhi
+
+    @given(intervals())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_series_identity_as_polynomials(self, cd):
+        # Q = (z-1)(1 - 2R) with Q = pq/dq and 1 - 2R = pr/dr
+        pq, dq = q_balance(*cd)
+        pr, dr = r_balance(*cd)
+        assert pq * dr == IntPolynomial.x_minus(1) * pr * dq
+
+    @given(intervals())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_brackets_hold_a_sign_change_of_their_polynomial(self, cd):
+        res = beta(*cd, tol=TOL)
+        for (poly, _), br in ((q_balance(*cd), res.beta), (r_balance(*cd), res.beta_counts)):
+            assert br.lower > 1 and br.width <= TOL
+            if br.lower == br.upper:
+                assert poly.sign_at(br.lower) == 0
+            else:
+                assert poly.sign_at(br.lower) <= 0 < poly.sign_at(br.upper)
+
+    @given(intervals())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_methods_agree(self, cd):
+        res = beta(*cd, tol=TOL)
+        assert res.method_agreement
+        assert abs(res.beta.midpoint() - res.beta_counts.midpoint()) <= 3 * TOL
+
+    @pytest.mark.parametrize("c,z", [(F2(0), F2(2)), (F2(1, 2), F2(3, 2)), (F2(2, 7), F2(11, 10)), (F2(1), F2(5))])
+    def test_offset_sum_inside_truncated_sum(self, c, z):
+        # sum_{n>=1} floor(nc) z^-(n+1): partial sum, tail below sum_{n>N} nc z^-(n+1)
+        w, N = 1 / z, 400
+        partial = sum(((n * c).__floor__() * w ** (n + 1) for n in range(1, N + 1)), F2(0))
+        tail = c * w ** (N + 2) * ((N + 1) - N * w) / (1 - w) ** 2
+        assert partial <= _offset_sum(c, z) <= partial + tail
+
+    @pytest.mark.parametrize("c,d", [(F2(1, 97), F2(2, 97)), (F2(0), F2(1, 1000)), (F2(13, 37), F2(19, 41))])
+    def test_near_one_and_large_denominators_in_time(self, c, d):
+        start = time.perf_counter()
+        res = beta(c, d, tol=TOL)
+        assert time.perf_counter() - start < 10
+        assert res.method_agreement
+        for br in (res.beta, res.beta_counts):
+            assert br.lower > 1 and br.width <= TOL
 
 
 class TestPaperBounds:
@@ -132,3 +213,10 @@ class TestModel:
         w = F2(2, steps) + F2(1, 10**5)
         assert llo - w <= c <= lhi + w
         assert ulo - w <= d <= uhi + w
+
+    def test_bracket_reaching_one_is_a_typed_error(self):
+        # at tol 1/10 the beta bracket of (0, 1/1000) starts at 1, where the
+        # offset sum has a pole
+        assert beta(F2(0), F2(1, 1000), tol=F2(1, 10)).beta.lower == 1
+        with pytest.raises(BudgetExceeded):
+            min_entropy_model(F2(0), F2(1, 1000), tol=F2(1, 10))
