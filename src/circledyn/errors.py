@@ -51,6 +51,11 @@ class BadParameter(CircledynError):
     """Family parameter outside its admissible range."""
 
 
+class RotationMismatch(CircledynError):
+    """The interval given as Rot(F) is not the minimum and maximum loop mean
+    of the Markov graph."""
+
+
 class DegenerateRotationInterval(CircledynError):
     """Rotation interval reduced to a point; outside Misiurewicz's theorem."""
 

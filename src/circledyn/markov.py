@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
-from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
+from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
 from .lifting import Lifting
 
 _CLOSURE_BUDGET = 100000
@@ -33,6 +33,7 @@ class MarkovSystem:
     orientation: tuple  # +1 increasing, -1 decreasing, 0 degenerate
     index_map: tuple  # lifted index G[i] = j + n*k for F(partition[i]) = partition[j] + k
     branches: tuple  # (slope, offset) of F on each class: F(x) = slope*x + offset
+    coverings: tuple  # arrows (i, j, k), class i covers class j + k, in (i, j) order
 
     @property
     def size(self) -> int:
@@ -46,12 +47,7 @@ class MarkovSystem:
         return sum(self.matrix[i])
 
     def arrows(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-            if self.matrix[i][j]
-        ]
+        return [(i, j) for i, j, _ in self.coverings]
 
     def to_json(self) -> dict:
         return {
@@ -110,6 +106,7 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     shifts = [[0] * n for _ in range(n)]
     orientation = []
     branches = []
+    coverings = []
     for i, (a, b) in enumerate(classes):
         g0, g1 = lifted[i], lifted[i + 1]
         if abs(g1 - g0) >= n:
@@ -119,10 +116,11 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         slope = (values[i + 1] - values[i]) / (b - a)
         branches.append((slope, values[i] - slope * a))
         row, srow = matrix[i], shifts[i]
-        for L in range(min(g0, g1), max(g0, g1)):
-            k, j = divmod(L, n)
+        walk = sorted((L % n, L // n) for L in range(min(g0, g1), max(g0, g1)))
+        for j, k in walk:
             row[j] = 1
             srow[j] = k
+        coverings.extend((i, j, k) for j, k in walk)
 
     return MarkovSystem(
         lifting=F,
@@ -133,41 +131,101 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         orientation=tuple(orientation),
         index_map=tuple(G),
         branches=tuple(branches),
+        coverings=tuple(coverings),
     )
+
+
+def _successors(system) -> list[list[int]]:
+    """Sorted successor lists of the covering graph: from the arrow list of a
+    MarkovSystem, or from the 0/1 `matrix` of any other system."""
+    arrows = getattr(system, "coverings", None)
+    if arrows is None:
+        return [[j for j, a in enumerate(row) if a] for row in system.matrix]
+    succ = [[] for _ in system.classes]
+    for i, j, _ in arrows:
+        succ[i].append(j)
+    return succ
+
+
+def _reverse(succ) -> list[list[int]]:
+    pred = [[] for _ in succ]
+    for v, out in enumerate(succ):
+        for w in out:
+            pred[w].append(v)
+    return pred
+
+
+def _components(succ) -> list[int]:
+    """Strongly connected component label of each vertex (iterative Kosaraju)."""
+    n = len(succ)
+    order, seen = [], [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    pred = _reverse(succ)
+    comp = [-1] * n
+    for root in reversed(order):
+        if comp[root] < 0:
+            comp[root] = root
+            stack = [root]
+            while stack:
+                for u in pred[stack.pop()]:
+                    if comp[u] < 0:
+                        comp[u] = root
+                        stack.append(u)
+    return comp
+
+
+def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[list[int]]:
+    """Successor lists of the arrows on loops of mean (shift / length) exactly
+    e = r/s, where side = +1 if e is the least loop mean and -1 if the largest.
+
+    Bellman-Ford potentials pi for the weights side*(s*k - r) make every
+    reduced cost w + pi(i) - pi(j) >= 0, so a loop has mean e iff all its
+    arrows are tight (reduced cost 0): the tight arrows inside one strongly
+    connected component of the tight graph (Karp 1978).  RotationMismatch if
+    an arrow still relaxes after n rounds (a loop of mean beyond e) or if no
+    loop has mean e."""
+    r, s = e.numerator, e.denominator
+    n = system.size
+    arcs = [(i, j, side * (s * k - r)) for i, j, k in system.coverings]
+    pi = [0] * n
+    for _ in range(n + 1):
+        changed = False
+        for i, j, w in arcs:
+            if pi[i] + w < pi[j]:
+                pi[j] = pi[i] + w
+                changed = True
+        if not changed:
+            break
+    else:
+        raise RotationMismatch(f"a loop has mean beyond {rat_str(e)}")
+    tight = [[] for _ in range(n)]
+    for i, j, w in arcs:
+        if w + pi[i] == pi[j]:
+            tight[i].append(j)
+    comp = _components(tight)
+    succ = [[j for j in tight[i] if comp[j] == comp[i]] for i in range(n)]
+    if not any(succ):
+        raise RotationMismatch(f"no loop has mean {rat_str(e)}")
+    return succ
 
 
 # ---------------------------------------------------------------------------
 # Transitivity certificate
 # ---------------------------------------------------------------------------
-
-
-def _strongly_connected(matrix: Sequence[Sequence[int]]) -> bool:
-    n = len(matrix)
-    if n == 0:
-        return False
-    if n == 1:
-        return matrix[0][0] > 0
-
-    def reach(start: int, rows) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if rows[v][w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    transpose = [[matrix[j][i] for j in range(n)] for i in range(n)]
-    return len(reach(0, matrix)) == n and len(reach(0, transpose)) == n
-
-
-def _is_permutation(matrix: Sequence[Sequence[int]]) -> bool:
-    n = len(matrix)
-    return all(sum(matrix[i]) == 1 for i in range(n)) and all(
-        sum(matrix[i][j] for i in range(n)) == 1 for j in range(n)
-    )
 
 
 def transitivity_certificate(system) -> dict:
@@ -177,8 +235,9 @@ def transitivity_certificate(system) -> dict:
     refining the rigid 1/2-rotation from two classes to four splits its single
     2-cycle into two, and the certificate turns reducible."""
     m = system.matrix if hasattr(system, "matrix") else system
-    irr = _strongly_connected(m)
-    perm = _is_permutation(m)
+    succ = [[j for j, a in enumerate(row) if a] for row in m]
+    irr = len(set(_components(succ))) == 1 and (len(succ) > 1 or succ == [[0]])
+    perm = sorted(succ) == [[j] for j in range(len(succ))]  # one 1 in each row and column
     return {"irreducible": irr, "permutation": perm, "transitive": irr and not perm}
 
 
@@ -195,57 +254,46 @@ class Rome:
         object.__setattr__(self, "members", frozenset(self.members))
 
 
-def _complement_cycle(matrix, members) -> Optional[list[int]]:
+def _complement_cycle(succ, members) -> Optional[list[int]]:
     """A loop avoiding `members`, or None (iterative 3-color DFS)."""
-    n = len(matrix)
     color = {}
-    for root in range(n):
-        if root in members or color.get(root) == 2:
+    for root in range(len(succ)):
+        if root in members or root in color:
             continue
-        stack = [(root, 0)]
-        path = []
+        color[root] = 1
+        path, stack = [root], [iter(succ[root])]
         while stack:
-            v, idx = stack.pop()
-            if idx == 0:
-                color[v] = 1
-                path.append(v)
-            advanced = False
-            for w in range(idx, n):
-                if not matrix[v][w] or w in members:
+            for w in stack[-1]:
+                if w in members:
                     continue
                 if color.get(w) == 1:
                     return path[path.index(w):] + [w]
-                if color.get(w, 0) == 0:
-                    stack.append((v, w + 1))
-                    stack.append((w, 0))
-                    advanced = True
+                if w not in color:
+                    color[w] = 1
+                    path.append(w)
+                    stack.append(iter(succ[w]))
                     break
-            if not advanced:
-                color[v] = 2
-                path.pop()
+            else:
+                color[path.pop()] = 2
+                stack.pop()
     return None
 
 
 def validate_rome(system, rome: Rome) -> None:
-    cyc = _complement_cycle(system.matrix, rome.members)
+    cyc = _complement_cycle(_successors(system), rome.members)
     if cyc is not None:
         raise InvalidRome(f"loop avoiding the rome: {cyc}")
 
 
 def find_rome(system) -> Rome:
     """Greedy rome: all vertices of out-degree >= 2, then one vertex from each
-    remaining cycle of the (now functional) complement graph."""
-    matrix = system.matrix
-    n = len(matrix)
-    members = {i for i in range(n) if sum(matrix[i]) >= 2}
-    while True:
-        cyc = _complement_cycle(matrix, members)
-        if cyc is None:
-            break
+    remaining cycle of the (now functional) complement graph.  The loop stops
+    only when no loop avoids the members, so the result is a valid rome."""
+    succ = _successors(system)
+    members = {i for i, out in enumerate(succ) if len(out) >= 2}
+    while (cyc := _complement_cycle(succ, members)) is not None:
         members.add(cyc[0])
-    rome = Rome(frozenset(members))
-    validate_rome(system, rome)
-    return rome
+    return Rome(frozenset(members))
 
 
 def rome_matrix(system, rome: Rome):
@@ -256,14 +304,13 @@ def rome_matrix(system, rome: Rome):
     program over the (acyclic, by rome validity) complement.
     """
     validate_rome(system, rome)
-    matrix = system.matrix
-    n = len(matrix)
+    succ = _successors(system)
+    n = len(succ)
     members = sorted(rome.members)
     comp = [v for v in range(n) if v not in rome.members]
 
     indeg = {v: 0 for v in comp}
     compset = set(comp)
-    succ = [[w for w in range(n) if matrix[v][w]] for v in range(n)]
     for v in comp:
         for w in succ[v]:
             if w in compset:
@@ -281,27 +328,24 @@ def rome_matrix(system, rome: Rome):
     assert len(topo) == len(comp)
 
     y = IntPolynomial([0, 1])
+
+    def paths(v, rj, g):
+        """Paths v -> rj through the complement, by length; g holds them for
+        the complement vertices after v in topological order."""
+        acc = IntPolynomial.zero()
+        for w in succ[v]:
+            if w == rj:
+                acc = acc + IntPolynomial([1])
+            if w in compset and not g[w].is_zero():
+                acc = acc + g[w]
+        return y * acc if not acc.is_zero() else acc
+
     entries = []
     for rj in members:
-        g = {v: IntPolynomial.zero() for v in comp}
+        g = {}
         for v in reversed(topo):
-            acc = IntPolynomial.zero()
-            for w in succ[v]:
-                if w == rj:
-                    acc = acc + IntPolynomial([1])
-                if w in compset and not g[w].is_zero():
-                    acc = acc + g[w]
-            g[v] = y * acc if not acc.is_zero() else acc
-        col = {}
-        for ri in members:
-            acc = IntPolynomial.zero()
-            for w in succ[ri]:
-                if w == rj:
-                    acc = acc + IntPolynomial([1])
-                if w in compset and not g[w].is_zero():
-                    acc = acc + g[w]
-            col[ri] = y * acc if not acc.is_zero() else acc
-        entries.append(col)
+            g[v] = paths(v, rj, g)
+        entries.append({ri: paths(ri, rj, g) for ri in members})
 
     rm = [[entries[jc][members[ir]] for jc in range(len(members))] for ir in range(len(members))]
     return members, rm
@@ -427,8 +471,11 @@ def _word_period(word: tuple) -> int:
     return L
 
 
-def enumerate_loops(system, max_len: int, cap: int = DEFAULT_LOOP_CAP) -> list[Loop]:
-    """All loops of length <= max_len up to cyclic rotation.
+def enumerate_loops(
+    system, max_len: int, cap: int = DEFAULT_LOOP_CAP, succ: Optional[list] = None
+) -> list[Loop]:
+    """All loops of length <= max_len up to cyclic rotation, in the whole
+    covering graph or in the subgraph given by the successor lists `succ`.
 
     Closed walks are enumerated by DFS from each start vertex, pruned to walks
     whose minimal vertex is the start and by shortest-return distance; results
@@ -436,15 +483,16 @@ def enumerate_loops(system, max_len: int, cap: int = DEFAULT_LOOP_CAP) -> list[L
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    matrix = system.matrix
-    orientation = getattr(system, "orientation", None) or (1,) * len(matrix)
-    n = len(matrix)
-    succ = [[w for w in range(n) if matrix[v][w]] for v in range(n)]
-
-    pred = [[u for u in range(n) if matrix[u][w]] for w in range(n)]
+    if succ is None:
+        succ = _successors(system)
+    n = len(succ)
+    orientation = getattr(system, "orientation", None) or (1,) * n
+    pred = _reverse(succ)
     found: dict[tuple, None] = {}
     explored = 0
     for start in range(n):
+        if not succ[start]:
+            continue
         # dist[v] = shortest path length v -> start (BFS on reversed arrows)
         dist: list[Optional[int]] = [None] * n
         dist[start] = 0

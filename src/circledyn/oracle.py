@@ -184,7 +184,7 @@ def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound
 
 
 def periods_up_to(
-    F: Lifting, M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP
+    F: Lifting, M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None
 ) -> OracleResult:
     """Exact set of (minimal period, rotation number) pairs with period <= P.
 
@@ -193,13 +193,15 @@ def periods_up_to(
     are classified directly.  Minimal periods need only be checked on divisors
     of the loop length, which F^p(x) = x + m forces.  Non-simple loops carry
     no new orbits except even repetitions of a branch with slope -1, whose
-    doubled (identity) branch is sampled explicitly.
+    doubled (identity) branch is sampled explicitly.  `succ` (successor
+    lists) restricts the loops to a subgraph, such as the critical subgraph
+    of an endpoint; partition orbits are classified in full either way.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
     _classify_partition_orbits(M, result, P)
-    for loop in enumerate_loops(M, P, cap=loop_cap):
+    for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
         if not loop.simple:
             continue
         word = loop.vertices

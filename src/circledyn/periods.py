@@ -15,6 +15,7 @@ from typing import Optional
 from .arith import ShoNumber, ceil_frac, floor_frac, rat_str, sharkovskii_geq, sharkovskii_tail
 from .errors import DegenerateRotationInterval
 from .lifting import RotationInterval, rotation_interval
+from .markov import critical_successors
 from .oracle import OracleResult, _classify_partition_orbits, periods_up_to
 
 # pattern component forms:
@@ -160,21 +161,25 @@ def m_set(c: Fraction, d: Fraction) -> PeriodSet:
 # ---------------------------------------------------------------------------
 
 
-def endpoint_periods(F, M, c: Fraction, bound: int, irrational: bool = False) -> set[int]:
-    """{m <= bound : some periodic point has rotation number exactly c and
-    minimal period m}, resolved by the exact oracle.
+def endpoint_periods(F, M, e: Fraction, bound: int, side: int = 1, irrational: bool = False) -> set[int]:
+    """{m <= bound : some periodic point has rotation number exactly e and
+    minimal period m}, resolved by the exact oracle on the critical subgraph
+    of e (side = +1 for the lower end of Rot(F), -1 for the upper end), the
+    only arrows a loop of mean e can use.  RotationMismatch, even for
+    bound < 1, when e is not that end of Rot(F).
 
     For an endpoint marked irrational the contribution is empty.
-    Verifies the structural containment Q_F(c) ⊆ sN for c = r/s reduced.
+    Verifies the structural containment Q_F(e) ⊆ sN for e = r/s reduced.
     """
     if irrational:
         return set()
-    c = Fraction(c)
-    s = c.denominator
+    e = Fraction(e)
+    s = e.denominator
+    succ = critical_successors(M, e, side)
     if bound < 1:
         return set()
-    witnesses = periods_up_to(F, M, bound)
-    out = {m for (m, rho) in witnesses.period_rotations() if rho == c and m <= bound}
+    witnesses = periods_up_to(F, M, bound, succ=succ)
+    out = {m for (m, rho) in witnesses.period_rotations() if rho == e and m <= bound}
     bad = [m for m in out if m % s != 0]
     if bad:
         raise AssertionError(f"endpoint periods {bad} not multiples of {s}")
@@ -221,9 +226,9 @@ def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet
     Only endpoint periods below the M(c,d) tail threshold need resolution:
     Q_F(c) ⊆ sN and everything at or above the threshold is already in the
     tail, so finitely many oracle queries settle the set exactly.  Partition
-    orbits are classified first (cheap); loop enumeration runs only when some
-    candidate multiple of an endpoint denominator is still unresolved.
-    `rot` is Rot(F) when the caller already has it; it is computed otherwise.
+    orbits are classified first (cheap); each endpoint then queries its
+    critical subgraph up to its largest multiple still unresolved.  `rot` is
+    Rot(F) when the caller already has it; it is computed otherwise.
     """
     if rot is None:
         rot = rotation_interval(F)
@@ -233,21 +238,11 @@ def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet
     ms = m_set(c, d)
     t = ms.tail_from
     bound = t - 1
-    candidates = set()
-    for e in (c, d):
-        s = e.denominator
-        candidates.update(range(s, bound + 1, s))
-    extra: set[int] = set()
-    if candidates:
-        cheap = OracleResult(bound=bound)
-        _classify_partition_orbits(M, cheap, bound)
-        for (m, rho) in cheap.period_rotations():
-            if m <= bound and (rho == c or rho == d):
-                extra.add(m)
-        unresolved = candidates - extra
-        if unresolved:
-            witnesses = periods_up_to(F, M, max(unresolved))
-            for (m, rho) in witnesses.period_rotations():
-                if m <= bound and (rho == c or rho == d):
-                    extra.add(m)
+    cheap = OracleResult(bound=bound)
+    _classify_partition_orbits(M, cheap, bound)
+    found = {m for (m, rho) in cheap.period_rotations() if rho == c or rho == d}
+    extra = set(found)
+    for e, side in ((c, 1), (d, -1)):
+        unresolved = set(range(e.denominator, bound + 1, e.denominator)) - found
+        extra |= endpoint_periods(F, M, e, max(unresolved, default=0), side)
     return PeriodSet(finite=ms.finite | extra, tail_from=t)

@@ -84,7 +84,7 @@ class TestSharkovskii:
         assert members == expected
 
     @given(s=sho_values, k=st.integers(min_value=1, max_value=400))
-    @settings(max_examples=60)
+    @settings(max_examples=60, derandomize=True)
     def test_tail_downward_closed(self, s, k):
         s = ShoNumber(s)
         t = sharkovskii_tail(s)
@@ -262,7 +262,7 @@ class TestCharPoly:
             max_size=3,
         )
     )
-    @settings(max_examples=40)
+    @settings(max_examples=40, derandomize=True)
     def test_char_poly_eval_matches_det(self, m):
         p = char_poly(m)
         for t in (0, 1, -2):

@@ -1,13 +1,16 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circledyn.errors import DegenerateRotationInterval
+from circledyn.errors import CircledynError, DegenerateRotationInterval, RotationMismatch
 from circledyn.families import dream, make, persistent
-from circledyn.lifting import Lifting
-from circledyn.markov import build_markov_system
+from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
+from circledyn.markov import build_markov_system, critical_successors, enumerate_loops
+from circledyn.oracle import OracleResult, _classify_partition_orbits, periods_up_to
 from circledyn.periods import (
     PeriodSet,
     endpoint_periods,
@@ -60,7 +63,7 @@ class TestMSet:
         c=st.fractions(min_value=0, max_value=1, max_denominator=30),
         d=st.fractions(min_value=0, max_value=1, max_denominator=30),
     )
-    @settings(max_examples=60)
+    @settings(max_examples=60, derandomize=True)
     def test_membership_matches_predicate(self, c, d):
         if not c < d:
             return
@@ -102,6 +105,14 @@ class TestEndpointPeriods:
     def test_irrational_endpoint_empty(self):
         inst = dream(3)
         assert endpoint_periods(inst.lifting, inst.markov, F2(1, 5), bound=5, irrational=True) == set()
+
+    def test_upper_endpoint_needs_its_side(self):
+        inst = persistent(7)  # Rot = [1/2, 9/14]
+        F, M = inst.lifting, inst.markov
+        # periods_up_to(F, M, 28) on the whole graph finds the same set
+        assert endpoint_periods(F, M, F2(9, 14), bound=28, side=-1) == {14}
+        with pytest.raises(RotationMismatch):
+            endpoint_periods(F, M, F2(9, 14), bound=28)
 
 
 class TestPerFromRotation:
@@ -147,6 +158,149 @@ class TestPerFromRotation:
         P = m_set(rot.c, rot.d).tail_from + 3
         got = periods_up_to(inst.lifting, inst.markov, P).periods()
         assert got == per.up_to(P)
+
+
+SCAN_INSTANCES = (
+    [("montevideo", n) for n in range(3, 11)]
+    + [("persistent", n) for n in range(5, 102, 2)]
+    + [("dream", n) for n in range(3, 52)]
+)
+
+
+@st.composite
+def two_orbit_maps(draw, max_period=6):
+    """(F, M, Rot(F)) for a map through two twist orbits of period at most
+    max_period, interleaved at random on the points j/N (the maps of
+    bench/generic_liftings.random_orbit_pair, at most 2*max_period classes,
+    plus fixed points of rotation 0, whose loops of integer mean are arrows
+    from a class to itself)."""
+    shapes = []
+    for _ in range(2):
+        q = draw(st.integers(min_value=1, max_value=max_period))
+        p = draw(st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1]))
+        shapes.append((q, p))
+    (q1, p1), (q2, p2) = shapes
+    labels = draw(st.permutations([0] * q1 + [1] * q2))
+    N = q1 + q2
+    orbits = [
+        LiftedOrbit(tuple(F2(j, N) for j, lab in enumerate(labels) if lab == o), shift)
+        for o, shift in ((0, p1), (1, p2))
+    ]
+    try:
+        F = build_from_orbits(orbits)
+        M = build_markov_system(F)
+    except CircledynError:
+        assume(False)
+    rot = rotation_interval(F)
+    assume(rot.c < rot.d)
+    return F, M, rot
+
+
+def reference_per_from_rotation(F, M, rot):
+    """Per(F) with every endpoint loop found on the whole covering graph: one
+    full oracle query up to the largest unresolved multiple of an endpoint
+    denominator (the query before critical subgraphs)."""
+    c, d = rot.c, rot.d
+    ms = m_set(c, d)
+    bound = ms.tail_from - 1
+    candidates = {m for e in (c, d) for m in range(e.denominator, bound + 1, e.denominator)}
+    cheap = OracleResult(bound=bound)
+    _classify_partition_orbits(M, cheap, bound)
+    extra = {m for (m, rho) in cheap.period_rotations() if rho in (c, d)}
+    unresolved = candidates - extra
+    if unresolved:
+        full = periods_up_to(F, M, max(unresolved))
+        extra |= {m for (m, rho) in full.period_rotations() if m <= bound and rho in (c, d)}
+    return PeriodSet(finite=ms.finite | extra, tail_from=ms.tail_from)
+
+
+def karp_extreme_mean(M, sign):
+    """min over the loops of M of sign * (total shift / length), by Karp's
+    theorem on the dense matrix and shifts: with D_k(v) the least weight of a
+    walk of exactly k arrows ending at v, it is
+    min_v max_k (D_n(v) - D_k(v)) / (n - k)."""
+    n = M.size
+    arcs = [(i, j, sign * M.shifts[i][j]) for i in range(n) for j in range(n) if M.matrix[i][j]]
+    D = [[0] * n]
+    for _ in range(n):
+        row = [None] * n
+        for i, j, w in arcs:
+            if D[-1][i] is not None and (row[j] is None or D[-1][i] + w < row[j]):
+                row[j] = D[-1][i] + w
+        D.append(row)
+    return min(
+        max(F2(D[n][v] - D[k][v], n - k) for k in range(n) if D[k][v] is not None)
+        for v in range(n)
+        if D[n][v] is not None
+    )
+
+
+def loop_mean(M, word):
+    return F2(sum(M.shifts[v][word[(t + 1) % len(word)]] for t, v in enumerate(word)), len(word))
+
+
+class TestCriticalSubgraph:
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_per_from_rotation_matches_full_graph(self, data):
+        F, M, rot = data
+        assert per_from_rotation(F, M, rot) == reference_per_from_rotation(F, M, rot)
+
+    @pytest.mark.parametrize("name,n", SCAN_INSTANCES[::4])
+    def test_scan_instances_match_full_graph(self, name, n):
+        inst = make(name, n)
+        rot = rotation_interval(inst.lifting)
+        got = per_from_rotation(inst.lifting, inst.markov, rot)
+        assert got == reference_per_from_rotation(inst.lifting, inst.markov, rot)
+
+    @given(data=two_orbit_maps(), P=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_per_from_rotation_matches_oracle(self, data, P):
+        # past the M(c,d) tail every period is in Per(F); capping P there keeps
+        # the full oracle, exponential in P on dense graphs, out of the minutes
+        F, M, rot = data
+        P = min(P, m_set(rot.c, rot.d).tail_from + 2)
+        assert per_from_rotation(F, M, rot).up_to(P) == periods_up_to(F, M, P).periods()
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_rotation_interval_is_extreme_loop_mean(self, data):
+        F, M, rot = data
+        assert (rot.c, rot.d) == (karp_extreme_mean(M, 1), -karp_extreme_mean(M, -1))
+
+    @pytest.mark.parametrize("name,n", [("dream", 4), ("persistent", 7), ("montevideo", 3)])
+    def test_family_rotation_interval_is_extreme_loop_mean(self, name, n):
+        M = make(name, n).markov
+        rot = rotation_interval(M.lifting)
+        assert (rot.c, rot.d) == (karp_extreme_mean(M, 1), -karp_extreme_mean(M, -1))
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_critical_loops_are_the_loops_of_endpoint_mean(self, data):
+        F, M, rot = data
+        full = enumerate_loops(M, 6)
+        for e, side in ((rot.c, 1), (rot.d, -1)):
+            critical = enumerate_loops(M, 6, succ=critical_successors(M, e, side))
+            assert [l.vertices for l in critical] == [l.vertices for l in full if loop_mean(M, l.vertices) == e]
+
+    @pytest.mark.parametrize(
+        "dc,dd,message",
+        [
+            (F2(-1, 100), 0, "no loop has mean"),
+            (0, F2(1, 100), "no loop has mean"),
+            (F2(1, 100), 0, "a loop has mean beyond"),
+            (0, F2(-1, 100), "a loop has mean beyond"),
+        ],
+    )
+    @pytest.mark.parametrize("name,n", [("persistent", 7), ("dream", 3), ("montevideo", 4)])
+    def test_wrong_rotation_interval_raises(self, name, n, dc, dd, message):
+        inst = make(name, n)
+        rot = rotation_interval(inst.lifting)
+        wrong = RotationInterval(rot.c + dc, rot.d + dd)
+        start = time.perf_counter()
+        with pytest.raises(RotationMismatch, match=message):
+            per_from_rotation(inst.lifting, inst.markov, wrong)
+        assert time.perf_counter() - start < 10
 
 
 class TestShoInference:
