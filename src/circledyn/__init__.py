@@ -35,6 +35,7 @@ from .markov import (
     entropy,
     enumerate_loops,
     find_rome,
+    partition_rotation_interval,
     rome_char_poly,
     transitivity_certificate,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "entropy",
     "enumerate_loops",
     "find_rome",
+    "partition_rotation_interval",
     "rome_char_poly",
     "transitivity_certificate",
     "BetaResult",

@@ -43,10 +43,6 @@ class NotCofinite(CircledynError):
     """The period set has no cofinite tail."""
 
 
-class TruncationStall(CircledynError):
-    """A series tail bound cannot reach the requested tolerance."""
-
-
 class BadParameter(CircledynError):
     """Family parameter outside its admissible range."""
 

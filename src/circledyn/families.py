@@ -26,6 +26,7 @@ from .markov import (
     build_markov_system,
     entropy as markov_entropy,
     markov_char_poly,
+    partition_rotation_interval,
     transitivity_certificate,
 )
 from .oracle import periods_up_to
@@ -504,7 +505,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
     """Run every check of the family's stated data against the built system."""
     F, M = inst.lifting, inst.markov
     rot = rotation_interval(F)
-    rot_ok = rot.c == inst.expected_rot.c and rot.d == inst.expected_rot.d
+    rot_ok = rot == inst.expected_rot == partition_rotation_interval(M)
 
     per = per_from_rotation(F, M, rot)
     per_ok = per == inst.expected_per
@@ -656,7 +657,7 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
     rows = []
     for n in scan_values(family, n_from, n_to):
         inst = make(family, n)
-        rot = rotation_interval(inst.lifting)
+        rot = partition_rotation_interval(inst.markov)
         per = per_from_rotation(inst.lifting, inst.markov, rot)
         crep = cofin_report(per)
         sigma = markov_entropy(inst.markov, tol)

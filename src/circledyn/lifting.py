@@ -375,7 +375,11 @@ def rotation_number_monotone(
 def rotation_interval(
     F: Lifting, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 ) -> RotationInterval:
-    """Rot(F) = [rho(F_l), rho(F_u)], both computed exactly."""
+    """Rot(F) = [rho(F_l), rho(F_u)], both computed exactly from the envelopes.
+
+    The general path, for liftings with no Markov system (NotShort,
+    NotInvariant) or an irrational endpoint (DepthExceeded).  The scans use
+    `markov.partition_rotation_interval` instead; `verify` checks both."""
     Fl, Fu = upper_lower(F)
     c = rotation_number_monotone(Fl, denominator_bound)
     d = rotation_number_monotone(Fu, denominator_bound)

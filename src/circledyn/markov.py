@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
 from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
-from .lifting import Lifting
+from .lifting import Lifting, RotationInterval
 
 _CLOSURE_BUDGET = 100000
+_CLOSURE_BITS = 10**6  # total denominator bit length of the closure
 DEFAULT_LOOP_CAP = 10**6
 
 
@@ -61,9 +63,10 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     """Markov system modulo 1 generated by the breakpoints and extra points.
 
     The point set is closed under the circle map; NotInvariant if the forward
-    closure does not terminate within budget, NotShort if some basic interval
-    has an image of length >= 1 (the partition would not project to a Markov
-    partition of the circle map).
+    closure does not terminate within budget (a point count, and a total
+    denominator bit length for closures whose denominators keep growing),
+    NotShort if some basic interval has an image of length >= 1 (the
+    partition would not project to a Markov partition of the circle map).
 
     Lifted index L stands for the point partition[L mod n] + L div n, and the
     lifted class L for [point L, point L+1].  With F(partition[i]) at lifted
@@ -77,8 +80,9 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         p = Fraction(p)
         pts.add(p - floor_frac(p))
     frontier = list(pts)
+    bits = sum(p.denominator.bit_length() for p in pts)
     while frontier:
-        if len(pts) > _CLOSURE_BUDGET:
+        if len(pts) > _CLOSURE_BUDGET or bits > _CLOSURE_BITS:
             raise NotInvariant("forward closure of the partition does not stabilize")
         x = frontier.pop()
         y = images[x] = F.eval(x)
@@ -86,6 +90,7 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         if y not in pts:
             pts.add(y)
             frontier.append(y)
+            bits += y.denominator.bit_length()
     partition = tuple(sorted(pts))
     n = len(partition)
     if n < 2:
@@ -133,6 +138,31 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         branches=tuple(branches),
         coverings=tuple(coverings),
     )
+
+
+def partition_rotation_interval(system: MarkovSystem) -> RotationInterval:
+    """Rot(F) = [rho(F_l), rho(F_u)] from the lifted index map alone, exactly.
+
+    F is affine between partition points, so on them the lower map
+    F_l(x) = min F[x, x+1] and the upper map F_u(x) = max F[x-1, x] take
+    partition values: G_l[i] = min G[i..i+n) and G_u[i] = max G(i-n..i], a
+    suffix minimum and a prefix maximum over G doubled (G[j+n] = G[j] + n).
+    The orbit of point 0 under either monotone map repeats mod 1 within n
+    steps; a repeat after m steps, K turns higher, gives rho = K/m.
+    """
+    n = system.size
+    doubled = list(system.index_map) + [g + n for g in system.index_map]
+    lower = list(accumulate(reversed(doubled), min))[::-1][:n]
+    upper = [g - n for g in list(accumulate(doubled, max))[n:]]
+    rho = []
+    for E in (lower, upper):
+        seen, L = {}, 0  # point L mod n -> (step, L) along the orbit of point 0
+        while L % n not in seen:
+            seen[L % n] = (len(seen), L)
+            L = E[L % n] + L - L % n
+        step, L0 = seen[L % n]
+        rho.append(Fraction((L - L0) // n, len(seen) - step))
+    return RotationInterval(*rho)
 
 
 def _successors(system) -> list[list[int]]:

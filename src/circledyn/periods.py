@@ -14,8 +14,8 @@ from typing import Optional
 
 from .arith import ShoNumber, ceil_frac, floor_frac, rat_str, sharkovskii_geq, sharkovskii_tail
 from .errors import DegenerateRotationInterval
-from .lifting import RotationInterval, rotation_interval
-from .markov import critical_successors
+from .lifting import RotationInterval
+from .markov import critical_successors, partition_rotation_interval
 from .oracle import OracleResult, _classify_partition_orbits, periods_up_to
 
 # pattern component forms:
@@ -228,10 +228,13 @@ def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet
     tail, so finitely many oracle queries settle the set exactly.  Partition
     orbits are classified first (cheap); each endpoint then queries its
     critical subgraph up to its largest multiple still unresolved.  `rot` is
-    Rot(F) when the caller already has it; it is computed otherwise.
+    Rot(F) when the caller already has it (`verify` passes the lifting's
+    envelopes); otherwise it is read off M by `partition_rotation_interval`.
+    Either way the critical subgraphs certify it: RotationMismatch if c or d
+    is not the extreme loop mean.
     """
     if rot is None:
-        rot = rotation_interval(F)
+        rot = partition_rotation_interval(M)
     c, d = rot.c, rot.d
     if c == d:
         raise DegenerateRotationInterval(f"Rot(F) = [{rat_str(c)}, {rat_str(c)}]")

@@ -3,13 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circledyn.arith import CertifiedRoot, IntPolynomial, char_poly, floor_frac, rat_str
 from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
-from circledyn.lifting import LiftedOrbit, Lifting, build_from_orbits
+from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
 from circledyn.markov import (
     Rome,
     build_markov_system,
@@ -17,11 +17,13 @@ from circledyn.markov import (
     enumerate_loops,
     find_rome,
     markov_char_poly,
+    partition_rotation_interval,
     perron_bracket,
     rome_char_poly,
     transitivity_certificate,
     validate_rome,
 )
+from circledyn.minentropy import envelope_rotation_bounds
 from circledyn.oracle import periods_up_to
 
 F2 = Fraction
@@ -169,6 +171,27 @@ class TestIndexWalkBuild:
     def test_families_match_reference(self, name, n):
         M = make(name, n).markov
         assert (M.partition, M.classes, M.matrix, M.shifts, M.orientation) == reference_build(M.lifting)
+
+
+class TestPartitionRotationInterval:
+    """Rot(F) read off the lifted index map against the lifting's envelopes."""
+
+    @given(grid_maps(), st.integers(min_value=-2, max_value=2))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_grid_maps_match_envelopes(self, case, k):
+        # general non-monotone maps, translated so lifted indices go negative
+        F = case[0].translate(k)
+        try:
+            M = build_markov_system(F)
+        except (NotInvariant, NotShort):
+            assume(False)
+        rot = partition_rotation_interval(M)
+        assert rot == rotation_interval(F)
+        (c_lo, c_hi), (d_lo, d_hi) = envelope_rotation_bounds(F, 16)
+        assert c_lo <= rot.c <= c_hi and d_lo <= rot.d <= d_hi
+
+    def test_rigid_rotation_is_degenerate(self):
+        assert partition_rotation_interval(rigid_half_system()) == RotationInterval(F2(1, 2), F2(1, 2))
 
 
 @st.composite

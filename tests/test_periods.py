@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from circledyn.errors import CircledynError, DegenerateRotationInterval, RotationMismatch
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
-from circledyn.markov import build_markov_system, critical_successors, enumerate_loops
+from circledyn.markov import build_markov_system, critical_successors, enumerate_loops, partition_rotation_interval
 from circledyn.oracle import OracleResult, _classify_partition_orbits, periods_up_to
 from circledyn.periods import (
     PeriodSet,
@@ -301,6 +301,22 @@ class TestCriticalSubgraph:
         with pytest.raises(RotationMismatch, match=message):
             per_from_rotation(inst.lifting, inst.markov, wrong)
         assert time.perf_counter() - start < 10
+
+
+class TestPartitionRotationInterval:
+    """The index-map path that `per_from_rotation` and the scans use, against
+    the lifting's envelopes."""
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_two_orbit_maps_match_lifting(self, data):
+        F, M, rot = data
+        assert partition_rotation_interval(M) == rot
+
+    @pytest.mark.parametrize("name,n", SCAN_INSTANCES[::4])
+    def test_scan_instances_match_lifting(self, name, n):
+        inst = make(name, n)
+        assert partition_rotation_interval(inst.markov) == rotation_interval(inst.lifting)
 
 
 class TestShoInference:
