@@ -317,14 +317,16 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
     nb = base.size
     removed = {ext.detour, ext.excised}
 
-    preds = [i for i in range(nb) if base.matrix[i][ext.detour]]
+    arrows = base.arrows()
+    preds = [i for i, j in arrows if j == ext.detour]
     if any(p in removed for p in preds):
         raise BadParameter("detour class fed from inside the replaced pair")
-    assert base.matrix[ext.detour][ext.excised] and base.matrix[ext.excised][ext.ret]
+    assert {(ext.detour, ext.excised), (ext.excised, ext.ret)} <= set(arrows)
 
     keep = [i for i in range(nb) if i not in removed]
     base_index = {i: j for j, i in enumerate(keep)}
-    names = [base.class_names[i] for i in keep]
+    base_names = base.class_names
+    names = [base_names[i] for i in keep]
     projection = list(keep)
     l_ids = []
     for i in range(m):
@@ -339,10 +341,9 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
 
     size = len(names)
     matrix = [[0] * size for _ in range(size)]
-    for i in keep:
-        for j in keep:
-            if base.matrix[i][j]:
-                matrix[base_index[i]][base_index[j]] = 1
+    for i, j in arrows:
+        if i in base_index and j in base_index:
+            matrix[base_index[i]][base_index[j]] = 1
     for p in preds:
         for li in l_ids:
             matrix[base_index[p]][li] = 1
@@ -373,12 +374,11 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
 
 def projection_preserves_arrows(E: ExtendedMarkov) -> bool:
     """Every extended arrow must project onto an arrow of the base graph."""
-    base = E.base
-    for i in range(E.size):
-        for j in range(E.size):
-            if E.matrix[i][j] and not base.matrix[E.projection[i]][E.projection[j]]:
-                return False
-    return True
+    base_arrows = set(E.base.arrows())
+    proj = E.projection
+    return all(
+        (proj[i], proj[j]) in base_arrows for i, row in enumerate(E.matrix) for j, a in enumerate(row) if a
+    )
 
 
 def verify_extension(E: ExtendedMarkov, tol=None) -> dict:

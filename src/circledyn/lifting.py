@@ -8,13 +8,19 @@ uses F(x+1) = F(x) + 1.  All data are exact rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .arith import ceil_frac, floor_frac, rat_str
 from .errors import Degenerate, DepthExceeded, OrderConflict
+
+
+def _fractions(xs) -> tuple:
+    """The values as Fractions, keeping those that already are."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -23,8 +29,8 @@ class Lifting:
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        vals = tuple(Fraction(v) for v in self.values)
+        bps = _fractions(self.breakpoints)
+        vals = _fractions(self.values)
         if len(bps) != len(vals) or not bps:
             raise ValueError("need matching nonempty breakpoints/values")
         if any(not (0 <= b < 1) for b in bps):
@@ -116,7 +122,7 @@ class LiftedOrbit:
     shift: int
 
     def __post_init__(self):
-        pts = tuple(Fraction(p) for p in self.points)
+        pts = _fractions(self.points)
         if not pts or any(not (0 <= p < 1) for p in pts):
             raise ValueError("orbit points must lie in [0,1)")
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
@@ -162,18 +168,22 @@ class RotationInterval:
 
 def build_from_orbits(orbits: Sequence[LiftedOrbit]) -> Lifting:
     """The unique degree-one piecewise-affine lifting interpolating the
-    prescribed orbit dynamics at the union of the orbit points."""
-    pts: list[tuple[Fraction, Fraction]] = []
+    prescribed orbit dynamics at the union of the orbit points.  The points
+    are sorted by their integer keys on the common denominator."""
+    D = lcm(*(p.denominator for orbit in orbits for p in orbit.points))
+    pts: list[tuple[int, Fraction, Fraction]] = []  # (key, image, point)
     for orbit in orbits:
-        for j in range(orbit.period):
-            pts.append((orbit.point(j), orbit.image_of(j)))
+        q, points = orbit.period, orbit.points
+        for j, p in enumerate(points):
+            k, r = divmod(j + orbit.shift, q)
+            pts.append((p.numerator * (D // p.denominator), points[r] + k if k else points[r], p))
     pts.sort()
-    for (p1, v1), (p2, v2) in zip(pts, pts[1:]):
-        if p1 == p2:
+    for (x1, v1, p1), (x2, v2, _) in zip(pts, pts[1:]):
+        if x1 == x2:
             if v1 != v2:
                 raise OrderConflict(f"point {rat_str(p1)} prescribed two images")
             raise Degenerate(f"orbit point {rat_str(p1)} duplicated")
-    return Lifting(tuple(p for p, _ in pts), tuple(v for _, v in pts))
+    return Lifting(tuple(p for _, _, p in pts), tuple(v for _, v, _ in pts))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +278,8 @@ def upper_lower(F: Lifting) -> tuple[Lifting, Lifting]:
 # ---------------------------------------------------------------------------
 
 DEFAULT_DENOMINATOR_BOUND = 10**6
+_COMPOSE_BREAKPOINTS = 20000  # breakpoints of all powers composed in one search
+_COMPOSE_BITS = 10**7  # and their total denominator bit length
 _PLATEAU_ITER_CAP = 20000
 
 
@@ -279,24 +291,21 @@ def _displacement_extrema(F: Lifting) -> tuple[Fraction, Fraction]:
 
 
 def compose(A: Lifting, B: Lifting) -> Lifting:
-    """The lifting x -> B(A(x)), exact; both arguments degree one."""
+    """The lifting x -> B(A(x)), exact; both arguments degree one.
+
+    Each affine piece of A adds the preimages of the breakpoints of B inside
+    its image, found by bisection turn by turn, so the work follows the
+    breakpoints produced rather than the product of the two counts."""
     new_bps = set(A.breakpoints)
+    cs = B.breakpoints
     for (xL, xR, vL, vR) in A.segments():
-        lo, hi = min(vL, vR), max(vL, vR)
         if vL == vR:
             continue
-        for c in B.breakpoints:
-            k_min = -floor_frac(c - lo)  # smallest k with c + k >= lo
-            k = k_min
-            while c + k <= hi:
-                y = c + k
-                if lo < y < hi:
-                    x = xL + (y - vL) * (xR - xL) / (vR - vL)
-                    if 0 <= x < 1:
-                        new_bps.add(x)
-                    else:
-                        new_bps.add(x - floor_frac(x))
-                k += 1
+        lo, hi = min(vL, vR), max(vL, vR)
+        for k in range(floor_frac(lo), floor_frac(hi) + 1):
+            for c in cs[bisect_right(cs, lo - k) : bisect_left(cs, hi - k)]:
+                x = xL + (c + k - vL) * (xR - xL) / (vR - vL)
+                new_bps.add(x - floor_frac(x))
     bps = sorted(new_bps)
     vals = [B.eval(A.eval(x)) for x in bps]
     return Lifting(tuple(bps), tuple(vals))
@@ -337,8 +346,13 @@ def rotation_number_monotone(
     piecewise-affine composition F^q, composed from the powers the two parent
     bounds already carry (a sign change of F^q(x) - x - p confirms
     equality; otherwise the strict side is certified by the displacement
-    extrema of the full composition).  DepthExceeded signals denominators past
-    the bound, i.e. a plausibly irrational rotation number.
+    extrema of the full composition).  Each power drops the breakpoints
+    interior to one affine piece, so the powers of a rigid rotation keep
+    one.  DepthExceeded signals denominators past the bound, or powers
+    holding more breakpoints, or more denominator bits, in all than an
+    internal budget (F^q can have about q breakpoints, with denominators
+    growing in q, so the bound alone would let an irrational rotation number
+    run for hours): a plausibly irrational rotation number.
     """
     if not F.is_nondecreasing():
         raise ValueError("rotation_number_monotone needs a nondecreasing lifting")
@@ -358,11 +372,18 @@ def rotation_number_monotone(
     # each bound p/q carries F^q; the mediant's power is F^(ql) then F^(qr)
     pl, ql, Hl = k, 1, F
     pr, qr, Hr = k + 1, 1, F
+    count = bits = 0  # breakpoints of the powers composed, and their bits
     while True:
         p, q = pl + pr, ql + qr
         if q > denominator_bound:
             raise DepthExceeded(f"denominator bound {denominator_bound} passed")
-        H = compose(Hl, Hr)
+        if count > _COMPOSE_BREAKPOINTS or bits > _COMPOSE_BITS:
+            raise DepthExceeded(
+                f"powers of the search passed {_COMPOSE_BREAKPOINTS} breakpoints or {_COMPOSE_BITS} bits"
+            )
+        H = _simplify(compose(Hl, Hr))
+        count += len(H.breakpoints)
+        bits += sum(x.denominator.bit_length() for x in H.breakpoints + H.values)
         dlo, dhi = _displacement_extrema(H)
         if dlo <= p <= dhi:
             return Fraction(p, q)

@@ -1,19 +1,21 @@
 """Markov partitions modulo 1, covering graphs, romes and entropy.
 
 A MarkovSystem holds the partition (one fundamental domain), the basic
-interval classes (consecutive partition points, wrap included), the 0/1
-transition matrix of the covering relation, the integer translate realizing
-each covering, and the orientation of the map on each class.  It also keeps
-the map on the partition as integers (the lifted index of each point's image)
-and the affine branch of the map on each class, so that later stages walk
-indices and compose branches instead of evaluating the lifting.
+interval classes (consecutive partition points, wrap included), the map on
+the partition as integers (the lifted index of each point's image), the
+affine branch of the map on each class, the covering arrows with the integer
+translate realizing each one, and the orientation of the map on each class.
+Later stages walk indices and arrows and compose branches instead of
+evaluating the lifting; the dense covering matrix is a view built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Optional
 
 from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
@@ -27,11 +29,16 @@ DEFAULT_LOOP_CAP = 10**6
 
 @dataclass(frozen=True)
 class MarkovSystem:
+    """The map on its partition, held as integers plus one arrow list.
+
+    `index_map`, `branches` and `coverings` are the only graph data; the dense
+    `matrix` and `shifts` tables are views derived from `coverings` on first
+    use and cached, for reports and tests.  The scan never builds them.
+    """
+
     lifting: Lifting
     partition: tuple  # sorted Fractions in [0,1)
     classes: tuple  # (a, b) representatives; last one wraps to partition[0]+1
-    matrix: tuple  # 0/1 rows
-    shifts: tuple  # integer translate k of each covering: F(rep_i) >= rep_j + k
     orientation: tuple  # +1 increasing, -1 decreasing, 0 degenerate
     index_map: tuple  # lifted index G[i] = j + n*k for F(partition[i]) = partition[j] + k
     branches: tuple  # (slope, offset) of F on each class: F(x) = slope*x + offset
@@ -45,8 +52,27 @@ class MarkovSystem:
     def class_names(self) -> list[str]:
         return [f"[{rat_str(a)},{rat_str(b)}]" for (a, b) in self.classes]
 
+    @cached_property
+    def matrix(self) -> tuple:
+        """0/1 covering matrix (a view of `coverings`)."""
+        return self._dense(lambda k: 1)
+
+    @cached_property
+    def shifts(self) -> tuple:
+        """Integer translate k of each covering, F(rep_i) >= rep_j + k, and 0
+        off the arrows (a view of `coverings`)."""
+        return self._dense(lambda k: k)
+
+    def _dense(self, entry) -> tuple:
+        rows = [[0] * self.size for _ in self.classes]
+        for i, j, k in self.coverings:
+            rows[i][j] = entry(k)
+        return tuple(map(tuple, rows))
+
     def out_degree(self, i: int) -> int:
-        return sum(self.matrix[i])
+        """Class i covers the lifted classes between its end indices."""
+        G, n = self.index_map, self.size
+        return abs((G[i + 1] if i + 1 < n else G[0] + n) - G[i])
 
     def arrows(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.coverings]
@@ -67,15 +93,21 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     denominator bit length for closures whose denominators keep growing),
     NotShort if some basic interval has an image of length >= 1 (the
     partition would not project to a Markov partition of the circle map).
+    The closure reads the images of breakpoints off F.values and evaluates F
+    only at the other points.
 
-    Lifted index L stands for the point partition[L mod n] + L div n, and the
-    lifted class L for [point L, point L+1].  With F(partition[i]) at lifted
-    index G[i], class i (affine, since every breakpoint is a partition point)
-    covers exactly the lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1,
-    where G[n] = G[0] + n closes the wrap class.
+    After the closure everything is integer: on the common denominator D of
+    the partition, point p is the key X = p*D and its image the integer
+    Y = F(p)*D, so the index map comes from divmod(Y, D) and each branch
+    from integer differences of consecutive (X, Y).  Lifted index L stands
+    for the point partition[L mod n] + L div n, and the lifted class L for
+    [point L, point L+1].  With F(partition[i]) at lifted index G[i], class i
+    (affine, since every breakpoint is a partition point) covers exactly the
+    lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1, where
+    G[n] = G[0] + n closes the wrap class.
     """
-    images = {}
-    pts = {b for b in F.breakpoints}
+    images = dict(zip(F.breakpoints, F.values))
+    pts = set(images)
     for p in extra_points:
         p = Fraction(p)
         pts.add(p - floor_frac(p))
@@ -85,56 +117,62 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         if len(pts) > _CLOSURE_BUDGET or bits > _CLOSURE_BITS:
             raise NotInvariant("forward closure of the partition does not stabilize")
         x = frontier.pop()
-        y = images[x] = F.eval(x)
+        y = images.get(x)
+        if y is None:
+            y = images[x] = F.eval(x)
         y -= floor_frac(y)
         if y not in pts:
             pts.add(y)
             frontier.append(y)
             bits += y.denominator.bit_length()
-    partition = tuple(sorted(pts))
-    n = len(partition)
+    n = len(pts)
     if n < 2:
         raise NotInvariant("need at least two partition points mod 1")
 
-    index = {p: i for i, p in enumerate(partition)}
+    D = lcm(*(p.denominator for p in pts))
+    keyed = sorted((p.numerator * (D // p.denominator), p) for p in pts)
+    partition = tuple(p for _, p in keyed)
+    X = [key for key, _ in keyed]
+    index = {key: i for i, key in enumerate(X)}
+    Y = []
     G = []
     for p in partition:
         y = images[p]
-        k = floor_frac(y)
-        G.append(index[y - k] + n * k)
+        Y.append(y.numerator * (D // y.denominator))
+        k, r = divmod(Y[-1], D)
+        G.append(index[r] + n * k)
     ends = partition + (partition[0] + 1,)
-    values = [images[p] for p in partition] + [images[partition[0]] + 1]
-    lifted = G + [G[0] + n]
+    X.append(X[0] + D)
+    Y.append(Y[0] + D)
+    G.append(G[0] + n)
 
-    classes = [(ends[i], ends[i + 1]) for i in range(n)]
-    matrix = [[0] * n for _ in range(n)]
-    shifts = [[0] * n for _ in range(n)]
+    classes = tuple((ends[i], ends[i + 1]) for i in range(n))
     orientation = []
     branches = []
     coverings = []
-    for i, (a, b) in enumerate(classes):
-        g0, g1 = lifted[i], lifted[i + 1]
+    for i in range(n):
+        g0, g1 = G[i], G[i + 1]
+        dx, dy = X[i + 1] - X[i], Y[i + 1] - Y[i]
         if abs(g1 - g0) >= n:
-            length = abs(values[i + 1] - values[i])
+            a, b = classes[i]
+            length = Fraction(abs(dy), D)
             raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {length} >= 1")
         orientation.append((g1 > g0) - (g1 < g0))
-        slope = (values[i + 1] - values[i]) / (b - a)
-        branches.append((slope, values[i] - slope * a))
-        row, srow = matrix[i], shifts[i]
-        walk = sorted((L % n, L // n) for L in range(min(g0, g1), max(g0, g1)))
-        for j, k in walk:
-            row[j] = 1
-            srow[j] = k
-        coverings.extend((i, j, k) for j, k in walk)
+        branches.append((Fraction(dy, dx), Fraction(Y[i] * dx - dy * X[i], D * dx)))
+        # lifted classes lo..hi-1 (fewer than n) in class order: those past
+        # the turn, classes 0.. at turn q+1 (all below r), then r..top-1 at q
+        lo, hi = min(g0, g1), max(g0, g1)
+        q, r = divmod(lo, n)
+        top = min(hi - q * n, n)
+        coverings.extend((i, j, q + 1) for j in range(hi - (q + 1) * n))
+        coverings.extend((i, j, q) for j in range(r, top))
 
     return MarkovSystem(
         lifting=F,
         partition=partition,
-        classes=tuple(classes),
-        matrix=tuple(tuple(r) for r in matrix),
-        shifts=tuple(tuple(r) for r in shifts),
+        classes=classes,
         orientation=tuple(orientation),
-        index_map=tuple(G),
+        index_map=tuple(G[:n]),
         branches=tuple(branches),
         coverings=tuple(coverings),
     )
@@ -259,13 +297,12 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
 
 
 def transitivity_certificate(system) -> dict:
-    """{'irreducible', 'permutation', 'transitive'} for any object carrying a
-    0/1 `matrix`; transitive = irreducible and not a permutation matrix.
-    Irreducibility belongs to this matrix, so it depends on the partition:
-    refining the rigid 1/2-rotation from two classes to four splits its single
-    2-cycle into two, and the certificate turns reducible."""
-    m = system.matrix if hasattr(system, "matrix") else system
-    succ = [[j for j, a in enumerate(row) if a] for row in m]
+    """{'irreducible', 'permutation', 'transitive'} for a MarkovSystem or any
+    object carrying a 0/1 `matrix`; transitive = irreducible and not a
+    permutation matrix.  Irreducibility belongs to this matrix, so it depends
+    on the partition: refining the rigid 1/2-rotation from two classes to four
+    splits its single 2-cycle into two, and the certificate turns reducible."""
+    succ = _successors(system)
     irr = len(set(_components(succ))) == 1 and (len(succ) > 1 or succ == [[0]])
     perm = sorted(succ) == [[j] for j in range(len(succ))]  # one 1 in each row and column
     return {"irreducible": irr, "permutation": perm, "transitive": irr and not perm}
@@ -330,62 +367,64 @@ def rome_matrix(system, rome: Rome):
     """(sorted members, m x m matrix of IntPolynomials in y = 1/x).
 
     Entry (i,j) counts simple rome paths r_i -> r_j by length: the coefficient
-    of y^l is the number of such paths of length l, computed by a dynamic
-    program over the (acyclic, by rome validity) complement.
+    of y^l is the number of such paths of length l.  One pass over the
+    complement (acyclic, by rome validity) in reverse topological order
+    carries, for each vertex, its path counts to the members as sparse
+    {(member, length): count}; on `find_rome`'s romes every complement vertex
+    has one successor, so each carries a single term.
     """
     validate_rome(system, rome)
     succ = _successors(system)
-    n = len(succ)
     members = sorted(rome.members)
-    comp = [v for v in range(n) if v not in rome.members]
+    comp = [v for v in range(len(succ)) if v not in rome.members]
 
-    indeg = {v: 0 for v in comp}
-    compset = set(comp)
+    indeg = dict.fromkeys(comp, 0)
     for v in comp:
         for w in succ[v]:
-            if w in compset:
+            if w in indeg:
                 indeg[w] += 1
     topo = [v for v in comp if indeg[v] == 0]
     queue = list(topo)
     while queue:
         v = queue.pop()
         for w in succ[v]:
-            if w in compset:
+            if w in indeg:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     topo.append(w)
                     queue.append(w)
     assert len(topo) == len(comp)
 
-    y = IntPolynomial([0, 1])
+    paths: dict[int, dict] = {}
 
-    def paths(v, rj, g):
-        """Paths v -> rj through the complement, by length; g holds them for
-        the complement vertices after v in topological order."""
-        acc = IntPolynomial.zero()
+    def step(v) -> dict:
+        """Paths v -> member through the complement, one arrow longer than
+        those of v's successors."""
+        acc: dict = {}
         for w in succ[v]:
-            if w == rj:
-                acc = acc + IntPolynomial([1])
-            if w in compset and not g[w].is_zero():
-                acc = acc + g[w]
-        return y * acc if not acc.is_zero() else acc
+            terms = paths[w].items() if w in paths else [((w, 0), 1)]  # a member ends the path
+            for (r, length), count in terms:
+                acc[r, length + 1] = acc.get((r, length + 1), 0) + count
+        return acc
 
-    entries = []
-    for rj in members:
-        g = {}
-        for v in reversed(topo):
-            g[v] = paths(v, rj, g)
-        entries.append({ri: paths(ri, rj, g) for ri in members})
-
-    rm = [[entries[jc][members[ir]] for jc in range(len(members))] for ir in range(len(members))]
+    for v in reversed(topo):
+        paths[v] = step(v)
+    col = {r: jc for jc, r in enumerate(members)}
+    rm = []
+    for ri in members:
+        coeffs = [[0] for _ in members]
+        for (r, length), count in step(ri).items():
+            row = coeffs[col[r]]
+            row.extend([0] * (length + 1 - len(row)))
+            row[length] += count
+        rm.append([IntPolynomial(c) for c in coeffs])
     return members, rm
 
 
 def rome_char_poly(system, rome: Rome) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) via the rome method:
     (-1)^(k-m) x^k det(M_R(x) - I) normalized to the monic convention."""
-    matrix = system.matrix
-    n = len(matrix)
+    n = len(_successors(system))
     members, rm = rome_matrix(system, rome)
     m = len(members)
     if m == 0:

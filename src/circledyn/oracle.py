@@ -84,6 +84,11 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
+def _arrow_shifts(M: MarkovSystem) -> dict:
+    """{(i, j): k} for the arrows of M, read once per oracle call."""
+    return {(i, j): k for i, j, k in M.coverings}
+
+
 def loop_branch(F: Lifting, M: MarkovSystem, word: tuple) -> tuple[Fraction, Fraction]:
     """Composed affine return map y -> A y + B along the loop word.
 
@@ -92,15 +97,19 @@ def loop_branch(F: Lifting, M: MarkovSystem, word: tuple) -> tuple[Fraction, Fra
     and comes back to itself modulo the accumulated integer translation.
     The steps use the branches M caches for F on its classes.
     """
+    return _branch(M, word, _arrow_shifts(M))
+
+
+def _branch(M: MarkovSystem, word: tuple, shift: dict) -> tuple[Fraction, Fraction]:
     A, B = Fraction(1), Fraction(0)
     for t in range(len(word)):
         i = word[t]
         alpha, beta = M.branches[i]
-        A, B = alpha * A, alpha * B + beta - M.shifts[i][word[(t + 1) % len(word)]]
+        A, B = alpha * A, alpha * B + beta - shift[i, word[(t + 1) % len(word)]]
     return A, B
 
 
-def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction):
+def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction, shift: dict):
     """(minimal period, rotation number) of x0 if its orbit stays strictly
     inside the representatives of the word (translated back by the arrow
     shifts) and returns exactly; None otherwise.
@@ -117,7 +126,7 @@ def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction):
         a, b = M.classes[i]
         if not (a < z < b):
             return None
-        s = M.shifts[i][word[(t + 1) % L]]
+        s = shift[i, word[(t + 1) % L]]
         alpha, beta = M.branches[i]
         z = alpha * z + beta - s
         gain += s
@@ -134,11 +143,12 @@ def solve_loop(F: Lifting, M: MarkovSystem, word: tuple):
     are classified separately).  "degenerate": identity branch, an interval of
     fixed points.
     """
-    A, B = loop_branch(F, M, word)
+    shift = _arrow_shifts(M)
+    A, B = _branch(M, word, shift)
     if A == 1:
         return ("degenerate", None) if B == 0 else ("none", None)
     y = B / (1 - A)
-    if _orbit_data(M, word, y) is not None:
+    if _orbit_data(M, word, y, shift) is not None:
         return "point", y
     return "none", None
 
@@ -172,12 +182,12 @@ def _classify_partition_orbits(M: MarkovSystem, result: OracleResult, bound: int
             L = G[r] + L - r
 
 
-def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int):
+def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int, shift: dict):
     """Witnesses from an identity branch: several interior sample points."""
     a, b = M.classes[word[0]]
     for num, den in ((1, 2), (1, 3), (2, 5)):
         x0 = a + (b - a) * Fraction(num, den)
-        data = _orbit_data(M, word, x0)
+        data = _orbit_data(M, word, x0, shift)
         if data is not None and data[0] <= bound:
             m, rho = data
             result.add(PeriodicWitness(x0, m, rho, tuple(word[:m])))
@@ -201,18 +211,19 @@ def periods_up_to(
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
     _classify_partition_orbits(M, result, P)
+    shift = _arrow_shifts(M)
     for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
         if not loop.simple:
             continue
         word = loop.vertices
-        A, B = loop_branch(F, M, word)
+        A, B = _branch(M, word, shift)
         if A == 1:
             if B == 0:
                 result.degenerate_loops.append(DegenerateLoopReport(word, loop.length))
-                _sample_degenerate(M, word, result, P)
+                _sample_degenerate(M, word, result, P, shift)
             continue
         y = B / (1 - A)
-        data = _orbit_data(M, word, y)
+        data = _orbit_data(M, word, y, shift)
         if data is not None and data[0] <= P:
             m, rho = data
             result.add(PeriodicWitness(y, m, rho, tuple(word[:m])))
@@ -220,5 +231,5 @@ def periods_up_to(
             # doubled branch is the identity: an interval of period-2L points
             doubled = word + word
             result.degenerate_loops.append(DegenerateLoopReport(doubled, 2 * loop.length))
-            _sample_degenerate(M, doubled, result, P)
+            _sample_degenerate(M, doubled, result, P, shift)
     return result

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from circledyn import lifting
 from circledyn.errors import BudgetExceeded, DepthExceeded, NotInvariant
 from circledyn.families import montevideo
-from circledyn.lifting import Lifting, rotation_interval
+from circledyn.lifting import Lifting, RotationInterval, rotation_interval
 from circledyn.markov import build_markov_system, enumerate_loops
 
 F2 = Fraction
@@ -37,3 +38,34 @@ def test_stern_brocot_bound_stops_search():
     # rotation 1/1009 needs the denominator 1009, past the bound 100
     F = Lifting((F2(0), F2(1, 2)), (F2(1, 1009), F2(1, 2) + F2(1, 1009)))
     _raises_within(5, DepthExceeded, rotation_interval, F, denominator_bound=100)
+
+
+def test_stern_brocot_default_bound_stops_rigid_rotation():
+    # a Fibonacci ratio climbs the Stern-Brocot tree geometrically; the
+    # powers of a rigid rotation keep one breakpoint, so the search reaches
+    # the default bound 10^6 at once
+    F = Lifting((F2(0),), (F2(832040, 1346269),))
+    _raises_within(10, DepthExceeded, rotation_interval, F)
+
+
+def test_stern_brocot_work_budget_stops_search():
+    # slopes 14/15 and 16/15: the power F^q has about 2q breakpoints whose
+    # denominators grow with q, so far below the default bound the search
+    # would run for minutes; the budget on composed bits stops it
+    F = Lifting((F2(0), F2(1, 2)), (F2(1, 3), F2(4, 5)))
+    _raises_within(10, DepthExceeded, rotation_interval, F)
+
+
+def test_stern_brocot_breakpoint_budget_stops_search(monkeypatch):
+    # the same map with the bit budget lifted: the breakpoint count alone,
+    # lowered here so that it trips within a few powers, stops the search
+    monkeypatch.setattr(lifting, "_COMPOSE_BITS", 10**15)
+    monkeypatch.setattr(lifting, "_COMPOSE_BREAKPOINTS", 1000)
+    F = Lifting((F2(0), F2(1, 2)), (F2(1, 3), F2(4, 5)))
+    _raises_within(10, DepthExceeded, rotation_interval, F)
+
+
+def test_long_stern_brocot_chain_still_resolves():
+    # rotation 1/1009 walks 1/2, 1/3, ..., 1/1009: rigid powers stay small
+    F = Lifting((F2(0), F2(1, 2)), (F2(1, 1009), F2(1, 2) + F2(1, 1009)))
+    assert rotation_interval(F) == RotationInterval(F2(1, 1009), F2(1, 1009))

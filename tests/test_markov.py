@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from circledyn.arith import CertifiedRoot, IntPolynomial, char_poly, floor_frac, rat_str
 from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
+from circledyn.graphext import extend
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
 from circledyn.markov import (
     Rome,
@@ -20,11 +21,15 @@ from circledyn.markov import (
     partition_rotation_interval,
     perron_bracket,
     rome_char_poly,
+    rome_matrix,
     transitivity_certificate,
     validate_rome,
 )
 from circledyn.minentropy import envelope_rotation_bounds
 from circledyn.oracle import periods_up_to
+from circledyn.periods import per_from_rotation
+from test_graphext import apple_graph, triangle_with_tail
+from test_periods import two_orbit_maps
 
 F2 = Fraction
 
@@ -172,6 +177,20 @@ class TestIndexWalkBuild:
         M = make(name, n).markov
         assert (M.partition, M.classes, M.matrix, M.shifts, M.orientation) == reference_build(M.lifting)
 
+    @pytest.mark.parametrize("k", [-1, 0, 2])
+    @pytest.mark.parametrize("extra", [[], [F2(1, 12)]])
+    @pytest.mark.parametrize(
+        "values", [(F2(1, 6), F2(5, 6), F2(1, 2)), (F2(1, 6), F2(-1, 6), F2(1, 2))]
+    )
+    def test_closure_leaves_breakpoint_grid(self, values, extra, k):
+        # breakpoints on the thirds, images on the sixths (slopes 2 and -1):
+        # the closure adds 1/6, 1/2 and 5/6, which F.values does not give, so
+        # the common denominator of the partition is not the breakpoints' one
+        F = Lifting((F2(0), F2(1, 3), F2(2, 3)), values).translate(k)
+        M = build_markov_system(F, extra)
+        assert {F2(1, 6), F2(1, 2), F2(5, 6)} <= set(M.partition) - set(F.breakpoints)
+        _check_against_reference(F, extra)
+
 
 class TestPartitionRotationInterval:
     """Rot(F) read off the lifted index map against the lifting's envelopes."""
@@ -294,6 +313,125 @@ class TestTransitivity:
                             M.matrix[i][t] and reach[t][j] for t in range(k)
                         )
             assert all(all(row) for row in reach) == transitivity_certificate(M)["irreducible"]
+
+
+def per_member_rome_matrix(system, rome):
+    """Reference rome matrix by a per-member dynamic program: for each member
+    r_j, one pass over the complement in reverse topological order building
+    dense polynomials of the paths to r_j."""
+    validate_rome(system, rome)
+    succ = [[j for j, a in enumerate(row) if a] for row in system.matrix]
+    members = sorted(rome.members)
+    comp = [v for v in range(len(succ)) if v not in rome.members]
+    compset = set(comp)
+    indeg = {v: sum(1 for u in comp for w in succ[u] if w == v) for v in comp}
+    topo = [v for v in comp if indeg[v] == 0]
+    queue = list(topo)
+    while queue:
+        v = queue.pop()
+        for w in succ[v]:
+            if w in compset:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    topo.append(w)
+                    queue.append(w)
+    y = IntPolynomial([0, 1])
+
+    def paths(v, rj, g):
+        acc = IntPolynomial.zero()
+        for w in succ[v]:
+            if w == rj:
+                acc = acc + IntPolynomial([1])
+            if w in compset and not g[w].is_zero():
+                acc = acc + g[w]
+        return y * acc if not acc.is_zero() else acc
+
+    entries = []
+    for rj in members:
+        g = {}
+        for v in reversed(topo):
+            g[v] = paths(v, rj, g)
+        entries.append({ri: paths(ri, rj, g) for ri in members})
+    return members, [[entries[jc][ri] for jc in range(len(members))] for ri in members]
+
+
+def shrunk_rome(system, order) -> Rome:
+    """A minimal rome: every vertex, then drop each vertex in `order` whose
+    removal leaves no loop outside the rest.  Its complement may hold
+    vertices of out-degree >= 2, which `find_rome`'s never does."""
+    members = set(range(len(system.matrix)))
+    for v in order:
+        try:
+            validate_rome(system, Rome(members - {v}))
+        except InvalidRome:
+            continue
+        members.discard(v)
+    return Rome(members)
+
+
+def _romes(data, system):
+    n = len(system.matrix)
+    extra = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+    yield Rome(find_rome(system).members | extra)
+    yield shrunk_rome(system, data.draw(st.permutations(range(n))))
+
+
+class TestOnePassRomeMatrix:
+    """The one-pass rome_matrix against the per-member dynamic program, on
+    found romes with random extra members and on random minimal romes."""
+
+    @given(two_orbit_maps(), st.data())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_two_orbit_maps(self, case, data):
+        M = case[1]
+        for rome in _romes(data, M):
+            assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
+
+    @given(grid_maps(), st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_grid_maps(self, case, data):
+        try:
+            M = build_markov_system(*case)
+        except (NotInvariant, NotShort):
+            assume(False)
+        for rome in _romes(data, M):
+            assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
+
+    @given(
+        st.sampled_from([("dream", 5), ("persistent", 7), ("montevideo", 4)]),
+        st.sampled_from([triangle_with_tail, apple_graph]),
+        st.data(),
+    )
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    def test_extended_systems(self, family, graph, data):
+        E = extend(make(*family), graph())  # a matrix-only system
+        for rome in _romes(data, E):
+            assert rome_matrix(E, rome) == per_member_rome_matrix(E, rome)
+
+    @pytest.mark.parametrize("name,n", [("dream", 5), ("persistent", 7), ("montevideo", 3)])
+    def test_branching_complement(self, name, n):
+        # a minimal rome with a complement vertex of out-degree >= 2: several
+        # path terms meet there, and the polynomial still matches Bareiss
+        M = make(name, n).markov
+        rome = shrunk_rome(M, range(M.size))
+        assert any(M.out_degree(v) >= 2 for v in range(M.size) if v not in rome.members)
+        assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
+        assert rome_char_poly(M, rome) == char_poly(M.matrix)
+
+
+class TestDenseViews:
+    """`matrix` and `shifts` are views of the arrow list, built on demand."""
+
+    @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
+    def test_scan_stages_leave_views_unbuilt(self, name, n):
+        inst = make(name, n)
+        M = inst.markov
+        per_from_rotation(inst.lifting, M)
+        entropy(M, F2(1, 10**9))
+        assert "matrix" not in vars(M) and "shifts" not in vars(M)
+        assert [M.out_degree(i) for i in range(M.size)] == [sum(row) for row in M.matrix]
+        assert M.arrows() == [(i, j) for i in range(M.size) for j in range(M.size) if M.matrix[i][j]]
+        assert vars(M)["matrix"] is M.matrix  # built once, then cached
 
 
 class TestRome:
