@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, NoRootAbove
 
@@ -142,7 +142,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -159,6 +159,9 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def leading(self) -> int:
         if self.is_zero():
@@ -214,7 +217,11 @@ class IntPolynomial:
         return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        out = list(self.coeffs)
+        out.extend([0] * (len(other.coeffs) - len(out)))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return IntPolynomial(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -222,11 +229,11 @@ class IntPolynomial:
         if self.is_zero() or other.is_zero():
             return IntPolynomial.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return IntPolynomial(out)
 
     __rmul__ = __mul__
@@ -255,10 +262,13 @@ class IntPolynomial:
         return _sign(acc)
 
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Euclidean division when it stays over the integers.
+        """Euclidean division over the integers, (quotient, remainder).
 
-        Requires every intermediate leading-coefficient division to be exact;
-        sufficient for monic or +-1-leading divisors, which is all we use.
+        Each step divides a coefficient by the divisor's leading coefficient
+        and raises ValueError when that is not exact.  It always is when the
+        divisor's leading coefficient is +-1, and when self is a multiple
+        q * divisor with q in Z[x] (the remainder is then zero): the steps
+        peel off q's coefficients from the top.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -267,18 +277,31 @@ class IntPolynomial:
         dd = divisor.degree
         if len(rem) - 1 < dd:
             return IntPolynomial.zero(), IntPolynomial(rem)
+        terms = [(j, dc) for j, dc in enumerate(divisor.coeffs) if dc]
         q = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            if c % dlead != 0:
+            f, r = divmod(c, dlead)
+            if r:
                 raise ValueError("non-exact division over Z")
-            f = c // dlead
             q[i - dd] = f
-            for j, dc in enumerate(divisor.coeffs):
+            for j, dc in terms:
                 rem[i - dd + j] -= f * dc
-        return IntPolynomial(q), IntPolynomial(rem)
+        return IntPolynomial(q), IntPolynomial(rem[:dd])  # rem[dd:] is now all zero
+
+    def __floordiv__(self, divisor) -> "IntPolynomial":
+        """Exact quotient by a polynomial or an integer; ValueError when the
+        division leaves a remainder."""
+        if isinstance(divisor, int):
+            if divisor == 1:
+                return self
+            divisor = IntPolynomial([divisor])
+        q, r = self.divmod_exact(divisor)
+        if r:
+            raise ValueError("non-exact division over Z")
+        return q
 
     def divides(self, other: "IntPolynomial") -> bool:
         try:
@@ -438,29 +461,35 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial oracle
+# Determinants over Z and Z[x]
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+def bareiss_det(matrix):
+    """Exact determinant by fraction-free elimination (Bareiss 1968).
+
+    Entries are all ints or all IntPolynomials.  By Sylvester's identity each
+    entry after step k is a (k+1)-minor of the input, so every division by
+    the previous pivot is exact in the entries' ring.  A zero pivot is
+    swapped with a nonzero one below it; with none the determinant is zero.
+    """
     n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in matrix]
+    m = [list(row) for row in matrix]
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if m[r][k] != 0:
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return m[k][k]
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
@@ -470,54 +499,9 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M) of a square integer matrix.
-
-    Fraction-free Bareiss determinants at the integer nodes x = 0..n, then
-    exact Lagrange interpolation of the (monic, degree n) result.
-    """
-    n = len(matrix)
-    if n == 0:
+def char_poly(matrix) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - M) of a square integer matrix,
+    by `bareiss_det` over Z[x]."""
+    if not matrix:
         return IntPolynomial([1])
-    nodes = list(range(n + 1))
-    values = []
-    for t in nodes:
-        a = [[(t if i == j else 0) - matrix[i][j] for j in range(n)] for i in range(n)]
-        values.append(bareiss_det(a))
-
-    # Newton's divided differences, exact over Q
-    coeffs_newton: list[Fraction] = []
-    table = [Fraction(v) for v in values]
-    for level in range(n + 1):
-        coeffs_newton.append(table[0])
-        table = [
-            (table[i + 1] - table[i]) / (nodes[i + 1 + level] - nodes[i])
-            for i in range(len(table) - 1)
-        ]
-        if not table:
-            break
-
-    # expand the Newton form into monomial coefficients
-    poly = [Fraction(0)] * (n + 1)
-    basis = [Fraction(1)] + [Fraction(0)] * n  # running prod (x - x_0)...(x - x_{k-1})
-    for k, c in enumerate(coeffs_newton):
-        for i in range(n + 1):
-            poly[i] += c * basis[i]
-        if k < n:
-            new_basis = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                if basis[i] == 0:
-                    continue
-                new_basis[i] -= basis[i] * nodes[k]
-                if i + 1 <= n:
-                    new_basis[i + 1] += basis[i]
-            basis = new_basis
-
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ArithmeticError("characteristic polynomial interpolation left Q")
-        out.append(c.numerator)
-    result = IntPolynomial(out)
-    assert result.degree == n and result.leading() == 1
-    return result
+    return bareiss_det([[IntPolynomial([-a, i == j]) for j, a in enumerate(row)] for i, row in enumerate(matrix)])

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, Optional
 
-from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
+from .arith import CertifiedRoot, IntPolynomial, bareiss_det, floor_frac, largest_root_above, rat_str
 from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
 from .lifting import Lifting, RotationInterval
 
@@ -423,55 +423,25 @@ def rome_matrix(system, rome: Rome):
 
 def rome_char_poly(system, rome: Rome) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) via the rome method:
-    (-1)^(k-m) x^k det(M_R(x) - I) normalized to the monic convention."""
+    (-1)^(k-m) x^k det(M_R(x) - I) normalized to the monic convention, with
+    the m x m determinant over Z[y] by `bareiss_det`."""
     n = len(_successors(system))
     members, rm = rome_matrix(system, rome)
     m = len(members)
     if m == 0:
         return IntPolynomial.monomial(1, n)  # acyclic graph
-    a = [
-        [rm[i][j] - (IntPolynomial([1]) if i == j else IntPolynomial.zero()) for j in range(m)]
-        for i in range(m)
-    ]
-    det = _poly_det(a)
+    for i in range(m):
+        rm[i][i] = rm[i][i] - IntPolynomial([1])
+    det = bareiss_det(rm)
     if det.is_zero():
         raise ArithmeticError("rome determinant vanished identically")
     if det.degree > n:
         raise ArithmeticError("rome path length exceeded matrix size")
-    coeffs = [0] * (n + 1)
-    for j, c in enumerate(det.coeffs):
-        coeffs[n - j] = c
-    p = IntPolynomial(coeffs)
+    p = IntPolynomial((det.coeffs + (0,) * (n - det.degree))[::-1])  # x^n det(1/x)
     if p.leading() < 0:
         p = -p
     assert p.leading() == 1 and p.degree == n
     return p
-
-
-def _poly_det(a: list[list[IntPolynomial]]) -> IntPolynomial:
-    """Determinant over Z[y] by expansion with shared minors (column masks)."""
-    m = len(a)
-    memo: dict[tuple[int, int], IntPolynomial] = {}
-
-    def minor(row: int, mask: int) -> IntPolynomial:
-        if row == m:
-            return IntPolynomial([1])
-        key = (row, mask)
-        if key in memo:
-            return memo[key]
-        det = IntPolynomial.zero()
-        sign = 1
-        for j in range(m):
-            if not (mask >> j) & 1:
-                continue
-            if not a[row][j].is_zero():
-                term = a[row][j] * minor(row + 1, mask & ~(1 << j))
-                det = det + (term if sign > 0 else -term)
-            sign = -sign
-        memo[key] = det
-        return det
-
-    return minor(0, (1 << m) - 1)
 
 
 def markov_char_poly(system) -> IntPolynomial:

@@ -14,9 +14,10 @@ refines the plain M(c,d) membership predicate).
 For rational c, d both series are rational functions: with a = p/s in
 lowest terms, floor((n+p)/a) = floor(n/a) + s and floor((q+s)a) = floor(qa) + p.
 Clearing denominators positive on z > 1 turns Q and 1 - 2R into two integer
-balance polynomials, each built from its own series, and the one certified
-root kernel `arith.largest_root_above` brackets the largest root above 1 of
-each, in exact arithmetic with nothing truncated.  The enclosures
+balance polynomials, each built from its own series.  The first is exactly
+z - 1 times the second, and the one certified root kernel
+`arith.largest_root_above` brackets their largest root above 1 once, in exact
+arithmetic with nothing truncated.  The enclosures
 `q_series_enclosure` and `r_series_enclosure` (partial sum plus geometric
 tail) stay as the independent truncated-series reference.
 """
@@ -165,17 +166,17 @@ class BetaResult:
 
 
 def beta(c: Fraction, d: Fraction, tol: Fraction = Fraction(1, 10**9)) -> BetaResult:
-    """Certified bracket of beta_{c,d} > 1, by two independent computations.
-
-    Primary: the largest (indeed unique) root above 1 of Q_{c,d}, through its
-    balance polynomial.  Cross-check: the unique solution of R(z) = 1/2,
-    through the balance polynomial of 1 - 2R, built from the integer-pair
-    counts alone.  Agreement within 3*tol is reported.
-    """
+    """Certified bracket of beta_{c,d} > 1: the largest (indeed unique) root
+    above 1 of Q_{c,d}'s balance polynomial.  Cross-check: the balance
+    polynomial of 1 - 2R, built from the integer-pair counts alone, times z - 1
+    must equal it exactly (the series identity); `method_agreement` reports
+    that.  The kernel deflates z = 1 first, so R's bracket is the same one; it
+    is isolated separately only if the identity fails."""
     tol = Fraction(tol)
-    root_q = largest_root_above(q_balance(c, d)[0], Fraction(1), tol)
-    root_r = largest_root_above(r_balance(c, d)[0], Fraction(1), tol)
-    agreement = abs(root_q.midpoint() - root_r.midpoint()) <= 3 * tol
+    pq, pr = q_balance(c, d)[0], r_balance(c, d)[0]
+    root_q = largest_root_above(pq, Fraction(1), tol)
+    agreement = pq == _Z_MINUS_1 * pr
+    root_r = root_q if agreement else largest_root_above(pr, Fraction(1), tol)
     return BetaResult(beta=root_q, beta_counts=root_r, method_agreement=agreement, tol=tol)
 
 

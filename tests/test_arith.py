@@ -1,8 +1,9 @@
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circledyn.arith import (
@@ -234,6 +235,81 @@ class TestRootKernel:
         b = largest_root_above(p, floor, self.TOL)
         assert b.lower <= max(above) <= b.upper and b.width <= self.TOL
         assert b.lower > floor
+
+
+def leibniz_det(matrix, one):
+    """Permutation-sum determinant, the reference for `bareiss_det`."""
+    n = len(matrix)
+    total = one - one
+    for perm in permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+# zero-heavy entries, so that zero pivots (row swaps) and singular matrices are common
+int_entries = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+poly_entries = st.lists(int_entries, max_size=3).map(IntPolynomial)
+ONE = IntPolynomial([1])
+Y = IntPolynomial([0, 1])
+
+
+@st.composite
+def square_matrices(draw, entries, max_size=5):
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = list(rows[0])  # may repeat row 0: singular
+    return rows
+
+
+class TestBareiss:
+    """`bareiss_det` over Z and Z[y] against the Leibniz permutation sum."""
+
+    @given(square_matrices(int_entries))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_integer_matrices(self, m):
+        assert bareiss_det(m) == leibniz_det(m, 1)
+
+    @given(square_matrices(poly_entries).filter(len))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_polynomial_matrices(self, m):
+        assert bareiss_det(m) == leibniz_det(m, ONE)
+
+    def test_zero_pivots_need_row_swaps(self):
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        m = [[IntPolynomial([]), Y], [ONE + Y, IntPolynomial([2])]]
+        assert bareiss_det(m) == leibniz_det(m, ONE) == IntPolynomial([0, -1, -1])
+
+    def test_singular_matrices(self):
+        assert bareiss_det([[1, 2], [2, 4]]) == 0
+        assert bareiss_det([[0, 1], [0, 2]]) == 0
+        m = [[Y, Y * Y], [ONE, Y]]  # second column y times the first
+        assert bareiss_det(m).is_zero()
+        assert bareiss_det([[IntPolynomial([]), Y], [IntPolynomial([]), ONE]]).is_zero()
+
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            bareiss_det([[1, 2]])
+
+    @given(poly_entries.filter(bool), st.lists(int_entries, min_size=2, max_size=4).map(IntPolynomial))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_exact_quotient_by_any_divisor(self, q, d):
+        assume(d.degree >= 1)
+        assert (q * d) // d == q
+
+    def test_inexact_quotient_raises(self):
+        with pytest.raises(ValueError):
+            IntPolynomial([1, 0, 1]) // IntPolynomial([1, 1])  # remainder 2
+        with pytest.raises(ValueError):
+            IntPolynomial([2, 1]) // IntPolynomial([0, 2])  # leading 1 / 2
+        with pytest.raises(ValueError):
+            IntPolynomial([1, 2]) // 2
+        assert IntPolynomial([2, 4]) // 2 == IntPolynomial([1, 2])
 
 
 class TestCharPoly:

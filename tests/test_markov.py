@@ -492,6 +492,40 @@ class TestRome:
         assert len(find_rome(dream(5).markov).members) <= 5
 
 
+def _rome_matches_char_poly(case):
+    M = case[1]
+    assert rome_char_poly(M, find_rome(M)) == char_poly(M.matrix)
+
+
+class TestLargeRomes:
+    """The rome determinant on generic two-orbit maps, whose romes hold nearly
+    every class: polynomial time in the rome size, equal to char_poly."""
+
+    def test_generic_map_with_22_member_rome_in_time(self):
+        # seed-0 map 111 of bench/generic_liftings.random_orbit_pair
+        orbits = [
+            LiftedOrbit(tuple(F2(j, 23) for j in (0, 1, 3, 4, 6, 7, 8, 10, 11, 14, 15, 18, 21)), 1),
+            LiftedOrbit(tuple(F2(j, 23) for j in (2, 5, 9, 12, 13, 16, 17, 19, 20, 22)), 9),
+        ]
+        M = build_markov_system(build_from_orbits(orbits))
+        assert M.size == 23 and len(find_rome(M).members) == 22
+        start = time.perf_counter()
+        char = markov_char_poly(M)
+        assert time.perf_counter() - start < 2
+        assert char == char_poly(M.matrix)
+
+    @given(two_orbit_maps(max_period=14))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_two_orbit_maps_up_to_28_classes(self, case):
+        _rome_matches_char_poly(case)
+
+    @pytest.mark.slow
+    @given(two_orbit_maps(max_period=14))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_two_orbit_maps_up_to_28_classes_long_run(self, case):
+        _rome_matches_char_poly(case)
+
+
 class TestEntropy:
     def test_permutation_entropy_zero(self):
         M = rigid_half_system()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledyn import minentropy
 from circledyn.arith import IntPolynomial
 from circledyn.errors import BudgetExceeded
 from circledyn.families import dream, persistent
@@ -44,6 +45,16 @@ class TestTwoMethods:
         assert res.method_agreement
         assert abs(res.beta.midpoint() - res.beta_counts.midpoint()) <= 3 * TOL
         assert res.beta.lower > 1
+
+    def test_broken_identity_isolates_r_separately(self, monkeypatch):
+        # a counting polynomial that is not Q's over z - 1: disagreement is
+        # reported and beta_counts is R's own root (here z = 3)
+        expected = beta(F2(1, 5), F2(2, 5), tol=TOL).beta
+        monkeypatch.setattr(minentropy, "r_balance", lambda c, d: (IntPolynomial([-3, 1]), None))
+        res = beta(F2(1, 5), F2(2, 5), tol=TOL)
+        assert not res.method_agreement
+        assert res.beta_counts.lower <= 3 <= res.beta_counts.upper
+        assert res.beta == expected
 
     def test_series_identity_numerically(self):
         # Q(z) == (z-1)(1 - 2R(z)) at sample points (enclosures must overlap)
