@@ -8,21 +8,13 @@ positive denominator). They serialize as "p/q" strings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, NoRootAbove
-
-Rational = Fraction
-
-
-def rat(x, y=None) -> Fraction:
-    """Build a Fraction; `rat("2/5")`, `rat(2, 5)` and `rat(3)` all work."""
-    if y is not None:
-        return Fraction(x, y)
-    return Fraction(x)
 
 
 def rat_str(q: Fraction) -> str:
@@ -142,7 +134,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = list(map(int, coeffs))
+        cs = list(map(operator.index, coeffs))  # TypeError on a non-integer
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -96,13 +96,25 @@ class CombGraph:
 
     @staticmethod
     def from_json(d: dict) -> "CombGraph":
-        return CombGraph(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+        """The graph of {"vertices": [...], "edges": [[u, v], ...]};
+        ValueError on any other shape."""
+        try:
+            return CombGraph(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+        except (KeyError, TypeError) as e:
+            raise ValueError(f'graph JSON needs "vertices" and "edges" lists ({type(e).__name__}: {e})') from None
 
     @staticmethod
     def excise_hint_from_json(d: dict):
         """Optional {"excise": {"circuit_edge_hint": i}} companion of the
-        graph file: which circuit edge carries the circle dynamics."""
-        return d.get("excise", {}).get("circuit_edge_hint")
+        graph file: which circuit edge carries the circle dynamics.
+        ValueError if "excise" is not an object or the hint not an integer."""
+        excise = d.get("excise", {}) if isinstance(d, dict) else None
+        if not isinstance(excise, dict):
+            raise ValueError('graph JSON "excise" must be an object such as {"circuit_edge_hint": 0}')
+        hint = excise.get("circuit_edge_hint")
+        if hint is not None and type(hint) is not int:  # not a bool or a float either
+            raise ValueError('graph JSON "circuit_edge_hint" must be an edge index')
+        return hint
 
 
 @dataclass(frozen=True)
@@ -283,7 +295,7 @@ class ExtendedMarkov:
     m: int = 0
     u_count: int = 0
     class_names: tuple = ()
-    matrix: tuple = ()
+    successors: tuple = ()  # sorted successor lists of the extended covering graph
     orientation: tuple = ()
     projection: tuple = ()  # extended vertex -> base vertex index
     base_index: dict = field(default_factory=dict)  # surviving base idx -> ext idx
@@ -295,7 +307,7 @@ class ExtendedMarkov:
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.successors)
 
 
 def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None) -> ExtendedMarkov:
@@ -317,11 +329,11 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
     nb = base.size
     removed = {ext.detour, ext.excised}
 
-    arrows = base.arrows()
-    preds = [i for i, j in arrows if j == ext.detour]
+    base_succ = base.successors
+    preds = [i for i, out in enumerate(base_succ) if ext.detour in out]
     if any(p in removed for p in preds):
         raise BadParameter("detour class fed from inside the replaced pair")
-    assert {(ext.detour, ext.excised), (ext.excised, ext.ret)} <= set(arrows)
+    assert ext.excised in base_succ[ext.detour] and ext.ret in base_succ[ext.excised]
 
     keep = [i for i in range(nb) if i not in removed]
     base_index = {i: j for j, i in enumerate(keep)}
@@ -339,18 +351,13 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
         names.append(f"U{len(u_index) - 1}")
         projection.append(ext.excised)
 
-    size = len(names)
-    matrix = [[0] * size for _ in range(size)]
-    for i, j in arrows:
-        if i in base_index and j in base_index:
-            matrix[base_index[i]][base_index[j]] = 1
+    # kept classes come first in base order, then the L and the U classes,
+    # so each list below is built sorted
+    succ = [[base_index[j] for j in base_succ[i] if j in base_index] for i in keep]
     for p in preds:
-        for li in l_ids:
-            matrix[base_index[p]][li] = 1
-    for i in range(m):
-        matrix[l_ids[i]][u_index[trav.segment_halves[i]]] = 1
-    for uid in trav.u_ids:
-        matrix[u_index[uid]][base_index[ext.ret]] = 1
+        succ[base_index[p]].extend(l_ids)
+    succ.extend([u_index[trav.segment_halves[i]]] for i in range(m))
+    succ.extend([base_index[ext.ret]] for _ in trav.u_ids)
 
     orientation = [base.orientation[i] for i in keep] + [0] * (m + len(u_index))
     return ExtendedMarkov(
@@ -360,7 +367,7 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
         m=m,
         u_count=len(u_index),
         class_names=tuple(names),
-        matrix=tuple(tuple(r) for r in matrix),
+        successors=tuple(map(tuple, succ)),
         orientation=tuple(orientation),
         projection=tuple(projection),
         base_index=base_index,
@@ -376,9 +383,7 @@ def projection_preserves_arrows(E: ExtendedMarkov) -> bool:
     """Every extended arrow must project onto an arrow of the base graph."""
     base_arrows = set(E.base.arrows())
     proj = E.projection
-    return all(
-        (proj[i], proj[j]) in base_arrows for i, row in enumerate(E.matrix) for j, a in enumerate(row) if a
-    )
+    return all((proj[i], proj[j]) in base_arrows for i, out in enumerate(E.successors) for j in out)
 
 
 def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
@@ -454,15 +459,5 @@ def _persistent_class(E: ExtendedMarkov, which: str) -> int:
 
 def _loops_within(E: ExtendedMarkov, allowed: set) -> set:
     """Lengths of simple loops staying inside `allowed` (tiny vertex sets)."""
-    class _Sub:
-        pass
-
-    idx = sorted(allowed)
-    remap = {v: i for i, v in enumerate(idx)}
-    sub = _Sub()
-    sub.matrix = tuple(
-        tuple(E.matrix[v][w] for w in idx) for v in idx
-    )
-    sub.orientation = tuple(E.orientation[v] for v in idx)
-    loops = enumerate_loops(sub, max_len=8)
-    return {l.length for l in loops if l.simple}
+    succ = [[w for w in out if w in allowed] if v in allowed else [] for v, out in enumerate(E.successors)]
+    return {l.length for l in enumerate_loops(E, max_len=8, succ=succ) if l.simple}

@@ -6,7 +6,10 @@ the partition as integers (the lifted index of each point's image), the
 affine branch of the map on each class, the covering arrows with the integer
 translate realizing each one, and the orientation of the map on each class.
 Later stages walk indices and arrows and compose branches instead of
-evaluating the lifting; the dense covering matrix is a view built on demand.
+evaluating the lifting.  The graph passes here read two things of a system:
+`successors` (sorted successor lists of the covering graph) and
+`orientation`; a MarkovSystem builds its successor lists from the arrows once,
+and any other graph (an extension, a test fixture) carries its own.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ DEFAULT_LOOP_CAP = 10**6
 class MarkovSystem:
     """The map on its partition, held as integers plus one arrow list.
 
-    `index_map`, `branches` and `coverings` are the only graph data; the dense
-    `matrix` and `shifts` tables are views derived from `coverings` on first
-    use and cached, for reports and tests.  The scan never builds them.
+    `index_map`, `branches` and `coverings` are the only graph data.  Views
+    derived from `coverings` on first use and cached: `successors` for the
+    graph passes, `arrow_shifts` for the oracle, and the dense `matrix` and
+    `shifts` tables for reports and tests (the scan never builds those two).
     """
 
     lifting: Lifting
@@ -51,6 +55,19 @@ class MarkovSystem:
     @property
     def class_names(self) -> list[str]:
         return [f"[{rat_str(a)},{rat_str(b)}]" for (a, b) in self.classes]
+
+    @cached_property
+    def successors(self) -> tuple:
+        """Sorted successor lists of the covering graph (a view of `coverings`)."""
+        succ = [[] for _ in self.classes]
+        for i, j, _ in self.coverings:
+            succ[i].append(j)
+        return tuple(map(tuple, succ))
+
+    @cached_property
+    def arrow_shifts(self) -> dict:
+        """{(i, j): k} for the arrows (i, j, k) (a view of `coverings`)."""
+        return {(i, j): k for i, j, k in self.coverings}
 
     @cached_property
     def matrix(self) -> tuple:
@@ -203,18 +220,6 @@ def partition_rotation_interval(system: MarkovSystem) -> RotationInterval:
     return RotationInterval(*rho)
 
 
-def _successors(system) -> list[list[int]]:
-    """Sorted successor lists of the covering graph: from the arrow list of a
-    MarkovSystem, or from the 0/1 `matrix` of any other system."""
-    arrows = getattr(system, "coverings", None)
-    if arrows is None:
-        return [[j for j, a in enumerate(row) if a] for row in system.matrix]
-    succ = [[] for _ in system.classes]
-    for i, j, _ in arrows:
-        succ[i].append(j)
-    return succ
-
-
 def _reverse(succ) -> list[list[int]]:
     pred = [[] for _ in succ]
     for v, out in enumerate(succ):
@@ -297,14 +302,15 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
 
 
 def transitivity_certificate(system) -> dict:
-    """{'irreducible', 'permutation', 'transitive'} for a MarkovSystem or any
-    object carrying a 0/1 `matrix`; transitive = irreducible and not a
-    permutation matrix.  Irreducibility belongs to this matrix, so it depends
-    on the partition: refining the rigid 1/2-rotation from two classes to four
-    splits its single 2-cycle into two, and the certificate turns reducible."""
-    succ = _successors(system)
-    irr = len(set(_components(succ))) == 1 and (len(succ) > 1 or succ == [[0]])
-    perm = sorted(succ) == [[j] for j in range(len(succ))]  # one 1 in each row and column
+    """{'irreducible', 'permutation', 'transitive'} of the covering graph;
+    transitive = irreducible and not a permutation matrix.  Irreducibility
+    belongs to this graph, so it depends on the partition: refining the rigid
+    1/2-rotation from two classes to four splits its single 2-cycle into two,
+    and the certificate turns reducible."""
+    succ = system.successors
+    irr = len(set(_components(succ))) == 1 and (len(succ) > 1 or 0 in succ[0])
+    # one 1 in each row and column
+    perm = all(len(out) == 1 for out in succ) and len({out[0] for out in succ}) == len(succ)
     return {"irreducible": irr, "permutation": perm, "transitive": irr and not perm}
 
 
@@ -347,7 +353,7 @@ def _complement_cycle(succ, members) -> Optional[list[int]]:
 
 
 def validate_rome(system, rome: Rome) -> None:
-    cyc = _complement_cycle(_successors(system), rome.members)
+    cyc = _complement_cycle(system.successors, rome.members)
     if cyc is not None:
         raise InvalidRome(f"loop avoiding the rome: {cyc}")
 
@@ -356,7 +362,7 @@ def find_rome(system) -> Rome:
     """Greedy rome: all vertices of out-degree >= 2, then one vertex from each
     remaining cycle of the (now functional) complement graph.  The loop stops
     only when no loop avoids the members, so the result is a valid rome."""
-    succ = _successors(system)
+    succ = system.successors
     members = {i for i, out in enumerate(succ) if len(out) >= 2}
     while (cyc := _complement_cycle(succ, members)) is not None:
         members.add(cyc[0])
@@ -368,13 +374,13 @@ def rome_matrix(system, rome: Rome):
 
     Entry (i,j) counts simple rome paths r_i -> r_j by length: the coefficient
     of y^l is the number of such paths of length l.  One pass over the
-    complement (acyclic, by rome validity) in reverse topological order
-    carries, for each vertex, its path counts to the members as sparse
-    {(member, length): count}; on `find_rome`'s romes every complement vertex
-    has one successor, so each carries a single term.
+    complement in reverse topological order carries, for each vertex, its
+    path counts to the members as sparse {(member, length): count}; on
+    `find_rome`'s romes every complement vertex has one successor, so each
+    carries a single term.  A complement with no topological order holds a
+    loop avoiding the rome: InvalidRome, with that loop.
     """
-    validate_rome(system, rome)
-    succ = _successors(system)
+    succ = system.successors
     members = sorted(rome.members)
     comp = [v for v in range(len(succ)) if v not in rome.members]
 
@@ -393,7 +399,8 @@ def rome_matrix(system, rome: Rome):
                 if indeg[w] == 0:
                     topo.append(w)
                     queue.append(w)
-    assert len(topo) == len(comp)
+    if len(topo) < len(comp):
+        validate_rome(system, rome)
 
     paths: dict[int, dict] = {}
 
@@ -425,7 +432,7 @@ def rome_char_poly(system, rome: Rome) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) via the rome method:
     (-1)^(k-m) x^k det(M_R(x) - I) normalized to the monic convention, with
     the m x m determinant over Z[y] by `bareiss_det`."""
-    n = len(_successors(system))
+    n = len(system.successors)
     members, rm = rome_matrix(system, rome)
     m = len(members)
     if m == 0:
@@ -523,9 +530,9 @@ def enumerate_loops(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if succ is None:
-        succ = _successors(system)
+        succ = system.successors
     n = len(succ)
-    orientation = getattr(system, "orientation", None) or (1,) * n
+    orientation = system.orientation
     pred = _reverse(succ)
     found: dict[tuple, None] = {}
     explored = 0

@@ -84,12 +84,7 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _arrow_shifts(M: MarkovSystem) -> dict:
-    """{(i, j): k} for the arrows of M, read once per oracle call."""
-    return {(i, j): k for i, j, k in M.coverings}
-
-
-def loop_branch(F: Lifting, M: MarkovSystem, word: tuple) -> tuple[Fraction, Fraction]:
+def loop_branch(M: MarkovSystem, word: tuple) -> tuple[Fraction, Fraction]:
     """Composed affine return map y -> A y + B along the loop word.
 
     Each step is y -> F(y) - shift on the class representative, so a fixed
@@ -97,10 +92,7 @@ def loop_branch(F: Lifting, M: MarkovSystem, word: tuple) -> tuple[Fraction, Fra
     and comes back to itself modulo the accumulated integer translation.
     The steps use the branches M caches for F on its classes.
     """
-    return _branch(M, word, _arrow_shifts(M))
-
-
-def _branch(M: MarkovSystem, word: tuple, shift: dict) -> tuple[Fraction, Fraction]:
+    shift = M.arrow_shifts
     A, B = Fraction(1), Fraction(0)
     for t in range(len(word)):
         i = word[t]
@@ -109,7 +101,7 @@ def _branch(M: MarkovSystem, word: tuple, shift: dict) -> tuple[Fraction, Fracti
     return A, B
 
 
-def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction, shift: dict):
+def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction):
     """(minimal period, rotation number) of x0 if its orbit stays strictly
     inside the representatives of the word (translated back by the arrow
     shifts) and returns exactly; None otherwise.
@@ -119,6 +111,7 @@ def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction, shift: dict):
     the minimal period, and the shifts summed up to it are its integer gain.
     """
     L = len(word)
+    shift = M.arrow_shifts
     z, gain = x0, 0
     period = None
     for t in range(L):
@@ -143,12 +136,11 @@ def solve_loop(F: Lifting, M: MarkovSystem, word: tuple):
     are classified separately).  "degenerate": identity branch, an interval of
     fixed points.
     """
-    shift = _arrow_shifts(M)
-    A, B = _branch(M, word, shift)
+    A, B = loop_branch(M, word)
     if A == 1:
         return ("degenerate", None) if B == 0 else ("none", None)
     y = B / (1 - A)
-    if _orbit_data(M, word, y, shift) is not None:
+    if _orbit_data(M, word, y) is not None:
         return "point", y
     return "none", None
 
@@ -182,12 +174,12 @@ def _classify_partition_orbits(M: MarkovSystem, result: OracleResult, bound: int
             L = G[r] + L - r
 
 
-def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int, shift: dict):
+def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int):
     """Witnesses from an identity branch: several interior sample points."""
     a, b = M.classes[word[0]]
     for num, den in ((1, 2), (1, 3), (2, 5)):
         x0 = a + (b - a) * Fraction(num, den)
-        data = _orbit_data(M, word, x0, shift)
+        data = _orbit_data(M, word, x0)
         if data is not None and data[0] <= bound:
             m, rho = data
             result.add(PeriodicWitness(x0, m, rho, tuple(word[:m])))
@@ -211,19 +203,18 @@ def periods_up_to(
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
     _classify_partition_orbits(M, result, P)
-    shift = _arrow_shifts(M)
     for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
         if not loop.simple:
             continue
         word = loop.vertices
-        A, B = _branch(M, word, shift)
+        A, B = loop_branch(M, word)
         if A == 1:
             if B == 0:
                 result.degenerate_loops.append(DegenerateLoopReport(word, loop.length))
-                _sample_degenerate(M, word, result, P, shift)
+                _sample_degenerate(M, word, result, P)
             continue
         y = B / (1 - A)
-        data = _orbit_data(M, word, y, shift)
+        data = _orbit_data(M, word, y)
         if data is not None and data[0] <= P:
             m, rho = data
             result.add(PeriodicWitness(y, m, rho, tuple(word[:m])))
@@ -231,5 +222,5 @@ def periods_up_to(
             # doubled branch is the identity: an interval of period-2L points
             doubled = word + word
             result.degenerate_loops.append(DegenerateLoopReport(doubled, 2 * loop.length))
-            _sample_degenerate(M, doubled, result, P, shift)
+            _sample_degenerate(M, doubled, result, P)
     return result

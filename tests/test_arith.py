@@ -129,6 +129,16 @@ class TestIntPolynomial:
         assert IntPolynomial([1, 2, 0, 0]).degree == 1
         assert IntPolynomial([0, 0]).is_zero()
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.9, Fraction(4, 2), 2.0])
+    def test_rejects_non_integer_coefficients(self, bad):
+        # no silent truncation: Fraction(1, 2) and 0.9 are not read as 0
+        with pytest.raises(TypeError):
+            IntPolynomial([bad, 1])
+
+    def test_accepts_bools_as_integers(self):
+        p = IntPolynomial([-1, True, False])  # char_poly's diagonal entries
+        assert p == IntPolynomial([-1, 1]) and type(p.coeffs[1]) is int
+
 
 class TestLargestRoot:
     def test_linear(self):

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from circledyn.cli import main
+
+TRIANGLE_TAIL = {"vertices": ["u", "v", "w", "p"], "edges": [["u", "v"], ["v", "w"], ["w", "u"], ["u", "p"]]}
 
 
 def run(capsys, *argv):
@@ -119,6 +123,23 @@ class TestExtend:
         )
         code, _, err = run(capsys, "extend", "dream", "--n", "5", "--graph", str(gfile))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": ["u", "v"]},  # no edges
+            [["u", "v"], ["v", "u"]],  # not an object
+            {**TRIANGLE_TAIL, "excise": []},
+            {**TRIANGLE_TAIL, "excise": {"circuit_edge_hint": 1.0}},
+            {**TRIANGLE_TAIL, "excise": {"circuit_edge_hint": True}},
+        ],
+    )
+    def test_malformed_graph_json_exits_one(self, capsys, tmp_path, doc):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "extend", "dream", "--n", "5", "--graph", str(gfile))
+        assert code == 1 and out == ""
+        assert err.startswith("error: graph JSON") and "Traceback" not in err
 
 
 class TestOracle:

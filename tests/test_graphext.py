@@ -208,7 +208,7 @@ class TestExtend:
             perm = u_ids[:]
             rng.shuffle(perm)
             relabel = dict(zip(u_ids, perm))
-            matrix = [list(row) for row in E.matrix]
+            matrix = [[int(j in out) for j in range(E.size)] for out in E.successors]
             for li in l_ids:
                 (old_u,) = [j for j in u_ids if matrix[li][j]]
                 matrix[li][old_u] = 0
@@ -218,6 +218,6 @@ class TestExtend:
                 pass
 
             shim = Shim()
-            shim.matrix = tuple(tuple(r) for r in matrix)
+            shim.successors = tuple(tuple(j for j, a in enumerate(row) if a) for row in matrix)
             shim.orientation = E.orientation
             assert markov_char_poly(shim) == base_char

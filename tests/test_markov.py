@@ -12,6 +12,7 @@ from circledyn.families import dream, make, montevideo, persistent, persistent_p
 from circledyn.graphext import extend
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
 from circledyn.markov import (
+    MarkovSystem,
     Rome,
     build_markov_system,
     entropy,
@@ -35,10 +36,12 @@ F2 = Fraction
 
 
 class FakeSystem:
-    """Bare adjacency for the matrix-level operations."""
+    """Bare graph for the graph-level operations: the successor lists of a
+    0/1 matrix, which stays at hand for the reference computations."""
 
     def __init__(self, matrix, orientation=None):
         self.matrix = tuple(tuple(r) for r in matrix)
+        self.successors = tuple(tuple(j for j, a in enumerate(row) if a) for row in self.matrix)
         self.orientation = tuple(orientation or [1] * len(matrix))
 
 
@@ -300,6 +303,13 @@ class TestTransitivity:
         cert = transitivity_certificate(FakeSystem(m))
         assert not cert["irreducible"]
 
+    def test_permutation_needs_one_arrow_into_each_class(self):
+        cycle = transitivity_certificate(FakeSystem([[0, 1], [1, 0]]))
+        assert cycle == {"irreducible": True, "permutation": True, "transitive": False}
+        # one arrow out of each class, but two into class 1 and none into 0
+        funnel = transitivity_certificate(FakeSystem([[0, 1, 0], [0, 0, 1], [0, 1, 0]]))
+        assert funnel == {"irreducible": False, "permutation": False, "transitive": False}
+
     def test_irreducible_reachability(self):
         # irreducible iff the reachability closure is all-positive
         for name, n in (("dream", 3), ("persistent", 5)):
@@ -320,7 +330,7 @@ def per_member_rome_matrix(system, rome):
     r_j, one pass over the complement in reverse topological order building
     dense polynomials of the paths to r_j."""
     validate_rome(system, rome)
-    succ = [[j for j, a in enumerate(row) if a] for row in system.matrix]
+    succ = system.successors
     members = sorted(rome.members)
     comp = [v for v in range(len(succ)) if v not in rome.members]
     compset = set(comp)
@@ -359,7 +369,7 @@ def shrunk_rome(system, order) -> Rome:
     """A minimal rome: every vertex, then drop each vertex in `order` whose
     removal leaves no loop outside the rest.  Its complement may hold
     vertices of out-degree >= 2, which `find_rome`'s never does."""
-    members = set(range(len(system.matrix)))
+    members = set(range(len(system.successors)))
     for v in order:
         try:
             validate_rome(system, Rome(members - {v}))
@@ -370,7 +380,7 @@ def shrunk_rome(system, order) -> Rome:
 
 
 def _romes(data, system):
-    n = len(system.matrix)
+    n = len(system.successors)
     extra = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
     yield Rome(find_rome(system).members | extra)
     yield shrunk_rome(system, data.draw(st.permutations(range(n))))
@@ -404,7 +414,7 @@ class TestOnePassRomeMatrix:
     )
     @settings(max_examples=12, derandomize=True, deadline=None)
     def test_extended_systems(self, family, graph, data):
-        E = extend(make(*family), graph())  # a matrix-only system
+        E = extend(make(*family), graph())  # successor lists only, no arrow list
         for rome in _romes(data, E):
             assert rome_matrix(E, rome) == per_member_rome_matrix(E, rome)
 
@@ -420,7 +430,37 @@ class TestOnePassRomeMatrix:
 
 
 class TestDenseViews:
-    """`matrix` and `shifts` are views of the arrow list, built on demand."""
+    """`successors`, `arrow_shifts`, `matrix` and `shifts` are views of the
+    arrow list, built on demand and then cached."""
+
+    @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
+    def test_graph_views_built_once(self, name, n, monkeypatch):
+        # every graph pass and every oracle query share one build of each view
+        builds = {}
+
+        def counted(view, build):
+            def wrapper(system):
+                builds[view] = builds.get(view, 0) + 1
+                return build(system)
+
+            return wrapper
+
+        for view in ("successors", "arrow_shifts"):
+            prop = vars(MarkovSystem)[view]
+            monkeypatch.setattr(prop, "func", counted(view, prop.func))
+        inst = make(name, n)
+        M = inst.markov
+        per_from_rotation(inst.lifting, M)
+        entropy(M, F2(1, 10**9))
+        periods_up_to(inst.lifting, M, 6)  # the oracle, in case per_from_rotation needed none
+        transitivity_certificate(M)
+        entropy(M, F2(1, 10**9))
+        assert builds == {"successors": 1, "arrow_shifts": 1}
+        for view in ("successors", "arrow_shifts"):
+            assert vars(M)[view] is getattr(M, view)
+        assert "matrix" not in vars(M) and "shifts" not in vars(M)
+        assert M.successors == tuple(tuple(j for j, a in enumerate(row) if a) for row in M.matrix)
+        assert M.arrow_shifts == {(i, j): M.shifts[i][j] for i, j in M.arrows()}
 
     @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
     def test_scan_stages_leave_views_unbuilt(self, name, n):
@@ -449,6 +489,13 @@ class TestRome:
         sys = FakeSystem([[0, 1], [1, 0]])
         with pytest.raises(InvalidRome):
             validate_rome(sys, Rome(frozenset()))
+
+    def test_rome_char_poly_rejects_invalid_rome(self):
+        # the topological pass of rome_matrix finds the loop avoiding the rome
+        with pytest.raises(InvalidRome, match=r"loop avoiding the rome: \[0, 1, 0\]"):
+            rome_char_poly(FakeSystem([[0, 1], [1, 0]]), Rome(frozenset()))
+        with pytest.raises(InvalidRome):
+            rome_matrix(FakeSystem([[1, 1, 0], [0, 0, 1], [0, 1, 0]]), Rome({0}))
 
     def test_persistent_two_element_rome_validates(self):
         inst = persistent(7)

@@ -75,8 +75,8 @@ def test_two_repetition_of_negative_loop_has_half_period():
     checked = 0
     for l in neg_simple:
         doubled = l.vertices + l.vertices
-        A, B = loop_branch(F, M, doubled)
-        A1, _ = loop_branch(F, M, l.vertices)
+        A, B = loop_branch(M, doubled)
+        A1, _ = loop_branch(M, l.vertices)
         assert A == A1 * A1
         if A == 1:
             continue
