@@ -295,13 +295,6 @@ class IntPolynomial:
             raise ValueError("non-exact division over Z")
         return q
 
-    def divides(self, other: "IntPolynomial") -> bool:
-        try:
-            _, r = other.divmod_exact(self)
-        except ValueError:
-            return False
-        return r.is_zero()
-
     def cauchy_root_bound(self) -> Fraction:
         """1 + max|c_i| / |lead|: every real root lies in (-B, B)."""
         if self.is_zero():

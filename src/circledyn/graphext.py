@@ -97,9 +97,13 @@ class CombGraph:
     @staticmethod
     def from_json(d: dict) -> "CombGraph":
         """The graph of {"vertices": [...], "edges": [[u, v], ...]};
-        ValueError on any other shape."""
+        ValueError on any other shape, a string in place of a list included
+        (it would read as its characters)."""
         try:
-            return CombGraph(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+            vertices, edges = d["vertices"], d["edges"]
+            if not all(isinstance(x, list) for x in (vertices, edges, *edges)):
+                raise TypeError("a list is expected where a string or another value stands")
+            return CombGraph(tuple(vertices), tuple(tuple(e) for e in edges))
         except (KeyError, TypeError) as e:
             raise ValueError(f'graph JSON needs "vertices" and "edges" lists ({type(e).__name__}: {e})') from None
 

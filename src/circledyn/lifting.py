@@ -142,9 +142,6 @@ class LiftedOrbit:
         q = self.period
         return self.points[j % q] + (j - j % q) // q
 
-    def image_of(self, j: int) -> Fraction:
-        return self.point(j + self.shift)
-
 
 @dataclass(frozen=True)
 class RotationInterval:

@@ -2,11 +2,11 @@
 
 A MarkovSystem holds the partition (one fundamental domain), the basic
 interval classes (consecutive partition points, wrap included), the map on
-the partition as integers (the lifted index of each point's image), the
-affine branch of the map on each class, the covering arrows with the integer
+the partition as integers (the partition's keys on its common denominator and
+the lifted index of each point's image), the covering arrows with the integer
 translate realizing each one, and the orientation of the map on each class.
-Later stages walk indices and arrows and compose branches instead of
-evaluating the lifting.  The graph passes here read two things of a system:
+Later stages walk indices, keys and arrows instead of evaluating the
+lifting.  The graph passes here read two things of a system:
 `successors` (sorted successor lists of the covering graph) and
 `orientation`; a MarkovSystem builds its successor lists from the arrows once,
 and any other graph (an extension, a test fixture) carries its own.
@@ -34,18 +34,27 @@ DEFAULT_LOOP_CAP = 10**6
 class MarkovSystem:
     """The map on its partition, held as integers plus one arrow list.
 
-    `index_map`, `branches` and `coverings` are the only graph data.  Views
-    derived from `coverings` on first use and cached: `successors` for the
-    graph passes, `arrow_shifts` for the oracle, and the dense `matrix` and
-    `shifts` tables for reports and tests (the scan never builds those two).
+    On the common denominator D of the partition, point i is the integer key
+    X[i] = partition[i]*D, with X[n] = X[0] + D closing the wrap class.  The
+    lifted index L stands for the key K(L) = X[L mod n] + (L div n)*D, and
+    F(partition[i]) is the point of lifted index G[i] (`index_map`).  F is
+    affine on each class, so these integers are the whole map: class i goes
+    from key X[i] to X[i+1] onto K(G[i]) .. K(G[i+1]), G[n] = G[0] + n.
+
+    `denominator`, `keys`, `index_map` and `coverings` are the only map and
+    graph data.  Views derived from `coverings` on first use and cached:
+    `successors` for the graph passes, `arrow_shifts` for the oracle, and the
+    dense `matrix` and `shifts` tables for reports and tests (the scan never
+    builds those two).
     """
 
     lifting: Lifting
     partition: tuple  # sorted Fractions in [0,1)
     classes: tuple  # (a, b) representatives; last one wraps to partition[0]+1
     orientation: tuple  # +1 increasing, -1 decreasing, 0 degenerate
+    denominator: int  # D, the common denominator of the partition
+    keys: tuple  # X[i] = partition[i]*D for i < n, and X[n] = X[0] + D
     index_map: tuple  # lifted index G[i] = j + n*k for F(partition[i]) = partition[j] + k
-    branches: tuple  # (slope, offset) of F on each class: F(x) = slope*x + offset
     coverings: tuple  # arrows (i, j, k), class i covers class j + k, in (i, j) order
 
     @property
@@ -85,11 +94,6 @@ class MarkovSystem:
         for i, j, k in self.coverings:
             rows[i][j] = entry(k)
         return tuple(map(tuple, rows))
-
-    def out_degree(self, i: int) -> int:
-        """Class i covers the lifted classes between its end indices."""
-        G, n = self.index_map, self.size
-        return abs((G[i + 1] if i + 1 < n else G[0] + n) - G[i])
 
     def arrows(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.coverings]
@@ -165,17 +169,14 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
 
     classes = tuple((ends[i], ends[i + 1]) for i in range(n))
     orientation = []
-    branches = []
     coverings = []
     for i in range(n):
         g0, g1 = G[i], G[i + 1]
-        dx, dy = X[i + 1] - X[i], Y[i + 1] - Y[i]
         if abs(g1 - g0) >= n:
             a, b = classes[i]
-            length = Fraction(abs(dy), D)
+            length = Fraction(abs(Y[i + 1] - Y[i]), D)
             raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {length} >= 1")
         orientation.append((g1 > g0) - (g1 < g0))
-        branches.append((Fraction(dy, dx), Fraction(Y[i] * dx - dy * X[i], D * dx)))
         # lifted classes lo..hi-1 (fewer than n) in class order: those past
         # the turn, classes 0.. at turn q+1 (all below r), then r..top-1 at q
         lo, hi = min(g0, g1), max(g0, g1)
@@ -189,8 +190,9 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         partition=partition,
         classes=classes,
         orientation=tuple(orientation),
+        denominator=D,
+        keys=tuple(X),
         index_map=tuple(G[:n]),
-        branches=tuple(branches),
         coverings=tuple(coverings),
     )
 
@@ -496,45 +498,34 @@ def entropy(
 @dataclass(frozen=True)
 class Loop:
     vertices: tuple  # canonical rotation (lexicographically minimal)
-    sign: int
-    simple: bool
+    simple: bool  # not a repetition of a shorter loop
 
     @property
     def length(self) -> int:
         return len(self.vertices)
 
 
-def _canonical_rotation(word: tuple) -> tuple:
-    rotations = [word[i:] + word[:i] for i in range(len(word))]
-    return min(rotations)
-
-
-def _word_period(word: tuple) -> int:
-    L = len(word)
-    for p in range(1, L + 1):
-        if L % p == 0 and all(word[i] == word[i % p] for i in range(L)):
-            return p
-    return L
-
-
 def enumerate_loops(
     system, max_len: int, cap: int = DEFAULT_LOOP_CAP, succ: Optional[list] = None
 ) -> list[Loop]:
-    """All loops of length <= max_len up to cyclic rotation, in the whole
-    covering graph or in the subgraph given by the successor lists `succ`.
+    """All loops of length <= max_len up to cyclic rotation, sorted, in the
+    whole covering graph or in the subgraph given by the successor lists
+    `succ`.
 
     Closed walks are enumerated by DFS from each start vertex, pruned to walks
-    whose minimal vertex is the start and by shortest-return distance; results
-    are canonicalized by minimal rotation.  BudgetExceeded past `cap`.
+    whose minimal vertex is the start and by shortest-return distance.  A walk
+    is kept only when it is <= every rotation beginning at another occurrence
+    of the start, so each loop is met once, as its least rotation; it is
+    simple exactly when it is strictly below all of them.  BudgetExceeded past
+    `cap` DFS steps or `cap` loops.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if succ is None:
         succ = system.successors
     n = len(succ)
-    orientation = system.orientation
     pred = _reverse(succ)
-    found: dict[tuple, None] = {}
+    loops = []
     explored = 0
     for start in range(n):
         if not succ[start]:
@@ -564,19 +555,13 @@ def enumerate_loops(
                 if w < start:
                     continue
                 if w == start:
-                    word = _canonical_rotation(path)
-                    if word not in found:
-                        if len(found) >= cap:
+                    rotations = [path[t:] + path[:t] for t in range(1, len(path)) if path[t] == start]
+                    if all(path <= r for r in rotations):
+                        if len(loops) >= cap:
                             raise BudgetExceeded(f"loop count passed cap {cap}")
-                        found[word] = None
+                        loops.append(Loop(vertices=path, simple=all(path < r for r in rotations)))
                 rem = dist[w] if w != start else start_return
                 if rem is not None and len(path) + rem <= max_len:
                     stack.append((w, path + (w,)))
-
-    loops = []
-    for word in sorted(found):
-        sign = 1
-        for v in word:
-            sign *= orientation[v]
-        loops.append(Loop(vertices=word, sign=sign, simple=_word_period(word) == len(word)))
+    loops.sort(key=lambda loop: loop.vertices)
     return loops

@@ -1,17 +1,21 @@
 """Brute-force exact periodic points of a piecewise-affine lifting.
 
 Every loop of the Markov graph modulo 1 carries a composed affine branch whose
-fixed point (solved exactly over Q) is a candidate periodic point; partition
-points are classified by walking the Markov system's index map.  Zero
-tolerance anywhere: witnesses satisfy their defining equations as rationals.
+fixed point is a candidate periodic point; partition points are classified by
+walking the Markov system's index map.  Both walks read only the integers of
+the system (keys X on the common denominator D, lifted index map G, arrow
+shifts): a branch is an integer triple (a, b, c) for x -> (a*x + b)/c on the
+keys, a point an integer pair (u, v) for the key u/v.  A Fraction is formed
+only for a reported witness.  Zero tolerance anywhere: witnesses satisfy
+their defining equations as rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
 from .arith import rat_str
-from .lifting import Lifting
 from .markov import DEFAULT_LOOP_CAP, MarkovSystem, enumerate_loops
 
 
@@ -22,7 +26,7 @@ class PeriodicWitness:
     rotation: Fraction
     itinerary: tuple
 
-    def check(self, F: Lifting) -> bool:
+    def check(self, F) -> bool:
         """Exact defining property: F^m(x) = x + rotation*m, no divisor works."""
         m = self.minimal_period
         gain = self.rotation * m
@@ -84,65 +88,64 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def loop_branch(M: MarkovSystem, word: tuple) -> tuple[Fraction, Fraction]:
-    """Composed affine return map y -> A y + B along the loop word.
+def _steps(M: MarkovSystem, word: tuple):
+    """(lo, hi, dx, dy, e, k) for each arrow (i, j, k) along the loop word:
+    class i runs over the keys lo < x < hi, and F(x) - k on the keys is
+    x -> (dy*x + e)/dx."""
+    X, G, D, n = M.keys, M.index_map, M.denominator, M.size
+    shift = M.arrow_shifts
+    L = len(word)
+    for t in range(L):
+        i = word[t]
+        k = shift[i, word[(t + 1) % L]]
+        g0, g1 = G[i], G[i + 1] if i + 1 < n else G[0] + n
+        y0, y1 = X[g0 % n] + g0 // n * D, X[g1 % n] + g1 // n * D
+        dx, dy = X[i + 1] - X[i], y1 - y0
+        yield X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k
 
-    Each step is y -> F(y) - shift on the class representative, so a fixed
+
+def loop_branch(M: MarkovSystem, word: tuple) -> tuple[int, int, int]:
+    """Composed return map x -> (a*x + b)/c on the keys along the loop word.
+
+    Each step is x -> F(x) - shift on the class representative, so a fixed
     point of the composition is a point whose F-orbit realizes the itinerary
     and comes back to itself modulo the accumulated integer translation.
-    The steps use the branches M caches for F on its classes.
     """
-    shift = M.arrow_shifts
-    A, B = Fraction(1), Fraction(0)
-    for t in range(len(word)):
-        i = word[t]
-        alpha, beta = M.branches[i]
-        A, B = alpha * A, alpha * B + beta - shift[i, word[(t + 1) % len(word)]]
-    return A, B
+    a, b, c = 1, 0, 1
+    for _, _, dx, dy, e, _ in _steps(M, word):
+        a, b, c = dy * a, dy * b + e * c, dx * c
+    return a, b, c
 
 
-def _orbit_data(M: MarkovSystem, word: tuple, x0: Fraction):
-    """(minimal period, rotation number) of x0 if its orbit stays strictly
-    inside the representatives of the word (translated back by the arrow
-    shifts) and returns exactly; None otherwise.
+def _orbit_data(M: MarkovSystem, word: tuple, u0: int, v0: int):
+    """(minimal period, rotation number) of the key u0/v0 (v0 > 0) if its orbit
+    stays strictly inside the representatives of the word (translated back by
+    the arrow shifts) and returns exactly; None otherwise.
 
     Orbit points strictly inside representatives differ by an integer only
-    when equal, so the first return to x0 at a divisor of the word length is
+    when equal, so the first return to u0/v0 at a divisor of the word length is
     the minimal period, and the shifts summed up to it are its integer gain.
     """
     L = len(word)
-    shift = M.arrow_shifts
-    z, gain = x0, 0
+    u, v, gain = u0, v0, 0
     period = None
-    for t in range(L):
-        i = word[t]
-        a, b = M.classes[i]
-        if not (a < z < b):
+    for t, (lo, hi, dx, dy, e, k) in enumerate(_steps(M, word)):
+        if not (lo * v < u < hi * v):
             return None
-        s = shift[i, word[(t + 1) % L]]
-        alpha, beta = M.branches[i]
-        z = alpha * z + beta - s
-        gain += s
-        if period is None and z == x0 and L % (t + 1) == 0:
+        u, v = dy * u + e * v, dx * v
+        gain += k
+        if period is None and u * v0 == u0 * v and L % (t + 1) == 0:
             period = (t + 1, Fraction(gain, t + 1))
-    return period if z == x0 else None
+    return period if u * v0 == u0 * v else None
 
 
-def solve_loop(F: Lifting, M: MarkovSystem, word: tuple):
-    """("point", y*), ("degenerate", None) or ("none", None) for a loop word.
-
-    "point": the unique fixed point of the composed branch, verified strictly
-    interior to its itinerary (boundary hits are rejected; partition orbits
-    are classified separately).  "degenerate": identity branch, an interval of
-    fixed points.
-    """
-    A, B = loop_branch(M, word)
-    if A == 1:
-        return ("degenerate", None) if B == 0 else ("none", None)
-    y = B / (1 - A)
-    if _orbit_data(M, word, y) is not None:
-        return "point", y
-    return "none", None
+def _witness(M: MarkovSystem, word: tuple, u: int, v: int, result: OracleResult, bound: int):
+    """Adds the witness at the key u/v (v > 0) when its orbit realizes the
+    word with a minimal period up to `bound`."""
+    data = _orbit_data(M, word, u, v)
+    if data is not None and data[0] <= bound:
+        m, rho = data
+        result.add(PeriodicWitness(Fraction(u, v * M.denominator), m, rho, tuple(word[:m])))
 
 
 def _classify_partition_orbits(M: MarkovSystem, result: OracleResult, bound: int):
@@ -176,17 +179,13 @@ def _classify_partition_orbits(M: MarkovSystem, result: OracleResult, bound: int
 
 def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int):
     """Witnesses from an identity branch: several interior sample points."""
-    a, b = M.classes[word[0]]
+    lo, hi = M.keys[word[0]], M.keys[word[0] + 1]
     for num, den in ((1, 2), (1, 3), (2, 5)):
-        x0 = a + (b - a) * Fraction(num, den)
-        data = _orbit_data(M, word, x0)
-        if data is not None and data[0] <= bound:
-            m, rho = data
-            result.add(PeriodicWitness(x0, m, rho, tuple(word[:m])))
+        _witness(M, word, lo * den + (hi - lo) * num, den, result, bound)
 
 
 def periods_up_to(
-    F: Lifting, M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None
+    F, M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None
 ) -> OracleResult:
     """Exact set of (minimal period, rotation number) pairs with period <= P.
 
@@ -207,18 +206,15 @@ def periods_up_to(
         if not loop.simple:
             continue
         word = loop.vertices
-        A, B = loop_branch(M, word)
-        if A == 1:
-            if B == 0:
+        a, b, c = loop_branch(M, word)
+        if a == c:
+            if b == 0:
                 result.degenerate_loops.append(DegenerateLoopReport(word, loop.length))
                 _sample_degenerate(M, word, result, P)
             continue
-        y = B / (1 - A)
-        data = _orbit_data(M, word, y)
-        if data is not None and data[0] <= P:
-            m, rho = data
-            result.add(PeriodicWitness(y, m, rho, tuple(word[:m])))
-        if A == -1 and 2 * loop.length <= P:
+        u, v = (b, c - a) if c > a else (-b, a - c)  # the fixed point u/v = b/(c - a)
+        _witness(M, word, u, v, result, P)
+        if a == -c and 2 * loop.length <= P:
             # doubled branch is the identity: an interval of period-2L points
             doubled = word + word
             result.degenerate_loops.append(DegenerateLoopReport(doubled, 2 * loop.length))

@@ -161,18 +161,15 @@ def m_set(c: Fraction, d: Fraction) -> PeriodSet:
 # ---------------------------------------------------------------------------
 
 
-def endpoint_periods(F, M, e: Fraction, bound: int, side: int = 1, irrational: bool = False) -> set[int]:
+def endpoint_periods(F, M, e: Fraction, bound: int, side: int = 1) -> set[int]:
     """{m <= bound : some periodic point has rotation number exactly e and
     minimal period m}, resolved by the exact oracle on the critical subgraph
     of e (side = +1 for the lower end of Rot(F), -1 for the upper end), the
     only arrows a loop of mean e can use.  RotationMismatch, even for
     bound < 1, when e is not that end of Rot(F).
 
-    For an endpoint marked irrational the contribution is empty.
     Verifies the structural containment Q_F(e) ⊆ sN for e = r/s reduced.
     """
-    if irrational:
-        return set()
     e = Fraction(e)
     s = e.denominator
     succ = critical_successors(M, e, side)

@@ -87,8 +87,11 @@ def _unit_circle_cofactor(cof: IntPolynomial) -> bool:
     residue = cof
     for k in range(residue.degree, 0, -1):
         cyc = IntPolynomial([-1] + [0] * (k - 1) + [1])
-        while residue.degree >= k and cyc.divides(residue):
-            residue, _ = residue.divmod_exact(cyc)
+        while residue.degree >= k:
+            quotient, rest = residue.divmod_exact(cyc)
+            if rest:
+                break
+            residue = quotient
     return residue == IntPolynomial([1])
 
 

@@ -132,6 +132,7 @@ class TestExtend:
             {**TRIANGLE_TAIL, "excise": []},
             {**TRIANGLE_TAIL, "excise": {"circuit_edge_hint": 1.0}},
             {**TRIANGLE_TAIL, "excise": {"circuit_edge_hint": True}},
+            {"vertices": "uvwp", "edges": ["uv", "vw", "wu", "up"]},  # strings, not lists
         ],
     )
     def test_malformed_graph_json_exits_one(self, capsys, tmp_path, doc):

@@ -143,19 +143,22 @@ def _check_against_reference(F, extra):
         return
     M = got
     assert (M.partition, M.classes, M.matrix, M.shifts, M.orientation) == ref
-    n = M.size
-    for i, (a, b) in enumerate(M.classes):
+    n, D = M.size, M.denominator
+    assert D == math.lcm(*(p.denominator for p in M.partition))
+    assert M.keys == tuple(p * D for p in M.partition + (M.partition[0] + 1,))
+    for i in range(n):
         y = F.eval(M.partition[i])
         assert y == M.partition[M.index_map[i] % n] + M.index_map[i] // n
-        slope, offset = M.branches[i]
-        assert slope * a + offset == F.eval(a) and slope * b + offset == F.eval(b)
-    for w in periods_up_to(F, M, 3).witnesses.values():
+    # witnesses solved on the integer keys against direct iteration of F,
+    # through loops of length 6 (finer-grid keys give class widths dx > 1,
+    # falling branches dy < 0)
+    for w in periods_up_to(F, M, 6).witnesses.values():
         assert w.check(F)
 
 
 class TestIndexWalkBuild:
     """The index-walk build against the pairwise reference, and the oracle's
-    witnesses (built on cached branches) against direct iteration."""
+    witnesses (solved on the integer keys) against direct iteration."""
 
     @given(twist_orbit_maps())
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -424,7 +427,7 @@ class TestOnePassRomeMatrix:
         # path terms meet there, and the polynomial still matches Bareiss
         M = make(name, n).markov
         rome = shrunk_rome(M, range(M.size))
-        assert any(M.out_degree(v) >= 2 for v in range(M.size) if v not in rome.members)
+        assert any(len(M.successors[v]) >= 2 for v in range(M.size) if v not in rome.members)
         assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
         assert rome_char_poly(M, rome) == char_poly(M.matrix)
 
@@ -469,7 +472,7 @@ class TestDenseViews:
         per_from_rotation(inst.lifting, M)
         entropy(M, F2(1, 10**9))
         assert "matrix" not in vars(M) and "shifts" not in vars(M)
-        assert [M.out_degree(i) for i in range(M.size)] == [sum(row) for row in M.matrix]
+        assert [len(out) for out in M.successors] == [sum(row) for row in M.matrix]
         assert M.arrows() == [(i, j) for i in range(M.size) for j in range(M.size) if M.matrix[i][j]]
         assert vars(M)["matrix"] is M.matrix  # built once, then cached
 
@@ -639,13 +642,14 @@ class TestEntropy:
 class TestLoops:
     def test_self_loop(self):
         loops = enumerate_loops(FakeSystem([[1]]), 3)
-        assert [(l.length, l.simple, l.sign) for l in loops] == [(1, True, 1), (2, False, 1), (3, False, 1)]
+        assert [(l.vertices, l.simple) for l in loops] == [((0,), True), ((0, 0), False), ((0, 0, 0), False)]
 
     def test_rigid_two_cycle(self):
         M = rigid_half_system()
         loops = enumerate_loops(M, 4)
         simples = [l for l in loops if l.simple]
-        assert len(simples) == 1 and simples[0].length == 2 and simples[0].sign == 1
+        assert len(simples) == 1 and simples[0].length == 2
+        assert [M.orientation[v] for v in simples[0].vertices] == [1, 1]
 
     def test_persistent_j0_j2_loop_positive(self):
         inst = persistent(5)
@@ -654,7 +658,8 @@ class TestLoops:
         j2 = inst.class_index(inst.x_positions[1], inst.y_positions[3])
         loops = enumerate_loops(M, 2)
         two = [l for l in loops if l.length == 2 and set(l.vertices) == {j0, j2}]
-        assert len(two) == 1 and two[0].sign == 1 and two[0].simple
+        assert len(two) == 1 and two[0].simple
+        assert M.orientation[j0] * M.orientation[j2] == 1
 
     def test_persistent_no_simple_length4(self):
         M = persistent(5).markov
@@ -664,16 +669,24 @@ class TestLoops:
         reps = [l for l in loops if l.length == 4]
         assert len(reps) == 1 and not reps[0].simple
 
-    def test_sign_of_concatenation(self):
-        # loop sign = product of orientations, so concatenation multiplies
-        inst = dream(3)
-        M = inst.markov
-        loops = enumerate_loops(M, 12)
-        for l in loops:
-            acc = 1
-            for v in l.vertices:
-                acc *= M.orientation[v]
-            assert acc == l.sign
+    @given(graphs_with_cycle())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_matches_all_rotations_reference(self, matrix):
+        # every closed walk, canonicalized by its least rotation among all L;
+        # simple when no shorter word repeats to it
+        M = FakeSystem(matrix)
+        words = set()
+        paths = [(v,) for v in range(len(matrix))]
+        while paths:
+            path = paths.pop()
+            if path[0] in M.successors[path[-1]]:
+                words.add(min(path[t:] + path[:t] for t in range(len(path))))
+            if len(path) < 5:
+                paths.extend(path + (w,) for w in M.successors[path[-1]])
+        expected = [
+            (w, all(w[p:] + w[:p] != w for p in range(1, len(w)))) for w in sorted(words)
+        ]
+        assert [(l.vertices, l.simple) for l in enumerate_loops(M, 5)] == expected
 
     def test_budget(self):
         from circledyn.errors import BudgetExceeded

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import Lifting, rotation_interval
 from circledyn.markov import build_markov_system, enumerate_loops
-from circledyn.oracle import loop_branch, periods_up_to, solve_loop
+from circledyn.oracle import _orbit_data, loop_branch, periods_up_to
 
 F2 = Fraction
 
@@ -69,20 +70,23 @@ def test_two_repetition_of_negative_loop_has_half_period():
     inst = dream(3)
     F, M = inst.lifting, inst.markov
     neg_simple = [
-        l for l in enumerate_loops(M, 6) if l.simple and l.sign == -1
+        l for l in enumerate_loops(M, 6) if l.simple and math.prod(M.orientation[v] for v in l.vertices) == -1
     ]
     assert neg_simple
     checked = 0
     for l in neg_simple:
         doubled = l.vertices + l.vertices
-        A, B = loop_branch(M, doubled)
-        A1, _ = loop_branch(M, l.vertices)
-        assert A == A1 * A1
-        if A == 1:
+        a, b, c = loop_branch(M, doubled)
+        a1, b1, c1 = loop_branch(M, l.vertices)
+        assert (a, c) == (a1 * a1, c1 * c1)
+        if a == c:
             continue
-        kind, y = solve_loop(F, M, doubled)
-        if kind != "point":
+        # the doubled branch's fixed point is the loop's own
+        assert F2(b, c - a) == F2(b1, c1 - a1)
+        u, v = (b, c - a) if c > a else (-b, a - c)
+        if _orbit_data(M, doubled, u, v) is None:
             continue
+        y = F2(u, v * M.denominator)
         z = y
         for m in range(1, 2 * l.length + 1):
             z = F.eval(z)

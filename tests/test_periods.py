@@ -102,10 +102,6 @@ class TestEndpointPeriods:
         got = endpoint_periods(inst.lifting, inst.markov, F2(1, 5), bound=5)
         assert got == {5}
 
-    def test_irrational_endpoint_empty(self):
-        inst = dream(3)
-        assert endpoint_periods(inst.lifting, inst.markov, F2(1, 5), bound=5, irrational=True) == set()
-
     def test_upper_endpoint_needs_its_side(self):
         inst = persistent(7)  # Rot = [1/2, 9/14]
         F, M = inst.lifting, inst.markov
