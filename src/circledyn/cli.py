@@ -161,7 +161,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = make(args.family, args.n)
-    res = periods_up_to(inst.lifting, inst.markov, args.max_period, loop_cap=args.loop_cap)
+    res = periods_up_to(inst.markov, args.max_period, loop_cap=args.loop_cap)
     expected = inst.expected_per.up_to(args.max_period)
     data = res.to_json()
     data["expected_periods"] = sorted(expected)

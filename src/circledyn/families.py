@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .arith import CertifiedRoot, IntPolynomial, largest_root_above, rat_str
 from .cofiniteness import CofinitenessReport, report as cofin_report
@@ -44,13 +44,26 @@ def poly_from_terms(terms: dict[int, int]) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form transition polynomials
+# Closed-form transition polynomials, one per family: m is the number of
+# segments of a graph extension's traversal, and m = 1 is the circle itself
 # ---------------------------------------------------------------------------
 
 
-def dream_poly(n: int) -> IntPolynomial:
-    """(x^(4n-2) - 1)(x - 1) - 2 x^n (x^(2n-1) - 1)."""
-    return poly_from_terms({4 * n - 1: 1, 4 * n - 2: -1, 3 * n - 1: -2, n: 2, 1: -1, 0: 1})
+def dream_poly(n: int, m: int = 1) -> IntPolynomial:
+    """(x^(4n-2) - m)(x-1) - x^(2n-1)(2x^n - x - 1) - m x^n (x^(n-1)(x+1) - 2):
+    the graph extension with a traversal of m segments, the circle at m = 1."""
+    return poly_from_terms(
+        {
+            4 * n - 1: 1,
+            4 * n - 2: -1,
+            3 * n - 1: -2,
+            2 * n: 1 - m,
+            2 * n - 1: 1 - m,
+            n: 2 * m,
+            1: -m,
+            0: m,
+        }
+    )
 
 
 def _persistent_exponents(n: int) -> tuple[int, int, int]:
@@ -67,51 +80,21 @@ def _persistent_exponents(n: int) -> tuple[int, int, int]:
     return (d, 2 * d, 3 * d)
 
 
-def persistent_poly(n: int, m: int = 0) -> IntPolynomial:
-    """x^2n (x^2 - 1) - 2x^e3 - 2x^e2 - 2x^e1 - c x^2 - c, with c = 1 for the
-    circle family and c = m for the graph extension."""
-    c = m if m else 1
+def persistent_poly(n: int, m: int = 1) -> IntPolynomial:
+    """x^2n (x^2 - 1) - 2x^e3 - 2x^e2 - 2x^e1 - m x^2 - m: the graph extension
+    with a traversal of m segments, the circle at m = 1."""
     e1, e2, e3 = _persistent_exponents(n)
     terms = {2 * n + 2: 1, 2 * n: -1}
     for e in (e1, e2, e3):
         terms[e] = terms.get(e, 0) - 2
-    terms[2] = terms.get(2, 0) - c
-    terms[0] = terms.get(0, 0) - c
+    terms[2] = terms.get(2, 0) - m
+    terms[0] = terms.get(0, 0) - m
     return poly_from_terms(terms)
 
 
-def montevideo_poly(n: int) -> IntPolynomial:
-    q = 2 * n * n
-    k2 = poly_from_terms(
-        {4 * n: 1, 3 * n: -2, 2 * n + 1: -1, 2 * n: -2, 2 * n - 1: -3, n: -2, 0: 1}
-    )
-    k1 = poly_from_terms({2 * n: 4, n + 1: 2, n: 4, n - 1: 2, 0: 4})
-    k0 = poly_from_terms({4 * n: 1, 2 * n - 1: -2, 0: 1})
-    x2q_plus_1 = poly_from_terms({2 * q: 1, 0: 1})
-    return k2 * x2q_plus_1 + k1.shift(q + n) - 2 * k0
-
-
-def dream_ext_poly(n: int, m: int) -> IntPolynomial:
-    """(x^(4n-2) - m)(x-1) - x^(2n-1)(2x^n - x - 1) - m x^n (x^(n-1)(x+1) - 2)."""
-    return poly_from_terms(
-        {
-            4 * n - 1: 1,
-            4 * n - 2: -1,
-            3 * n - 1: -2,
-            2 * n: 1 - m,
-            2 * n - 1: 1 - m,
-            n: 2 * m,
-            1: -m,
-            0: m,
-        }
-    )
-
-
-def persistent_ext_poly(n: int, m: int) -> IntPolynomial:
-    return persistent_poly(n, m=m)
-
-
-def montevideo_ext_poly(n: int, m: int) -> IntPolynomial:
+def montevideo_poly(n: int, m: int = 1) -> IntPolynomial:
+    """k2 (x^2q + 1) + x^q k1 - (m+1) k0 with q = 2n^2: the graph extension
+    with a traversal of m segments, the circle at m = 1."""
     q = 2 * n * n
     k2 = poly_from_terms(
         {
@@ -184,14 +167,12 @@ def montevideo_per(n: int) -> PeriodSet:
 class ExtensionSpec:
     """Designated classes for the graph extension: the detour class (its
     interval is replaced by the L's), the excised class (replaced by the U's)
-    and the return class every U covers."""
+    and the return class every U covers.  The extension's polynomial is the
+    family polynomial at the traversal's m, with the instance's cofactor."""
 
     detour: int
     excised: int
     ret: int
-    ext_poly: Callable[[int], IntPolynomial]
-    cofactor: IntPolynomial
-    min_n: int
 
 
 @dataclass(frozen=True)
@@ -286,9 +267,6 @@ def dream(n: int) -> FamilyInstance:
             detour=inst.class_index(y[3], y[4]),
             excised=inst.class_index(y[5], y[6]),
             ret=inst.class_index(y[7], y[8]),
-            ext_poly=lambda m: dream_ext_poly(n, m),
-            cofactor=IntPolynomial([-1, 1]),
-            min_n=5,
         )
 
     return _instance(
@@ -325,14 +303,7 @@ def persistent(n: int) -> FamilyInstance:
         for i in (1, 2, 3):
             a = (n + 1 + i * (n + 2)) % (2 * n)
             idx.append(inst.class_index(inst.y_positions[a], inst.y_positions[a + 1]))
-        return ExtensionSpec(
-            detour=idx[0],
-            excised=idx[1],
-            ret=idx[2],
-            ext_poly=lambda m: persistent_ext_poly(n, m),
-            cofactor=IntPolynomial([1]),
-            min_n=7,
-        )
+        return ExtensionSpec(*idx)
 
     return _instance(
         "persistent",
@@ -377,15 +348,7 @@ def montevideo(n: int) -> FamilyInstance:
         detour = inst.class_index(y[(n - 3) * r + n], x[(n - 2) * p + n])
         excised = inst.class_index(y[(n - 2) * r + n], x[(n - 1) * p + n])
         ret = inst.class_index(y[q - 1], x[0] + 1)  # the wrap class [y_(q-1), x_q]
-        cof = poly_from_terms({2 * n - 1: 1, 0: -1}) * poly_from_terms({2 * n + 1: 1, 0: -1})
-        return ExtensionSpec(
-            detour=detour,
-            excised=excised,
-            ret=ret,
-            ext_poly=lambda m: montevideo_ext_poly(n, m),
-            cofactor=cof,
-            min_n=4,
-        )
+        return ExtensionSpec(detour, excised, ret)
 
     cof = poly_from_terms({2 * n - 1: 1, 0: -1}) * poly_from_terms({2 * n + 1: 1, 0: -1})
     return _instance(
@@ -411,6 +374,10 @@ def montevideo(n: int) -> FamilyInstance:
 
 
 FAMILIES = {"dream": dream, "persistent": persistent, "montevideo": montevideo}
+
+# family name -> its transition polynomial at (n, m): the circle instance's
+# expected_poly at m = 1, its graph extension's with a traversal of m segments
+POLYNOMIALS = {"dream": dream_poly, "persistent": persistent_poly, "montevideo": montevideo_poly}
 
 
 def make(name: str, n: int) -> FamilyInstance:
@@ -552,7 +519,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
     endpoint_types = {}
     if run_oracle:
         P = creport.sbc + 3
-        oracle_result = periods_up_to(F, M, P)
+        oracle_result = periods_up_to(M, P)
         oracle_ok = oracle_result.periods() == inst.expected_per.up_to(P)
         # bounded-evidence Sharkovskii type of each endpoint: observed k = m/s
         for e in (rot.c, rot.d):
@@ -662,17 +629,14 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
         crep = cofin_report(per)
         sigma = markov_entropy(inst.markov, tol)
         flags = {"per_matches_closed_form": per == inst.expected_per}
+        exp = inst.cofin_expectations
         if family == "dream":
-            flags["bc_closed_form"] = crep.bc == n
+            flags["bc_closed_form"] = crep.bc == exp["bc"]
         elif family == "persistent":
-            k = persistent_k(n)
-            flags["bc_closed_form"] = crep.bc is not None and 2 * k + 1 <= crep.bc <= n
+            flags["bc_closed_form"] = crep.bc is not None and exp["bc_lo"] <= crep.bc <= exp["bc_hi"]
         else:
-            nu = montevideo_nu(n)
-            flags["bc_closed_form"] = crep.bc is not None and crep.bc >= n
-            flags["bc_upper_bound_holds"] = (
-                crep.bc is not None and crep.bc <= n * nu - 1 - nu // 2
-            )
+            flags["bc_closed_form"] = crep.bc is not None and crep.bc >= exp["bc_lo"]
+            flags["bc_upper_bound_holds"] = crep.bc is not None and crep.bc <= exp["bc_hi"]
         rows.append(
             ScanRow(
                 n=n,

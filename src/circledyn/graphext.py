@@ -19,7 +19,7 @@ from typing import Optional
 
 from .arith import IntPolynomial, largest_root_above
 from .errors import BadParameter, NoRootAbove, NotExtendable
-from .families import FamilyInstance
+from .families import POLYNOMIALS, FamilyInstance
 from .markov import entropy as markov_entropy, enumerate_loops, markov_char_poly, transitivity_certificate
 
 
@@ -271,7 +271,8 @@ def excise(G: CombGraph, edge_index: Optional[int] = None):
     a, b are the fresh degree-one endpoints left by the cut."""
     if not G.is_connected():
         raise BadParameter("ambient graph must be connected")
-    non_bridges = [i for i in range(len(G.edges)) if i not in G.bridges()]
+    bridges = G.bridges()
+    non_bridges = [i for i in range(len(G.edges)) if i not in bridges]
     if edge_index is None:
         if not non_bridges:
             raise NotExtendable("ambient graph has no circuit")
@@ -303,9 +304,6 @@ class ExtendedMarkov:
     orientation: tuple = ()
     projection: tuple = ()  # extended vertex -> base vertex index
     base_index: dict = field(default_factory=dict)  # surviving base idx -> ext idx
-    detour: int = -1
-    excised: int = -1
-    ret: int = -1
     expected_poly: Optional[IntPolynomial] = None
     cofactor: Optional[IntPolynomial] = None
 
@@ -375,11 +373,8 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
         orientation=tuple(orientation),
         projection=tuple(projection),
         base_index=base_index,
-        detour=ext.detour,
-        excised=ext.excised,
-        ret=ext.ret,
-        expected_poly=ext.ext_poly(m),
-        cofactor=ext.cofactor,
+        expected_poly=POLYNOMIALS[inst.name](inst.n, m),
+        cofactor=inst.poly_cofactor,
     )
 
 
@@ -431,34 +426,15 @@ def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
         "base_entropy": base_root,
     }
     if E.name == "persistent":
-        # the only loop among {J0~, J2~} is the length-2 positive loop
-        j0 = E.base_index.get(_persistent_class(E, "J0"))
-        j2 = E.base_index.get(_persistent_class(E, "J2"))
+        # the only loop among {J0~, J2~} is the length-2 positive loop; in the
+        # order x0 < y0 < .. < y_(n-3) < x1 < y_(n-2) < .., J0 = [x0, y0] is
+        # class 0 and J2 = [x1, y_(n-2)] is class n - 1
+        j0, j2 = E.base_index[0], E.base_index[E.n - 1]
         sub = _loops_within(E, {j0, j2})
         result["j0_j2_unique_2loop"] = sub == {2}
         sign = E.orientation[j0] * E.orientation[j2]
         result["j0_j2_loop_positive"] = sign == 1
     return result
-
-
-def _persistent_class(E: ExtendedMarkov, which: str) -> int:
-    """Base indices of J0 = [x0, y0] and J2 = [x1, y_(n-2)] for the persistent
-    family, recovered from the base system's class list."""
-    base = E.base
-    n = E.n
-    # x-orbit has period 2: x0 is partition[0] = 0
-    if which == "J0":
-        a = Fraction(0)
-        for i, (ca, cb) in enumerate(base.classes):
-            if ca == a:
-                return i
-    if which == "J2":
-        # J2 starts at x1 = partition position index n-1 (after x0, y0..y_(n-3))
-        a = base.partition[n - 1]
-        for i, (ca, cb) in enumerate(base.classes):
-            if ca == a:
-                return i
-    raise KeyError(which)
 
 
 def _loops_within(E: ExtendedMarkov, allowed: set) -> set:

@@ -137,11 +137,6 @@ class LiftedOrbit:
     def rotation(self) -> Fraction:
         return Fraction(self.shift, self.period)
 
-    def point(self, j: int) -> Fraction:
-        """Labelled extension x_j for any integer j."""
-        q = self.period
-        return self.points[j % q] + (j - j % q) // q
-
 
 @dataclass(frozen=True)
 class RotationInterval:

@@ -184,9 +184,7 @@ def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound
         _witness(M, word, lo * den + (hi - lo) * num, den, result, bound)
 
 
-def periods_up_to(
-    F, M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None
-) -> OracleResult:
+def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None) -> OracleResult:
     """Exact set of (minimal period, rotation number) pairs with period <= P.
 
     Loops of length p <= P catch every periodic orbit disjoint from the

@@ -161,7 +161,7 @@ def m_set(c: Fraction, d: Fraction) -> PeriodSet:
 # ---------------------------------------------------------------------------
 
 
-def endpoint_periods(F, M, e: Fraction, bound: int, side: int = 1) -> set[int]:
+def endpoint_periods(M, e: Fraction, bound: int, side: int = 1) -> set[int]:
     """{m <= bound : some periodic point has rotation number exactly e and
     minimal period m}, resolved by the exact oracle on the critical subgraph
     of e (side = +1 for the lower end of Rot(F), -1 for the upper end), the
@@ -175,7 +175,7 @@ def endpoint_periods(F, M, e: Fraction, bound: int, side: int = 1) -> set[int]:
     succ = critical_successors(M, e, side)
     if bound < 1:
         return set()
-    witnesses = periods_up_to(F, M, bound, succ=succ)
+    witnesses = periods_up_to(M, bound, succ=succ)
     out = {m for (m, rho) in witnesses.period_rotations() if rho == e and m <= bound}
     bad = [m for m in out if m % s != 0]
     if bad:
@@ -218,7 +218,8 @@ def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
 
 
 def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet:
-    """Exact Per(f) = Q_F(c) ∪ M(c,d) ∪ Q_F(d) for the lifting F.
+    """Exact Per(f) = Q_F(c) ∪ M(c,d) ∪ Q_F(d) for the lifting F; every query
+    reads only F's Markov system M.
 
     Only endpoint periods below the M(c,d) tail threshold need resolution:
     Q_F(c) ⊆ sN and everything at or above the threshold is already in the
@@ -244,5 +245,5 @@ def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet
     extra = set(found)
     for e, side in ((c, 1), (d, -1)):
         unresolved = set(range(e.denominator, bound + 1, e.denominator)) - found
-        extra |= endpoint_periods(F, M, e, max(unresolved, default=0), side)
+        extra |= endpoint_periods(M, e, max(unresolved, default=0), side)
     return PeriodSet(finite=ms.finite | extra, tail_from=t)

@@ -68,7 +68,7 @@ def test_criterion_2_oracle_equivalence():
     for name, n in INSTANCE_SET:
         inst = inst_of(name, n)
         P = cofin_report(per_of(name, n)).sbc + 3
-        got = periods_up_to(inst.lifting, inst.markov, P).periods()
+        got = periods_up_to(inst.markov, P).periods()
         assert got == inst.expected_per.up_to(P), (name, n)
     _report(2, "oracle equivalence at P = sbc + 3 on all instances")
 

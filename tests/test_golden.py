@@ -1,19 +1,34 @@
-"""Golden outputs: sha256 digests of two CLI reports on the 17 acceptance
-instances, taken while the oracle still composed loop branches in Fractions,
-so that every later version reproduces those reports byte for byte.
+"""Golden outputs: sha256 digests of CLI reports, so that every later
+version reproduces them byte for byte.
 
-`circledyn oracle` at P = sbc + 3 depends on the loop order and on which
-witness of each (period, rotation) pair is kept first; `circledyn family`
-pins the classes, arrows and orientation.  A digest change means a report
-is no longer byte-identical: the change must be deliberate, and the new
-digests recomputed with the reports read side by side.
+- `circledyn oracle` at P = sbc + 3 and `circledyn family` on the 17
+  acceptance instances, taken while the oracle still composed loop branches
+  in Fractions.  The oracle report depends on the loop order and on which
+  witness of each (period, rotation) pair is kept first; the family report
+  pins the classes, arrows and orientation.
+- `circledyn family --verify` (and `--strict`, which exits 2 on the
+  documented small-n montevideo bound failures) on the same instances,
+  `circledyn scan --json` on the three criterion-9 ranges and
+  `circledyn extend` on twelve instance/graph pairs, taken while each family
+  still stated its circle and extension polynomials separately.
+
+A digest change means a report is no longer byte-identical: the change must
+be deliberate, and the new digests recomputed with the reports read side by
+side.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from circledyn.cli import main
+
+
+def _digest(capsys, argv, code=0):
+    assert main(argv) == code
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
 
 # (family, n, P = sbc + 3, oracle digest, family digest)
 GOLDEN = [
@@ -39,8 +54,81 @@ GOLDEN = [
 
 @pytest.mark.parametrize("family,n,P,oracle_digest,family_digest", GOLDEN)
 def test_reports_match_golden_digests(capsys, family, n, P, oracle_digest, family_digest):
-    digests = []
-    for argv in (["oracle", family, "--n", str(n), "--max-period", str(P)], ["family", family, "--n", str(n)]):
-        assert main(argv) == 0
-        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert digests == [oracle_digest, family_digest]
+    oracle = _digest(capsys, ["oracle", family, "--n", str(n), "--max-period", str(P)])
+    assert [oracle, _digest(capsys, ["family", family, "--n", str(n)])] == [oracle_digest, family_digest]
+
+
+# (family, n, exit code under --strict, verify digest); the report is the
+# same with or without --strict, only the exit code differs
+VERIFY_GOLDEN = [
+    ("dream", 3, 0, "bae2a264d4f154f64bbd244bbd9b5b0fb9732bc775641a96b6dde9e47c7e625b"),
+    ("dream", 4, 0, "6ba026c0ca87d22162726170a4407899a5b0b704a1b4def3286e3df8780bb5e8"),
+    ("dream", 5, 0, "3735770774da0521959596bef14143598271faa96523845a157542285f24dc5e"),
+    ("dream", 6, 0, "4d4c1e53b79108993d2a683a10913bfc3368da298c3c5b8d4a0dcd4e970a1c36"),
+    ("dream", 7, 0, "e9e8673b059d8e51107882f087c56d8e2ee12cb8f2fa045a85a01da7de5e984c"),
+    ("dream", 8, 0, "6e94719823d2e0ff786fbd11c453e364631fc01103256b90b861784e43c329f9"),
+    ("dream", 9, 0, "b29a641d2c8a114a0ace01055dd1534497a203919e67c141d3ccf901fb5b5854"),
+    ("dream", 10, 0, "c7db5ebd9d2dbb6ec29146e40cc2fde60b3de5785490161df055782fbf990fe9"),
+    ("persistent", 5, 0, "d160ab558ff9b869fa226dd580696fdb7b3ed97414a35157a7765349476eec74"),
+    ("persistent", 7, 0, "4ab7fc29abf4812f70e33bd3e39081f4c64c3659a70a0c9c30fb9d175fc366a2"),
+    ("persistent", 9, 0, "56e5fa7b718956fe3b028d1e104b41eb852303125fa591193e99af2bfaf7c887"),
+    ("persistent", 11, 0, "bca4b0169a05927d508b0371db355bbfdc1ff916676522ee3413eea9dde9710e"),
+    ("persistent", 13, 0, "0f379c3225837663a20164003ba642c9ae0bb87b72847dba976c1b2e4c04e294"),
+    ("montevideo", 3, 2, "35a7c4ee394e9dc7ae811cc6fc3a50d9b3fd6965ae87ce9139ef84b4668dd5d5"),
+    ("montevideo", 4, 2, "d43f116c794e170e926a9be2279b90d51c18bb1413a83319019fd84d49936ccf"),
+    ("montevideo", 5, 2, "1a80926b9edce5dd272049637bc8f065f88dad8cac00fdd03443ea11329db6fb"),
+    ("montevideo", 6, 0, "faaa7d089c6c391fea5153638e9ae021ed68d9525bd829aff8eade1f0d100ae1"),
+]
+
+
+@pytest.mark.parametrize("family,n,strict_code,digest", VERIFY_GOLDEN)
+def test_verify_reports_match_golden_digests(capsys, family, n, strict_code, digest):
+    argv = ["family", family, "--n", str(n), "--verify"]
+    assert _digest(capsys, argv) == digest
+    assert _digest(capsys, argv + ["--strict"], strict_code) == digest
+
+
+# (family, from, to, scan --json digest): the criterion-9 desk scans
+SCAN_GOLDEN = [
+    ("montevideo", 3, 10, "3f965553a448cb1568d402c890d4e64b71dadd2bfdd949706a8927f6add4cc9e"),
+    ("persistent", 5, 101, "d3b50c60dd7b719e49ce0830efca9f3bf7000844957b763bdbfd4910cdc1b318"),
+    ("dream", 3, 51, "2b37b92a9c0d203773f852ae85034f6bc9bd03259bd120883592790821169231"),
+]
+
+
+@pytest.mark.parametrize("family,start,end,digest", SCAN_GOLDEN)
+def test_scan_reports_match_golden_digests(capsys, family, start, end, digest):
+    argv = ["scan", family, "--from", str(start), "--to", str(end), "--json"]
+    assert _digest(capsys, argv) == digest
+
+
+GRAPHS = {
+    "apple": {
+        "vertices": ["c1", "c2", "c3", "t", "s1", "s2"],
+        "edges": [["c1", "c2"], ["c2", "c3"], ["c3", "c1"], ["c2", "t"], ["t", "s1"], ["t", "s1"], ["t", "s2"], ["s2", "s2"]],
+    },
+    "triangle_tail": {"vertices": ["u", "v", "w", "p"], "edges": [["u", "v"], ["v", "w"], ["w", "u"], ["u", "p"]]},
+}
+
+# (ambient graph, family, n, extend digest)
+EXTEND_GOLDEN = [
+    ("apple", "dream", 5, "7e414414b69f23365ad3ad7de3af8b744c9d15e82f52be5cf3f00fc49c179339"),
+    ("apple", "dream", 6, "0582b0b1aba5ffced3bb5046a4a1bfc8947e02c2c0b55729f8cfd86e01193d6a"),
+    ("apple", "dream", 7, "4b86da3acf43547c49ad6775881597689ad83e2f7a749a7f57eada0ad8dbf26f"),
+    ("apple", "dream", 8, "1dfb28d33cb6dcb4ac8aa155b38c42c432d21cf9775d2c11c61ffa55c3eb9fa8"),
+    ("apple", "persistent", 7, "fb88016e63eda04c59bd631f537745c687b71d0cbd816a25a11769ffe05a145b"),
+    ("apple", "montevideo", 4, "50f158f127b4aca13d5148a364a899dd3e33dd56612aeb6a20d49259ef2331b5"),
+    ("triangle_tail", "dream", 5, "89fd159a1f78b56b073f9fe95bf278e6b957f9e4e6d9d40b59b7c6821518852e"),
+    ("triangle_tail", "dream", 8, "5efa1cec53a9508d315dd6c32ae981ec2d8c42f13e556b2ed77db8494a8c947f"),
+    ("triangle_tail", "persistent", 7, "6c79a7855b5de9838466996d99ef93e6e3f3306c5da9add1cf7064443c40ab2b"),
+    ("triangle_tail", "persistent", 11, "bb05ea2e4c34503b1cbf9a016b72739713ad9e4866060db4a8f062571c67c54b"),
+    ("triangle_tail", "montevideo", 4, "07bcf3d5807943b4289a24324773a893efe42cd8d3e813b0ef387594743a641b"),
+    ("triangle_tail", "montevideo", 5, "940174323f979c64149c1acb070357c4f9413fc5e646bd0ec21c098038300d50"),
+]
+
+
+@pytest.mark.parametrize("graph,family,n,digest", EXTEND_GOLDEN)
+def test_extend_reports_match_golden_digests(capsys, tmp_path, graph, family, n, digest):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(GRAPHS[graph]))
+    assert _digest(capsys, ["extend", family, "--n", str(n), "--graph", str(gfile)]) == digest

@@ -148,6 +148,15 @@ class TestExtend:
         rep = verify_extension(E)
         assert rep["j0_j2_unique_2loop"] and rep["j0_j2_loop_positive"]
 
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_persistent_j0_j2_classes(self, n):
+        # verify_extension reads J0 = [x0, y0] as class 0 and
+        # J2 = [x1, y_(n-2)] as class n - 1
+        inst = persistent(n)
+        x, y = inst.x_positions, inst.y_positions
+        assert inst.class_index(x[0], y[0]) == 0
+        assert inst.class_index(x[1], y[n - 2]) == n - 1
+
     def test_integer_evaluation_identity(self):
         # char * cofactor == x^pow * closed form, checked at x = 2 and 3
         for name, n in (("dream", 5), ("persistent", 7), ("montevideo", 4)):

@@ -152,7 +152,7 @@ def _check_against_reference(F, extra):
     # witnesses solved on the integer keys against direct iteration of F,
     # through loops of length 6 (finer-grid keys give class widths dx > 1,
     # falling branches dy < 0)
-    for w in periods_up_to(F, M, 6).witnesses.values():
+    for w in periods_up_to(M, 6).witnesses.values():
         assert w.check(F)
 
 
@@ -455,7 +455,7 @@ class TestDenseViews:
         M = inst.markov
         per_from_rotation(inst.lifting, M)
         entropy(M, F2(1, 10**9))
-        periods_up_to(inst.lifting, M, 6)  # the oracle, in case per_from_rotation needed none
+        periods_up_to(M, 6)  # the oracle, in case per_from_rotation needed none
         transitivity_certificate(M)
         entropy(M, F2(1, 10**9))
         assert builds == {"successors": 1, "arrow_shifts": 1}

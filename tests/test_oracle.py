@@ -6,7 +6,7 @@ import pytest
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import Lifting, rotation_interval
 from circledyn.markov import build_markov_system, enumerate_loops
-from circledyn.oracle import _orbit_data, loop_branch, periods_up_to
+from circledyn.oracle import OracleResult, _classify_partition_orbits, _orbit_data, loop_branch, periods_up_to
 
 F2 = Fraction
 
@@ -18,25 +18,25 @@ def rigid_half():
 
 class TestRigidRotation:
     def test_only_period_two(self):
-        F, M = rigid_half()
-        res = periods_up_to(F, M, 4)
+        _, M = rigid_half()
+        res = periods_up_to(M, 4)
         assert res.period_rotations() == {(2, F2(1, 2))}
 
     def test_degenerate_loops_reported(self):
-        F, M = rigid_half()
-        res = periods_up_to(F, M, 4)
+        _, M = rigid_half()
+        res = periods_up_to(M, 4)
         assert res.degenerate_loops  # every point is periodic: identity branch
 
 
 class TestFamilies:
     def test_persistent7(self):
         inst = persistent(7)
-        res = periods_up_to(inst.lifting, inst.markov, 7)
+        res = periods_up_to(inst.markov, 7)
         assert res.periods() == {2, 5, 7}
 
     def test_dream4(self):
         inst = dream(4)
-        res = periods_up_to(inst.lifting, inst.markov, 8)
+        res = periods_up_to(inst.markov, 8)
         assert res.periods() == {4, 5, 6, 7, 8}
 
     @pytest.mark.parametrize("name,n", [("dream", 3), ("persistent", 5), ("montevideo", 3)])
@@ -48,14 +48,32 @@ class TestFamilies:
 
         per = per_from_rotation(inst.lifting, inst.markov)
         P = sbc(per) + 3
-        res = periods_up_to(inst.lifting, inst.markov, P)
+        res = periods_up_to(inst.markov, P)
         assert res.periods() == inst.expected_per.up_to(P)
+
+
+@pytest.mark.parametrize("name,n", [("dream", 3), ("persistent", 5), ("montevideo", 3)])
+def test_partition_point_is_not_a_loop_orbit(name, n):
+    # a periodic partition point whose itinerary is a loop of the covering
+    # graph sits on the boundary of its first class, not strictly inside:
+    # the loop pass must leave it to the partition-orbit pass
+    M = make(name, n).markov
+    found = OracleResult(bound=M.size)
+    _classify_partition_orbits(M, found, M.size)
+    words = [
+        w.itinerary
+        for w in found.witnesses.values()
+        if all(w.itinerary[(t + 1) % len(w.itinerary)] in M.successors[i] for t, i in enumerate(w.itinerary))
+    ]
+    assert words
+    for word in words:
+        assert _orbit_data(M, word, M.keys[word[0]], 1) is None
 
 
 @pytest.mark.parametrize("name,n,P", [("dream", 3, 8), ("persistent", 7, 10), ("montevideo", 3, 9)])
 def test_witnesses_satisfy_invariants(name, n, P):
     inst = make(name, n)
-    res = periods_up_to(inst.lifting, inst.markov, P)
+    res = periods_up_to(inst.markov, P)
     assert res.witnesses
     rot = rotation_interval(inst.lifting)
     for (m, rho), w in res.witnesses.items():
@@ -105,7 +123,7 @@ def test_minus_one_slope_doubling_sampled():
         (F2(1, 4), F2(1, 2), F2(1, 4), F2(3, 4)),
     )
     M = build_markov_system(F)
-    res = periods_up_to(F, M, 4)
+    res = periods_up_to(M, 4)
     assert (1, F2(0)) in res.period_rotations()  # center 3/8 and the endpoint orbits
     assert (2, F2(0)) in res.period_rotations()  # sampled from the doubled branch
     assert any(len(d.loop) % 2 == 0 for d in res.degenerate_loops)

@@ -90,25 +90,25 @@ class TestEndpointPeriods:
         # every point has minimal period exactly 2: Q(1/2) = {2}
         F = Lifting((F2(0),), (F2(1, 2),))
         M = build_markov_system(F, extra_points=[F2(0)])
-        assert endpoint_periods(F, M, F2(1, 2), bound=4) == {2}
+        assert endpoint_periods(M, F2(1, 2), bound=4) == {2}
 
     def test_persistent7_half(self):
         inst = persistent(7)
-        got = endpoint_periods(inst.lifting, inst.markov, F2(1, 2), bound=7)
+        got = endpoint_periods(inst.markov, F2(1, 2), bound=7)
         assert got == {2}  # and in particular 4 is absent
 
     def test_dream3_one_fifth(self):
         inst = dream(3)
-        got = endpoint_periods(inst.lifting, inst.markov, F2(1, 5), bound=5)
+        got = endpoint_periods(inst.markov, F2(1, 5), bound=5)
         assert got == {5}
 
     def test_upper_endpoint_needs_its_side(self):
         inst = persistent(7)  # Rot = [1/2, 9/14]
-        F, M = inst.lifting, inst.markov
-        # periods_up_to(F, M, 28) on the whole graph finds the same set
-        assert endpoint_periods(F, M, F2(9, 14), bound=28, side=-1) == {14}
+        M = inst.markov
+        # periods_up_to(M, 28) on the whole graph finds the same set
+        assert endpoint_periods(M, F2(9, 14), bound=28, side=-1) == {14}
         with pytest.raises(RotationMismatch):
-            endpoint_periods(F, M, F2(9, 14), bound=28)
+            endpoint_periods(M, F2(9, 14), bound=28)
 
 
 class TestPerFromRotation:
@@ -144,7 +144,7 @@ class TestPerFromRotation:
 
     @pytest.mark.parametrize("name,n", [("dream", 4), ("persistent", 5), ("montevideo", 3)])
     def test_oracle_consistency(self, name, n):
-        # per_from_rotation ∩ [1, P] == periods_up_to(F, M, P), P = tail + 3
+        # per_from_rotation ∩ [1, P] == periods_up_to(M, P), P = tail + 3
         from circledyn.lifting import rotation_interval
         from circledyn.oracle import periods_up_to
 
@@ -152,7 +152,7 @@ class TestPerFromRotation:
         per = per_from_rotation(inst.lifting, inst.markov)
         rot = rotation_interval(inst.lifting)
         P = m_set(rot.c, rot.d).tail_from + 3
-        got = periods_up_to(inst.lifting, inst.markov, P).periods()
+        got = periods_up_to(inst.markov, P).periods()
         assert got == per.up_to(P)
 
 
@@ -205,7 +205,7 @@ def reference_per_from_rotation(F, M, rot):
     extra = {m for (m, rho) in cheap.period_rotations() if rho in (c, d)}
     unresolved = candidates - extra
     if unresolved:
-        full = periods_up_to(F, M, max(unresolved))
+        full = periods_up_to(M, max(unresolved))
         extra |= {m for (m, rho) in full.period_rotations() if m <= bound and rho in (c, d)}
     return PeriodSet(finite=ms.finite | extra, tail_from=ms.tail_from)
 
@@ -256,7 +256,7 @@ class TestCriticalSubgraph:
         # the full oracle, exponential in P on dense graphs, out of the minutes
         F, M, rot = data
         P = min(P, m_set(rot.c, rot.d).tail_from + 2)
-        assert per_from_rotation(F, M, rot).up_to(P) == periods_up_to(F, M, P).periods()
+        assert per_from_rotation(F, M, rot).up_to(P) == periods_up_to(M, P).periods()
 
     @given(data=two_orbit_maps())
     @settings(max_examples=25, derandomize=True, deadline=None)
