@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: rationals, the Sharkovskii ordering, integer
-polynomials and certified real root isolation.
+polynomials and certified real root isolation.  Root brackets are certified
+by exact integer signs alone; the fixed-point arithmetic of `_newton_guess`
+only chooses which cell they check.
 
 Rationals are `fractions.Fraction` throughout the package (always reduced,
 positive denominator). They serialize as "p/q" strings.
@@ -349,7 +351,8 @@ def bisect_root(sign_at: Callable[[Fraction], int], lo: Fraction, hi: Fraction, 
 
     The bracket keeps that invariant, so it always holds a sign change (or a
     root at its lower end) and its upper end stays strictly on the positive
-    side."""
+    side.  It is `land_root`'s fallback, and the reference whose bracket
+    `land_root` must return."""
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if sign_at(mid) > 0:
@@ -357,6 +360,60 @@ def bisect_root(sign_at: Callable[[Fraction], int], lo: Fraction, hi: Fraction, 
         else:
             lo = mid
     return CertifiedRoot(lo, hi)
+
+
+def _newton_guess(p: IntPolynomial, lo: Fraction, hi: Fraction, k: int) -> Fraction:
+    """A guess at the root of p in (lo, hi), p(lo) <= 0 < p(hi), meant to fall
+    well within (hi - lo) / 2^k of it; it only picks the cell `land_root` checks.
+
+    Fixed point X / 2^P, truncating Horner for p and p'.  Bisection on
+    fixed-point signs until width * degree <= right end / 2; then Newton steps
+    from the right end (monotone for the largest root of a Perron polynomial),
+    or the midpoint when a step leaves the bracket, until a step is under a
+    quarter cell or P steps are spent."""
+    width = hi - lo
+    P = k + width.denominator.bit_length() + lo.denominator.bit_length() + 24
+    cs = [c << P for c in reversed(p.coeffs)]
+
+    def at(x: int) -> tuple[int, int]:
+        v = dv = 0
+        for c in cs:
+            v, dv = (v * x >> P) + c, (dv * x >> P) + v
+        return v, dv
+
+    a, b = (lo.numerator << P) // lo.denominator, (hi.numerator << P) // hi.denominator
+    cell = (width.numerator << P) // (width.denominator << k)
+    while b - a > cell and (b - a) * p.degree > abs(b) >> 1:
+        mid = (a + b) >> 1
+        a, b = (a, mid) if at(mid)[0] > 0 else (mid, b)
+    x = b
+    for _ in range(P):
+        v, dv = at(x)
+        a, b = (a, x) if v > 0 else (x, b)
+        step = (v << P) // dv if dv else 0
+        nx = x - step if a <= x - step <= b else (a + b) >> 1
+        if abs(nx - x) <= cell >> 2:
+            break
+        x = nx
+    return Fraction(nx, 1 << P)
+
+
+def land_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction) -> CertifiedRoot:
+    """The bracket `bisect_root(p.sign_at, lo, hi, tol)` returns, for a piece
+    (lo, hi) holding one simple root of p with p(lo) <= 0 < p(hi).
+
+    Bisection halves k times, k the least with (hi - lo) / 2^k <= tol, and ends
+    in the one depth-k cell [c_j, c_j+1] with p(c_j) <= 0 < p(c_j+1).  A guess
+    picks j; two exact integer signs certify that cell, or else a neighbour,
+    and any other miss bisects."""
+    k = (ceil_frac((hi - lo) / tol) - 1).bit_length()
+    w = (hi - lo) / (1 << k)
+    # with j in [0, 2^k) the cells -1 and 2^k never pass: p(lo) <= 0 < p(hi)
+    j = min(max(floor_frac((_newton_guess(p, lo, hi, k) - lo) / w), 0), (1 << k) - 1)
+    for i in (j, j - 1, j + 1):
+        if p.sign_at(lo + i * w) <= 0 < p.sign_at(lo + (i + 1) * w):
+            return CertifiedRoot(lo + i * w, lo + (i + 1) * w)
+    return bisect_root(p.sign_at, lo, hi, tol)
 
 
 def _shifted(c: list[int], a: int = 1) -> list[int]:
@@ -388,13 +445,13 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
     in each piece are counted exactly with Descartes' rule on the Moebius
     transform of p to (0, 1), built by integer Taylor shifts
     (Vincent-Collins-Akritas).  Pieces with no root are dropped; the first one
-    with exactly one root holds the largest root, and bisection with exact
-    integer signs narrows it.  So the result certifies both a sign change in
-    the bracket and no root above it; a largest root that a cut hits exactly
-    comes back as the exact bracket [r, r].  NoRootAbove when the count finds no
-    root above the floor; BudgetExceeded when the largest root still cannot be
-    told apart from another root (or a complex pair) at width tol, as for a
-    repeated root.
+    with exactly one root holds the largest root, and `land_root` narrows it
+    to the bracket that bisection with exact integer signs ends in.  So the
+    result certifies both a sign change in the bracket and no root above it;
+    a largest root that a cut hits exactly comes back as the exact bracket
+    [r, r].  NoRootAbove when the count finds no root above the floor;
+    BudgetExceeded when the largest root still cannot be told apart from
+    another root (or a complex pair) at width tol, as for a repeated root.
     """
     floor = Fraction(floor)
     tol = Fraction(tol)
@@ -422,7 +479,8 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
     q = [c * beta**i for i, c in enumerate(q)]
 
     # depth-first from the right; (q, lo, hi) with lo == hi is a root at a cut
-    s_inf = _sign(p.leading())
+    if p.leading() < 0:
+        p = -p  # positive above its largest root, as land_root expects
     pending = [(q, floor, bound)]
     while pending:
         q, lo, hi = pending.pop()
@@ -430,7 +488,7 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
             return CertifiedRoot(lo, hi)
         count = _descartes_bound(q)
         if count == 1:
-            return bisect_root(lambda x: s_inf * p.sign_at(x), lo, hi, tol)
+            return land_root(p, lo, hi, tol)
         if count == 0:
             continue
         if hi - lo <= tol:

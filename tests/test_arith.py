@@ -6,18 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circledyn import arith
 from circledyn.arith import (
     CertifiedRoot,
     IntPolynomial,
     ShoNumber,
     bareiss_det,
+    bisect_root,
     char_poly,
+    land_root,
     largest_root_above,
     sharkovskii_geq,
     sharkovskii_tail,
 )
 from circledyn.errors import BudgetExceeded, NoRootAbove
-from circledyn.families import dream, dream_poly
+from circledyn.families import POLYNOMIALS, dream, dream_poly
 from circledyn.markov import markov_char_poly
 
 sho_values = st.one_of(st.integers(min_value=1, max_value=3000), st.just("2^inf"))
@@ -245,6 +248,96 @@ class TestRootKernel:
         b = largest_root_above(p, floor, self.TOL)
         assert b.lower <= max(above) <= b.upper and b.width <= self.TOL
         assert b.lower > floor
+
+
+def _outcome(p, floor, tol):
+    """largest_root_above's bracket, or the type of error it raises."""
+    try:
+        return largest_root_above(p, floor, tol)
+    except (NoRootAbove, BudgetExceeded) as e:
+        return type(e)
+
+
+def _bisect_outcome(p, floor, tol):
+    """The same, with bisection in place of the landing step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "land_root", lambda q, lo, hi, t: bisect_root(q.sign_at, lo, hi, t))
+        return _outcome(p, floor, tol)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The calls that land_root makes to bisect_root."""
+    calls = []
+    monkeypatch.setattr(arith, "bisect_root", lambda *a: calls.append(a) or bisect_root(*a))
+    return calls
+
+
+class TestLandRoot:
+    """The landing step returns exactly the bracket bisection ends in."""
+
+    @given(known_root_polys(), st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**12), Fraction(1, 3)]))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_equals_bisection_on_known_roots(self, case, tol):
+        # the roots k/8 lie on the grid points of many cuts
+        _, p, floor = case
+        assert _outcome(p, floor, tol) == _bisect_outcome(p, floor, tol)
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=13), st.integers(1, 9))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_equals_bisection_on_random_polynomials(self, cs, lead):
+        # p(1) = -1 < 0 < lead: a real root above 1
+        cs = cs + [lead]
+        cs[0] -= sum(cs) + 1
+        p = IntPolynomial(cs)
+        assert _outcome(p, Fraction(1), Fraction(1, 10**9)) == _bisect_outcome(p, Fraction(1), Fraction(1, 10**9))
+
+    @pytest.mark.parametrize("cell,misses", [(None, 0), (-2, 1), (-1, 0), (0, 0), (1, 0), (2, 1)])
+    def test_root_on_a_cell_end(self, monkeypatch, fallbacks, cell, misses):
+        # (1, 3) at tol 1/1000 halves 11 times into cells of width 1/1024, and
+        # the root r = 1 + 683/1024 is a cell end.  A guess in r's cell or a
+        # neighbouring one lands on [r, r + 1/1024] with exact signs alone; one
+        # two cells off falls back to bisection, with the same bracket.
+        r, w = Fraction(1707, 1024), Fraction(1, 1024)
+        p, lo, hi, tol = linear(r), Fraction(1), Fraction(3), Fraction(1, 1000)
+        want = CertifiedRoot(r, r + w)
+        assert bisect_root(p.sign_at, lo, hi, tol) == want
+        if cell is not None:
+            monkeypatch.setattr(arith, "_newton_guess", lambda *a: r + (cell + Fraction(1, 2)) * w)
+        assert land_root(p, lo, hi, tol) == want and len(fallbacks) == misses
+
+    @pytest.mark.parametrize("p", [linear(1) * linear(2), linear(1) * IntPolynomial([-3, 0, 1])])
+    def test_root_at_the_lower_end(self, p):
+        # p(lo) = 0 at lo = 1, and one simple root (2 or sqrt 3) inside
+        lo, hi, tol = Fraction(1), Fraction(3), Fraction(1, 10**9)
+        assert land_root(p, lo, hi, tol) == bisect_root(p.sign_at, lo, hi, tol)
+
+    def test_piece_within_tol(self):
+        # k = 0: the piece itself is the bracket
+        p, lo, hi = IntPolynomial([-2, 0, 1]), Fraction(141, 100), Fraction(142, 100)
+        assert land_root(p, lo, hi, Fraction(1, 50)) == CertifiedRoot(lo, hi)
+
+    def test_guess_outside_the_piece_stays_inside(self, monkeypatch):
+        # roots 1 - 5/2048 and 1 - 3/2048 below (1, 3) make the depth-11 cell
+        # [1 - 3/1024, 1 - 2/1024] pass the sign check; a guess there must
+        # still give the bracket inside the piece
+        p = linear(1 - Fraction(5, 2048)) * linear(1 - Fraction(3, 2048)) * linear(2)
+        lo, hi, tol = Fraction(1), Fraction(3), Fraction(1, 1000)
+        monkeypatch.setattr(arith, "_newton_guess", lambda *a: lo - Fraction(5, 2048))
+        assert land_root(p, lo, hi, tol) == bisect_root(p.sign_at, lo, hi, tol) == CertifiedRoot(Fraction(2), Fraction(2049, 1024))
+
+    @pytest.mark.parametrize("name,n", [("dream", 3), ("dream", 51), ("persistent", 101), ("montevideo", 6)])
+    def test_family_roots_land_without_bisection(self, fallbacks, name, n):
+        # the fixed-point guess is good enough on the Perron polynomials
+        largest_root_above(POLYNOMIALS[name](n), Fraction(1), Fraction(1, 10**12))
+        assert fallbacks == []
+
+    def test_forced_miss_falls_back_to_bisection(self, monkeypatch, fallbacks):
+        # a guess at the far end of the piece checks the wrong cells
+        p, lo, hi, tol = IntPolynomial([-2, 0, 1]), Fraction(1), Fraction(100), Fraction(1, 10**9)
+        want = bisect_root(p.sign_at, lo, hi, tol)
+        monkeypatch.setattr(arith, "_newton_guess", lambda *a: hi)
+        assert land_root(p, lo, hi, tol) == want and len(fallbacks) == 1
 
 
 def leibniz_det(matrix, one):

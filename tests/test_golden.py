@@ -11,6 +11,9 @@ version reproduces them byte for byte.
   `circledyn scan --json` on the three criterion-9 ranges and
   `circledyn extend` on twelve instance/graph pairs, taken while each family
   still stated its circle and extension polynomials separately.
+- `circledyn beta` at the default tol on the distinct criterion-8 intervals
+  of the benchmark grid and on (1/97, 2/97), taken while the root kernel
+  still narrowed every bracket by bisection.
 
 A digest change means a report is no longer byte-identical: the change must
 be deliberate, and the new digests recomputed with the reports read side by
@@ -132,3 +135,27 @@ def test_extend_reports_match_golden_digests(capsys, tmp_path, graph, family, n,
     gfile = tmp_path / "g.json"
     gfile.write_text(json.dumps(GRAPHS[graph]))
     assert _digest(capsys, ["extend", family, "--n", str(n), "--graph", str(gfile)]) == digest
+
+
+# (c, d, beta digest)
+BETA_GOLDEN = [
+    ("1/2", "7/10", "0714dfc59d85493b734d6247955fea5d7fb355b8cf85cdd70857375441fdd6f9"),
+    ("1/5", "2/5", "3bafa13adbdfbc82c3b2a6d82a9f99a6e541e834757e5b39e758bf36a5cdec2c"),
+    ("1/4", "1/3", "eb8d4a414cf2668c63a2d94185f96b2168c44006d32b6eb70905735f70a7ac0d"),
+    ("0", "1/2", "6bc7436cfcefbbeba14260fbc99ccbaf3933a1273354908049d2c016e1b2efda"),
+    ("0", "1", "fcd4574e065aff70fdfdd06fc8ee546c636c918937b0d92248023b64056ab9a0"),
+    ("1/3", "1/2", "01cadc41178b0b1e86775a53d11454b4852f31a2df3f8d4348ade5fc3922d782"),
+    ("2/5", "3/5", "df55de99dfd670d877654ea0105f981c5ec79a55777a087111039a020425d0de"),
+    ("1/7", "2/7", "a16fca63b42d0675f8f85902d96cd4286afe96b37412b096be4ba885b2522008"),
+    ("3/7", "4/7", "b6b632c7b6a1e114bf3f12fdb0f683f76d71f8f5b0483acd6430d13958309e84"),
+    ("1/9", "2/9", "e0e78fb2e22c80515981e4c7694a6aee6747b2cb72d708c37b4c9ef506eeda69"),
+    ("1/11", "2/11", "1c4b2713c8f52db67f74e706656b8c64c29c554677dcaa9df5709fe2d0982717"),
+    ("1/13", "2/13", "50ce4f464b3262d15a5ed8afd7f6a0a14605c101aaf41814d315118752527e1f"),
+    ("1/15", "2/15", "46c73db44149d7f0ce76f7cf2389137a5aaf5efeee020fccdf73715ccd420830"),
+    ("1/97", "2/97", "c6c985633d6b7bcf94537136e5b6ceab54ea2563193b9014513098a6f0dcdaff"),
+]
+
+
+@pytest.mark.parametrize("c,d,digest", BETA_GOLDEN)
+def test_beta_reports_match_golden_digests(capsys, c, d, digest):
+    assert _digest(capsys, ["beta", "--c", c, "--d", d]) == digest
