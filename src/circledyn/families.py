@@ -13,6 +13,7 @@ are the quantities the verifier checks against the constructed system.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -192,9 +193,9 @@ class FamilyInstance:
     extension: Optional[ExtensionSpec]
 
     def class_index(self, a: Fraction, b: Fraction) -> int:
-        for i, (ca, cb) in enumerate(self.markov.classes):
-            if ca == a and cb == b:
-                return i
+        i = bisect_left(self.markov.partition, a)
+        if i < self.markov.size and self.markov.classes[i] == (a, b):
+            return i
         raise KeyError(f"no class [{rat_str(a)},{rat_str(b)}]")
 
 
@@ -221,8 +222,6 @@ def _instance(
     pos = _positions(order)
     xs = tuple(pos[("x", i)] for i in range(x_count))
     ys = tuple(pos[("y", i)] for i in range(y_count))
-    assert all(xs[i] < xs[i + 1] for i in range(x_count - 1))
-    assert all(ys[i] < ys[i + 1] for i in range(y_count - 1))
     F = build_from_orbits(
         [LiftedOrbit(points=xs, shift=x_shift), LiftedOrbit(points=ys, shift=y_shift)]
     )
@@ -480,11 +479,15 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
     char = markov_char_poly(M)
     poly_exact = char * inst.poly_cofactor == inst.expected_poly
     sigma = markov_entropy(M, tol, char)
-    try:
-        expected_root = largest_root_above(inst.expected_poly, Fraction(1), tol)
-        poly_root_ok = sigma.overlaps(expected_root, slack=tol)
-    except NoRootAbove:
-        poly_root_ok = False
+    if inst.expected_poly == char:
+        # sigma brackets this very polynomial; [1, 1] stands for NoRootAbove
+        poly_root_ok = sigma.upper > 1
+    else:
+        try:
+            expected_root = largest_root_above(inst.expected_poly, Fraction(1), tol)
+            poly_root_ok = sigma.overlaps(expected_root, slack=tol)
+        except NoRootAbove:
+            poly_root_ok = False
 
     cert = transitivity_certificate(M)
     classes_ok = M.size == inst.expected_classes

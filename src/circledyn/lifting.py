@@ -23,6 +23,17 @@ def _fractions(xs) -> tuple:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
+def _check_points(pts: tuple, name: str) -> None:
+    """ValueError unless pts is nonempty and strictly increasing in [0,1):
+    neighbours compared by cross-multiplying, then the first and last point;
+    out of order, a point outside [0,1) is still reported first."""
+    increasing = all(a.numerator * b.denominator < b.numerator * a.denominator for a, b in zip(pts, pts[1:]))
+    if not pts or not (0 <= pts[0] and pts[-1] < 1 if increasing else all(0 <= p < 1 for p in pts)):
+        raise ValueError(f"{name} must lie in [0,1)")
+    if not increasing:
+        raise ValueError(f"{name} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class Lifting:
     breakpoints: tuple
@@ -33,10 +44,7 @@ class Lifting:
         vals = _fractions(self.values)
         if len(bps) != len(vals) or not bps:
             raise ValueError("need matching nonempty breakpoints/values")
-        if any(not (0 <= b < 1) for b in bps):
-            raise ValueError("breakpoints must lie in [0,1)")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
+        _check_points(bps, "breakpoints")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
@@ -123,10 +131,7 @@ class LiftedOrbit:
 
     def __post_init__(self):
         pts = _fractions(self.points)
-        if not pts or any(not (0 <= p < 1) for p in pts):
-            raise ValueError("orbit points must lie in [0,1)")
-        if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
-            raise ValueError("orbit points must be strictly increasing")
+        _check_points(pts, "orbit points")
         object.__setattr__(self, "points", pts)
 
     @property

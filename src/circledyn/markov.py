@@ -114,8 +114,11 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     denominator bit length for closures whose denominators keep growing),
     NotShort if some basic interval has an image of length >= 1 (the
     partition would not project to a Markov partition of the circle map).
-    The closure reads the images of breakpoints off F.values and evaluates F
-    only at the other points.
+    The closure runs on reduced pairs (a, b) for the point a/b: reducing
+    mod 1 is (a % b, b), still reduced, so it needs no gcd and no Fraction.
+    Images of breakpoints come off F.values; F is evaluated only at the other
+    points.  The partition keeps the Fractions at hand (breakpoints, extra
+    points, images in [0,1)) and builds the others once.
 
     After the closure everything is integer: on the common denominator D of
     the partition, point p is the key X = p*D and its image the integer
@@ -127,41 +130,47 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1, where
     G[n] = G[0] + n closes the wrap class.
     """
-    images = dict(zip(F.breakpoints, F.values))
-    pts = set(images)
+    frac = {(b.numerator, b.denominator): b for b in F.breakpoints}
+    images = {x: (v.numerator, v.denominator) for x, v in zip(frac, F.values)}
     for p in extra_points:
         p = Fraction(p)
-        pts.add(p - floor_frac(p))
+        p -= floor_frac(p)
+        frac.setdefault((p.numerator, p.denominator), p)
+    pts = set(frac)
     frontier = list(pts)
-    bits = sum(p.denominator.bit_length() for p in pts)
+    bits = sum(b.bit_length() for _, b in pts)
     while frontier:
         if len(pts) > _CLOSURE_BUDGET or bits > _CLOSURE_BITS:
             raise NotInvariant("forward closure of the partition does not stabilize")
         x = frontier.pop()
         y = images.get(x)
         if y is None:
-            y = images[x] = F.eval(x)
-        y -= floor_frac(y)
+            v = F.eval(frac.get(x) or Fraction(*x))
+            y = images[x] = (v.numerator, v.denominator)
+            if 0 <= y[0] < y[1]:
+                frac[y] = v
+        a, b = y
+        y = (a % b, b)
         if y not in pts:
             pts.add(y)
             frontier.append(y)
-            bits += y.denominator.bit_length()
+            bits += b.bit_length()
     n = len(pts)
     if n < 2:
         raise NotInvariant("need at least two partition points mod 1")
 
-    D = lcm(*(p.denominator for p in pts))
-    keyed = sorted((p.numerator * (D // p.denominator), p) for p in pts)
-    partition = tuple(p for _, p in keyed)
+    D = lcm(*{b for _, b in pts})
+    keyed = sorted((a * (D // b), (a, b)) for a, b in pts)
     X = [key for key, _ in keyed]
     index = {key: i for i, key in enumerate(X)}
     Y = []
     G = []
-    for p in partition:
-        y = images[p]
-        Y.append(y.numerator * (D // y.denominator))
+    for _, x in keyed:
+        a, b = images[x]
+        Y.append(a * (D // b))
         k, r = divmod(Y[-1], D)
         G.append(index[r] + n * k)
+    partition = tuple(frac.get(x) or Fraction(*x) for _, x in keyed)
     ends = partition + (partition[0] + 1,)
     X.append(X[0] + D)
     Y.append(Y[0] + D)

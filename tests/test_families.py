@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from circledyn.arith import IntPolynomial
+from circledyn import families
+from circledyn.arith import CertifiedRoot, IntPolynomial, rat_str
 from circledyn.errors import BadParameter
 from circledyn.families import (
     dream,
@@ -52,6 +53,24 @@ class TestConstructors:
         x, y = inst.x_positions, inst.y_positions
         # x_0..x_7 < y_0..y_3 < x_8..x_12 < y_4..y_10 < x_13..x_17 < y_11..
         assert x[7] < y[0] and y[3] < x[8] and x[12] < y[4] and y[10] < x[13] and x[17] < y[11]
+
+    @pytest.mark.parametrize("name,n", [("dream", 5), ("persistent", 7), ("montevideo", 4)])
+    def test_class_index(self, name, n):
+        inst = make(name, n)
+        M = inst.markov
+        assert [inst.class_index(a, b) for a, b in M.classes] == list(range(M.size))
+        p = M.partition
+        for a, b in [
+            (p[0], p[2]),  # not consecutive
+            (p[-1], p[0]),  # the wrap class ends at p[0] + 1
+            (p[0] + 1, p[1] + 1),  # a translate
+            ((p[0] + p[1]) / 2, p[1]),  # not a partition point
+            (F2(-1), p[0]),
+            (p[-1] + F2(1, 10**6), p[0] + 1),  # past the last point
+        ]:
+            with pytest.raises(KeyError) as err:
+                inst.class_index(a, b)
+            assert err.value.args == (f"no class [{rat_str(a)},{rat_str(b)}]",)
 
     def test_closed_form_period_sets(self):
         assert persistent_per(5).up_to(8) == {2, 3, 5, 6, 7, 8}
@@ -152,6 +171,16 @@ class TestVerify:
         assert rep.theorem_bound_flags["bc_upper_bound"] is False  # recorded as failing
         assert rep.all_green  # the failure is exactly the documented one
         assert not rep.strict_green
+
+    def test_poly_root_reads_the_entropy_bracket_when_polynomials_agree(self, monkeypatch):
+        # persistent: the rome polynomial is the closed form itself, so the
+        # bracket of the entropy is the bracket of the closed form
+        inst = persistent(7)
+        assert inst.expected_poly == markov_char_poly(inst.markov)
+        assert verify(inst, run_oracle=False).poly_root_ok
+        # the bracket [1, 1] stands for no root above 1
+        monkeypatch.setattr(families, "markov_entropy", lambda M, tol, char: CertifiedRoot(F2(1), F2(1)))
+        assert not verify(inst, run_oracle=False).poly_root_ok
 
     def test_report_json_shape(self):
         d = verify(dream(3)).to_json()

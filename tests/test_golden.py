@@ -14,6 +14,9 @@ version reproduces them byte for byte.
 - `circledyn beta` at the default tol on the distinct criterion-8 intervals
   of the benchmark grid and on (1/97, 2/97), taken while the root kernel
   still narrowed every bracket by bisection.
+- The built `MarkovSystem` of every criterion-9 scan instance (partition,
+  denominator, keys, index map, arrows and orientation), taken while the
+  forward closure still ran on Fractions.
 
 A digest change means a report is no longer byte-identical: the change must
 be deliberate, and the new digests recomputed with the reports read side by
@@ -26,6 +29,7 @@ import json
 import pytest
 
 from circledyn.cli import main
+from circledyn.families import make, scan_values
 
 
 def _digest(capsys, argv, code=0):
@@ -159,3 +163,26 @@ BETA_GOLDEN = [
 @pytest.mark.parametrize("c,d,digest", BETA_GOLDEN)
 def test_beta_reports_match_golden_digests(capsys, c, d, digest):
     assert _digest(capsys, ["beta", "--c", c, "--d", d]) == digest
+
+
+# (family, from, to, digest of the built MarkovSystems): the criterion-9
+# scan instances, 106 in all
+MARKOV_GOLDEN = [
+    ("montevideo", 3, 10, "72ecd27fe7c020bccb95c7cd5ae330182860a71477c983bd5cc08eb24fe673cd"),
+    ("persistent", 5, 101, "67579709cb32acd195cebe4e244c3e038fab821381c22d8f9fe3dc742d72622b"),
+    ("dream", 3, 51, "bffdd4e94f4c1c1f74b3c7684c93122eb394e5b2b294d088ec7ad3f9b28d4947"),
+]
+
+
+def _markov_digest(family, start, end):
+    h = hashlib.sha256()
+    for n in scan_values(family, start, end):
+        M = make(family, n).markov
+        fields = (tuple(map(str, M.partition)), M.denominator, M.keys, M.index_map, M.coverings, M.orientation)
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family,start,end,digest", MARKOV_GOLDEN)
+def test_built_systems_match_golden_digests(family, start, end, digest):
+    assert _markov_digest(family, start, end) == digest

@@ -243,3 +243,46 @@ class TestSerialization:
     def test_roundtrip(self):
         F = sample_lifting()
         assert Lifting.from_json(F.to_json()) == F
+
+
+# points on one fundamental domain that both constructors reject, and the
+# message naming the first check each one fails: the range check comes before
+# the order check, so a point outside [0,1) is reported even where the points
+# also fall
+BAD_POINTS = [
+    ((F2(-1, 3), F2(1, 2)), "must lie in [0,1)"),
+    ((F2(0), F2(1)), "must lie in [0,1)"),
+    ((F2(1, 2), F2(-1, 2)), "must lie in [0,1)"),
+    ((F2(0), F2(3, 2), F2(1, 2)), "must lie in [0,1)"),
+    ((F2(0), F2(1, 3), F2(1, 3)), "must be strictly increasing"),
+    ((F2(0), F2(2, 3), F2(1, 3)), "must be strictly increasing"),
+    ((F2(1, 2), F2(1, 4), F2(3, 4)), "must be strictly increasing"),
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "breakpoints,values",
+        [((), ()), ((F2(0), F2(1, 2)), (F2(0),)), ((F2(0),), (F2(0), F2(1, 2)))],
+    )
+    def test_lifting_needs_matching_nonempty_data(self, breakpoints, values):
+        with pytest.raises(ValueError) as err:
+            Lifting(breakpoints, values)
+        assert str(err.value) == "need matching nonempty breakpoints/values"
+
+    @pytest.mark.parametrize("points,message", BAD_POINTS)
+    def test_lifting_rejects_breakpoints(self, points, message):
+        with pytest.raises(ValueError) as err:
+            Lifting(points, (F2(0),) * len(points))
+        assert str(err.value) == "breakpoints " + message
+
+    @pytest.mark.parametrize("points,message", [((), "must lie in [0,1)")] + BAD_POINTS)
+    def test_orbit_rejects_points(self, points, message):
+        with pytest.raises(ValueError) as err:
+            LiftedOrbit(points, 1)
+        assert str(err.value) == "orbit points " + message
+
+    def test_integer_and_fraction_input_accepted(self):
+        F = Lifting((0, F2(1, 3), F2(2, 3)), (F2(1, 6), 1, F2(5, 6)))
+        assert F.breakpoints == (F2(0), F2(1, 3), F2(2, 3)) and F.values[1] == 1
+        assert LiftedOrbit((0, F2(999, 1000)), 1).points == (F2(0), F2(999, 1000))

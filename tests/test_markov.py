@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circledyn import markov
 from circledyn.arith import CertifiedRoot, IntPolynomial, char_poly, floor_frac, rat_str
 from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
@@ -196,6 +197,56 @@ class TestIndexWalkBuild:
         M = build_markov_system(F, extra)
         assert {F2(1, 6), F2(1, 2), F2(5, 6)} <= set(M.partition) - set(F.breakpoints)
         _check_against_reference(F, extra)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            [F2(-1, 6)],  # negative: the point 5/6
+            [F2(7, 3), 2],  # at or above 1: the points 1/3 and 0
+            [F2(1, 3), F2(2, 3)],  # breakpoints
+            [F2(1, 12), F2(1, 12), F2(13, 12)],  # one point three times
+            [F2(2, 7)],  # off the breakpoint grid: F.eval runs, D grows
+            [F2(-5, 7), 3, F2(1, 10), "3/8"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "F",
+        [
+            Lifting((F2(0), F2(1, 3), F2(2, 3)), (F2(1, 6), F2(5, 6), F2(1, 2))),
+            Lifting((F2(0), F2(1, 3), F2(2, 3)), (F2(1, 6), F2(-1, 6), F2(1, 2))).translate(-1),
+            Lifting((F2(0),), (F2(0),)),  # the identity: one point unless extras
+            Lifting((F2(0), F2(1, 2)), (F2(0), F2(2))),  # NotShort
+        ],
+    )
+    def test_extra_points_match_reference(self, F, extra):
+        _check_against_reference(F, extra)
+
+    def test_bit_budget_message(self):
+        # the test_budgets.py map: the reference has no bit budget and would
+        # run into its point budget only after minutes, so the message is
+        # compared as the reference words it
+        F = Lifting((F2(0), F2(1, 3)), (F2(1, 7), F2(9, 10)))
+        with pytest.raises(NotInvariant) as got:
+            build_markov_system(F)
+        assert str(got.value) == "forward closure of the partition does not stabilize"
+
+    @pytest.mark.parametrize("extra", [[], [F2(1, 40)]])
+    def test_budgets_count_exactly(self, monkeypatch, extra):
+        # rotation by 1/20 closes on the points j/20 (j/40 with the extra
+        # point): each budget holds at the closure's exact size and trips
+        # one below it
+        F = Lifting((F2(0),), (F2(1, 20),))
+        pts = reference_build(F, extra)[0]
+        bits = sum(p.denominator.bit_length() for p in pts)
+        for name, size in (("_CLOSURE_BUDGET", len(pts)), ("_CLOSURE_BITS", bits)):
+            with monkeypatch.context() as m:
+                m.setattr(markov, name, size)
+                assert build_markov_system(F, extra).partition == pts
+                m.setattr(markov, name, size - 1)
+                with pytest.raises(NotInvariant) as got:
+                    build_markov_system(F, extra)
+                assert str(got.value) == "forward closure of the partition does not stabilize"
 
 
 class TestPartitionRotationInterval:
