@@ -2,9 +2,9 @@
 
 Rotation intervals, Markov graphs modulo 1, sets of periods via Misiurewicz's
 theorem, topological entropy through the rome method, boundary-of-cofiniteness
-statistics, minimum-entropy models, and combinatorial graph extensions --
-everything over exact rational/integer arithmetic with certified brackets
-where real roots are unavoidable.
+statistics, the minimal entropy of a rotation interval, and combinatorial
+graph extensions -- everything over exact rational/integer arithmetic with
+certified brackets where real roots are unavoidable.
 """
 
 from .arith import (
@@ -39,7 +39,7 @@ from .markov import (
     rome_char_poly,
     transitivity_certificate,
 )
-from .minentropy import BetaResult, beta, min_entropy_model
+from .minentropy import BetaResult, beta
 from .oracle import PeriodicWitness, periods_up_to
 from .periods import PeriodSet, endpoint_periods, m_set, per_from_rotation
 
@@ -86,7 +86,6 @@ __all__ = [
     "transitivity_certificate",
     "BetaResult",
     "beta",
-    "min_entropy_model",
     "PeriodicWitness",
     "periods_up_to",
     "PeriodSet",

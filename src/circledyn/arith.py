@@ -3,6 +3,14 @@ polynomials and certified real root isolation.  Root brackets are certified
 by exact integer signs alone; the fixed-point arithmetic of `_newton_guess`
 only chooses which cell they check.
 
+`largest_root_above` isolates its root by counting sign variations.  A
+polynomial with one sign variation, negative at a floor >= 0, has exactly one
+root above the floor (Descartes' rule of signs), and by Budan's theorem the
+Descartes count on any piece above the floor is then exactly one, so no
+Taylor shift is needed.  The family polynomials of the desk scans and the
+`beta` balance polynomials are of this kind.  Any other polynomial is counted
+piece by piece on Taylor-shifted coefficients (Vincent-Collins-Akritas).
+
 Rationals are `fractions.Fraction` throughout the package (always reduced,
 positive denominator). They serialize as "p/q" strings.
 """
@@ -429,29 +437,47 @@ def _shifted(c: list[int], a: int = 1) -> list[int]:
     return out
 
 
+def _sign_variations(cs: Iterable[int]) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped: by Descartes'
+    rule of signs a bound on the number of positive roots with the same
+    parity, so 0 and 1 are exact counts."""
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _descartes_bound(q: list[int]) -> int:
     """Sign variations of (1+x)^d q(1/(1+x)), whose positive roots are the
-    roots of q in (0, 1): by Descartes' rule of signs a bound on their number
-    with the same parity, so 0 and 1 are exact counts."""
-    signs = [c > 0 for c in _shifted(q[::-1]) if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    roots of q in (0, 1)."""
+    return _sign_variations(_shifted(q[::-1]))
 
 
 def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> CertifiedRoot:
     """Certified bracket of width <= tol around the largest real root > floor.
 
-    Roots exactly at `floor` are deflated first.  The open interval
-    (floor, Cauchy bound) is then subdivided from the right, and the roots of p
-    in each piece are counted exactly with Descartes' rule on the Moebius
-    transform of p to (0, 1), built by integer Taylor shifts
-    (Vincent-Collins-Akritas).  Pieces with no root are dropped; the first one
-    with exactly one root holds the largest root, and `land_root` narrows it
-    to the bracket that bisection with exact integer signs ends in.  So the
-    result certifies both a sign change in the bracket and no root above it;
-    a largest root that a cut hits exactly comes back as the exact bracket
-    [r, r].  NoRootAbove when the count finds no root above the floor;
-    BudgetExceeded when the largest root still cannot be told apart from
-    another root (or a complex pair) at width tol, as for a repeated root.
+    Roots exactly at `floor` are deflated first and p is oriented so that it
+    is positive above its largest root.  When floor >= 0, p(floor) < 0 and the
+    coefficients of p have exactly one sign variation, `land_root` brackets
+    the root in (floor, Cauchy bound) at once.  By Descartes' rule of signs p
+    has exactly one positive root; it is simple and lies above the floor.
+    The subdivision below would count exactly one root on that first piece
+    too.  Its count there is V(g(x + 1)) with g(y) = y^d r(w/y),
+    r(x) = p(x + floor) and w the piece's width, and a Taylor shift by a
+    nonnegative amount never adds sign variations (Budan's theorem), so
+    V(g(x + 1)) <= V(g) = V(r) <= V(p) = 1; having the parity of the one
+    root, it is 1.
+
+    Otherwise the open interval (floor, Cauchy bound) is subdivided from the
+    right, and the roots of p in each piece are counted exactly with
+    Descartes' rule on the Moebius transform of p to (0, 1), built by integer
+    Taylor shifts (Vincent-Collins-Akritas).  Pieces with no root are
+    dropped; the first one with exactly one root holds the largest root, and
+    `land_root` narrows it to the bracket that bisection with exact integer
+    signs ends in.  So the result certifies both a sign change in the bracket
+    and no root above it; a largest root that a cut hits exactly comes back
+    as the exact bracket [r, r].  NoRootAbove when the count finds no root
+    above the floor; BudgetExceeded when the largest root still cannot be
+    told apart from another root (or a complex pair) at width tol, as for a
+    repeated root.
     """
     floor = Fraction(floor)
     tol = Fraction(tol)
@@ -460,14 +486,20 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
     if p.is_zero() or p.degree == 0:
         raise NoRootAbove("constant polynomial")
 
-    while p.sign_at(floor) == 0:
+    s = p.sign_at(floor)
+    while s == 0:
         p, _ = p.divmod_exact(IntPolynomial([-floor.numerator, floor.denominator]))
         if p.degree == 0:
             raise NoRootAbove("all roots at the floor")
+        s = p.sign_at(floor)
 
     bound = p.cauchy_root_bound()
     if bound <= floor:
         raise NoRootAbove("Cauchy bound at or below floor")
+    if p.leading() < 0:
+        p, s = -p, -s  # positive above its largest root, as land_root expects
+    if floor >= 0 and s < 0 and _sign_variations(p.coeffs) == 1:
+        return land_root(p, floor, bound, tol)
 
     # q(t) = gamma^d p((alpha + beta t) / gamma) maps (floor, bound) to (0, 1)
     d = p.degree
@@ -479,8 +511,6 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
     q = [c * beta**i for i, c in enumerate(q)]
 
     # depth-first from the right; (q, lo, hi) with lo == hi is a root at a cut
-    if p.leading() < 0:
-        p = -p  # positive above its largest root, as land_root expects
     pending = [(q, floor, bound)]
     while pending:
         q, lo, hi = pending.pop()

@@ -11,6 +11,7 @@ from circledyn.arith import (
     CertifiedRoot,
     IntPolynomial,
     ShoNumber,
+    _shifted,
     bareiss_det,
     bisect_root,
     char_poly,
@@ -338,6 +339,90 @@ class TestLandRoot:
         want = bisect_root(p.sign_at, lo, hi, tol)
         monkeypatch.setattr(arith, "_newton_guess", lambda *a: hi)
         assert land_root(p, lo, hi, tol) == want and len(fallbacks) == 1
+
+
+@st.composite
+def one_variation_polys(draw):
+    """(p, floor): the coefficients of p, constant term first, are nonpositive
+    then nonnegative (zeros anywhere), with one sign variation; p may be
+    negated, and floor >= 0."""
+    cs = draw(st.lists(st.integers(-9, 0), max_size=8)) + [draw(st.integers(-99, -1))]
+    cs += draw(st.lists(st.integers(0, 9), max_size=30)) + [draw(st.integers(1, 9))]
+    p = IntPolynomial(cs) * draw(st.sampled_from([1, -1]))
+    return p, Fraction(draw(st.integers(0, 24)), draw(st.sampled_from([1, 2, 3, 8])))
+
+
+def _first_piece_count(p, floor):
+    """The Descartes count the subdivision makes on its first piece,
+    (floor, Cauchy bound), from Taylor-shifted coefficients."""
+    d, bound = p.degree, p.cauchy_root_bound()
+    width = bound - floor
+    alpha = floor.numerator * width.denominator
+    beta = floor.denominator * width.numerator
+    gamma = floor.denominator * width.denominator
+    q = _shifted([c * gamma ** (d - i) for i, c in enumerate(p.coeffs)], alpha)
+    return arith._descartes_bound([c * beta**i for i, c in enumerate(q)])
+
+
+class _TaylorShift(Exception):
+    pass
+
+
+def _no_shift(*args):
+    raise _TaylorShift
+
+
+class TestOneVariation:
+    """Coefficients with one sign variation and p(floor) < 0 settle the first
+    piece without a Taylor shift, with the bracket the subdivision gives."""
+
+    TOL = Fraction(1, 10**12)
+
+    @given(
+        st.one_of(one_variation_polys(), known_root_polys().map(lambda case: case[1:])),
+        st.sampled_from([Fraction(1, 10**9), Fraction(1, 3)]),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_first_piece_counts_one_when_the_test_fires(self, case, tol):
+        # a bracket found with no Taylor shift comes from the one-variation
+        # test; the subdivision would have counted 1 on the same first piece
+        p, floor = case
+        shifts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_shifted", lambda *a: shifts.append(a) or _shifted(*a))
+            got = _outcome(p, floor, tol)
+        if isinstance(got, CertifiedRoot) and not shifts:
+            while p.sign_at(floor) == 0:
+                p = p // linear(floor)  # deflated as largest_root_above does
+            assert _first_piece_count(p, floor) == 1
+        assert got == _bisect_outcome(*case, tol)
+
+    @pytest.mark.parametrize("name,n", [("dream", 3), ("dream", 51), ("persistent", 101), ("montevideo", 6)])
+    def test_family_roots_need_no_shift(self, name, n):
+        p = POLYNOMIALS[name](n)
+        want = largest_root_above(p, Fraction(1), self.TOL)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_shifted", _no_shift)
+            assert largest_root_above(p, Fraction(1), self.TOL) == want
+
+    @pytest.mark.parametrize("p", [linear(2) * IntPolynomial([10, -6, 1]), linear(3) * linear(Fraction(1, 2)) * linear(2)])
+    def test_several_variations_subdivide(self, p):
+        # (x - 2)((x - 3)^2 + 1) and (x - 3)(2x - 1)(x - 2): V(p) = 3
+        assert arith._sign_variations(p.coeffs) == 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_shifted", _no_shift)
+            with pytest.raises(_TaylorShift):
+                largest_root_above(p, Fraction(1), self.TOL)
+
+    def test_negative_floor_subdivides(self):
+        # (2x + 1)(4x + 1)(x - 2) has one variation and is negative at -1, but
+        # Descartes' rule counts positive roots: three roots lie above -1
+        p = linear(Fraction(-1, 2)) * linear(Fraction(-1, 4)) * linear(2)
+        assert arith._sign_variations(p.coeffs) == 1 and p.sign_at(Fraction(-1)) < 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_shifted", _no_shift)
+            with pytest.raises(_TaylorShift):
+                largest_root_above(p, Fraction(-1), self.TOL)
 
 
 def leibniz_det(matrix, one):

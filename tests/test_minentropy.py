@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn import minentropy
-from circledyn.arith import IntPolynomial
+from circledyn import arith, minentropy
+from circledyn.arith import IntPolynomial, largest_root_above
 from circledyn.errors import BudgetExceeded
 from circledyn.families import dream, persistent
 from circledyn.markov import entropy as markov_entropy
 from circledyn.minentropy import (
-    _offset_sum,
     beta,
     envelope_rotation_bounds,
-    min_entropy_model,
     q_balance,
     q_series_enclosure,
     r_balance,
     r_series_enclosure,
 )
+from minentropy_model import min_entropy_model, offset_sum
 
 F2 = Fraction
 TOL = F2(1, 10**8)
@@ -55,6 +54,19 @@ class TestTwoMethods:
         assert not res.method_agreement
         assert res.beta_counts.lower <= 3 <= res.beta_counts.upper
         assert res.beta == expected
+
+    @pytest.mark.parametrize("c,d", GRID + [(F2(1, 2 * n - 1), F2(2, 2 * n - 1)) for n in range(3, 9)])
+    def test_balance_roots_need_no_taylor_shift(self, monkeypatch, c, d):
+        # with its roots at 1 deflated, q_balance has one sign variation and is
+        # negative at 1: the kernel brackets its root without subdividing
+        pq = q_balance(c, d)[0]
+        want = largest_root_above(pq, F2(1), TOL)
+
+        def no_shift(*args):
+            raise AssertionError("Taylor shift")
+
+        monkeypatch.setattr(arith, "_shifted", no_shift)
+        assert largest_root_above(pq, F2(1), TOL) == want
 
     def test_series_identity_numerically(self):
         # Q(z) == (z-1)(1 - 2R(z)) at sample points (enclosures must overlap)
@@ -127,7 +139,7 @@ class TestClosedForm:
         w, N = 1 / z, 400
         partial = sum(((n * c).__floor__() * w ** (n + 1) for n in range(1, N + 1)), F2(0))
         tail = c * w ** (N + 2) * ((N + 1) - N * w) / (1 - w) ** 2
-        assert partial <= _offset_sum(c, z) <= partial + tail
+        assert partial <= offset_sum(c, z) <= partial + tail
 
     @pytest.mark.parametrize("c,d", [(F2(1, 97), F2(2, 97)), (F2(0), F2(1, 1000)), (F2(13, 37), F2(19, 41))])
     def test_near_one_and_large_denominators_in_time(self, c, d):
