@@ -30,9 +30,24 @@ def _emit(data, out_path=None):
         print(text)
 
 
+def _rational(text: str) -> Fraction:
+    """A rational argument such as "7/10"; a malformed one is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from None
+
+
+def _digits(text: str) -> int:
+    """A nonnegative digit count for the tolerance 10^-digits."""
+    digits = int(text)
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"digits must be >= 0, got {digits}")
+    return digits
+
+
 def _cmd_periods(args) -> int:
-    c, d = Fraction(args.c), Fraction(args.d)
-    ms = m_set(c, d)
+    ms = m_set(args.c, args.d)
     _emit(ms.to_json(), args.out)
     return 0
 
@@ -128,7 +143,7 @@ def _write_svg(path: str, rows) -> None:
 
 
 def _cmd_beta(args) -> int:
-    res = beta(Fraction(args.c), Fraction(args.d), tol=Fraction(args.tol))
+    res = beta(args.c, args.d, tol=args.tol)
     _emit(res.to_json(), args.out)
     return 0 if res.method_agreement else 2
 
@@ -175,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("periods", help="M(c,d) with its cofinite tail threshold")
-    p.add_argument("--c", required=True, help='left endpoint, e.g. "1/2"')
-    p.add_argument("--d", required=True, help='right endpoint, e.g. "7/10"')
+    p.add_argument("--c", type=_rational, required=True, help='left endpoint, e.g. "1/2"')
+    p.add_argument("--d", type=_rational, required=True, help='right endpoint, e.g. "7/10"')
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_periods)
 
@@ -184,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--digits", type=int, default=12, help="bracket tolerance 10^-digits")
+    p.add_argument("--digits", type=_digits, default=12, help="bracket tolerance 10^-digits")
     p.add_argument(
         "--strict",
         action="store_true",
@@ -197,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
-    p.add_argument("--digits", type=int, default=9)
+    p.add_argument("--digits", type=_digits, default=9)
     p.add_argument("--json", action="store_true", help="emit the JSON report instead of CSV")
     p.add_argument("--out")
     p.add_argument("--svg")
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("beta", help="minimum entropy exponent for a rotation interval")
-    p.add_argument("--c", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--tol", default="1/1000000000")
+    p.add_argument("--c", type=_rational, required=True)
+    p.add_argument("--d", type=_rational, required=True)
+    p.add_argument("--tol", type=_rational, default="1/1000000000")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_beta)
 
@@ -236,10 +251,7 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CircledynError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (CircledynError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -41,22 +41,6 @@ def density_condition(ps: PeriodSet, L: int) -> bool:
     return 2 ** low_period_count(ps, L) <= (L - 2) ** 2
 
 
-def sbcset(ps: PeriodSet) -> set[int]:
-    """{L in ps : L > 2, L-1 not in ps, low-period density condition holds}."""
-    top = sbc(ps)
-    out = set()
-    for L in range(3, top + 1):
-        if L in ps and (L - 1) not in ps and density_condition(ps, L):
-            out.add(L)
-    return out
-
-
-def bc(ps: PeriodSet) -> Optional[int]:
-    """max sbcset(ps), or None when the candidate set is empty."""
-    s = sbcset(ps)
-    return max(s) if s else None
-
-
 def dens_low_per(ps: PeriodSet, L: int) -> Fraction:
     """Density of the L-low periods: Card({1..L-2} ∩ ps) / (L-2)."""
     _require_cofinite(ps)
@@ -82,12 +66,24 @@ class CofinitenessReport:
 
 
 def report(ps: PeriodSet) -> CofinitenessReport:
+    """sbc, sbcset, bc and the density at each member of sbcset, in one pass
+    over 1..sbc that keeps the low-period count of each L running."""
     s = sbc(ps)
-    cand = sbcset(ps)
-    b = max(cand) if cand else None
+    inside = [k in ps for k in range(s + 1)]
+    count = 0  # Card({1..L-2} ∩ ps)
     dens = {}
-    for L in sorted(cand):
-        dens[L] = dens_low_per(ps, L)
-    if b is not None and b not in dens:
-        dens[b] = dens_low_per(ps, b)
-    return CofinitenessReport(sbc=s, sbcset=frozenset(cand), bc=b, dens_at=dens)
+    for L in range(3, s + 1):
+        count += inside[L - 2]
+        if inside[L] and not inside[L - 1] and 2**count <= (L - 2) ** 2:
+            dens[L] = Fraction(count, L - 2)
+    return CofinitenessReport(sbc=s, sbcset=frozenset(dens), bc=max(dens, default=None), dens_at=dens)
+
+
+def sbcset(ps: PeriodSet) -> set[int]:
+    """{L in ps : L > 2, L-1 not in ps, low-period density condition holds}."""
+    return set(report(ps).sbcset)
+
+
+def bc(ps: PeriodSet) -> Optional[int]:
+    """max sbcset(ps), or None when the candidate set is empty."""
+    return report(ps).bc

@@ -12,7 +12,6 @@ the return class.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -194,23 +193,24 @@ def traversal(X: CombGraph, a, b) -> Traversal:
     visited_edges: set = set()
     parent_path: dict = {a: None}
 
-    def dfs(u):
-        for (i, w) in adj[u]:
+    stack = [(a, iter(adj[a]))]
+    while stack:
+        u, out = stack[-1]
+        for i, w in out:
             if i in visited_edges:
                 continue
             visited_edges.add(i)
             steps.append((i, u, w))
             if w not in parent_path:
                 parent_path[w] = (i, u)
-                dfs(w)
+                stack.append((w, iter(adj[w])))
+                break
             steps.append((i, w, u))
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(G.edges) + 100))
-    try:
-        dfs(a)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        else:
+            stack.pop()
+            if stack:  # back up the tree edge that reached u
+                i, p = parent_path[u]
+                steps.append((i, u, p))
     if len(visited_edges) != len(G.edges) - 1:
         raise NotExtendable("excised subgraph is disconnected")
 

@@ -42,10 +42,10 @@ class MarkovSystem:
     from key X[i] to X[i+1] onto K(G[i]) .. K(G[i+1]), G[n] = G[0] + n.
 
     `denominator`, `keys`, `index_map` and `coverings` are the only map and
-    graph data.  Views derived from `coverings` on first use and cached:
-    `successors` for the graph passes, `arrow_shifts` for the oracle, and the
-    dense `matrix` and `shifts` tables for reports and tests (the scan never
-    builds those two).
+    graph data.  Views derived from them on first use and cached:
+    `successors` for the graph passes, `arrow_shifts` and `partition_cycles`
+    for the oracle, and the dense `matrix` and `shifts` tables for reports
+    and tests (the scan never builds those two).
     """
 
     lifting: Lifting
@@ -77,6 +77,12 @@ class MarkovSystem:
     def arrow_shifts(self) -> dict:
         """{(i, j): k} for the arrows (i, j, k) (a view of `coverings`)."""
         return {(i, j): k for i, j, k in self.coverings}
+
+    @cached_property
+    def partition_cycles(self) -> tuple:
+        """The periodic partition orbits: `index_cycles` of the index map from
+        every point; point i starts class i, so residues are itineraries."""
+        return tuple(index_cycles(self.index_map, range(self.size)))
 
     @cached_property
     def matrix(self) -> tuple:
@@ -206,6 +212,28 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     )
 
 
+def index_cycles(E, starts) -> list[tuple]:
+    """The cycles that the orbits of `starts` reach under the lifted index
+    map L -> E[L mod n] + L - L mod n (n = len(E)), each once, in the order
+    the walks close them: (r, m, K/m, residues) for the cycle entered at point
+    r that repeats mod n after m steps, K turns higher.  A walk stops at a
+    point that an earlier walk met, whose cycle is already listed."""
+    n = len(E)
+    seen: set = set()
+    cycles = []
+    for start in starts:
+        pos, L = {}, start  # point L mod n -> (step, L) along this walk
+        while L % n not in pos and L % n not in seen:
+            pos[L % n] = (len(pos), L)
+            L = E[L % n] + L - L % n
+        seen.update(pos)
+        if L % n in pos:
+            j, L0 = pos[L % n]
+            m = len(pos) - j
+            cycles.append((L % n, m, Fraction((L - L0) // n, m), tuple(pos)[j:]))
+    return cycles
+
+
 def partition_rotation_interval(system: MarkovSystem) -> RotationInterval:
     """Rot(F) = [rho(F_l), rho(F_u)] from the lifted index map alone, exactly.
 
@@ -220,15 +248,7 @@ def partition_rotation_interval(system: MarkovSystem) -> RotationInterval:
     doubled = list(system.index_map) + [g + n for g in system.index_map]
     lower = list(accumulate(reversed(doubled), min))[::-1][:n]
     upper = [g - n for g in list(accumulate(doubled, max))[n:]]
-    rho = []
-    for E in (lower, upper):
-        seen, L = {}, 0  # point L mod n -> (step, L) along the orbit of point 0
-        while L % n not in seen:
-            seen[L % n] = (len(seen), L)
-            L = E[L % n] + L - L % n
-        step, L0 = seen[L % n]
-        rho.append(Fraction((L - L0) // n, len(seen) - step))
-    return RotationInterval(*rho)
+    return RotationInterval(*(index_cycles(E, (0,))[0][2] for E in (lower, upper)))
 
 
 def _reverse(succ) -> list[list[int]]:

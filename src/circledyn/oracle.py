@@ -2,7 +2,7 @@
 
 Every loop of the Markov graph modulo 1 carries a composed affine branch whose
 fixed point is a candidate periodic point; partition points are classified by
-walking the Markov system's index map.  Both walks read only the integers of
+the cycles of the Markov system's index map.  Both read only the integers of
 the system (keys X on the common denominator D, lifted index map G, arrow
 shifts): a branch is an integer triple (a, b, c) for x -> (a*x + b)/c on the
 keys, a point an integer pair (u, v) for the key u/v.  A Fraction is formed
@@ -55,7 +55,6 @@ class DegenerateLoopReport:
     sampled from its interior."""
 
     loop: tuple
-    length: int
 
 
 @dataclass
@@ -65,8 +64,9 @@ class OracleResult:
     degenerate_loops: list = field(default_factory=list)
 
     def add(self, w: PeriodicWitness):
-        key = (w.minimal_period, w.rotation)
-        self.witnesses.setdefault(key, w)
+        """Keeps the first witness of each (period, rotation) up to the bound."""
+        if w.minimal_period <= self.bound:
+            self.witnesses.setdefault((w.minimal_period, w.rotation), w)
 
     def periods(self) -> set[int]:
         return {m for (m, _) in self.witnesses}
@@ -88,48 +88,50 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _steps(M: MarkovSystem, word: tuple):
+def _steps(M: MarkovSystem, word: tuple) -> list[tuple]:
     """(lo, hi, dx, dy, e, k) for each arrow (i, j, k) along the loop word:
     class i runs over the keys lo < x < hi, and F(x) - k on the keys is
     x -> (dy*x + e)/dx."""
     X, G, D, n = M.keys, M.index_map, M.denominator, M.size
     shift = M.arrow_shifts
     L = len(word)
+    steps = []
     for t in range(L):
         i = word[t]
         k = shift[i, word[(t + 1) % L]]
         g0, g1 = G[i], G[i + 1] if i + 1 < n else G[0] + n
         y0, y1 = X[g0 % n] + g0 // n * D, X[g1 % n] + g1 // n * D
         dx, dy = X[i + 1] - X[i], y1 - y0
-        yield X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k
+        steps.append((X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k))
+    return steps
 
 
-def loop_branch(M: MarkovSystem, word: tuple) -> tuple[int, int, int]:
-    """Composed return map x -> (a*x + b)/c on the keys along the loop word.
+def loop_branch(steps: list) -> tuple[int, int, int]:
+    """Composed return map x -> (a*x + b)/c on the keys along a loop's steps.
 
     Each step is x -> F(x) - shift on the class representative, so a fixed
     point of the composition is a point whose F-orbit realizes the itinerary
     and comes back to itself modulo the accumulated integer translation.
     """
     a, b, c = 1, 0, 1
-    for _, _, dx, dy, e, _ in _steps(M, word):
+    for _, _, dx, dy, e, _ in steps:
         a, b, c = dy * a, dy * b + e * c, dx * c
     return a, b, c
 
 
-def _orbit_data(M: MarkovSystem, word: tuple, u0: int, v0: int):
+def _orbit_data(steps: list, u0: int, v0: int):
     """(minimal period, rotation number) of the key u0/v0 (v0 > 0) if its orbit
-    stays strictly inside the representatives of the word (translated back by
-    the arrow shifts) and returns exactly; None otherwise.
+    stays strictly inside the representatives of the loop's steps (translated
+    back by the arrow shifts) and returns exactly; None otherwise.
 
     Orbit points strictly inside representatives differ by an integer only
-    when equal, so the first return to u0/v0 at a divisor of the word length is
-    the minimal period, and the shifts summed up to it are its integer gain.
+    when equal, so the first return to u0/v0 at a divisor of the loop length
+    is the minimal period, and the shifts summed up to it are its integer gain.
     """
-    L = len(word)
+    L = len(steps)
     u, v, gain = u0, v0, 0
     period = None
-    for t, (lo, hi, dx, dy, e, k) in enumerate(_steps(M, word)):
+    for t, (lo, hi, dx, dy, e, k) in enumerate(steps):
         if not (lo * v < u < hi * v):
             return None
         u, v = dy * u + e * v, dx * v
@@ -139,49 +141,21 @@ def _orbit_data(M: MarkovSystem, word: tuple, u0: int, v0: int):
     return period if u * v0 == u0 * v else None
 
 
-def _witness(M: MarkovSystem, word: tuple, u: int, v: int, result: OracleResult, bound: int):
+def _witness(M: MarkovSystem, word: tuple, steps: list, u: int, v: int, result: OracleResult):
     """Adds the witness at the key u/v (v > 0) when its orbit realizes the
-    word with a minimal period up to `bound`."""
-    data = _orbit_data(M, word, u, v)
-    if data is not None and data[0] <= bound:
+    word."""
+    data = _orbit_data(steps, u, v)
+    if data is not None:
         m, rho = data
         result.add(PeriodicWitness(Fraction(u, v * M.denominator), m, rho, tuple(word[:m])))
 
 
-def _classify_partition_orbits(M: MarkovSystem, result: OracleResult, bound: int):
-    """Periodic partition points, found by walking the lifted index map: a
-    partition point is periodic when its index orbit repeats mod n, and its
-    itinerary is the sequence of indices (partition point i starts class i)."""
-    n = len(M.partition)
-    G = M.index_map
-    seen: set = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        index_of: dict = {}
-        lifts: list = []
-        L = start
-        while True:
-            r = L % n
-            if r in index_of:
-                j = index_of[r]
-                m = len(lifts) - j
-                if m <= bound:
-                    orbit = tuple(idx % n for idx in lifts[j:])
-                    rho = Fraction((L - lifts[j]) // n, m)
-                    result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
-                break
-            index_of[r] = len(lifts)
-            lifts.append(L)
-            seen.add(r)
-            L = G[r] + L - r
-
-
-def _sample_degenerate(M: MarkovSystem, word: tuple, result: OracleResult, bound: int):
-    """Witnesses from an identity branch: several interior sample points."""
-    lo, hi = M.keys[word[0]], M.keys[word[0] + 1]
+def _sample_degenerate(M: MarkovSystem, word: tuple, steps: list, result: OracleResult):
+    """Reports an identity branch and its witnesses at interior samples."""
+    result.degenerate_loops.append(DegenerateLoopReport(word))
+    lo, hi = steps[0][:2]
     for num, den in ((1, 2), (1, 3), (2, 5)):
-        _witness(M, word, lo * den + (hi - lo) * num, den, result, bound)
+        _witness(M, word, steps, lo * den + (hi - lo) * num, den, result)
 
 
 def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None) -> OracleResult:
@@ -189,32 +163,31 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
 
     Loops of length p <= P catch every periodic orbit disjoint from the
     partition (the associated loop has the orbit's length); partition orbits
-    are classified directly.  Minimal periods need only be checked on divisors
-    of the loop length, which F^p(x) = x + m forces.  Non-simple loops carry
-    no new orbits except even repetitions of a branch with slope -1, whose
-    doubled (identity) branch is sampled explicitly.  `succ` (successor
-    lists) restricts the loops to a subgraph, such as the critical subgraph
-    of an endpoint; partition orbits are classified in full either way.
+    are read off `M.partition_cycles`.  Minimal periods need only be checked
+    on divisors of the loop length, which F^p(x) = x + m forces.  Non-simple
+    loops carry no new orbits except even repetitions of a branch with slope
+    -1, whose doubled (identity) branch is sampled explicitly.  `succ`
+    (successor lists) restricts the loops to a subgraph, such as the critical
+    subgraph of an endpoint; every partition orbit up to P is kept either way.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
-    _classify_partition_orbits(M, result, P)
+    for r, m, rho, orbit in M.partition_cycles:
+        result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
     for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
         if not loop.simple:
             continue
         word = loop.vertices
-        a, b, c = loop_branch(M, word)
+        steps = _steps(M, word)
+        a, b, c = loop_branch(steps)
         if a == c:
             if b == 0:
-                result.degenerate_loops.append(DegenerateLoopReport(word, loop.length))
-                _sample_degenerate(M, word, result, P)
+                _sample_degenerate(M, word, steps, result)
             continue
         u, v = (b, c - a) if c > a else (-b, a - c)  # the fixed point u/v = b/(c - a)
-        _witness(M, word, u, v, result, P)
+        _witness(M, word, steps, u, v, result)
         if a == -c and 2 * loop.length <= P:
             # doubled branch is the identity: an interval of period-2L points
-            doubled = word + word
-            result.degenerate_loops.append(DegenerateLoopReport(doubled, 2 * loop.length))
-            _sample_degenerate(M, doubled, result, P)
+            _sample_degenerate(M, word + word, steps + steps, result)
     return result

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ShoNumber, ceil_frac, floor_frac, rat_str, sharkovskii_geq, sharkovskii_tail
+from .arith import ShoNumber, floor_frac, rat_str, sharkovskii_geq, sharkovskii_tail
 from .errors import DegenerateRotationInterval
 from .lifting import RotationInterval
 from .markov import critical_successors, partition_rotation_interval
-from .oracle import OracleResult, _classify_partition_orbits, periods_up_to
+from .oracle import periods_up_to
 
 # pattern component forms:
 #   ("pow2",)                 -> {2^b : b >= 0}
@@ -131,9 +131,9 @@ class PeriodSet:
 
 def interior_integer_count(c: Fraction, d: Fraction, q: int) -> int:
     """Number of integers k with qc < k < qd (exact, open interval)."""
-    hi = ceil_frac(q * d) - 1  # largest integer < qd
-    lo = floor_frac(q * c) + 1  # smallest integer > qc
-    return max(0, hi - lo + 1)
+    above = q * c.numerator // c.denominator  # floor(qc)
+    below = -(-q * d.numerator // d.denominator)  # ceil(qd)
+    return max(0, below - above - 1)
 
 
 def in_m_set(c: Fraction, d: Fraction, q: int) -> bool:
@@ -223,8 +223,8 @@ def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet
 
     Only endpoint periods below the M(c,d) tail threshold need resolution:
     Q_F(c) ⊆ sN and everything at or above the threshold is already in the
-    tail, so finitely many oracle queries settle the set exactly.  Partition
-    orbits are classified first (cheap); each endpoint then queries its
+    tail, so finitely many oracle queries settle the set exactly.  M's
+    `partition_cycles` settle some first; each endpoint then queries its
     critical subgraph up to its largest multiple still unresolved.  `rot` is
     Rot(F) when the caller already has it (`verify` passes the lifting's
     envelopes); otherwise it is read off M by `partition_rotation_interval`.
@@ -239,9 +239,7 @@ def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet
     ms = m_set(c, d)
     t = ms.tail_from
     bound = t - 1
-    cheap = OracleResult(bound=bound)
-    _classify_partition_orbits(M, cheap, bound)
-    found = {m for (m, rho) in cheap.period_rotations() if rho == c or rho == d}
+    found = {m for _, m, rho, _ in M.partition_cycles if m <= bound and rho in (c, d)}
     extra = set(found)
     for e, side in ((c, 1), (d, -1)):
         unresolved = set(range(e.denominator, bound + 1, e.denominator)) - found

@@ -156,3 +156,30 @@ class TestUsage:
     def test_unknown_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "family", "unknown", "--n", "3")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("family", "dream", "--n", "3", "--verify", "--digits", "-1"),
+            ("scan", "dream", "--from", "3", "--to", "4", "--digits", "-2"),
+        ],
+    )
+    def test_negative_digits_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and "--digits: digits must be >= 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("periods", "--c", "1/0", "--d", "1"),
+            ("beta", "--d", "1/0"),
+            ("beta", "--tol", "1/0"),
+            ("beta", "--c", "0", "--d", "1", "--tol", "1/0"),
+            ("periods", "--c", "1/2", "--d", "seven"),
+        ],
+    )
+    def test_malformed_rational_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error: argument" in err and "invalid rational" in err and "Traceback" not in err

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circledyn.cofiniteness import bc, dens_low_per, density_condition, report, sbc, sbcset
 from circledyn.errors import NotCofinite
-from circledyn.families import montevideo_per, persistent_per
+from circledyn.families import dream_per, montevideo_per, persistent_per
 from circledyn.periods import PeriodSet
 
 F2 = Fraction
@@ -116,3 +118,39 @@ class TestReport:
         r = report(PS({2, 5}, tail_from=7))
         d = r.to_json()
         assert d["sbc"] == 7 and d["bc"] == 7 and d["sbcset"] == [5, 7]
+
+
+def definitional_report(ps):
+    """(sbc, sbcset, bc, dens_at) from the definitions, one L at a time: sbc
+    by walking down from the tail, candidates by `density_condition`,
+    densities by `dens_low_per`."""
+    s = ps.tail_from
+    while s > 1 and s - 1 in ps:
+        s -= 1
+    cand = {L for L in range(3, s + 1) if L in ps and L - 1 not in ps and density_condition(ps, L)}
+    return s, cand, max(cand, default=None), {L: dens_low_per(ps, L) for L in cand}
+
+
+class TestOnePassReport:
+    def check(self, ps):
+        r = report(ps)
+        assert (r.sbc, set(r.sbcset), r.bc, r.dens_at) == definitional_report(ps)
+        assert (sbc(ps), sbcset(ps), bc(ps)) == (r.sbc, set(r.sbcset), r.bc)
+
+    @given(
+        finite=st.frozensets(st.integers(min_value=1, max_value=60)),
+        tail=st.integers(min_value=1, max_value=80),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_random_cofinite_sets(self, finite, tail):
+        self.check(PS(finite, tail_from=tail))
+
+    @pytest.mark.parametrize(
+        "per",
+        [dream_per(n) for n in (3, 17, 51)]
+        + [persistent_per(n) for n in (3, 5, 7, 9, 41, 101)]
+        + [montevideo_per(n) for n in (3, 4, 6, 10)],
+        ids=repr,
+    )
+    def test_family_sets(self, per):
+        self.check(per)

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -99,6 +101,22 @@ class TestTraversal:
         tr = traversal(X, a, b)
         alphas = {img for img in tr.s_images if img[0] == "alpha"}
         assert alphas  # every traversed component carries its midpoint
+
+    def test_long_tail_leaves_recursion_limit_alone(self):
+        # a triangle with a 1,200-edge path to a and a pendant edge J to b:
+        # the walk from a runs deeper than the default recursion limit
+        tail = tuple(f"t{i}" for i in range(1200))
+        edges = (("u", "v"), ("v", "w"), ("w", "u"), ("u", "b"), ("w", tail[0])) + tuple(zip(tail, tail[1:]))
+        X = CombGraph(("u", "v", "w", "b") + tail, edges)
+        limit = sys.getrecursionlimit()
+        with mock.patch.object(sys, "setrecursionlimit", side_effect=AssertionError("recursion limit changed")):
+            tr = traversal(X, tail[-1], "b")
+        assert sys.getrecursionlimit() == limit
+        assert tr.steps[0][1] == tail[-1] and tr.steps[-1] == (3, "u", "b")
+        assert all(s[2] == t[1] for s, t in zip(tr.steps, tr.steps[1:]))
+        # every non-J edge down and back, the tree path a -> w -> v -> u, then J
+        assert len(tr.steps) == 2 * (len(edges) - 1) + (len(tail) + 2) + 1
+        assert tr.m == 2 * len(tr.steps) - 1 and tr.parity_property_holds()
 
 
 class TestExtend:

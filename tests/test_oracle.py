@@ -6,7 +6,7 @@ import pytest
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import Lifting, rotation_interval
 from circledyn.markov import build_markov_system, enumerate_loops
-from circledyn.oracle import OracleResult, _classify_partition_orbits, _orbit_data, loop_branch, periods_up_to
+from circledyn.oracle import _orbit_data, _steps, loop_branch, periods_up_to
 
 F2 = Fraction
 
@@ -58,16 +58,14 @@ def test_partition_point_is_not_a_loop_orbit(name, n):
     # graph sits on the boundary of its first class, not strictly inside:
     # the loop pass must leave it to the partition-orbit pass
     M = make(name, n).markov
-    found = OracleResult(bound=M.size)
-    _classify_partition_orbits(M, found, M.size)
     words = [
-        w.itinerary
-        for w in found.witnesses.values()
-        if all(w.itinerary[(t + 1) % len(w.itinerary)] in M.successors[i] for t, i in enumerate(w.itinerary))
+        orbit
+        for _, _, _, orbit in M.partition_cycles
+        if all(orbit[(t + 1) % len(orbit)] in M.successors[i] for t, i in enumerate(orbit))
     ]
     assert words
     for word in words:
-        assert _orbit_data(M, word, M.keys[word[0]], 1) is None
+        assert _orbit_data(_steps(M, word), M.keys[word[0]], 1) is None
 
 
 @pytest.mark.parametrize("name,n,P", [("dream", 3, 8), ("persistent", 7, 10), ("montevideo", 3, 9)])
@@ -94,15 +92,17 @@ def test_two_repetition_of_negative_loop_has_half_period():
     checked = 0
     for l in neg_simple:
         doubled = l.vertices + l.vertices
-        a, b, c = loop_branch(M, doubled)
-        a1, b1, c1 = loop_branch(M, l.vertices)
+        steps = _steps(M, l.vertices)
+        assert _steps(M, doubled) == steps + steps
+        a, b, c = loop_branch(steps + steps)
+        a1, b1, c1 = loop_branch(steps)
         assert (a, c) == (a1 * a1, c1 * c1)
         if a == c:
             continue
         # the doubled branch's fixed point is the loop's own
         assert F2(b, c - a) == F2(b1, c1 - a1)
         u, v = (b, c - a) if c > a else (-b, a - c)
-        if _orbit_data(M, doubled, u, v) is None:
+        if _orbit_data(steps + steps, u, v) is None:
             continue
         y = F2(u, v * M.denominator)
         z = y

@@ -1,16 +1,19 @@
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import circledyn.markov
+from circledyn.arith import ceil_frac, floor_frac
 from circledyn.errors import CircledynError, DegenerateRotationInterval, RotationMismatch
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
 from circledyn.markov import build_markov_system, critical_successors, enumerate_loops, partition_rotation_interval
-from circledyn.oracle import OracleResult, _classify_partition_orbits, periods_up_to
+from circledyn.oracle import periods_up_to
 from circledyn.periods import (
     PeriodSet,
     endpoint_periods,
@@ -82,6 +85,20 @@ class TestMSet:
         assert interior_integer_count(F2(1, 2), F2(7, 10), 9) == 2
         assert interior_integer_count(F2(1, 2), F2(7, 10), 13) == 3
         assert interior_integer_count(F2(1, 5), F2(2, 5), 5) == 0
+
+    @given(
+        c=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        width=st.fractions(min_value=0, max_value=3, max_denominator=12),
+        q=st.integers(min_value=1, max_value=60),
+    )
+    @example(c=F2(-2), width=F2(3), q=1)  # integer endpoints
+    @example(c=F2(-7, 3), width=F2(2, 3), q=3)  # qc and qd integers
+    @settings(max_examples=300, derandomize=True)
+    def test_interior_count_matches_fraction_formula(self, c, width, q):
+        assume(width > 0)
+        d = c + width
+        expected = max(0, (ceil_frac(q * d) - 1) - (floor_frac(q * c) + 1) + 1)
+        assert interior_integer_count(c, d, q) == expected
         assert in_m_set(F2(1, 5), F2(2, 5), 6)
 
 
@@ -200,9 +217,7 @@ def reference_per_from_rotation(F, M, rot):
     ms = m_set(c, d)
     bound = ms.tail_from - 1
     candidates = {m for e in (c, d) for m in range(e.denominator, bound + 1, e.denominator)}
-    cheap = OracleResult(bound=bound)
-    _classify_partition_orbits(M, cheap, bound)
-    extra = {m for (m, rho) in cheap.period_rotations() if rho in (c, d)}
+    extra = {m for _, m, rho, _ in M.partition_cycles if m <= bound and rho in (c, d)}
     unresolved = candidates - extra
     if unresolved:
         full = periods_up_to(M, max(unresolved))
@@ -313,6 +328,66 @@ class TestPartitionRotationInterval:
     def test_scan_instances_match_lifting(self, name, n):
         inst = make(name, n)
         assert partition_rotation_interval(inst.markov) == rotation_interval(inst.lifting)
+
+
+def one_walk_per_start(M):
+    """Partition orbits as classified before `MarkovSystem.partition_cycles`:
+    from each point no earlier walk met, walk the index map until a point of
+    this walk repeats, and report its cycle as (r, m, rho, itinerary), even
+    when an earlier walk reached that cycle too."""
+    n, G = M.size, M.index_map
+    seen, walks = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        index_of, lifts, L = {}, [], start
+        while L % n not in index_of:
+            index_of[L % n] = len(lifts)
+            lifts.append(L)
+            seen.add(L % n)
+            L = G[L % n] + L - L % n
+        j = index_of[L % n]
+        m = len(lifts) - j
+        walks.append((L % n, m, F2((L - lifts[j]) // n, m), tuple(x % n for x in lifts[j:])))
+    return walks
+
+
+def first_per_key(cycles):
+    """The cycle an OracleResult keeps for each (period, rotation)."""
+    kept = {}
+    for r, m, rho, orbit in cycles:
+        kept.setdefault((m, rho), (r, orbit))
+    return list(kept.items())
+
+
+class TestPartitionCycles:
+    """`MarkovSystem.partition_cycles` lists each periodic partition orbit
+    once, as the first walk that closed it."""
+
+    def check(self, M):
+        walks = one_walk_per_start(M)
+        firsts = [w for i, w in enumerate(walks) if all(set(w[3]) != set(v[3]) for v in walks[:i])]
+        assert list(M.partition_cycles) == firsts
+        assert first_per_key(M.partition_cycles) == first_per_key(walks)
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_two_orbit_maps_match_one_walk_per_start(self, data):
+        self.check(data[1])
+
+    @pytest.mark.parametrize("name,n", SCAN_INSTANCES[::4])
+    def test_scan_instances_match_one_walk_per_start(self, name, n):
+        self.check(make(name, n).markov)
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_one_walk_per_system(self, data):
+        F, M, rot = data
+        walk = mock.Mock(wraps=circledyn.markov.index_cycles)
+        with mock.patch.object(circledyn.markov, "index_cycles", walk):
+            per_from_rotation(F, M, rot)
+            periods_up_to(M, 4)
+        assert walk.call_count == 1
 
 
 class TestShoInference:
