@@ -12,7 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import rat_str
 from .errors import CircledynError
 from .families import FAMILIES, make, mts1_scan, verify
 from .graphext import CombGraph, extend, verify_extension
@@ -80,22 +79,10 @@ def _cmd_scan(args) -> int:
     rows = res.rows
     lines = ["n,rot_c,rot_d,len_rot,entropy_lo,entropy_hi,sbc,bc,flags"]
     for r in rows:
-        flags = ";".join(f"{k}={v}" for k, v in sorted(r.flags.items()))
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    rat_str(r.rot.c),
-                    rat_str(r.rot.d),
-                    rat_str(r.len_rot),
-                    rat_str(r.entropy.lower),
-                    rat_str(r.entropy.upper),
-                    str(r.sbc),
-                    str(r.bc) if r.bc is not None else "",
-                    flags,
-                ]
-            )
-        )
+        row = r.to_json()  # the nine columns, in order
+        row["bc"] = "" if r.bc is None else r.bc
+        row["flags"] = ";".join(f"{k}={v}" for k, v in row["flags"].items())
+        lines.append(",".join(map(str, row.values())))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

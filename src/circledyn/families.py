@@ -467,7 +467,7 @@ class VerificationReport:
         }
 
 
-def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: bool = True) -> VerificationReport:
+def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> VerificationReport:
     """Run every check of the family's stated data against the built system."""
     F, M = inst.lifting, inst.markov
     rot = rotation_interval(F)
@@ -518,21 +518,19 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL, run_oracle: b
             expected_flags["bc_lower_bound"] = True
             expected_flags["bc_upper_bound"] = exp["bc_upper_bound_expected"]
 
-    oracle_ok = True
+    P = creport.sbc + 3
+    oracle_result = periods_up_to(M, P)
+    oracle_ok = oracle_result.periods() == inst.expected_per.up_to(P)
+    # bounded-evidence Sharkovskii type of each endpoint: observed k = m/s
     endpoint_types = {}
-    if run_oracle:
-        P = creport.sbc + 3
-        oracle_result = periods_up_to(M, P)
-        oracle_ok = oracle_result.periods() == inst.expected_per.up_to(P)
-        # bounded-evidence Sharkovskii type of each endpoint: observed k = m/s
-        for e in (rot.c, rot.d):
-            s = e.denominator
-            ks = {
-                m // s
-                for (m, rho) in oracle_result.period_rotations()
-                if rho == e and m % s == 0
-            }
-            endpoint_types[rat_str(e)] = infer_sho_type(ks, bound=P // s)
+    for e in (rot.c, rot.d):
+        s = e.denominator
+        ks = {
+            m // s
+            for (m, rho) in oracle_result.period_rotations()
+            if rho == e and m % s == 0
+        }
+        endpoint_types[rat_str(e)] = infer_sho_type(ks, bound=P // s)
 
     return VerificationReport(
         name=inst.name,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .arith import IntPolynomial, largest_root_above
@@ -40,30 +41,33 @@ class CombGraph:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
 
-    def degree(self, v) -> int:
-        d = 0
-        for (a, b) in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+    @cached_property
+    def adjacency(self) -> dict:
+        """vertex -> [(edge index, other end)] in edge order; a self-loop is
+        listed twice, once from each end."""
+        adj = {v: [] for v in self.vertices}
+        for i, (u, v) in enumerate(self.edges):
+            adj[u].append((i, v))
+            adj[v].append((i, u))
+        return adj
 
-    def incident(self, v) -> list[int]:
-        return [i for i, (a, b) in enumerate(self.edges) if a == v or b == v]
+    def degree(self, v) -> int:
+        return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
+        return self._connected_without(None)
+
+    def _connected_without(self, skip) -> bool:
+        """Is the graph connected with the edge of index `skip` left out?"""
         if not self.vertices:
             return False
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            v = stack.pop()
-            for (a, b) in self.edges:
-                for u, w in ((a, b), (b, a)):
-                    if u == v and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            for i, w in self.adjacency[stack.pop()]:
+                if i != skip and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         return len(seen) == len(self.vertices)
 
     def is_interval(self) -> bool:
@@ -80,15 +84,7 @@ class CombGraph:
     def bridges(self) -> set[int]:
         """Edge indices whose removal disconnects the graph (self-loops and
         parallel copies are never bridges)."""
-        out = set()
-        for i in range(len(self.edges)):
-            u, v = self.edges[i]
-            if u == v:
-                continue
-            rest = CombGraph(self.vertices, self.edges[:i] + self.edges[i + 1 :])
-            if not rest.is_connected():
-                out.add(i)
-        return out
+        return {i for i, (u, v) in enumerate(self.edges) if u != v and not self._connected_without(i)}
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
@@ -178,19 +174,12 @@ def traversal(X: CombGraph, a, b) -> Traversal:
         raise NotExtendable("excised subgraph is an interval")
 
     G = _subdivide_self_loops(X)
-    j_edge = G.incident(b)[0]
-    v_inner = G.edges[j_edge][0] if G.edges[j_edge][1] == b else G.edges[j_edge][1]
-
-    adj: dict = {u: [] for u in G.vertices}
-    for i, (u, w) in enumerate(G.edges):
-        if i == j_edge:
-            continue
-        adj[u].append((i, w))
-        adj[w].append((i, u))
+    adj = G.adjacency
+    [(j_edge, v_inner)] = adj[b]  # J, the one edge at b
 
     # doubled DFS walk from a over all non-J edges
     steps: list = []
-    visited_edges: set = set()
+    visited_edges: set = {j_edge}
     parent_path: dict = {a: None}
 
     stack = [(a, iter(adj[a]))]
@@ -211,7 +200,7 @@ def traversal(X: CombGraph, a, b) -> Traversal:
             if stack:  # back up the tree edge that reached u
                 i, p = parent_path[u]
                 steps.append((i, u, p))
-    if len(visited_edges) != len(G.edges) - 1:
+    if len(visited_edges) != len(G.edges):
         raise NotExtendable("excised subgraph is disconnected")
 
     # descend from a to the inner endpoint of J along tree-parent links
@@ -232,21 +221,14 @@ def traversal(X: CombGraph, a, b) -> Traversal:
         return (edge_idx, 0 if vertex == u else 1)
 
     seg_halves: list = []
-    u_ids: list = []
-
-    def register(h):
-        if h not in u_ids:
-            u_ids.append(h)
-        return h
-
     s_images: list = []
     for t, (ei, fr, to) in enumerate(steps):
         s_images.append(("vertex", fr))
         if t < n_steps - 1:
-            seg_halves.append(register(half_id(ei, fr)))
-            seg_halves.append(register(half_id(ei, to)))
+            seg_halves.append(half_id(ei, fr))
+            seg_halves.append(half_id(ei, to))
             s_images.append(("alpha", ei))
-    seg_halves.append(register(("J",)))
+    seg_halves.append(("J",))
     s_images.append(("vertex", b))
 
     assert len(seg_halves) == m and len(s_images) == m + 1
@@ -257,7 +239,7 @@ def traversal(X: CombGraph, a, b) -> Traversal:
         steps=tuple(steps),
         segment_halves=tuple(seg_halves),
         s_images=tuple(s_images),
-        u_ids=tuple(u_ids),
+        u_ids=tuple(dict.fromkeys(seg_halves)),  # distinct, in order of first appearance
     )
 
 

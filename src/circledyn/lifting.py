@@ -192,12 +192,11 @@ def lower_map(F: Lifting) -> Lifting:
     """F_l(x) = inf{F(y) : y >= x}, computed exactly.
 
     Right-to-left sweep of the running minimum over one period, with plateau
-    endpoints solved as intersections of affine pieces; the resulting envelope
-    is capped at (global minimum + 1) coming from the next period.
+    endpoints solved as intersections of affine pieces.  The sweep starts at
+    the infimum of F over [b0+1, +inf), which is min(F) + 1.
     """
     segs = F.segments()
-    gmin = min(F.values)
-    m = F.values[0] + 1  # min over [b0+1, +inf) pulled back one period
+    m = min(F.values) + 1
     pieces = []  # (xL, xR, vL, vR) of the envelope, right to left
     for (xL, xR, vL, vR) in reversed(segs):
         if vL <= vR:
@@ -216,31 +215,10 @@ def lower_map(F: Lifting) -> Lifting:
             c = min(vR, m)
             pieces.append((xL, xR, c, c))
             m = c
-    pieces.reverse()
 
-    cap = gmin + 1
-    capped = []
-    for (xL, xR, vL, vR) in pieces:
-        if vL >= cap:
-            capped.append((xL, xR, cap, cap))
-        elif vR <= cap:
-            capped.append((xL, xR, vL, vR))
-        else:
-            xc = xL + (cap - vL) * (xR - xL) / (vR - vL)
-            capped.append((xL, xc, vL, cap))
-            capped.append((xc, xR, cap, cap))
-
-    bps, vals, seen = [], [], set()
-    for (xL, _, vL, _) in capped:
-        if xL >= 1:
-            xL, vL = xL - 1, vL - 1
-        if xL in seen:
-            continue
-        seen.add(xL)
-        bps.append(xL)
-        vals.append(vL)
-    order = sorted(range(len(bps)), key=lambda i: bps[i])
-    return _simplify(Lifting(tuple(bps[i] for i in order), tuple(vals[i] for i in order)))
+    # starts at or past 1 move down one period; the starts are distinct mod 1
+    points = sorted((xL - 1, vL - 1) if xL >= 1 else (xL, vL) for (xL, _, vL, _) in pieces)
+    return _simplify(Lifting(tuple(x for x, _ in points), tuple(v for _, v in points)))
 
 
 def _simplify(F: Lifting) -> Lifting:

@@ -541,56 +541,54 @@ def enumerate_loops(
     whole covering graph or in the subgraph given by the successor lists
     `succ`.
 
-    Closed walks are enumerated by DFS from each start vertex, pruned to walks
-    whose minimal vertex is the start and by shortest-return distance.  A walk
-    is kept only when it is <= every rotation beginning at another occurrence
-    of the start, so each loop is met once, as its least rotation; it is
-    simple exactly when it is strictly below all of them.  BudgetExceeded past
-    `cap` DFS steps or `cap` loops.
+    Each loop is met once, as its least rotation (a necklace), by a DFS from
+    its least vertex.  A path a_1..a_L carries p, the length of its longest
+    Lyndon prefix (Fredricksen-Kessler-Maiorana): a next vertex w keeps p if
+    w == a_(L+1-p), makes it L + 1 if w is larger, and if w is smaller the
+    path is the prefix of no necklace and is cut.  A closed walk is a
+    necklace iff p divides L, and simple (a Lyndon word) iff p == L.  Paths
+    are also cut by their shortest return to the start through vertices
+    above it.  BudgetExceeded past `cap` DFS steps or `cap` loops.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if succ is None:
         succ = system.successors
-    n = len(succ)
     pred = _reverse(succ)
     loops = []
     explored = 0
-    for start in range(n):
-        if not succ[start]:
-            continue
-        # dist[v] = shortest path length v -> start (BFS on reversed arrows)
-        dist: list[Optional[int]] = [None] * n
-        dist[start] = 0
+    for start in range(len(succ)):
+        # dist[v] = shortest path v -> start through vertices above start
+        # (BFS on reversed arrows); a return of max_len or more fits no loop
+        dist = {start: 0}
         queue = [start]
-        qi = 0
-        while qi < len(queue):
-            w = queue[qi]
-            qi += 1
-            for u in pred[w]:
-                if dist[u] is None:
-                    dist[u] = dist[w] + 1
-                    queue.append(u)
-        returns = [1 + dist[u] for u in succ[start] if dist[u] is not None]
-        start_return = min(returns) if returns else None
+        for w in queue:
+            if dist[w] + 1 < max_len:
+                for u in pred[w]:
+                    if u > start and u not in dist:
+                        dist[u] = dist[w] + 1
+                        queue.append(u)
+        start_return = min((1 + dist[u] for u in succ[start] if u in dist), default=None)
+        if start_return is None:
+            continue
 
-        stack = [(start, (start,))]
+        stack = [(start, (start,), 1)]
         while stack:
-            v, path = stack.pop()
+            v, path, p = stack.pop()
             explored += 1
             if explored > cap:
                 raise BudgetExceeded(f"loop enumeration passed cap {cap}")
+            L = len(path)
+            ref = path[L - p]  # == start whenever p divides L
             for w in succ[v]:
-                if w < start:
+                if w < ref:
                     continue
-                if w == start:
-                    rotations = [path[t:] + path[:t] for t in range(1, len(path)) if path[t] == start]
-                    if all(path <= r for r in rotations):
-                        if len(loops) >= cap:
-                            raise BudgetExceeded(f"loop count passed cap {cap}")
-                        loops.append(Loop(vertices=path, simple=all(path < r for r in rotations)))
-                rem = dist[w] if w != start else start_return
-                if rem is not None and len(path) + rem <= max_len:
-                    stack.append((w, path + (w,)))
+                if w == start and L % p == 0:
+                    if len(loops) >= cap:
+                        raise BudgetExceeded(f"loop count passed cap {cap}")
+                    loops.append(Loop(vertices=path, simple=p == L))
+                rem = dist.get(w) if w != start else start_return
+                if rem is not None and L + rem <= max_len:
+                    stack.append((w, path + (w,), p if w == ref else L + 1))
     loops.sort(key=lambda loop: loop.vertices)
     return loops

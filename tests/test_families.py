@@ -177,10 +177,10 @@ class TestVerify:
         # bracket of the entropy is the bracket of the closed form
         inst = persistent(7)
         assert inst.expected_poly == markov_char_poly(inst.markov)
-        assert verify(inst, run_oracle=False).poly_root_ok
+        assert verify(inst).poly_root_ok
         # the bracket [1, 1] stands for no root above 1
         monkeypatch.setattr(families, "markov_entropy", lambda M, tol, char: CertifiedRoot(F2(1), F2(1)))
-        assert not verify(inst, run_oracle=False).poly_root_ok
+        assert not verify(inst).poly_root_ok
 
     def test_report_json_shape(self):
         d = verify(dream(3)).to_json()

@@ -11,6 +11,8 @@ version reproduces them byte for byte.
   `circledyn scan --json` on the three criterion-9 ranges and
   `circledyn extend` on twelve instance/graph pairs, taken while each family
   still stated its circle and extension polynomials separately.
+- `circledyn scan` CSV on short ranges of the three families, taken while
+  the CLI still formatted each column by hand.
 - `circledyn beta` at the default tol on the distinct criterion-8 intervals
   of the benchmark grid and on (1/97, 2/97), taken while the root kernel
   still narrowed every bracket by bisection.
@@ -107,6 +109,21 @@ SCAN_GOLDEN = [
 def test_scan_reports_match_golden_digests(capsys, family, start, end, digest):
     argv = ["scan", family, "--from", str(start), "--to", str(end), "--json"]
     assert _digest(capsys, argv) == digest
+
+
+# (family, from, to, exit code, scan CSV digest): short ranges; persistent 3
+# has no bc, an empty field, and exits 2
+SCAN_CSV_GOLDEN = [
+    ("dream", 3, 12, 0, "9cc9e490bbf016670ed16af4f0f11e323fed999fb87dffb58797c0a0f1f7a6e0"),
+    ("persistent", 3, 25, 2, "b682f898ca3c6ee0eda255e210b02ff5bd41d8f5480662a1842573321d2801a0"),
+    ("montevideo", 3, 6, 0, "67b2f542488fa98ae8a8cd6ccae55bc6abcdac2089f041bf9ccbe648eb3fbf8c"),
+]
+
+
+@pytest.mark.parametrize("family,start,end,code,digest", SCAN_CSV_GOLDEN)
+def test_scan_csv_matches_golden_digests(capsys, family, start, end, code, digest):
+    argv = ["scan", family, "--from", str(start), "--to", str(end)]
+    assert _digest(capsys, argv, code) == digest
 
 
 GRAPHS = {

@@ -123,6 +123,23 @@ class TestBuildFromOrbits:
             assert F.iterate(y0, 5) == y0 + 2
 
 
+@st.composite
+def random_liftings(draw):
+    """Degree-one liftings with at most six breakpoints on the 1/24 grid and
+    arbitrary values in [-2, 2]: neither monotone nor continuous mod 1."""
+    points = sorted(draw(st.sets(st.fractions(0, F2(23, 24), max_denominator=24), min_size=1, max_size=6)))
+    values = [draw(st.fractions(-2, 2, max_denominator=24)) for _ in points]
+    return Lifting(tuple(points), tuple(values))
+
+
+def extreme_over(F: Lifting, lo, hi, pick):
+    """min or max of F over [lo, hi] (hi - lo <= 1): F is affine between its
+    lifted breakpoints, so the extreme is taken at an end or at one of them."""
+    k0 = math.floor(lo)
+    inner = [b + k for k in range(k0, k0 + 2) for b in F.breakpoints if lo < b + k < hi]
+    return pick(F.eval(x) for x in [lo, hi, *inner])
+
+
 class TestUpperLower:
     def test_monotone_map_is_its_own_envelope(self):
         F = rigid(F2(2, 7))
@@ -157,6 +174,16 @@ class TestUpperLower:
         y = inst.y_positions
         yn1 = y[(5 + 1) % 10] + (5 + 1) // 10  # y_6 lifted
         assert Fu.eval(F2(1, 1000)) == yn1
+
+    @given(F=random_liftings(), xs=st.lists(rationals, max_size=4))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_envelopes_are_running_extremes(self, F, xs):
+        # F_l(x) = min F[x, x+1] and F_u(x) = max F[x-1, x], at every
+        # breakpoint of F and of both envelopes and at random rationals
+        Fl, Fu = upper_lower(F)
+        for x in [*F.breakpoints, *Fl.breakpoints, *Fu.breakpoints, *xs]:
+            assert Fl.eval(x) == extreme_over(F, x, x + 1, min)
+            assert Fu.eval(x) == extreme_over(F, x - 1, x, max)
 
     def test_envelope_of_envelope_is_itself(self):
         F = sample_lifting()

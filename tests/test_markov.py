@@ -45,6 +45,14 @@ class FakeSystem:
         self.successors = tuple(tuple(j for j, a in enumerate(row) if a) for row in self.matrix)
         self.orientation = tuple(orientation or [1] * len(matrix))
 
+    @classmethod
+    def from_successors(cls, succ):
+        """A large sparse graph, without the dense matrix."""
+        system = cls.__new__(cls)
+        system.successors = tuple(map(tuple, succ))
+        system.orientation = (1,) * len(succ)
+        return system
+
 
 def reference_build(F: Lifting, extra_points=()):
     """The covering relation by pairwise Fraction comparisons, O(n^2): for
@@ -280,6 +288,20 @@ def graphs_with_cycle(draw):
     for v, w in zip(cycle, cycle[1:] + cycle[:1]):
         matrix[v][w] = 1
     return matrix
+
+
+def all_rotations_reference(succ, max_len):
+    """Every closed walk of length <= max_len, canonicalized by its least
+    rotation among all L, sorted; simple when no shorter word repeats to it."""
+    words = set()
+    paths = [(v,) for v in range(len(succ))]
+    while paths:
+        path = paths.pop()
+        if path[0] in succ[path[-1]]:
+            words.add(min(path[t:] + path[:t] for t in range(len(path))))
+        if len(path) < max_len:
+            paths.extend(path + (w,) for w in succ[path[-1]])
+    return [(w, all(w[p:] + w[:p] != w for p in range(1, len(w)))) for w in sorted(words)]
 
 
 def _spectral_radius_above_one(matrix) -> bool:
@@ -720,24 +742,30 @@ class TestLoops:
         reps = [l for l in loops if l.length == 4]
         assert len(reps) == 1 and not reps[0].simple
 
-    @given(graphs_with_cycle())
+    @given(graphs_with_cycle(), st.sets(st.integers(0, 9)), st.data())
     @settings(max_examples=40, derandomize=True, deadline=None)
-    def test_matches_all_rotations_reference(self, matrix):
-        # every closed walk, canonicalized by its least rotation among all L;
-        # simple when no shorter word repeats to it
+    def test_matches_all_rotations_reference(self, matrix, self_loops, data):
+        for v in self_loops:
+            matrix[v % len(matrix)][v % len(matrix)] = 1
         M = FakeSystem(matrix)
-        words = set()
-        paths = [(v,) for v in range(len(matrix))]
-        while paths:
-            path = paths.pop()
-            if path[0] in M.successors[path[-1]]:
-                words.add(min(path[t:] + path[:t] for t in range(len(path))))
-            if len(path) < 5:
-                paths.extend(path + (w,) for w in M.successors[path[-1]])
-        expected = [
-            (w, all(w[p:] + w[:p] != w for p in range(1, len(w)))) for w in sorted(words)
-        ]
-        assert [(l.vertices, l.simple) for l in enumerate_loops(M, 5)] == expected
+        got = [(l.vertices, l.simple) for l in enumerate_loops(M, 7)]
+        assert got == all_rotations_reference(M.successors, 7)
+        # the subgraph of a drawn share of the arrows
+        sub = [[w for w in out if data.draw(st.booleans())] for out in M.successors]
+        got = [(l.vertices, l.simple) for l in enumerate_loops(M, 7, succ=sub)]
+        assert got == all_rotations_reference(sub, 7)
+
+    def test_long_cycle_has_no_loop_below_its_length(self):
+        # the return search from each start stays above it and within max_len
+        M = FakeSystem.from_successors([[(v + 1) % 3000] for v in range(3000)])
+        assert enumerate_loops(M, 1500) == []
+
+    def test_two_cycle_repetitions(self):
+        # 800 closed walks 0101..., only the first of them simple
+        M = FakeSystem.from_successors([[1], [0]])
+        loops = enumerate_loops(M, 1600)
+        assert [l.vertices for l in loops] == [(0, 1) * k for k in range(1, 801)]
+        assert [l for l in loops if l.simple] == [loops[0]]
 
     def test_budget(self):
         from circledyn.errors import BudgetExceeded
