@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_arith import _odd, _v2
 
 import circledyn.markov
 from circledyn.arith import ceil_frac, floor_frac
@@ -390,7 +391,40 @@ class TestPartitionCycles:
         assert walk.call_count == 1
 
 
+def reference_sho_type(ks: set[int], bound: int):
+    """(value, ambiguous) of infer_sho_type, from the definitions alone: the
+    Sharkovskii-least t in [1, 2*bound + 1] ∪ {2^∞} whose tail {k : k <=_Sh t}
+    meets [1, bound] in exactly ks, with the order spelled out on the 2-adic
+    split k = 2^v * odd."""
+
+    def rank(t):
+        # larger rank = greater in 3 > 5 > ... > 2·3 > ... > 2^∞ > ... > 2 > 1
+        if t == "2^inf":
+            return (1,)
+        v, m = _v2(t), _odd(t)
+        return (2, -v, -m) if m >= 3 else (0, v)
+
+    matches = [
+        t
+        for t in [*range(1, 2 * bound + 2), "2^inf"]
+        if {k for k in range(1, bound + 1) if rank(k) <= rank(t)} == ks
+    ]
+    if not matches:
+        return None, False
+    best = min(matches, key=rank)
+    all_pow2 = all(_odd(k) == 1 for k in ks)
+    return best, all_pow2 and max(ks) * 2 > bound
+
+
 class TestShoInference:
+    @pytest.mark.parametrize("bound", range(1, 11))
+    def test_every_subset_matches_definition(self, bound):
+        for mask in range(1 << bound):
+            ks = {k for k in range(1, bound + 1) if mask >> (k - 1) & 1}
+            inf = infer_sho_type(ks, bound)
+            got = None if inf.sho is None else inf.sho.value
+            assert (got, inf.ambiguous_two_infinity) == reference_sho_type(ks, bound), ks
+
     def test_trivial(self):
         inf = infer_sho_type({1}, bound=6)
         assert inf.sho is not None and inf.sho.value == 1
