@@ -14,7 +14,6 @@ from .arith import (
     char_poly,
     largest_root_above,
     sharkovskii_geq,
-    sharkovskii_tail,
 )
 from .cofiniteness import CofinitenessReport, bc, dens_low_per, sbc, sbcset
 from .families import FamilyInstance, dream, make, montevideo, mts1_scan, persistent, verify
@@ -50,7 +49,6 @@ __all__ = [
     "char_poly",
     "largest_root_above",
     "sharkovskii_geq",
-    "sharkovskii_tail",
     "CofinitenessReport",
     "bc",
     "dens_low_per",

@@ -102,33 +102,6 @@ def sharkovskii_geq(a: ShoNumber | int, b: ShoNumber | int) -> bool:
     return _sho_key(a) <= _sho_key(b)
 
 
-def sharkovskii_tail(s: ShoNumber | int):
-    """The set {k in N : k <=_Sh s} as a PeriodSet.
-
-    For s = 2^a (finite power of two) the tail is the finite set
-    {1, 2, ..., 2^a}.  For s = 2^∞ it is all powers of two.  For
-    s = 2^a * m with m >= 3 odd it is
-        {2^a * m' : m' odd >= m} ∪ {k : v2(k) > a, odd(k) >= 3} ∪ {2^b : b >= 0},
-    encoded through the pattern components of PeriodSet.
-    """
-    from .periods import PeriodSet  # local import: periods builds on arith
-
-    if isinstance(s, int):
-        s = ShoNumber(s)
-    if s.is_two_infinity:
-        return PeriodSet(patterns=(("pow2",),))
-    a, m = _split_pow2(s.value)
-    if m == 1:
-        return PeriodSet(finite=frozenset(2**j for j in range(a + 1)))
-    return PeriodSet(
-        patterns=(
-            ("level_odds", a, m),
-            ("deeper_odds", a),
-            ("pow2",),
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials
 # ---------------------------------------------------------------------------

@@ -135,13 +135,13 @@ def persistent_k(n: int) -> int:
 
 
 def dream_per(n: int) -> PeriodSet:
-    return PeriodSet.successors(n)
+    return PeriodSet(tail_from=n)
 
 
 def persistent_per(n: int) -> PeriodSet:
     k = persistent_k(n)
     odds = set(range(2 * k + 1, n - 1, 2))
-    return PeriodSet.from_elements({2} | odds, tail_from=n)
+    return PeriodSet({2} | odds, tail_from=n)
 
 
 def montevideo_nu(n: int) -> int:
@@ -156,7 +156,7 @@ def montevideo_per(n: int) -> PeriodSet:
         for k in range(lo, t // 2 + 1):
             mid.add(t * n + k)
     tail = n * nu + 1 - nu // 2
-    return PeriodSet.from_elements({n} | mid, tail_from=tail)
+    return PeriodSet({n} | mid, tail_from=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .arith import IntPolynomial, largest_root_above
 from .errors import BadParameter, NoRootAbove, NotExtendable
-from .families import POLYNOMIALS, FamilyInstance
+from .families import DEFAULT_POLY_TOL, POLYNOMIALS, FamilyInstance
 from .markov import entropy as markov_entropy, enumerate_loops, markov_char_poly, transitivity_certificate
 
 
@@ -367,13 +367,11 @@ def projection_preserves_arrows(E: ExtendedMarkov) -> bool:
     return all((proj[i], proj[j]) in base_arrows for i, out in enumerate(E.successors) for j in out)
 
 
-def verify_extension(E: ExtendedMarkov, tol=None) -> dict:
+def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dict:
     """Report on the extension: transitivity certificate, exact closed-form
     polynomial identity char * cofactor == x^pow * expected, root bracket
     agreement, entropy strictly above the circle instance, and the projection
     and loop facts the period-preservation argument uses."""
-    if tol is None:
-        tol = Fraction(1, 10**12)
     cert = transitivity_certificate(E)
     char = markov_char_poly(E)
     lhs = char * E.cofactor

@@ -44,8 +44,8 @@ class MarkovSystem:
     `denominator`, `keys`, `index_map` and `coverings` are the only map and
     graph data.  Views derived from them on first use and cached:
     `successors` for the graph passes, `arrow_shifts` and `partition_cycles`
-    for the oracle, and the dense `matrix` and `shifts` tables for reports
-    and tests (the scan never builds those two).
+    for the oracle, and the dense 0/1 `matrix` for tests and the benchmark
+    tracer (the scan never builds it).
     """
 
     lifting: Lifting
@@ -87,18 +87,9 @@ class MarkovSystem:
     @cached_property
     def matrix(self) -> tuple:
         """0/1 covering matrix (a view of `coverings`)."""
-        return self._dense(lambda k: 1)
-
-    @cached_property
-    def shifts(self) -> tuple:
-        """Integer translate k of each covering, F(rep_i) >= rep_j + k, and 0
-        off the arrows (a view of `coverings`)."""
-        return self._dense(lambda k: k)
-
-    def _dense(self, entry) -> tuple:
         rows = [[0] * self.size for _ in self.classes]
-        for i, j, k in self.coverings:
-            rows[i][j] = entry(k)
+        for i, j, _ in self.coverings:
+            rows[i][j] = 1
         return tuple(map(tuple, rows))
 
     def arrows(self) -> list[tuple[int, int]]:

@@ -49,19 +49,10 @@ class PeriodicWitness:
 
 
 @dataclass
-class DegenerateLoopReport:
-    """A loop whose composed branch is a translation by an integer: an
-    interval of fixed points of F^L - K.  Reported alongside the witnesses
-    sampled from its interior."""
-
-    loop: tuple
-
-
-@dataclass
 class OracleResult:
     bound: int
     witnesses: dict = field(default_factory=dict)  # (period, rotation) -> PeriodicWitness
-    degenerate_loops: list = field(default_factory=list)
+    degenerate_loops: list = field(default_factory=list)  # words of identity branches
 
     def add(self, w: PeriodicWitness):
         """Keeps the first witness of each (period, rotation) up to the bound."""
@@ -79,7 +70,7 @@ class OracleResult:
         return {
             "bound": self.bound,
             "witnesses": [w.to_json() for _, w in items],
-            "degenerate_loops": [list(d.loop) for d in self.degenerate_loops],
+            "degenerate_loops": [list(word) for word in self.degenerate_loops],
         }
 
 
@@ -152,7 +143,7 @@ def _witness(M: MarkovSystem, word: tuple, steps: list, u: int, v: int, result: 
 
 def _sample_degenerate(M: MarkovSystem, word: tuple, steps: list, result: OracleResult):
     """Reports an identity branch and its witnesses at interior samples."""
-    result.degenerate_loops.append(DegenerateLoopReport(word))
+    result.degenerate_loops.append(word)
     lo, hi = steps[0][:2]
     for num, den in ((1, 2), (1, 3), (2, 5)):
         _witness(M, word, steps, lo * den + (hi - lo) * num, den, result)

@@ -1,9 +1,10 @@
 """Sets of periods: M(c,d), endpoint contributions, and Misiurewicz assembly.
 
 A PeriodSet is an exact, decidable subset of N written as
-    finite_part ∪ S(tail_from) ∪ pattern components,
-where S(L) = {k : k >= L}.  Pattern components only occur for Sharkovskii
-tails; everything produced by the rotation-interval pipeline is finite + tail.
+    finite_part ∪ S(tail_from),
+where S(L) = {k : k >= L}: every Per(F) with nondegenerate Rot(F) has that
+form.  The Sharkovskii tails {k : k <=_Sh t} of the endpoint types are read
+off the order itself (`arith.sharkovskii_geq`).
 """
 
 from __future__ import annotations
@@ -12,48 +13,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ShoNumber, floor_frac, rat_str, sharkovskii_geq, sharkovskii_tail
+from .arith import ShoNumber, floor_frac, rat_str, sharkovskii_geq
 from .errors import DegenerateRotationInterval
 from .lifting import RotationInterval
 from .markov import critical_successors, partition_rotation_interval
 from .oracle import periods_up_to
 
-# pattern component forms:
-#   ("pow2",)                 -> {2^b : b >= 0}
-#   ("level_odds", a, m)      -> {2^a * m' : m' odd, m' >= m}
-#   ("deeper_odds", a)        -> {k : v2(k) > a, oddpart(k) >= 3}
-_PATTERN_TAGS = {"pow2", "level_odds", "deeper_odds"}
-
-
-def _pattern_contains(pat: tuple, k: int) -> bool:
-    tag = pat[0]
-    v2, odd = 0, k
-    while odd % 2 == 0:
-        odd //= 2
-        v2 += 1
-    if tag == "pow2":
-        return odd == 1
-    if tag == "level_odds":
-        _, a, m = pat
-        return v2 == a and odd >= m
-    if tag == "deeper_odds":
-        (_, a) = pat
-        return v2 > a and odd >= 3
-    raise ValueError(f"unknown pattern {pat!r}")
-
 
 @dataclass(frozen=True)
 class PeriodSet:
-    """finite_part ∪ S(tail_from) ∪ patterns, normalized on construction."""
+    """finite_part ∪ S(tail_from), normalized on construction."""
 
     finite: frozenset = frozenset()
     tail_from: Optional[int] = None
-    patterns: tuple = ()
 
     def __post_init__(self):
-        for p in self.patterns:
-            if p[0] not in _PATTERN_TAGS:
-                raise ValueError(f"unknown pattern {p!r}")
         fin = frozenset(int(k) for k in self.finite)
         if any(k < 1 for k in fin):
             raise ValueError("periods are positive integers")
@@ -69,18 +43,11 @@ class PeriodSet:
                 fin = fin - {tail}
         object.__setattr__(self, "finite", fin)
         object.__setattr__(self, "tail_from", tail)
-        object.__setattr__(self, "patterns", tuple(self.patterns))
 
     # -- membership and views -------------------------------------------------
 
     def __contains__(self, k: int) -> bool:
-        if k < 1:
-            return False
-        if k in self.finite:
-            return True
-        if self.tail_from is not None and k >= self.tail_from:
-            return True
-        return any(_pattern_contains(p, k) for p in self.patterns)
+        return k in self.finite or (self.tail_from is not None and k >= self.tail_from)
 
     def up_to(self, bound: int) -> set[int]:
         return {k for k in range(1, bound + 1) if k in self}
@@ -88,30 +55,9 @@ class PeriodSet:
     def is_cofinite(self) -> bool:
         return self.tail_from is not None
 
-    @staticmethod
-    def successors(L: int) -> "PeriodSet":
-        """S(L) = {k >= L}."""
-        return PeriodSet(tail_from=L)
-
-    @staticmethod
-    def from_elements(finite, tail_from=None) -> "PeriodSet":
-        return PeriodSet(finite=frozenset(finite), tail_from=tail_from)
-
-    def union(self, other: "PeriodSet") -> "PeriodSet":
-        tails = [t for t in (self.tail_from, other.tail_from) if t is not None]
-        tail = min(tails) if tails else None
-        return PeriodSet(
-            finite=self.finite | other.finite,
-            tail_from=tail,
-            patterns=self.patterns + tuple(p for p in other.patterns if p not in self.patterns),
-        )
-
     def to_json(self) -> dict:
-        return {
-            "finite": sorted(self.finite),
-            "tail_from": self.tail_from,
-            "patterns": [list(p) for p in self.patterns],
-        }
+        # "patterns" stays, always empty, so the reports keep their bytes
+        return {"finite": sorted(self.finite), "tail_from": self.tail_from, "patterns": []}
 
     def __repr__(self):
         parts = []
@@ -119,8 +65,6 @@ class PeriodSet:
             parts.append("{" + ",".join(map(str, sorted(self.finite))) + "}")
         if self.tail_from is not None:
             parts.append(f"S({self.tail_from})")
-        for p in self.patterns:
-            parts.append(str(p))
         return "PeriodSet(" + (" ∪ ".join(parts) if parts else "∅") + ")"
 
 
@@ -152,8 +96,7 @@ def m_set(c: Fraction, d: Fraction) -> PeriodSet:
     t = floor_frac(1 / (d - c)) + 1
     while t > 1 and in_m_set(c, d, t - 1):
         t -= 1
-    finite = {q for q in range(1, t) if in_m_set(c, d, q)}
-    return PeriodSet(finite=frozenset(finite), tail_from=t)
+    return PeriodSet({q for q in range(1, t) if in_m_set(c, d, q)}, tail_from=t)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +152,7 @@ def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
         candidates.append(ShoNumber("2^inf"))
     best = None
     for t in candidates:
-        tail = sharkovskii_tail(t)
-        if {k for k in range(1, bound + 1) if k in tail} == ks:
+        if {k for k in range(1, bound + 1) if sharkovskii_geq(t, k)} == ks:
             if best is None or not sharkovskii_geq(t, best):
                 best = t
     ambiguous = best is not None and all_pow2 and max(ks) * 2 > bound

@@ -18,7 +18,6 @@ from circledyn.arith import (
     land_root,
     largest_root_above,
     sharkovskii_geq,
-    sharkovskii_tail,
 )
 from circledyn.errors import BudgetExceeded, NoRootAbove
 from circledyn.families import POLYNOMIALS, dream, dream_poly
@@ -57,28 +56,25 @@ class TestSharkovskii:
         if sharkovskii_geq(a, b) and sharkovskii_geq(b, c):
             assert sharkovskii_geq(a, c)
 
+    # the tail {k : k <=_Sh s} of a type s, read off the order
+
     def test_tail_least_element(self):
-        t = sharkovskii_tail(1)
-        assert 1 in t and 2 not in t
+        assert sharkovskii_geq(1, 1) and not sharkovskii_geq(1, 2)
 
     def test_tail_of_three_is_everything(self):
-        t = sharkovskii_tail(3)
-        assert all(k in t for k in range(1, 200))
+        assert all(sharkovskii_geq(3, k) for k in range(1, 200))
 
     def test_tail_two_infinity(self):
-        t = sharkovskii_tail(ShoNumber("2^inf"))
-        members = {k for k in range(1, 200) if k in t}
+        members = {k for k in range(1, 200) if sharkovskii_geq(ShoNumber("2^inf"), k)}
         assert members == {1, 2, 4, 8, 16, 32, 64, 128}
 
     def test_tail_power_of_two(self):
-        t = sharkovskii_tail(8)
-        assert {k for k in range(1, 50) if k in t} == {1, 2, 4, 8}
+        assert {k for k in range(1, 50) if sharkovskii_geq(8, k)} == {1, 2, 4, 8}
 
     def test_tail_mixed_level(self):
         # 2*5: tail holds 2*odd >= 5, everything at deeper doubling levels
         # with odd part >= 3, and all powers of two
-        t = sharkovskii_tail(10)
-        members = {k for k in range(1, 100) if k in t}
+        members = {k for k in range(1, 100) if sharkovskii_geq(10, k)}
         expected = {
             k
             for k in range(1, 100)
@@ -87,16 +83,6 @@ class TestSharkovskii:
             or _odd(k) == 1
         }
         assert members == expected
-
-    @given(s=sho_values, k=st.integers(min_value=1, max_value=400))
-    @settings(max_examples=60, derandomize=True)
-    def test_tail_downward_closed(self, s, k):
-        s = ShoNumber(s)
-        t = sharkovskii_tail(s)
-        if k in t:
-            assert sharkovskii_geq(s, k)
-        if sharkovskii_geq(s, k):
-            assert k in t
 
 
 def _v2(k):

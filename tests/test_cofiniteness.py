@@ -10,8 +10,10 @@ from circledyn.families import dream_per, montevideo_per, persistent_per
 from circledyn.periods import PeriodSet
 
 F2 = Fraction
-S = PeriodSet.successors
-PS = PeriodSet.from_elements
+
+
+def S(L):
+    return PeriodSet(tail_from=L)
 
 
 class TestSbc:
@@ -19,14 +21,14 @@ class TestSbc:
         assert sbc(S(1)) == 1
 
     def test_persistent7(self):
-        assert sbc(PS({2, 5}, tail_from=7)) == 7
+        assert sbc(PeriodSet({2, 5}, tail_from=7)) == 7
 
     def test_montevideo3(self):
-        assert sbc(PS({3}, tail_from=6)) == 6
+        assert sbc(PeriodSet({3}, tail_from=6)) == 6
 
     def test_not_cofinite(self):
         with pytest.raises(NotCofinite):
-            sbc(PS({1, 2, 3}))
+            sbc(PeriodSet({1, 2, 3}))
 
 
 class TestSbcset:
@@ -38,11 +40,11 @@ class TestSbcset:
 
     def test_persistent5(self):
         # {2,3} ∪ S(5): 3 excluded because 2 is a period; sbcset = {5}
-        assert sbcset(PS({2, 3}, tail_from=5)) == {5}
+        assert sbcset(PeriodSet({2, 3}, tail_from=5)) == {5}
 
     def test_persistent7(self):
-        assert sbcset(PS({2, 5}, tail_from=7)) == {5, 7}
-        assert bc(PS({2, 5}, tail_from=7)) == 7
+        assert sbcset(PeriodSet({2, 5}, tail_from=7)) == {5, 7}
+        assert bc(PeriodSet({2, 5}, tail_from=7)) == 7
 
     def test_montevideo6_literal(self):
         per = montevideo_per(6)
@@ -82,8 +84,8 @@ class TestBcBounds:
 
     def test_density_exact_tie_handling(self):
         # equality 2^count == (L-2)^2 counts as satisfying the bound
-        assert density_condition(PS({3, 4}, tail_from=6), 6)  # count=2, (6-2)^2=16
-        ps = PS({2, 3}, tail_from=4)
+        assert density_condition(PeriodSet({3, 4}, tail_from=6), 6)  # count=2, (6-2)^2=16
+        ps = PeriodSet({2, 3}, tail_from=4)
         # L = 4: count({1,2}) = 2, (4-2)^2 = 4 = 2^2: allowed
         assert density_condition(ps, 4)
 
@@ -115,7 +117,7 @@ class TestPersistentDensityRemark:
 
 class TestReport:
     def test_json_roundtrip_shape(self):
-        r = report(PS({2, 5}, tail_from=7))
+        r = report(PeriodSet({2, 5}, tail_from=7))
         d = r.to_json()
         assert d["sbc"] == 7 and d["bc"] == 7 and d["sbcset"] == [5, 7]
 
@@ -143,7 +145,7 @@ class TestOnePassReport:
     )
     @settings(max_examples=300, derandomize=True)
     def test_random_cofinite_sets(self, finite, tail):
-        self.check(PS(finite, tail_from=tail))
+        self.check(PeriodSet(finite, tail_from=tail))
 
     @pytest.mark.parametrize(
         "per",

@@ -126,6 +126,6 @@ def test_minus_one_slope_doubling_sampled():
     res = periods_up_to(M, 4)
     assert (1, F2(0)) in res.period_rotations()  # center 3/8 and the endpoint orbits
     assert (2, F2(0)) in res.period_rotations()  # sampled from the doubled branch
-    assert any(len(d.loop) % 2 == 0 for d in res.degenerate_loops)
+    assert any(len(d) % 2 == 0 for d in res.degenerate_loops)
     w = res.witnesses[(2, F2(0))]
     assert F.iterate(w.point, 2) == w.point and F.eval(w.point) != w.point

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_arith import _odd, _v2
 
 import circledyn.markov
-from circledyn.arith import ceil_frac, floor_frac
+from circledyn.arith import ceil_frac, floor_frac, sharkovskii_geq
 from circledyn.errors import CircledynError, DegenerateRotationInterval, RotationMismatch
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
@@ -30,38 +30,32 @@ F2 = Fraction
 
 class TestPeriodSet:
     def test_normalization_absorbs_adjacent(self):
-        a = PeriodSet.from_elements({5, 6, 7, 8, 9}, tail_from=10)
-        assert a == PeriodSet.successors(5)
+        a = PeriodSet({5, 6, 7, 8, 9}, tail_from=10)
+        assert a == PeriodSet(tail_from=5)
 
     def test_membership(self):
-        ps = PeriodSet.from_elements({2, 5}, tail_from=7)
+        ps = PeriodSet({2, 5}, tail_from=7)
         assert 2 in ps and 5 in ps and 9 in ps
         assert 3 not in ps and 6 not in ps
 
-    def test_union(self):
-        a = PeriodSet.from_elements({3}, tail_from=10)
-        b = PeriodSet.from_elements({4}, tail_from=8)
-        u = a.union(b)
-        assert {3, 4} <= u.up_to(20) and u.tail_from == 8
-
     def test_up_to(self):
-        ps = PeriodSet.from_elements({2}, tail_from=5)
+        ps = PeriodSet({2}, tail_from=5)
         assert ps.up_to(7) == {2, 5, 6, 7}
 
     def test_json(self):
-        ps = PeriodSet.from_elements({2}, tail_from=5)
+        ps = PeriodSet({2}, tail_from=5)
         assert ps.to_json() == {"finite": [2], "tail_from": 5, "patterns": []}
 
 
 class TestMSet:
     def test_spec_examples(self):
-        assert m_set(F2(1, 2), F2(7, 10)) == PeriodSet.from_elements({3}, tail_from=5)
-        assert m_set(F2(1, 5), F2(2, 5)) == PeriodSet.from_elements({3, 4}, tail_from=6)
+        assert m_set(F2(1, 2), F2(7, 10)) == PeriodSet({3}, tail_from=5)
+        assert m_set(F2(1, 5), F2(2, 5)) == PeriodSet({3, 4}, tail_from=6)
 
     def test_full_interval(self):
         # (0, 1): every n >= 2 has an interior fraction, n = 1 does not
         ms = m_set(F2(0), F2(1))
-        assert ms == PeriodSet.successors(2)
+        assert ms == PeriodSet(tail_from=2)
 
     @given(
         c=st.fractions(min_value=0, max_value=1, max_denominator=30),
@@ -133,9 +127,9 @@ class TestPerFromRotation:
     @pytest.mark.parametrize(
         "name,n,expected",
         [
-            ("persistent", 7, PeriodSet.from_elements({2, 5}, tail_from=7)),
-            ("montevideo", 3, PeriodSet.from_elements({3}, tail_from=6)),
-            ("dream", 5, PeriodSet.successors(5)),
+            ("persistent", 7, PeriodSet({2, 5}, tail_from=7)),
+            ("montevideo", 3, PeriodSet({3}, tail_from=6)),
+            ("dream", 5, PeriodSet(tail_from=5)),
         ],
     )
     def test_family_formulas(self, name, n, expected):
@@ -228,11 +222,11 @@ def reference_per_from_rotation(F, M, rot):
 
 def karp_extreme_mean(M, sign):
     """min over the loops of M of sign * (total shift / length), by Karp's
-    theorem on the dense matrix and shifts: with D_k(v) the least weight of a
-    walk of exactly k arrows ending at v, it is
+    theorem on the arrow list: with D_k(v) the least weight of a walk of
+    exactly k arrows ending at v, it is
     min_v max_k (D_n(v) - D_k(v)) / (n - k)."""
     n = M.size
-    arcs = [(i, j, sign * M.shifts[i][j]) for i in range(n) for j in range(n) if M.matrix[i][j]]
+    arcs = [(i, j, sign * k) for i, j, k in M.coverings]
     D = [[0] * n]
     for _ in range(n):
         row = [None] * n
@@ -248,7 +242,7 @@ def karp_extreme_mean(M, sign):
 
 
 def loop_mean(M, word):
-    return F2(sum(M.shifts[v][word[(t + 1) % len(word)]] for t, v in enumerate(word)), len(word))
+    return F2(sum(M.arrow_shifts[v, word[(t + 1) % len(word)]] for t, v in enumerate(word)), len(word))
 
 
 class TestCriticalSubgraph:
@@ -438,9 +432,6 @@ class TestShoInference:
         assert inf.sho.value == 8 and inf.ambiguous_two_infinity
 
     def test_odd_type(self):
-        from circledyn.arith import sharkovskii_tail
-
-        tail = sharkovskii_tail(5)
-        observed = {k for k in range(1, 30) if k in tail}
+        observed = {k for k in range(1, 30) if sharkovskii_geq(5, k)}
         inf = infer_sho_type(observed, bound=29)
         assert inf.sho is not None and inf.sho.value == 5
