@@ -59,14 +59,8 @@ class Lifting:
         out.append((b[-1], b[0] + 1, v[-1], v[0] + 1))
         return out
 
-    def slopes(self):
-        return [
-            (vR - vL) / (xR - xL) if xR != xL else Fraction(0)
-            for (xL, xR, vL, vR) in self.segments()
-        ]
-
     def is_nondecreasing(self) -> bool:
-        return all(s >= 0 for s in self.slopes())
+        return all(vL <= vR for _, _, vL, vR in self.segments())  # every xR > xL
 
     def eval(self, x) -> Fraction:
         """Exact F(x) for any rational x, via F(x+1) = F(x) + 1."""

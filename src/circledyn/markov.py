@@ -43,7 +43,7 @@ class MarkovSystem:
 
     `denominator`, `keys`, `index_map` and `coverings` are the only map and
     graph data.  Views derived from them on first use and cached:
-    `successors` for the graph passes, `arrow_shifts` and `partition_cycles`
+    `successors` for the graph passes, `arrow_steps` and `partition_cycles`
     for the oracle, and the dense 0/1 `matrix` for tests and the benchmark
     tracer (the scan never builds it).
     """
@@ -74,9 +74,17 @@ class MarkovSystem:
         return tuple(map(tuple, succ))
 
     @cached_property
-    def arrow_shifts(self) -> dict:
-        """{(i, j): k} for the arrows (i, j, k) (a view of `coverings`)."""
-        return {(i, j): k for i, j, k in self.coverings}
+    def arrow_steps(self) -> dict:
+        """{(i, j): (lo, hi, dx, dy, e, k)} for the arrows (i, j, k) (a view of
+        `coverings`): class i runs over the keys lo < x < hi, and F(x) - k on
+        the keys is x -> (dy*x + e)/dx."""
+        X, G, D, n = self.keys, self.index_map, self.denominator, self.size
+        Y = [X[g % n] + g // n * D for g in G + (G[0] + n,)]  # keys of the images
+        steps = {}
+        for i, j, k in self.coverings:
+            dx, dy = X[i + 1] - X[i], Y[i + 1] - Y[i]
+            steps[i, j] = (X[i], X[i + 1], dx, dy, (Y[i] - k * D) * dx - X[i] * dy, k)
+        return steps
 
     @cached_property
     def partition_cycles(self) -> tuple:

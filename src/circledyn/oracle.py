@@ -3,11 +3,12 @@
 Every loop of the Markov graph modulo 1 carries a composed affine branch whose
 fixed point is a candidate periodic point; partition points are classified by
 the cycles of the Markov system's index map.  Both read only the integers of
-the system (keys X on the common denominator D, lifted index map G, arrow
-shifts): a branch is an integer triple (a, b, c) for x -> (a*x + b)/c on the
-keys, a point an integer pair (u, v) for the key u/v.  A Fraction is formed
-only for a reported witness.  Zero tolerance anywhere: witnesses satisfy
-their defining equations as rationals.
+the system (its per-arrow step table on the keys X): a branch is an integer
+triple (a, b, c) for x -> (a*x + b)/c on the keys, a point an integer pair
+(u, v) for the key u/v.  A loop is solved only while its (period, rotation)
+pair has no witness, and a point becomes a Fraction only when reported.
+Zero tolerance anywhere: witnesses satisfy their defining equations as
+rationals.
 """
 
 from __future__ import annotations
@@ -80,21 +81,8 @@ class OracleResult:
 
 
 def _steps(M: MarkovSystem, word: tuple) -> list[tuple]:
-    """(lo, hi, dx, dy, e, k) for each arrow (i, j, k) along the loop word:
-    class i runs over the keys lo < x < hi, and F(x) - k on the keys is
-    x -> (dy*x + e)/dx."""
-    X, G, D, n = M.keys, M.index_map, M.denominator, M.size
-    shift = M.arrow_shifts
-    L = len(word)
-    steps = []
-    for t in range(L):
-        i = word[t]
-        k = shift[i, word[(t + 1) % L]]
-        g0, g1 = G[i], G[i + 1] if i + 1 < n else G[0] + n
-        y0, y1 = X[g0 % n] + g0 // n * D, X[g1 % n] + g1 // n * D
-        dx, dy = X[i + 1] - X[i], y1 - y0
-        steps.append((X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k))
-    return steps
+    """The `arrow_steps` entry of each arrow along the loop word."""
+    return list(map(M.arrow_steps.__getitem__, zip(word, word[1:] + word[:1])))
 
 
 def loop_branch(steps: list) -> tuple[int, int, int]:
@@ -160,6 +148,13 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
     -1, whose doubled (identity) branch is sampled explicitly.  `succ`
     (successor lists) restricts the loops to a subgraph, such as the critical
     subgraph of an endpoint; every partition orbit up to P is kept either way.
+
+    Only the first witness of each pair is kept, so a simple loop whose pair
+    (L, K/L), K its summed shifts, is already witnessed is neither solved nor
+    walked.  This is exact: a simple loop is a Lyndon word, hence primitive,
+    and its orbit points lie strictly inside one class each, so a return
+    after m < L steps would give the cyclic word the period gcd(m, L) < L.
+    Its witness thus has the pair (L, K/L) and cannot displace the one kept.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -176,9 +171,11 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
             if b == 0:
                 _sample_degenerate(M, word, steps, result)
             continue
-        u, v = (b, c - a) if c > a else (-b, a - c)  # the fixed point u/v = b/(c - a)
-        _witness(M, word, steps, u, v, result)
-        if a == -c and 2 * loop.length <= P:
+        L = len(word)
+        if (L, Fraction(sum(step[5] for step in steps), L)) not in result.witnesses:
+            u, v = (b, c - a) if c > a else (-b, a - c)  # the fixed point u/v = b/(c - a)
+            _witness(M, word, steps, u, v, result)
+        if a == -c and 2 * L <= P:
             # doubled branch is the identity: an interval of period-2L points
             _sample_degenerate(M, word + word, steps + steps, result)
     return result

@@ -146,12 +146,9 @@ def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
     An all-powers-of-two observation is flagged ambiguous: the evidence cannot
     separate the reported type from larger powers of two or 2^∞.
     """
-    candidates = [ShoNumber(k) for k in sorted(ks)]
     all_pow2 = bool(ks) and all(k & (k - 1) == 0 for k in ks)
-    if all_pow2:
-        candidates.append(ShoNumber("2^inf"))
     best = None
-    for t in candidates:
+    for t in map(ShoNumber, sorted(ks)):
         if {k for k in range(1, bound + 1) if sharkovskii_geq(t, k)} == ks:
             if best is None or not sharkovskii_geq(t, best):
                 best = t

@@ -139,7 +139,10 @@ def grid_maps(draw):
 
 def shift_table(M):
     """The arrow shifts as the reference's dense table, 0 off the arrows."""
-    return tuple(tuple(M.arrow_shifts.get((i, j), 0) for j in range(M.size)) for i in range(M.size))
+    rows = [[0] * M.size for _ in range(M.size)]
+    for i, j, k in M.coverings:
+        rows[i][j] = k
+    return tuple(map(tuple, rows))
 
 
 def _build_outcome(build, F, extra):
@@ -511,7 +514,7 @@ class TestOnePassRomeMatrix:
 
 
 class TestDenseViews:
-    """`successors`, `arrow_shifts` and `matrix` are views of the arrow list,
+    """`successors`, `arrow_steps` and `matrix` are views of the arrow list,
     built on demand and then cached."""
 
     @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
@@ -526,7 +529,7 @@ class TestDenseViews:
 
             return wrapper
 
-        for view in ("successors", "arrow_shifts"):
+        for view in ("successors", "arrow_steps"):
             prop = vars(MarkovSystem)[view]
             monkeypatch.setattr(prop, "func", counted(view, prop.func))
         inst = make(name, n)
@@ -536,12 +539,19 @@ class TestDenseViews:
         periods_up_to(M, 6)  # the oracle, in case per_from_rotation needed none
         transitivity_certificate(M)
         entropy(M, F2(1, 10**9))
-        assert builds == {"successors": 1, "arrow_shifts": 1}
-        for view in ("successors", "arrow_shifts"):
+        assert builds == {"successors": 1, "arrow_steps": 1}
+        for view in ("successors", "arrow_steps"):
             assert vars(M)[view] is getattr(M, view)
         assert "matrix" not in vars(M)
         assert M.successors == tuple(tuple(j for j, a in enumerate(row) if a) for row in M.matrix)
-        assert list(M.arrow_shifts.items()) == [((i, j), k) for i, j, k in M.coverings]
+        # one step per arrow, in arrow order: class i on its keys, and F - k
+        # at both ends of the class as the lifting evaluates it
+        assert [(i, j, step[5]) for (i, j), step in M.arrow_steps.items()] == list(M.coverings)
+        D = M.denominator
+        for (i, j), (lo, hi, dx, dy, e, k) in M.arrow_steps.items():
+            assert (lo, hi, dx) == (M.keys[i], M.keys[i + 1], M.keys[i + 1] - M.keys[i])
+            for x in (lo, hi):
+                assert inst.lifting.eval(F2(x, D)) - k == F2(dy * x + e, dx * D)
 
     @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
     def test_scan_stages_leave_views_unbuilt(self, name, n):

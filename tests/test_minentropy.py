@@ -213,7 +213,7 @@ class TestModel:
         # increasing on [0,u], decreasing on [u,1]
         assert G.eval(u / 2) < G.eval(u)
         assert G.eval(u) > G.eval((u + 1) / 2) > G.eval(F2(99, 100)) or G.eval(u) > G.eval(F2(99, 100))
-        slopes = G.slopes()
+        slopes = [(vR - vL) / (xR - xL) for xL, xR, vL, vR in G.segments()]
         assert slopes[0] > 0 > slopes[-1]
         assert slopes[0] == -slopes[-1]  # |slope| = beta~ on both laps
 

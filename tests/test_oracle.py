@@ -1,14 +1,75 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from test_periods import two_orbit_maps
 
+from circledyn import oracle
+from circledyn.cofiniteness import sbc
+from circledyn.errors import CircledynError
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import Lifting, rotation_interval
-from circledyn.markov import build_markov_system, enumerate_loops
-from circledyn.oracle import _orbit_data, _steps, loop_branch, periods_up_to
+from circledyn.markov import build_markov_system, critical_successors, enumerate_loops
+from circledyn.oracle import (
+    OracleResult,
+    PeriodicWitness,
+    _orbit_data,
+    _sample_degenerate,
+    _steps,
+    loop_branch,
+    periods_up_to,
+)
+from circledyn.periods import per_from_rotation
 
 F2 = Fraction
+
+
+def reference_steps(M, word, shift):
+    """(lo, hi, dx, dy, e, k) for each arrow along the loop word, computed
+    for this loop alone from the keys, the index map and the arrow shifts
+    `shift` ({(i, j): k})."""
+    X, G, D, n = M.keys, M.index_map, M.denominator, M.size
+    steps = []
+    for t, i in enumerate(word):
+        k = shift[i, word[(t + 1) % len(word)]]
+        g0, g1 = G[i], G[i + 1] if i + 1 < n else G[0] + n
+        y0, y1 = X[g0 % n] + g0 // n * D, X[g1 % n] + g1 // n * D
+        dx, dy = X[i + 1] - X[i], y1 - y0
+        steps.append((X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k))
+    return steps
+
+
+def reference_periods_up_to(M, P, succ=None):
+    """The oracle that solves and walks every simple loop, whatever pairs are
+    already witnessed.  Also returns ((L, K/L), orbit data) for each simple
+    loop whose branch has a fixed point, in loop order: L its length, K its
+    summed shifts, data None when the check walk rejects the point."""
+    shift = {(i, j): k for i, j, k in M.coverings}
+    result = OracleResult(bound=P)
+    for r, m, rho, orbit in M.partition_cycles:
+        result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
+    solved = []
+    for loop in enumerate_loops(M, P, succ=succ):
+        if not loop.simple:
+            continue
+        word = loop.vertices
+        steps = reference_steps(M, word, shift)
+        a, b, c = loop_branch(steps)
+        if a == c:
+            if b == 0:
+                _sample_degenerate(M, word, steps, result)
+            continue
+        u, v = (b, c - a) if c > a else (-b, a - c)
+        data = _orbit_data(steps, u, v)
+        solved.append(((len(word), F2(sum(step[5] for step in steps), len(word))), data))
+        if data is not None:
+            m, rho = data
+            result.add(PeriodicWitness(F2(u, v * M.denominator), m, rho, word[:m]))
+        if a == -c and 2 * loop.length <= P:
+            _sample_degenerate(M, word + word, steps + steps, result)
+    return result, solved
 
 
 def rigid_half():
@@ -42,10 +103,6 @@ class TestFamilies:
     @pytest.mark.parametrize("name,n", [("dream", 3), ("persistent", 5), ("montevideo", 3)])
     def test_matches_closed_form(self, name, n):
         inst = make(name, n)
-        from circledyn.cofiniteness import sbc
-
-        from circledyn.periods import per_from_rotation
-
         per = per_from_rotation(inst.lifting, inst.markov)
         P = sbc(per) + 3
         res = periods_up_to(inst.markov, P)
@@ -129,3 +186,52 @@ def test_minus_one_slope_doubling_sampled():
     assert any(len(d) % 2 == 0 for d in res.degenerate_loops)
     w = res.witnesses[(2, F2(0))]
     assert F.iterate(w.point, 2) == w.point and F.eval(w.point) != w.point
+
+
+class TestWitnessedPairsSkipped:
+    """A simple loop whose (period, rotation) pair is already witnessed is
+    neither solved nor walked; the reports equal the every-loop reference."""
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_matches_solving_every_loop(self, data):
+        # the full graph and both endpoints' critical subgraphs
+        _, M, rot = data
+        P = 7
+        for succ in (None, critical_successors(M, rot.c, 1), critical_successors(M, rot.d, -1)):
+            try:
+                expected, solved = reference_periods_up_to(M, P, succ)
+            except CircledynError as err:
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    periods_up_to(M, P, succ=succ)
+                continue
+            assert periods_up_to(M, P, succ=succ).to_json() == expected.to_json()
+            # a simple loop is primitive: its witness closes only at its length
+            for pair, orbit in solved:
+                assert orbit in (None, pair)
+
+    def test_montevideo6_walks_each_new_pair_once(self, monkeypatch):
+        # one check walk per simple loop whose pair had no witness when met,
+        # counted against the reference's own per-loop results
+        inst = make("montevideo", 6)
+        M = inst.markov
+        P = sbc(per_from_rotation(inst.lifting, M)) + 3
+        expected, solved = reference_periods_up_to(M, P)
+        assert not expected.degenerate_loops  # every walk is a fixed-point walk
+        witnessed = {(m, rho) for _, m, rho, _ in M.partition_cycles if m <= P}
+        new_pairs = 0
+        for pair, orbit in solved:
+            if pair not in witnessed:
+                new_pairs += 1
+                if orbit is not None:
+                    witnessed.add(orbit)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _orbit_data(*args)
+
+        monkeypatch.setattr(oracle, "_orbit_data", counted)
+        assert periods_up_to(M, P).to_json() == expected.to_json()
+        assert len(solved) == 575
+        assert len(calls) == new_pairs < len(solved) // 10

@@ -242,7 +242,8 @@ def karp_extreme_mean(M, sign):
 
 
 def loop_mean(M, word):
-    return F2(sum(M.arrow_shifts[v, word[(t + 1) % len(word)]] for t, v in enumerate(word)), len(word))
+    shift = {(i, j): k for i, j, k in M.coverings}
+    return F2(sum(shift[v, word[(t + 1) % len(word)]] for t, v in enumerate(word)), len(word))
 
 
 class TestCriticalSubgraph:
