@@ -14,6 +14,7 @@ and any other graph (an extension, a test fixture) carries its own.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, Optional
 
-from .arith import CertifiedRoot, IntPolynomial, bareiss_det, floor_frac, largest_root_above, rat_str
+from .arith import CertifiedRoot, IntPolynomial, floor_frac, kronecker_det, largest_root_above, rat_str
 from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
 from .lifting import Lifting, RotationInterval
 
@@ -298,27 +299,29 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
     Bellman-Ford potentials pi for the weights side*(s*k - r) make every
     reduced cost w + pi(i) - pi(j) >= 0, so a loop has mean e iff all its
     arrows are tight (reduced cost 0): the tight arrows inside one strongly
-    connected component of the tight graph (Karp 1978).  RotationMismatch if
-    an arrow still relaxes after n rounds (a loop of mean beyond e) or if no
-    loop has mean e."""
+    connected component of the tight graph (Karp 1978), for any feasible pi.
+    A FIFO queue relaxes the arrows out of each lowered vertex.  A potential's
+    walk of n arrows repeats a vertex, whose two lowerings close a loop of
+    mean beyond e: RotationMismatch then, or if no loop has mean e."""
     r, s = e.numerator, e.denominator
     n = system.size
-    arcs = [(i, j, side * (s * k - r)) for i, j, k in system.coverings]
-    pi = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for i, j, w in arcs:
+    out = [[] for _ in range(n)]
+    for i, j, k in system.coverings:
+        out[i].append((j, side * (s * k - r)))
+    pi, arrows = [0] * n, [0] * n
+    queue, queued = deque(range(n)), [True] * n
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        for j, w in out[i]:
             if pi[i] + w < pi[j]:
-                pi[j] = pi[i] + w
-                changed = True
-        if not changed:
-            break
-    else:
-        raise RotationMismatch(f"a loop has mean beyond {rat_str(e)}")
-    tight = [[] for _ in range(n)]
-    for i, j, w in arcs:
-        if w + pi[i] == pi[j]:
-            tight[i].append(j)
+                pi[j], arrows[j] = pi[i] + w, arrows[i] + 1
+                if arrows[j] >= n:
+                    raise RotationMismatch(f"a loop has mean beyond {rat_str(e)}")
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+    tight = [[j for j, w in out[i] if w + pi[i] == pi[j]] for i in range(n)]
     comp = _components(tight)
     succ = [[j for j in tight[i] if comp[j] == comp[i]] for i in range(n)]
     if not any(succ):
@@ -461,7 +464,8 @@ def rome_matrix(system, rome: Rome):
 def rome_char_poly(system, rome: Rome) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) via the rome method:
     (-1)^(k-m) x^k det(M_R(x) - I) normalized to the monic convention, with
-    the m x m determinant over Z[y] by `bareiss_det`."""
+    the m x m determinant over Z[y] by `kronecker_det` (its bound H: the product
+    over rows of 1 + the row's rome path count); the checks below catch a fault."""
     n = len(system.successors)
     members, rm = rome_matrix(system, rome)
     m = len(members)
@@ -469,7 +473,7 @@ def rome_char_poly(system, rome: Rome) -> IntPolynomial:
         return IntPolynomial.monomial(1, n)  # acyclic graph
     for i in range(m):
         rm[i][i] = rm[i][i] - IntPolynomial([1])
-    det = bareiss_det(rm)
+    det = kronecker_det(rm)
     if det.is_zero():
         raise ArithmeticError("rome determinant vanished identically")
     if det.degree > n:
@@ -477,7 +481,8 @@ def rome_char_poly(system, rome: Rome) -> IntPolynomial:
     p = IntPolynomial((det.coeffs + (0,) * (n - det.degree))[::-1])  # x^n det(1/x)
     if p.leading() < 0:
         p = -p
-    assert p.leading() == 1 and p.degree == n
+    if p.leading() != 1 or p.degree != n:
+        raise ArithmeticError("rome polynomial is not monic of degree n")
     return p
 
 

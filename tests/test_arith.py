@@ -15,6 +15,7 @@ from circledyn.arith import (
     bareiss_det,
     bisect_root,
     char_poly,
+    kronecker_det,
     land_root,
     largest_root_above,
     sharkovskii_geq,
@@ -484,6 +485,53 @@ class TestBareiss:
         with pytest.raises(ValueError):
             IntPolynomial([1, 2]) // 2
         assert IntPolynomial([2, 4]) // 2 == IntPolynomial([1, 2])
+
+
+# wide coefficients of either sign, so that packed digits span several bytes
+# and borrow across digit boundaries
+wide_entries = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=5).map(IntPolynomial)
+
+
+
+class TestKroneckerDet:
+    """`kronecker_det`, one integer determinant at y = 2^B, against Bareiss
+    over Z[y] and the Leibniz sum, and at the edges of its digit bound."""
+
+    @given(square_matrices(poly_entries) | square_matrices(wide_entries, max_size=4))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_bareiss_over_polynomials(self, m):
+        det = kronecker_det(m)
+        assert det == (bareiss_det(m) if m else ONE)
+        if len(m) <= 3:
+            assert det == leibniz_det(m, ONE)
+
+    @pytest.mark.parametrize("c", [127, -127, 255, -255, 32767, -32767, 65535, 2**63 - 1, -(2**64) + 1])
+    def test_coefficient_at_the_bound(self, c):
+        # one coefficient carries the whole bound H = |c|: at H = 2^(B-1) - 1
+        # the balanced digit is as wide as it gets, and at H = 2^8k - 1 the
+        # bit length is a multiple of 8, so B needs the next byte up
+        assert kronecker_det([[IntPolynomial([0, c])]]) == IntPolynomial([0, c])
+        assert kronecker_det([[IntPolynomial([c, 0, 0, c])]]) == IntPolynomial([c, 0, 0, c])
+        # 32767 = 7 * 31 * 151: the bound is the product of the row sums
+        diagonal = [IntPolynomial([0, -7]), IntPolynomial([31]), IntPolynomial([0, 0, 151])]
+        m = [[p if i == j else IntPolynomial([]) for j in range(3)] for i, p in enumerate(diagonal)]
+        assert kronecker_det(m) == IntPolynomial([0, 0, 0, -32767])
+
+    def test_negative_top_coefficient(self):
+        # a permutation's sign: det = -y^3 (y^2 + 5y - 1), whose top digit -1
+        # sits over a negative digit and a positive one
+        m = [[IntPolynomial([]), IntPolynomial([0, 0, 0, 1])], [IntPolynomial([-1, 5, 1]), IntPolynomial([2])]]
+        assert kronecker_det(m) == IntPolynomial([0, 0, 0, 1, -5, -1]) == leibniz_det(m, ONE)
+        assert kronecker_det([[IntPolynomial([5, 0, -3])]]).leading() == -3
+
+    def test_vanishing_and_empty(self):
+        assert kronecker_det([[Y, Y * Y], [ONE, Y]]).is_zero()
+        assert kronecker_det([[IntPolynomial([]), Y], [IntPolynomial([]), ONE]]).is_zero()
+        assert kronecker_det([]) == ONE
+
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            kronecker_det([[ONE, Y]])
 
 
 class TestCharPoly:

@@ -118,6 +118,13 @@ class TestPolynomials:
         char = markov_char_poly(inst.markov)
         assert char * inst.poly_cofactor == montevideo_poly(n)
 
+    @pytest.mark.parametrize("name,n", [("dream", 201), ("persistent", 401), ("montevideo", 12)])
+    def test_closed_forms_at_large_n(self, name, n):
+        # rome entries of degree 201 to 800: each packed entry runs to
+        # thousands of bits
+        inst = make(name, n)
+        assert markov_char_poly(inst.markov) * inst.poly_cofactor == inst.expected_poly
+
     def test_cofactor_roots_on_unit_circle(self):
         # the cofactors are products of x^k - 1: exactly the structural check
         for inst in (dream(4), montevideo(3)):

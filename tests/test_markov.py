@@ -471,8 +471,9 @@ def _romes(data, system):
 
 
 class TestOnePassRomeMatrix:
-    """The one-pass rome_matrix against the per-member dynamic program, on
-    found romes with random extra members and on random minimal romes."""
+    """The one-pass rome_matrix against the per-member dynamic program, and
+    the packed rome determinant against Bareiss over Z[x], on found romes
+    with random extra members and on random minimal romes."""
 
     @given(two_orbit_maps(), st.data())
     @settings(max_examples=30, derandomize=True, deadline=None)
@@ -480,6 +481,7 @@ class TestOnePassRomeMatrix:
         M = case[1]
         for rome in _romes(data, M):
             assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
+            assert rome_char_poly(M, rome) == char_poly(M.matrix)
 
     @given(grid_maps(), st.data())
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -490,6 +492,7 @@ class TestOnePassRomeMatrix:
             assume(False)
         for rome in _romes(data, M):
             assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
+            assert rome_char_poly(M, rome) == char_poly(M.matrix)
 
     @given(
         st.sampled_from([("dream", 5), ("persistent", 7), ("montevideo", 4)]),
@@ -587,6 +590,26 @@ class TestRome:
             rome_char_poly(FakeSystem([[0, 1], [1, 0]]), Rome(frozenset()))
         with pytest.raises(InvalidRome):
             rome_matrix(FakeSystem([[1, 1, 0], [0, 0, 1], [0, 1, 0]]), Rome({0}))
+
+    def test_acyclic_graph_empty_rome(self):
+        # no loop at all: the empty rome, and det(xI - M) = x^n
+        M = FakeSystem([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+        assert rome_char_poly(M, Rome(frozenset())) == IntPolynomial.monomial(1, 3) == char_poly(M.matrix)
+
+    def test_vanishing_determinant_raises(self, monkeypatch):
+        # rows of M_R(y) - I equal: no graph has this rome matrix, since
+        # det(xI - M) is monic, so it can only come from a fault upstream
+        one, y = IntPolynomial([1]), IntPolynomial([0, 1])
+        monkeypatch.setattr(markov, "rome_matrix", lambda system, rome: ([0, 1], [[one + y, y], [y, one + y]]))
+        with pytest.raises(ArithmeticError, match="rome determinant vanished identically"):
+            rome_char_poly(FakeSystem([[1, 1], [1, 1]]), Rome({0, 1}))
+
+    def test_non_monic_result_raises(self, monkeypatch):
+        # a path of length 0 (a constant term) leaves det(M_R(0) - I) != +-1;
+        # the check is a raise, not an assert, so it holds under python -O
+        monkeypatch.setattr(markov, "rome_matrix", lambda system, rome: ([0], [[IntPolynomial([3])]]))
+        with pytest.raises(ArithmeticError, match="not monic of degree n"):
+            rome_char_poly(FakeSystem([[1]]), Rome({0}))
 
     def test_persistent_two_element_rome_validates(self):
         inst = persistent(7)

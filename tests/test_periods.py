@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -289,6 +290,33 @@ class TestCriticalSubgraph:
         for e, side in ((rot.c, 1), (rot.d, -1)):
             critical = enumerate_loops(M, 6, succ=critical_successors(M, e, side))
             assert [l.vertices for l in critical] == [l.vertices for l in full if loop_mean(M, l.vertices) == e]
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_mean_off_the_endpoints_raises(self, data):
+        # inside Rot(F) a loop has mean beyond e; outside it no loop has mean e
+        F, M, rot = data
+        for e, side, message in (
+            (rot.c + F2(1, 97), 1, "a loop has mean beyond"),
+            (rot.d - F2(1, 97), -1, "a loop has mean beyond"),
+            (rot.c - F2(1, 97), 1, "no loop has mean"),
+            (rot.d + F2(1, 97), -1, "no loop has mean"),
+        ):
+            with pytest.raises(RotationMismatch, match=message):
+                critical_successors(M, e, side)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_loop_through_every_class(self, n):
+        # one loop through all n classes, shift -1 on every arrow but the
+        # closing one: shortest paths run to n - 1 arrows, and a loop of mean
+        # below 0 shows only in a walk of n arrows
+        def system(closing):
+            arrows = [(i, i + 1, -1) for i in range(n - 1)] + [(n - 1, 0, closing)]
+            return SimpleNamespace(size=n, coverings=sorted(arrows))
+
+        assert critical_successors(system(n - 1), F2(0), 1) == [[(i + 1) % n] for i in range(n)]
+        with pytest.raises(RotationMismatch, match="a loop has mean beyond"):
+            critical_successors(system(n - 2), F2(0), 1)
 
     @pytest.mark.parametrize(
         "dc,dd,message",
