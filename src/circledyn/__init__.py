@@ -10,7 +10,6 @@ certified brackets where real roots are unavoidable.
 from .arith import (
     CertifiedRoot,
     IntPolynomial,
-    ShoNumber,
     char_poly,
     largest_root_above,
     sharkovskii_geq,
@@ -45,7 +44,6 @@ from .periods import PeriodSet, endpoint_periods, m_set, per_from_rotation
 __all__ = [
     "CertifiedRoot",
     "IntPolynomial",
-    "ShoNumber",
     "char_poly",
     "largest_root_above",
     "sharkovskii_geq",

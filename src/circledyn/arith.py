@@ -43,33 +43,8 @@ def ceil_frac(q: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sharkovskii ordering on N ∪ {2^∞}
+# Sharkovskii ordering on N
 # ---------------------------------------------------------------------------
-
-TWO_INFINITY = "2^inf"
-
-
-@dataclass(frozen=True)
-class ShoNumber:
-    """An element of N ∪ {2^∞}.
-
-    `value` is a positive integer, or the string "2^inf" for the symbol 2^∞
-    that sits above all powers of two and below everything with odd part >= 3.
-    """
-
-    value: object
-
-    def __post_init__(self):
-        if self.value != TWO_INFINITY:
-            if not isinstance(self.value, int) or self.value < 1:
-                raise ValueError(f"ShoNumber needs a positive integer or 2^inf, got {self.value!r}")
-
-    @property
-    def is_two_infinity(self) -> bool:
-        return self.value == TWO_INFINITY
-
-    def __repr__(self):
-        return f"ShoNumber({self.value})"
 
 
 def _split_pow2(n: int) -> tuple[int, int]:
@@ -81,24 +56,18 @@ def _split_pow2(n: int) -> tuple[int, int]:
     return a, n
 
 
-def _sho_key(s: ShoNumber) -> tuple:
+def _sho_key(n: int) -> tuple:
     # Comparable key, *smaller key = greater in the Sharkovskii order*.
     # Bucket 0: numbers with odd part >= 3, ordered by (doubling level, odd part).
-    # Bucket 1: 2^∞. Bucket 2: powers of two, descending exponent.
-    if s.is_two_infinity:
-        return (1,)
-    a, m = _split_pow2(s.value)
+    # Bucket 1: powers of two, descending exponent.
+    a, m = _split_pow2(n)
     if m >= 3:
         return (0, a, m)
-    return (2, -a)
+    return (1, -a)
 
 
-def sharkovskii_geq(a: ShoNumber | int, b: ShoNumber | int) -> bool:
-    """True iff a >= b in the Sharkovskii ordering 3 > 5 > ... > 2^∞ > ... > 2 > 1."""
-    if isinstance(a, int):
-        a = ShoNumber(a)
-    if isinstance(b, int):
-        b = ShoNumber(b)
+def sharkovskii_geq(a: int, b: int) -> bool:
+    """True iff a >= b in the Sharkovskii ordering 3 > 5 > ... > 6 > 10 > ... > 4 > 2 > 1."""
     return _sho_key(a) <= _sho_key(b)
 
 

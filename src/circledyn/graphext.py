@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .arith import IntPolynomial, largest_root_above
-from .errors import BadParameter, NoRootAbove, NotExtendable
-from .families import DEFAULT_POLY_TOL, POLYNOMIALS, FamilyInstance
+from .arith import IntPolynomial
+from .errors import BadParameter, NotExtendable
+from .families import DEFAULT_POLY_TOL, POLYNOMIALS, FamilyInstance, closed_form_root_ok
 from .markov import entropy as markov_entropy, enumerate_loops, markov_char_poly, transitivity_certificate
 
 
@@ -369,9 +369,10 @@ def projection_preserves_arrows(E: ExtendedMarkov) -> bool:
 
 def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dict:
     """Report on the extension: transitivity certificate, exact closed-form
-    polynomial identity char * cofactor == x^pow * expected, root bracket
-    agreement, entropy strictly above the circle instance, and the projection
-    and loop facts the period-preservation argument uses."""
+    polynomial identity char * cofactor == x^pow * expected, the exact
+    certificate that the entropy bracket holds the closed form's largest root,
+    entropy strictly above the circle instance, and the projection and loop
+    facts the period-preservation argument uses."""
     cert = transitivity_certificate(E)
     char = markov_char_poly(E)
     lhs = char * E.cofactor
@@ -381,12 +382,7 @@ def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dic
     ext_root = markov_entropy(E, tol, char)
     base_root = markov_entropy(E.base, tol)
     entropy_strict = ext_root.lower > base_root.upper
-
-    try:
-        expected_root = largest_root_above(E.expected_poly, Fraction(1), tol)
-        root_ok = ext_root.overlaps(expected_root, slack=tol)
-    except NoRootAbove:
-        root_ok = False
+    root_ok = closed_form_root_ok(ident, ext_root, E.cofactor, tol)
 
     proj_ok = projection_preserves_arrows(E)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ShoNumber, floor_frac, rat_str, sharkovskii_geq
+from .arith import floor_frac, rat_str, sharkovskii_geq
 from .errors import DegenerateRotationInterval
 from .lifting import RotationInterval
 from .markov import critical_successors, partition_rotation_interval
@@ -111,19 +111,16 @@ def endpoint_periods(M, e: Fraction, bound: int, side: int = 1) -> set[int]:
     only arrows a loop of mean e can use.  RotationMismatch, even for
     bound < 1, when e is not that end of Rot(F).
 
-    Verifies the structural containment Q_F(e) ⊆ sN for e = r/s reduced.
+    Every m returned is a multiple of s for e = r/s reduced: a witness of
+    period m has rotation number K/m, and K/m == r/s in lowest terms forces
+    s | m.
     """
     e = Fraction(e)
-    s = e.denominator
     succ = critical_successors(M, e, side)
     if bound < 1:
         return set()
     witnesses = periods_up_to(M, bound, succ=succ)
-    out = {m for (m, rho) in witnesses.period_rotations() if rho == e and m <= bound}
-    bad = [m for m in out if m % s != 0]
-    if bad:
-        raise AssertionError(f"endpoint periods {bad} not multiples of {s}")
-    return out
+    return {m for (m, rho) in witnesses.period_rotations() if rho == e and m <= bound}
 
 
 @dataclass(frozen=True)
@@ -135,25 +132,24 @@ class ShoInference:
     of two cannot be told apart from 2^∞, hence the flag.
     """
 
-    sho: Optional[ShoNumber]
-    bounded_evidence: bool = True
+    sho: Optional[int]
     ambiguous_two_infinity: bool = False
 
 
 def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
-    """Least ShoNumber t with tail(t) ∩ [1, bound] equal to the observed ks.
+    """Least type t in N with tail(t) ∩ [1, bound] equal to the observed ks.
 
     An all-powers-of-two observation is flagged ambiguous: the evidence cannot
     separate the reported type from larger powers of two or 2^∞.
     """
     all_pow2 = bool(ks) and all(k & (k - 1) == 0 for k in ks)
     best = None
-    for t in map(ShoNumber, sorted(ks)):
+    for t in sorted(ks):
         if {k for k in range(1, bound + 1) if sharkovskii_geq(t, k)} == ks:
             if best is None or not sharkovskii_geq(t, best):
                 best = t
     ambiguous = best is not None and all_pow2 and max(ks) * 2 > bound
-    return ShoInference(sho=best, bounded_evidence=True, ambiguous_two_infinity=ambiguous)
+    return ShoInference(sho=best, ambiguous_two_infinity=ambiguous)
 
 
 def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet:

@@ -192,6 +192,8 @@ def test_criterion_7_graph_extension():
         E = extend(inst_of("dream", n) if n <= 10 else make("dream", n), APPLE)
         rep = verify_extension(E, TOL12)
         assert rep["poly_exact"] and rep["poly_root_ok"], n
+        want = largest_root_above(E.expected_poly, F2(1), TOL12)
+        assert rep["ext_entropy"].overlaps(want, slack=TOL12), n
         char = markov_char_poly(E)
         lhs = char * E.cofactor
         power = lhs.degree - E.expected_poly.degree
@@ -207,6 +209,8 @@ def test_criterion_7_graph_extension():
         E = extend(inst_of(name, n), APPLE)
         rep = verify_extension(E, TOL12)
         assert rep["poly_exact"] and rep["poly_root_ok"] and rep["entropy_above_base"], (name, n)
+        want = largest_root_above(E.expected_poly, F2(1), TOL12)
+        assert rep["ext_entropy"].overlaps(want, slack=TOL12), (name, n)
         char = markov_char_poly(E)
         lhs = char * E.cofactor
         power = lhs.degree - E.expected_poly.degree

@@ -6,6 +6,7 @@ from circledyn import families
 from circledyn.arith import CertifiedRoot, IntPolynomial, rat_str
 from circledyn.errors import BadParameter
 from circledyn.families import (
+    closed_form_root_ok,
     dream,
     dream_poly,
     make,
@@ -193,6 +194,42 @@ class TestVerify:
         d = verify(dream(3)).to_json()
         for key in ("rot_ok", "per_ok", "poly_exact", "entropy_bracket", "cofiniteness"):
             assert key in d
+
+
+class TestClosedFormRootOk:
+    # char * cofactor == closed form: the bracket of char's largest root above
+    # 1 holds the closed form's exactly when the cofactor has no root above 1
+    SIGMA = CertifiedRoot(F2(3, 2), F2(8, 5))
+    TOL = F2(1, 10**12)
+
+    @pytest.mark.parametrize(
+        "cofactor",
+        [
+            IntPolynomial([-1, 1]),
+            IntPolynomial([1]),
+            IntPolynomial([-1, 0, 0, 0, 0, 1]) * IntPolynomial([-1, 0, 0, 0, 0, 0, 0, 1]),
+        ],
+    )
+    def test_unit_circle_cofactor_is_certified(self, cofactor):
+        assert closed_form_root_ok(True, self.SIGMA, cofactor, self.TOL)
+
+    def test_cofactor_root_above_one_is_not_certified(self):
+        assert not closed_form_root_ok(True, self.SIGMA, IntPolynomial([-2, 1]), self.TOL)
+
+    def test_no_root_above_one_is_not_certified(self):
+        # [1, 1] stands for "char has no root above 1"
+        assert not closed_form_root_ok(True, CertifiedRoot(F2(1), F2(1)), IntPolynomial([1]), self.TOL)
+
+    def test_failed_identity_is_not_certified(self):
+        assert not closed_form_root_ok(False, self.SIGMA, IntPolynomial([1]), self.TOL)
+
+    def test_kernel_errors_propagate(self, monkeypatch):
+        def broken(p, lo, tol):
+            raise ArithmeticError("root finder failed")
+
+        monkeypatch.setattr(families, "largest_root_above", broken)
+        with pytest.raises(ArithmeticError, match="root finder failed"):
+            closed_form_root_ok(True, self.SIGMA, IntPolynomial([-1, 1]), self.TOL)
 
 
 class TestScan:

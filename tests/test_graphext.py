@@ -186,28 +186,17 @@ class TestExtend:
                 assert lhs.eval(x) == E.expected_poly.eval(x) * x**power
 
     def test_root_finder_errors_propagate(self, monkeypatch):
-        # NoRootAbove means "no bracket" (poly_root_ok False); any other error
-        # from the root finder is a fault and must reach the caller
-        import circledyn.graphext
+        # the cofactor's root count answers NoRootAbove for "certified"; any
+        # other error from the root finder is a fault and must reach the caller
+        import circledyn.families
 
         def broken(p, lo, tol):
             raise ArithmeticError("root finder failed")
 
         E = extend(dream(5), triangle_with_tail())
-        monkeypatch.setattr(circledyn.graphext, "largest_root_above", broken)
+        monkeypatch.setattr(circledyn.families, "largest_root_above", broken)
         with pytest.raises(ArithmeticError, match="root finder failed"):
             verify_extension(E)
-
-    def test_no_root_above_reads_as_not_ok(self, monkeypatch):
-        import circledyn.graphext
-        from circledyn.errors import NoRootAbove
-
-        def none_above(p, lo, tol):
-            raise NoRootAbove("no root")
-
-        E = extend(dream(5), triangle_with_tail())
-        monkeypatch.setattr(circledyn.graphext, "largest_root_above", none_above)
-        assert verify_extension(E)["poly_root_ok"] is False
 
     def test_apple_graph_extension(self):
         E = extend(dream(5), apple_graph())

@@ -445,22 +445,19 @@ class TestShoInference:
         for mask in range(1 << bound):
             ks = {k for k in range(1, bound + 1) if mask >> (k - 1) & 1}
             inf = infer_sho_type(ks, bound)
-            got = None if inf.sho is None else inf.sho.value
-            assert (got, inf.ambiguous_two_infinity) == reference_sho_type(ks, bound), ks
+            assert (inf.sho, inf.ambiguous_two_infinity) == reference_sho_type(ks, bound), ks
 
     def test_trivial(self):
         inf = infer_sho_type({1}, bound=6)
-        assert inf.sho is not None and inf.sho.value == 1
-        assert inf.bounded_evidence
+        assert inf.sho == 1
 
     def test_powers_of_two_ambiguous(self):
         # {1,2,4,8} observed up to 8: least matching type is 8, but 16, 32,
         # ... and 2^inf are indistinguishable on this evidence
         inf = infer_sho_type({1, 2, 4, 8}, bound=8)
-        assert inf.sho is not None
-        assert inf.sho.value == 8 and inf.ambiguous_two_infinity
+        assert inf.sho == 8 and inf.ambiguous_two_infinity
 
     def test_odd_type(self):
         observed = {k for k in range(1, 30) if sharkovskii_geq(5, k)}
         inf = infer_sho_type(observed, bound=29)
-        assert inf.sho is not None and inf.sho.value == 5
+        assert inf.sho == 5
