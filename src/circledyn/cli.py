@@ -73,6 +73,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_scan(args) -> int:
     res = mts1_scan(args.family, args.start, args.end, tol=Fraction(1, 10 ** args.digits))
+    if args.svg:
+        _write_svg(args.svg, res.rows)
     if args.json:
         _emit(res.to_json(), args.out)
         return 0 if res.all_green else 2
@@ -89,15 +91,11 @@ def _cmd_scan(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.svg:
-        _write_svg(args.svg, rows)
     return 0 if res.all_green else 2
 
 
 def _write_svg(path: str, rows) -> None:
     """Minimal polyline chart: entropy midpoint and bc against n."""
-    if not rows:
-        return
     W, H, pad = 640, 360, 40
     ns = [r.n for r in rows]
     ents = [float(r.entropy.midpoint()) for r in rows]

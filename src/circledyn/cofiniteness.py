@@ -22,11 +22,11 @@ def _require_cofinite(ps: PeriodSet) -> int:
 
 
 def sbc(ps: PeriodSet) -> int:
-    """Strict boundary of cofiniteness: least n with S(n) contained in ps."""
-    n = _require_cofinite(ps)
-    while n > 1 and (n - 1) in ps:
-        n -= 1
-    return n
+    """Strict boundary of cofiniteness: least n with S(n) contained in ps.
+
+    That is `tail_from`: PeriodSet normalization absorbs finite elements
+    adjacent to the tail, so tail_from - 1 is never in ps."""
+    return _require_cofinite(ps)
 
 
 def low_period_count(ps: PeriodSet, L: int) -> int:

@@ -27,7 +27,6 @@ from .markov import (
     build_markov_system,
     entropy as markov_entropy,
     markov_char_poly,
-    partition_rotation_interval,
     transitivity_certificate,
 )
 from .oracle import periods_up_to
@@ -186,7 +185,6 @@ class FamilyInstance:
     expected_per: PeriodSet
     expected_poly: IntPolynomial
     poly_cofactor: IntPolynomial  # char * cofactor == expected_poly, exactly
-    expected_classes: int
     cofin_expectations: dict
     x_positions: tuple
     y_positions: tuple
@@ -199,53 +197,38 @@ class FamilyInstance:
         raise KeyError(f"no class [{rat_str(a)},{rat_str(b)}]")
 
 
-def _positions(order: list) -> dict:
+def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> FamilyInstance:
+    """The family instance whose orbit points x_i and y_i lie at j/N, j the
+    label's place in `order` (N = len(order)), with the given orbit shifts.
+    `extension` names the detour, excised and return classes by their
+    (left, right) labels, or is None; class j is [order[j], order[j+1]],
+    the last one wrapping to order[0] + 1, and KeyError if no class has
+    those ends."""
     N = len(order)
-    return {lab: Fraction(j, N) for j, lab in enumerate(order)}
+    place = {lab: j for j, lab in enumerate(order)}
+    xs, ys = (tuple(Fraction(place[lab], N) for lab in sorted(place) if lab[0] == o) for o in "xy")
+    F = build_from_orbits([LiftedOrbit(points=xs, shift=shifts[0]), LiftedOrbit(points=ys, shift=shifts[1])])
 
+    def class_of(left, right) -> int:
+        j = place[left]
+        if order[(j + 1) % N] != right:
+            raise KeyError(f"no class from {left} to {right}")
+        return j
 
-def _instance(
-    name,
-    n,
-    order,
-    x_count,
-    y_count,
-    x_shift,
-    y_shift,
-    expected_rot,
-    expected_per,
-    expected_poly,
-    poly_cofactor,
-    cofin,
-    ext_builder,
-) -> FamilyInstance:
-    pos = _positions(order)
-    xs = tuple(pos[("x", i)] for i in range(x_count))
-    ys = tuple(pos[("y", i)] for i in range(y_count))
-    F = build_from_orbits(
-        [LiftedOrbit(points=xs, shift=x_shift), LiftedOrbit(points=ys, shift=y_shift)]
-    )
-    M = build_markov_system(F)
-    assert len(M.partition) == len(order), "orbit union was not forward closed"
-    inst = FamilyInstance(
+    return FamilyInstance(
         name=name,
         n=n,
         lifting=F,
-        markov=M,
-        expected_rot=expected_rot,
-        expected_per=expected_per,
-        expected_poly=expected_poly,
-        poly_cofactor=poly_cofactor,
-        expected_classes=len(order),
+        markov=build_markov_system(F),
+        expected_rot=rot,
+        expected_per=per,
+        expected_poly=POLYNOMIALS[name](n),
+        poly_cofactor=cofactor,
         cofin_expectations=cofin,
         x_positions=xs,
         y_positions=ys,
-        extension=None,
+        extension=None if extension is None else ExtensionSpec(*(class_of(*ends) for ends in extension)),
     )
-    ext = ext_builder(inst) if ext_builder else None
-    if ext is not None:
-        object.__setattr__(inst, "extension", ext)
-    return inst
 
 
 def dream(n: int) -> FamilyInstance:
@@ -257,31 +240,17 @@ def dream(n: int) -> FamilyInstance:
     order = [("x", i) for i in range(n)] + [("y", 0)]
     for j in range(n - 1):
         order += [("x", n + j), ("y", 2 * j + 1), ("y", 2 * j + 2)]
-
-    def ext_builder(inst: FamilyInstance):
-        if n < 5:
-            return None
-        y = inst.y_positions
-        return ExtensionSpec(
-            detour=inst.class_index(y[3], y[4]),
-            excised=inst.class_index(y[5], y[6]),
-            ret=inst.class_index(y[7], y[8]),
-        )
-
+    extension = [(("y", a), ("y", a + 1)) for a in (3, 5, 7)] if n >= 5 else None
     return _instance(
         "dream",
         n,
         order,
-        p,
-        p,
-        1,
-        2,
+        (1, 2),
         RotationInterval(Fraction(1, p), Fraction(2, p)),
         dream_per(n),
-        dream_poly(n),
         IntPolynomial([-1, 1]),  # char * (x - 1) == T_n
         {"sbc": n, "bc": n},
-        ext_builder,
+        extension,
     )
 
 
@@ -293,28 +262,16 @@ def persistent(n: int) -> FamilyInstance:
     order = [("x", 0)] + [("y", i) for i in range(n - 2)]
     order += [("x", 1)] + [("y", i) for i in range(n - 2, 2 * n)]
     k = persistent_k(n)
-
-    def ext_builder(inst: FamilyInstance):
-        if n < 7:
-            return None
-        # chain classes I_1, I_2, I_3 with I_i = [y_(n+1+i(n+2) mod 2n), +1]
-        idx = []
-        for i in (1, 2, 3):
-            a = (n + 1 + i * (n + 2)) % (2 * n)
-            idx.append(inst.class_index(inst.y_positions[a], inst.y_positions[a + 1]))
-        return ExtensionSpec(*idx)
-
+    # chain classes I_1, I_2, I_3 with I_i = [y_(n+1+i(n+2) mod 2n), +1]
+    chain = [(n + 1 + i * (n + 2)) % (2 * n) for i in (1, 2, 3)]
+    extension = [(("y", a), ("y", a + 1)) for a in chain] if n >= 7 else None
     return _instance(
         "persistent",
         n,
         order,
-        2,
-        2 * n,
-        1,
-        n + 2,
+        (1, n + 2),
         RotationInterval(Fraction(1, 2), Fraction(n + 2, 2 * n)),
         persistent_per(n),
-        persistent_poly(n),
         IntPolynomial([1]),  # char == T_n exactly
         {
             "sbc": n if n >= 5 else 2,
@@ -322,7 +279,7 @@ def persistent(n: int) -> FamilyInstance:
             "bc_hi": n,
             "bc_exists": n >= 5,
         },
-        ext_builder,
+        extension,
     )
 
 
@@ -339,28 +296,21 @@ def montevideo(n: int) -> FamilyInstance:
         order += [("y", (blk - 1) * r + n + 1 + t) for t in range(r)]
     assert len(order) == 2 * q
     nu = montevideo_nu(n)
-
-    def ext_builder(inst: FamilyInstance):
-        if n < 4:
-            return None
-        y, x = inst.y_positions, inst.x_positions
-        detour = inst.class_index(y[(n - 3) * r + n], x[(n - 2) * p + n])
-        excised = inst.class_index(y[(n - 2) * r + n], x[(n - 1) * p + n])
-        ret = inst.class_index(y[q - 1], x[0] + 1)  # the wrap class [y_(q-1), x_q]
-        return ExtensionSpec(detour, excised, ret)
-
+    extension = None
+    if n >= 4:
+        extension = [
+            (("y", (n - 3) * r + n), ("x", (n - 2) * p + n)),  # detour
+            (("y", (n - 2) * r + n), ("x", (n - 1) * p + n)),  # excised
+            (("y", q - 1), ("x", 0)),  # return: the wrap class [y_(q-1), x_q]
+        ]
     cof = poly_from_terms({2 * n - 1: 1, 0: -1}) * poly_from_terms({2 * n + 1: 1, 0: -1})
     return _instance(
         "montevideo",
         n,
         order,
-        q,
-        q,
-        p,
-        r,
+        (p, r),
         RotationInterval(Fraction(p, q), Fraction(r, q)),
         montevideo_per(n),
-        montevideo_poly(n),
         cof,  # char * (x^(2n-1)-1)(x^(2n+1)-1) == T_n
         {
             "sbc": n * nu + 1 - nu // 2,
@@ -368,7 +318,7 @@ def montevideo(n: int) -> FamilyInstance:
             "bc_hi": n * nu - 1 - nu // 2,
             "bc_upper_bound_expected": n >= 6,
         },
-        ext_builder,
+        extension,
     )
 
 
@@ -490,9 +440,9 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     """Run every check of the family's stated data against the built system."""
     F, M = inst.lifting, inst.markov
     rot = rotation_interval(F)
-    rot_ok = rot == inst.expected_rot == partition_rotation_interval(M)
+    rot_ok = rot == inst.expected_rot == M.rotation
 
-    per = per_from_rotation(F, M, rot)
+    per = per_from_rotation(F, M)
     per_ok = per == inst.expected_per
 
     char = markov_char_poly(M)
@@ -501,7 +451,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     poly_root_ok = closed_form_root_ok(poly_exact, sigma, inst.poly_cofactor, tol)
 
     cert = transitivity_certificate(M)
-    classes_ok = M.size == inst.expected_classes
+    classes_ok = M.size == len(inst.x_positions) + len(inst.y_positions)
 
     creport = cofin_report(per)
     flags = {}
@@ -633,11 +583,14 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
     """Desk-scale scan of the Main Theorem quantities: exact rotation-interval
     lengths, certified entropy brackets and literal boundary-of-cofiniteness
     values along the family, with the monotonicity assertions recorded."""
+    ns = scan_values(family, n_from, n_to)
+    if not ns:
+        raise BadParameter(f"no {family} instance with {n_from} <= n <= {n_to}")
     rows = []
-    for n in scan_values(family, n_from, n_to):
+    for n in ns:
         inst = make(family, n)
-        rot = partition_rotation_interval(inst.markov)
-        per = per_from_rotation(inst.lifting, inst.markov, rot)
+        rot = inst.markov.rotation
+        per = per_from_rotation(inst.lifting, inst.markov)
         crep = cofin_report(per)
         sigma = markov_entropy(inst.markov, tol)
         flags = {"per_matches_closed_form": per == inst.expected_per}

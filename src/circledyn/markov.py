@@ -1,15 +1,13 @@
 """Markov partitions modulo 1, covering graphs, romes and entropy.
 
-A MarkovSystem holds the partition (one fundamental domain), the basic
-interval classes (consecutive partition points, wrap included), the map on
-the partition as integers (the partition's keys on its common denominator and
-the lifted index of each point's image), the covering arrows with the integer
-translate realizing each one, and the orientation of the map on each class.
-Later stages walk indices, keys and arrows instead of evaluating the
-lifting.  The graph passes here read two things of a system:
-`successors` (sorted successor lists of the covering graph) and
-`orientation`; a MarkovSystem builds its successor lists from the arrows once,
-and any other graph (an extension, a test fixture) carries its own.
+A MarkovSystem is the map on its partition as integers: the partition's keys
+on their common denominator, the lifted index of each point's image, and the
+covering arrows with the integer translate realizing each one.  Everything
+else (partition, classes, orientation, Rot(F), graph views) derives from them.
+Later stages walk indices, keys and arrows instead of evaluating the lifting.
+The graph passes here read two things of a system: `successors` (sorted
+successor lists of the covering graph) and `orientation`; any other graph (an
+extension, a test fixture) carries its own.
 """
 
 from __future__ import annotations
@@ -43,16 +41,14 @@ class MarkovSystem:
     from key X[i] to X[i+1] onto K(G[i]) .. K(G[i+1]), G[n] = G[0] + n.
 
     `denominator`, `keys`, `index_map` and `coverings` are the only map and
-    graph data.  Views derived from them on first use and cached:
-    `successors` for the graph passes, `arrow_steps` and `partition_cycles`
-    for the oracle, and the dense 0/1 `matrix` for tests and the benchmark
-    tracer (the scan never builds it).
+    graph data.  Views derived from them on first use and cached: `partition`,
+    `classes`, `orientation` and `rotation` for the map, `successors` for the
+    graph passes, `arrow_steps` and `partition_cycles` for the oracle, and the
+    dense 0/1 `matrix` for tests and the benchmark tracer (the scan builds
+    none of the Fraction views or `matrix`).
     """
 
     lifting: Lifting
-    partition: tuple  # sorted Fractions in [0,1)
-    classes: tuple  # (a, b) representatives; last one wraps to partition[0]+1
-    orientation: tuple  # +1 increasing, -1 decreasing, 0 degenerate
     denominator: int  # D, the common denominator of the partition
     keys: tuple  # X[i] = partition[i]*D for i < n, and X[n] = X[0] + D
     index_map: tuple  # lifted index G[i] = j + n*k for F(partition[i]) = partition[j] + k
@@ -60,7 +56,29 @@ class MarkovSystem:
 
     @property
     def size(self) -> int:
-        return len(self.classes)
+        return len(self.index_map)
+
+    @cached_property
+    def partition(self) -> tuple:
+        """The sorted partition points X[i]/D in [0,1)."""
+        return tuple(Fraction(x, self.denominator) for x in self.keys[:-1])
+
+    @cached_property
+    def classes(self) -> tuple:
+        """(a, b) ends of each class; the last one wraps to partition[0] + 1."""
+        ends = self.partition + (self.partition[0] + 1,)
+        return tuple(zip(ends, ends[1:]))
+
+    @cached_property
+    def orientation(self) -> tuple:
+        """Sign of G[i+1] - G[i]: +1 increasing, -1 decreasing, 0 constant."""
+        G = self.index_map + (self.index_map[0] + self.size,)
+        return tuple((b > a) - (b < a) for a, b in zip(G, G[1:]))
+
+    @cached_property
+    def rotation(self) -> RotationInterval:
+        """Rot(F), read off the index map (`partition_rotation_interval`)."""
+        return partition_rotation_interval(self)
 
     @property
     def class_names(self) -> list[str]:
@@ -69,7 +87,7 @@ class MarkovSystem:
     @cached_property
     def successors(self) -> tuple:
         """Sorted successor lists of the covering graph (a view of `coverings`)."""
-        succ = [[] for _ in self.classes]
+        succ = [[] for _ in range(self.size)]
         for i, j, _ in self.coverings:
             succ[i].append(j)
         return tuple(map(tuple, succ))
@@ -96,7 +114,7 @@ class MarkovSystem:
     @cached_property
     def matrix(self) -> tuple:
         """0/1 covering matrix (a view of `coverings`)."""
-        rows = [[0] * self.size for _ in self.classes]
+        rows = [[0] * self.size for _ in range(self.size)]
         for i, j, _ in self.coverings:
             rows[i][j] = 1
         return tuple(map(tuple, rows))
@@ -123,8 +141,7 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     The closure runs on reduced pairs (a, b) for the point a/b: reducing
     mod 1 is (a % b, b), still reduced, so it needs no gcd and no Fraction.
     Images of breakpoints come off F.values; F is evaluated only at the other
-    points.  The partition keeps the Fractions at hand (breakpoints, extra
-    points, images in [0,1)) and builds the others once.
+    points.
 
     After the closure everything is integer: on the common denominator D of
     the partition, point p is the key X = p*D and its image the integer
@@ -136,13 +153,14 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1, where
     G[n] = G[0] + n closes the wrap class.
     """
-    frac = {(b.numerator, b.denominator): b for b in F.breakpoints}
-    images = {x: (v.numerator, v.denominator) for x, v in zip(frac, F.values)}
+    images = {
+        (b.numerator, b.denominator): (v.numerator, v.denominator) for b, v in zip(F.breakpoints, F.values)
+    }
+    pts = set(images)
     for p in extra_points:
         p = Fraction(p)
         p -= floor_frac(p)
-        frac.setdefault((p.numerator, p.denominator), p)
-    pts = set(frac)
+        pts.add((p.numerator, p.denominator))
     frontier = list(pts)
     bits = sum(b.bit_length() for _, b in pts)
     while frontier:
@@ -151,10 +169,8 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         x = frontier.pop()
         y = images.get(x)
         if y is None:
-            v = F.eval(frac.get(x) or Fraction(*x))
+            v = F.eval(Fraction(*x))
             y = images[x] = (v.numerator, v.denominator)
-            if 0 <= y[0] < y[1]:
-                frac[y] = v
         a, b = y
         y = (a % b, b)
         if y not in pts:
@@ -176,22 +192,17 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         Y.append(a * (D // b))
         k, r = divmod(Y[-1], D)
         G.append(index[r] + n * k)
-    partition = tuple(frac.get(x) or Fraction(*x) for _, x in keyed)
-    ends = partition + (partition[0] + 1,)
     X.append(X[0] + D)
     Y.append(Y[0] + D)
     G.append(G[0] + n)
 
-    classes = tuple((ends[i], ends[i + 1]) for i in range(n))
-    orientation = []
     coverings = []
     for i in range(n):
         g0, g1 = G[i], G[i + 1]
         if abs(g1 - g0) >= n:
-            a, b = classes[i]
+            a, b = Fraction(X[i], D), Fraction(X[i + 1], D)
             length = Fraction(abs(Y[i + 1] - Y[i]), D)
             raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {length} >= 1")
-        orientation.append((g1 > g0) - (g1 < g0))
         # lifted classes lo..hi-1 (fewer than n) in class order: those past
         # the turn, classes 0.. at turn q+1 (all below r), then r..top-1 at q
         lo, hi = min(g0, g1), max(g0, g1)
@@ -202,9 +213,6 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
 
     return MarkovSystem(
         lifting=F,
-        partition=partition,
-        classes=classes,
-        orientation=tuple(orientation),
         denominator=D,
         keys=tuple(X),
         index_map=tuple(G[:n]),

@@ -160,7 +160,7 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
     for r, m, rho, orbit in M.partition_cycles:
-        result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
+        result.add(PeriodicWitness(Fraction(M.keys[r], M.denominator), m, rho, orbit))
     for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
         if not loop.simple:
             continue

@@ -15,8 +15,7 @@ from typing import Optional
 
 from .arith import floor_frac, rat_str, sharkovskii_geq
 from .errors import DegenerateRotationInterval
-from .lifting import RotationInterval
-from .markov import critical_successors, partition_rotation_interval
+from .markov import critical_successors
 from .oracle import periods_up_to
 
 
@@ -152,23 +151,20 @@ def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
     return ShoInference(sho=best, ambiguous_two_infinity=ambiguous)
 
 
-def per_from_rotation(F, M, rot: Optional[RotationInterval] = None) -> PeriodSet:
-    """Exact Per(f) = Q_F(c) ∪ M(c,d) ∪ Q_F(d) for the lifting F; every query
-    reads only F's Markov system M.
+def per_from_rotation(F, M) -> PeriodSet:
+    """Exact Per(f) = Q_F(c) ∪ M(c,d) ∪ Q_F(d) for the lifting F, with
+    Rot(F) = [c, d] read off F's Markov system M (`M.rotation`); every query
+    reads only M.
 
     Only endpoint periods below the M(c,d) tail threshold need resolution:
     Q_F(c) ⊆ sN and everything at or above the threshold is already in the
     tail, so finitely many oracle queries settle the set exactly.  M's
     `partition_cycles` settle some first; each endpoint then queries its
-    critical subgraph up to its largest multiple still unresolved.  `rot` is
-    Rot(F) when the caller already has it (`verify` passes the lifting's
-    envelopes); otherwise it is read off M by `partition_rotation_interval`.
-    Either way the critical subgraphs certify it: RotationMismatch if c or d
-    is not the extreme loop mean.
+    critical subgraph up to its largest multiple still unresolved.  The
+    critical subgraphs certify Rot(F): RotationMismatch if c or d is not the
+    extreme loop mean.
     """
-    if rot is None:
-        rot = partition_rotation_interval(M)
-    c, d = rot.c, rot.d
+    c, d = M.rotation.c, M.rotation.d
     if c == d:
         raise DegenerateRotationInterval(f"Rot(F) = [{rat_str(c)}, {rat_str(c)}]")
     ms = m_set(c, d)

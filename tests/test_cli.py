@@ -91,6 +91,23 @@ class TestScan:
         assert code == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_svg_emitted_with_json(self, capsys, tmp_path):
+        svg = tmp_path / "plot.svg"
+        argv = ("scan", "dream", "--from", "3", "--to", "5", "--json")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--svg", str(svg))
+        assert code == 0 and out == plain
+        assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("dream", "--from", "10", "--to", "5"), ("persistent", "--from", "4", "--to", "4")],
+    )
+    def test_empty_range_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 1 and out == "" and "error" in err
+
 
 class TestBeta:
     def test_beta_agreement(self, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from circledyn.families import (
     persistent_poly,
     verify,
 )
+from circledyn.lifting import RotationInterval
 from circledyn.markov import markov_char_poly
 
 F2 = Fraction
@@ -72,6 +74,33 @@ class TestConstructors:
             with pytest.raises(KeyError) as err:
                 inst.class_index(a, b)
             assert err.value.args == (f"no class [{rat_str(a)},{rat_str(b)}]",)
+
+    @pytest.mark.parametrize("name,n", [("dream", 5), ("persistent", 7), ("persistent", 9), ("montevideo", 4)])
+    def test_extension_classes_by_label(self, name, n):
+        # the (left, right) labels name the classes the orbit points bound
+        inst = make(name, n)
+        x, y = inst.x_positions, inst.y_positions
+        if name == "dream":
+            ends = [(y[3], y[4]), (y[5], y[6]), (y[7], y[8])]
+        elif name == "persistent":
+            chain = [(n + 1 + i * (n + 2)) % (2 * n) for i in (1, 2, 3)]
+            ends = [(y[a], y[a + 1]) for a in chain]
+        else:
+            p, r, q = 2 * n - 1, 2 * n + 1, 2 * n * n
+            ends = [
+                (y[(n - 3) * r + n], x[(n - 2) * p + n]),
+                (y[(n - 2) * r + n], x[(n - 1) * p + n]),
+                (y[q - 1], x[0] + 1),
+            ]
+        assert inst.extension == families.ExtensionSpec(*(inst.class_index(a, b) for a, b in ends))
+
+    def test_extension_labels_must_bound_a_class(self):
+        order = [("x", 0), ("y", 0), ("x", 1), ("y", 1)]
+        args = ("dream", 3, order, (1, 1), None, None, None, {})
+        wrap = [(("y", 1), ("x", 0))] * 3  # class 3 wraps to x_0 + 1
+        assert families._instance(*args, wrap).extension == families.ExtensionSpec(3, 3, 3)
+        with pytest.raises(KeyError):
+            families._instance(*args, [(("x", 0), ("x", 1))] * 3)
 
     def test_closed_form_period_sets(self):
         assert persistent_per(5).up_to(8) == {2, 3, 5, 6, 7, 8}
@@ -189,6 +218,15 @@ class TestVerify:
         # the bracket [1, 1] stands for no root above 1
         monkeypatch.setattr(families, "markov_entropy", lambda M, tol, char: CertifiedRoot(F2(1), F2(1)))
         assert not verify(inst).poly_root_ok
+
+    def test_rotation_mismatch_reads_red(self, monkeypatch):
+        # the lifting's Rot(F) is only compared: Per(F) reads M's own
+        inst = dream(4)
+        assert not verify(replace(inst, expected_rot=RotationInterval(F2(0), F2(1, 7)))).rot_ok
+        shifted = RotationInterval(inst.expected_rot.c, inst.expected_rot.d + F2(1, 100))
+        monkeypatch.setattr(families, "rotation_interval", lambda F: shifted)
+        rep = verify(inst)
+        assert not rep.rot_ok and rep.per_ok and not rep.all_green
 
     def test_report_json_shape(self):
         d = verify(dream(3)).to_json()

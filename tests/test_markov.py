@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -556,13 +557,18 @@ class TestDenseViews:
             for x in (lo, hi):
                 assert inst.lifting.eval(F2(x, D)) - k == F2(dy * x + e, dx * D)
 
+    def test_stored_fields_are_the_integer_map(self):
+        names = [f.name for f in dataclasses.fields(MarkovSystem)]
+        assert names == ["lifting", "denominator", "keys", "index_map", "coverings"]
+
     @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
     def test_scan_stages_leave_views_unbuilt(self, name, n):
         inst = make(name, n)
         M = inst.markov
         per_from_rotation(inst.lifting, M)
         entropy(M, F2(1, 10**9))
-        assert "matrix" not in vars(M)
+        for view in ("matrix", "partition", "classes", "orientation"):
+            assert view not in vars(M), view
         assert [len(out) for out in M.successors] == [sum(row) for row in M.matrix]
         assert M.arrows() == [(i, j) for i in range(M.size) for j in range(M.size) if M.matrix[i][j]]
         assert vars(M)["matrix"] is M.matrix  # built once, then cached

@@ -252,13 +252,13 @@ class TestCriticalSubgraph:
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_per_from_rotation_matches_full_graph(self, data):
         F, M, rot = data
-        assert per_from_rotation(F, M, rot) == reference_per_from_rotation(F, M, rot)
+        assert per_from_rotation(F, M) == reference_per_from_rotation(F, M, rot)
 
     @pytest.mark.parametrize("name,n", SCAN_INSTANCES[::4])
     def test_scan_instances_match_full_graph(self, name, n):
         inst = make(name, n)
         rot = rotation_interval(inst.lifting)
-        got = per_from_rotation(inst.lifting, inst.markov, rot)
+        got = per_from_rotation(inst.lifting, inst.markov)
         assert got == reference_per_from_rotation(inst.lifting, inst.markov, rot)
 
     @given(data=two_orbit_maps(), P=st.integers(min_value=1, max_value=12))
@@ -268,7 +268,7 @@ class TestCriticalSubgraph:
         # the full oracle, exponential in P on dense graphs, out of the minutes
         F, M, rot = data
         P = min(P, m_set(rot.c, rot.d).tail_from + 2)
-        assert per_from_rotation(F, M, rot).up_to(P) == periods_up_to(M, P).periods()
+        assert per_from_rotation(F, M).up_to(P) == periods_up_to(M, P).periods()
 
     @given(data=two_orbit_maps())
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -329,12 +329,16 @@ class TestCriticalSubgraph:
     )
     @pytest.mark.parametrize("name,n", [("persistent", 7), ("dream", 3), ("montevideo", 4)])
     def test_wrong_rotation_interval_raises(self, name, n, dc, dd, message):
+        # the endpoint query certifies its end of Rot(F): the shifted end
+        # of the wrong interval is refused before any oracle query
         inst = make(name, n)
         rot = rotation_interval(inst.lifting)
         wrong = RotationInterval(rot.c + dc, rot.d + dd)
+        e, side = (wrong.c, 1) if dc else (wrong.d, -1)
+        bound = m_set(rot.c, rot.d).tail_from - 1
         start = time.perf_counter()
         with pytest.raises(RotationMismatch, match=message):
-            per_from_rotation(inst.lifting, inst.markov, wrong)
+            endpoint_periods(inst.markov, e, bound, side)
         assert time.perf_counter() - start < 10
 
 
@@ -407,9 +411,10 @@ class TestPartitionCycles:
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_one_walk_per_system(self, data):
         F, M, rot = data
+        assert M.rotation == rot  # Rot(F) walks the two envelope orbits first
         walk = mock.Mock(wraps=circledyn.markov.index_cycles)
         with mock.patch.object(circledyn.markov, "index_cycles", walk):
-            per_from_rotation(F, M, rot)
+            per_from_rotation(F, M)
             periods_up_to(M, 4)
         assert walk.call_count == 1
 
