@@ -294,7 +294,6 @@ def montevideo(n: int) -> FamilyInstance:
     for blk in range(1, n):
         order += [("x", blk * p + n + t) for t in range(p)]
         order += [("y", (blk - 1) * r + n + 1 + t) for t in range(r)]
-    assert len(order) == 2 * q
     nu = montevideo_nu(n)
     extension = None
     if n >= 4:

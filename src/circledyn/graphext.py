@@ -231,7 +231,6 @@ def traversal(X: CombGraph, a, b) -> Traversal:
     seg_halves.append(("J",))
     s_images.append(("vertex", b))
 
-    assert len(seg_halves) == m and len(s_images) == m + 1
     if m < 5:
         raise NotExtendable("traversal shorter than the construction permits")
     return Traversal(
@@ -281,7 +280,6 @@ class ExtendedMarkov:
     n: int = 0
     m: int = 0
     u_count: int = 0
-    class_names: tuple = ()
     successors: tuple = ()  # sorted successor lists of the extended covering graph
     orientation: tuple = ()
     projection: tuple = ()  # extended vertex -> base vertex index
@@ -317,23 +315,14 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
     preds = [i for i, out in enumerate(base_succ) if ext.detour in out]
     if any(p in removed for p in preds):
         raise BadParameter("detour class fed from inside the replaced pair")
-    assert ext.excised in base_succ[ext.detour] and ext.ret in base_succ[ext.excised]
+    if ext.excised not in base_succ[ext.detour] or ext.ret not in base_succ[ext.excised]:
+        raise BadParameter("detour, excised and return classes are not a path of arrows")
 
     keep = [i for i in range(nb) if i not in removed]
     base_index = {i: j for j, i in enumerate(keep)}
-    base_names = base.class_names
-    names = [base_names[i] for i in keep]
-    projection = list(keep)
-    l_ids = []
-    for i in range(m):
-        l_ids.append(len(names))
-        names.append(f"L{i}")
-        projection.append(ext.detour)
-    u_index = {}
-    for uid in trav.u_ids:
-        u_index[uid] = len(names)
-        names.append(f"U{len(u_index) - 1}")
-        projection.append(ext.excised)
+    l_ids = range(len(keep), len(keep) + m)
+    u_index = {uid: l_ids.stop + t for t, uid in enumerate(trav.u_ids)}
+    projection = keep + [ext.detour] * m + [ext.excised] * len(u_index)
 
     # kept classes come first in base order, then the L and the U classes,
     # so each list below is built sorted
@@ -350,7 +339,6 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
         n=inst.n,
         m=m,
         u_count=len(u_index),
-        class_names=tuple(names),
         successors=tuple(map(tuple, succ)),
         orientation=tuple(orientation),
         projection=tuple(projection),

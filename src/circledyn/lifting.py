@@ -298,7 +298,6 @@ def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
             j, zj = seen[r]
             L = k - j
             t = z - zj
-            assert t.denominator == 1
             return Fraction(t.numerator, L)
         seen[r] = (k, z)
         z = F.eval(z)

@@ -41,14 +41,14 @@ class MarkovSystem:
     from key X[i] to X[i+1] onto K(G[i]) .. K(G[i+1]), G[n] = G[0] + n.
 
     `denominator`, `keys`, `index_map` and `coverings` are the only map and
-    graph data.  Views derived from them on first use and cached: `partition`,
-    `classes`, `orientation` and `rotation` for the map, `successors` for the
-    graph passes, `arrow_steps` and `partition_cycles` for the oracle, and the
-    dense 0/1 `matrix` for tests and the benchmark tracer (the scan builds
-    none of the Fraction views or `matrix`).
+    graph data; the lifting they came from stays with the caller.  Views
+    derived from them on first use and cached: `partition`, `classes`,
+    `orientation` and `rotation` for the map, `successors` for the graph
+    passes, `arrow_steps` and `partition_cycles` for the oracle, and the dense
+    0/1 `matrix` for tests and the benchmark tracer (the scan builds none of
+    the Fraction views or `matrix`).
     """
 
-    lifting: Lifting
     denominator: int  # D, the common denominator of the partition
     keys: tuple  # X[i] = partition[i]*D for i < n, and X[n] = X[0] + D
     index_map: tuple  # lifted index G[i] = j + n*k for F(partition[i]) = partition[j] + k
@@ -212,7 +212,6 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
         coverings.extend((i, j, q) for j in range(r, top))
 
     return MarkovSystem(
-        lifting=F,
         denominator=D,
         keys=tuple(X),
         index_map=tuple(G[:n]),
@@ -267,28 +266,47 @@ def _reverse(succ) -> list[list[int]]:
     return pred
 
 
-def _components(succ) -> list[int]:
-    """Strongly connected component label of each vertex (iterative Kosaraju)."""
-    n = len(succ)
-    order, seen = [], [False] * n
-    for root in range(n):
-        if seen[root]:
+def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
+    """One iterative depth-first walk of the graph without the vertices in
+    `skip`, roots and successors in increasing order.  Returns the finishing
+    order (each vertex after every vertex it reaches, unless they share a
+    loop), the targets of the back arrows, and the first loop it closes
+    (w .. v w for the first back arrow v -> w), or None when no loop avoids
+    `skip`."""
+    state = [0] * len(succ)  # 0 unseen, 1 on the path, 2 finished or skipped
+    for v in skip:
+        state[v] = 2
+    order, targets, loop = [], [], None
+    for root in range(len(succ)):
+        if state[root]:
             continue
-        seen[root] = True
+        state[root] = 1
         stack = [(root, iter(succ[root]))]
         while stack:
             v, it = stack[-1]
             for w in it:
-                if not seen[w]:
-                    seen[w] = True
+                if not state[w]:
+                    state[w] = 1
                     stack.append((w, iter(succ[w])))
                     break
+                if state[w] == 1:
+                    targets.append(w)
+                    if loop is None:
+                        path = [u for u, _ in stack]
+                        loop = path[path.index(w) :] + [w]
             else:
                 stack.pop()
+                state[v] = 2
                 order.append(v)
+    return order, targets, loop
+
+
+def _components(succ) -> list[int]:
+    """Strongly connected component label of each vertex (Kosaraju: the
+    reverse graph in reverse finishing order of `_walk`)."""
     pred = _reverse(succ)
-    comp = [-1] * n
-    for root in reversed(order):
+    comp = [-1] * len(succ)
+    for root in reversed(_walk(succ)[0]):
         if comp[root] < 0:
             comp[root] = root
             stack = [root]
@@ -368,46 +386,24 @@ class Rome:
         object.__setattr__(self, "members", frozenset(self.members))
 
 
-def _complement_cycle(succ, members) -> Optional[list[int]]:
-    """A loop avoiding `members`, or None (iterative 3-color DFS)."""
-    color = {}
-    for root in range(len(succ)):
-        if root in members or root in color:
-            continue
-        color[root] = 1
-        path, stack = [root], [iter(succ[root])]
-        while stack:
-            for w in stack[-1]:
-                if w in members:
-                    continue
-                if color.get(w) == 1:
-                    return path[path.index(w):] + [w]
-                if w not in color:
-                    color[w] = 1
-                    path.append(w)
-                    stack.append(iter(succ[w]))
-                    break
-            else:
-                color[path.pop()] = 2
-                stack.pop()
-    return None
-
-
-def validate_rome(system, rome: Rome) -> None:
-    cyc = _complement_cycle(system.successors, rome.members)
-    if cyc is not None:
-        raise InvalidRome(f"loop avoiding the rome: {cyc}")
+def validate_rome(system, rome: Rome) -> list[int]:
+    """InvalidRome, with the first loop of `_walk`, if a loop avoids the rome;
+    otherwise the complement's finishing order, each vertex after its
+    successors."""
+    order, _, loop = _walk(system.successors, rome.members)
+    if loop is not None:
+        raise InvalidRome(f"loop avoiding the rome: {loop}")
+    return order
 
 
 def find_rome(system) -> Rome:
-    """Greedy rome: all vertices of out-degree >= 2, then one vertex from each
-    remaining cycle of the (now functional) complement graph.  The loop stops
-    only when no loop avoids the members, so the result is a valid rome."""
+    """Greedy rome: all vertices of out-degree >= 2, then one vertex of each
+    loop of the (now functional) complement graph.  One `_walk` of the
+    complement closes each such loop at exactly one back arrow, so the
+    members are those arrows' targets; no loop avoids the result."""
     succ = system.successors
     members = {i for i, out in enumerate(succ) if len(out) >= 2}
-    while (cyc := _complement_cycle(succ, members)) is not None:
-        members.add(cyc[0])
-    return Rome(frozenset(members))
+    return Rome(members.union(_walk(succ, members)[1]))
 
 
 def rome_matrix(system, rome: Rome):
@@ -415,34 +411,14 @@ def rome_matrix(system, rome: Rome):
 
     Entry (i,j) counts simple rome paths r_i -> r_j by length: the coefficient
     of y^l is the number of such paths of length l.  One pass over the
-    complement in reverse topological order carries, for each vertex, its
-    path counts to the members as sparse {(member, length): count}; on
-    `find_rome`'s romes every complement vertex has one successor, so each
-    carries a single term.  A complement with no topological order holds a
-    loop avoiding the rome: InvalidRome, with that loop.
+    complement in finishing order (`validate_rome`, which raises InvalidRome
+    with a loop avoiding the rome) carries, for each vertex, its path counts
+    to the members as sparse {(member, length): count}; on `find_rome`'s
+    romes every complement vertex has one successor, so each carries a single
+    term.
     """
     succ = system.successors
     members = sorted(rome.members)
-    comp = [v for v in range(len(succ)) if v not in rome.members]
-
-    indeg = dict.fromkeys(comp, 0)
-    for v in comp:
-        for w in succ[v]:
-            if w in indeg:
-                indeg[w] += 1
-    topo = [v for v in comp if indeg[v] == 0]
-    queue = list(topo)
-    while queue:
-        v = queue.pop()
-        for w in succ[v]:
-            if w in indeg:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    topo.append(w)
-                    queue.append(w)
-    if len(topo) < len(comp):
-        validate_rome(system, rome)
-
     paths: dict[int, dict] = {}
 
     def step(v) -> dict:
@@ -455,7 +431,7 @@ def rome_matrix(system, rome: Rome):
                 acc[r, length + 1] = acc.get((r, length + 1), 0) + count
         return acc
 
-    for v in reversed(topo):
+    for v in validate_rome(system, rome):
         paths[v] = step(v)
     col = {r: jc for jc, r in enumerate(members)}
     rm = []

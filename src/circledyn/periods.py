@@ -119,7 +119,7 @@ def endpoint_periods(M, e: Fraction, bound: int, side: int = 1) -> set[int]:
     if bound < 1:
         return set()
     witnesses = periods_up_to(M, bound, succ=succ)
-    return {m for (m, rho) in witnesses.period_rotations() if rho == e and m <= bound}
+    return {m for (m, rho) in witnesses.period_rotations() if rho == e}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -130,6 +131,23 @@ class TestExtend:
         with pytest.raises(BadParameter):
             extend(montevideo(3), triangle_with_tail())
 
+    @pytest.mark.parametrize("name,n", [("dream", 5), ("persistent", 7), ("montevideo", 4)])
+    def test_forged_extension_spec_rejected(self, name, n):
+        # a spec whose detour -> excised -> return is not a path of arrows is
+        # bad family data: a typed error, which python -O does not strip
+        inst = make(name, n)
+        ext, succ = inst.extension, inst.markov.successors
+        size = inst.markov.size
+        bad_ret = next(j for j in range(size) if j not in succ[ext.excised])
+        feeds_detour = {i for i, out in enumerate(succ) if ext.detour in out}
+        bad_excised = next(
+            j for j in range(size) if j not in succ[ext.detour] and j != ext.detour and j not in feeds_detour
+        )
+        extend(inst, triangle_with_tail())  # the true spec extends
+        for forged in (replace(ext, ret=bad_ret), replace(ext, excised=bad_excised)):
+            with pytest.raises(BadParameter, match="not a path of arrows"):
+                extend(replace(inst, extension=forged), triangle_with_tail())
+
     def test_tree_ambient_rejected(self):
         tree = CombGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
         with pytest.raises(NotExtendable):
@@ -218,8 +236,9 @@ class TestExtend:
         E = extend(dream(5), triangle_with_tail())
         base_char = markov_char_poly(E)
         rng = random.Random(7)
-        l_ids = [i for i, nm in enumerate(E.class_names) if nm.startswith("L")]
-        u_ids = [i for i, nm in enumerate(E.class_names) if nm.startswith("U")]
+        # the kept base classes, then the m L classes, then the U classes
+        l_ids = range(E.size - E.u_count - E.m, E.size - E.u_count)
+        u_ids = list(range(E.size - E.u_count, E.size))
         for _ in range(3):
             perm = u_ids[:]
             rng.shuffle(perm)

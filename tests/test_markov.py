@@ -198,8 +198,9 @@ class TestIndexWalkBuild:
 
     @pytest.mark.parametrize("name,n", [("persistent", 9), ("montevideo", 4), ("dream", 7)])
     def test_families_match_reference(self, name, n):
-        M = make(name, n).markov
-        assert (M.partition, M.classes, M.matrix, shift_table(M), M.orientation) == reference_build(M.lifting)
+        inst = make(name, n)
+        M = inst.markov
+        assert (M.partition, M.classes, M.matrix, shift_table(M), M.orientation) == reference_build(inst.lifting)
 
     @pytest.mark.parametrize("k", [-1, 0, 2])
     @pytest.mark.parametrize("extra", [[], [F2(1, 12)]])
@@ -313,18 +314,25 @@ def all_rotations_reference(succ, max_len):
     return [(w, all(w[p:] + w[:p] != w for p in range(1, len(w)))) for w in sorted(words)]
 
 
-def _spectral_radius_above_one(matrix) -> bool:
-    """A 0/1 matrix has spectral radius > 1 iff some strongly connected
-    component is more than one simple cycle, i.e. some vertex has two arrows
-    back into its own component (Warshall closure)."""
-    n = len(matrix)
-    reach = [[bool(x) for x in row] for row in matrix]
+def reach_closure(succ, allowed):
+    """reach[v][w]: a walk of one or more arrows v -> w inside `allowed`."""
+    n = len(succ)
+    reach = [[v in allowed and w in allowed and w in succ[v] for w in range(n)] for v in range(n)]
     for k in range(n):
         for i in range(n):
             if reach[i][k]:
                 for j in range(n):
                     reach[i][j] = reach[i][j] or reach[k][j]
-    return any(sum(1 for w in range(n) if matrix[v][w] and reach[w][v]) >= 2 for v in range(n))
+    return reach
+
+
+def _spectral_radius_above_one(matrix) -> bool:
+    """A 0/1 matrix has spectral radius > 1 iff some strongly connected
+    component is more than one simple cycle, i.e. some vertex has two arrows
+    back into its own component."""
+    succ = FakeSystem(matrix).successors
+    reach = reach_closure(succ, set(range(len(succ))))
+    return any(sum(1 for w in out if reach[w][v]) >= 2 for v, out in enumerate(succ))
 
 
 def rigid_half_system():
@@ -559,7 +567,7 @@ class TestDenseViews:
 
     def test_stored_fields_are_the_integer_map(self):
         names = [f.name for f in dataclasses.fields(MarkovSystem)]
-        assert names == ["lifting", "denominator", "keys", "index_map", "coverings"]
+        assert names == ["denominator", "keys", "index_map", "coverings"]
 
     @pytest.mark.parametrize("name,n", [("persistent", 9), ("dream", 6), ("montevideo", 3)])
     def test_scan_stages_leave_views_unbuilt(self, name, n):
@@ -591,7 +599,7 @@ class TestRome:
             validate_rome(sys, Rome(frozenset()))
 
     def test_rome_char_poly_rejects_invalid_rome(self):
-        # the topological pass of rome_matrix finds the loop avoiding the rome
+        # the walk of the complement in rome_matrix finds the loop avoiding the rome
         with pytest.raises(InvalidRome, match=r"loop avoiding the rome: \[0, 1, 0\]"):
             rome_char_poly(FakeSystem([[0, 1], [1, 0]]), Rome(frozenset()))
         with pytest.raises(InvalidRome):
@@ -657,6 +665,94 @@ class TestRome:
         assert len(find_rome(persistent(7).markov).members) <= 3
         assert len(find_rome(montevideo(3).markov).members) == 5
         assert len(find_rome(dream(5).markov).members) <= 5
+
+
+def complement_cycle_reference(succ, members):
+    """A loop avoiding `members`, or None: a 3-colour DFS from each root in
+    turn, stopped at its first back arrow."""
+    color = {}
+    for root in range(len(succ)):
+        if root in members or root in color:
+            continue
+        color[root] = 1
+        path, stack = [root], [iter(succ[root])]
+        while stack:
+            for w in stack[-1]:
+                if w in members:
+                    continue
+                if color.get(w) == 1:
+                    return path[path.index(w) :] + [w]
+                if w not in color:
+                    color[w] = 1
+                    path.append(w)
+                    stack.append(iter(succ[w]))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
+    return None
+
+
+def greedy_rome_reference(succ):
+    """The out-degree >= 2 vertices, then the first vertex of each loop that
+    `complement_cycle_reference` finds, restarting it from vertex 0 after
+    every addition."""
+    members = {i for i, out in enumerate(succ) if len(out) >= 2}
+    while (cyc := complement_cycle_reference(succ, members)) is not None:
+        members.add(cyc[0])
+    return members
+
+
+class TestWalk:
+    """The one depth-first walk behind Kosaraju, `find_rome`, `validate_rome`
+    and `rome_matrix`, against brute force and the restart-per-loop greedy,
+    on graphs with a cycle and on drawn subgraphs of them."""
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_find_rome_matches_restart_greedy(self, matrix, data):
+        M = FakeSystem(matrix)
+        # a drawn share of the arrows: sparser, so more loops of out-degree 1
+        sub = FakeSystem.from_successors([[w for w in out if data.draw(st.booleans())] for out in M.successors])
+        for system in (M, sub):
+            rome = find_rome(system)
+            assert rome.members == greedy_rome_reference(system.successors)
+            validate_rome(system, rome)
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_invalid_rome_iff_a_loop_avoids_the_set(self, matrix, data):
+        M = FakeSystem(matrix)
+        n = len(matrix)
+        members = data.draw(st.frozensets(st.integers(0, n - 1)))
+        outside = set(range(n)) - members
+        reach = reach_closure(M.successors, outside)
+        has_loop = any(reach[v][v] for v in outside)
+        reference = complement_cycle_reference(M.successors, members)
+        assert (reference is not None) == has_loop
+        for check in (validate_rome, rome_matrix):
+            if not has_loop:
+                check(M, Rome(members))
+                continue
+            with pytest.raises(InvalidRome) as err:
+                check(M, Rome(members))
+            assert str(err.value) == f"loop avoiding the rome: {reference}"
+        if has_loop:
+            # a closed walk along arrows, outside the set
+            assert reference[0] == reference[-1] and len(reference) >= 2
+            assert all(w in M.successors[v] for v, w in zip(reference, reference[1:]))
+            assert not set(reference) & members
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_components_are_mutual_reachability(self, matrix, data):
+        succ = [[w for w in out if data.draw(st.booleans())] for out in FakeSystem(matrix).successors]
+        n = len(succ)
+        reach = reach_closure(succ, set(range(n)))
+        comp = markov._components(succ)
+        for v in range(n):
+            for w in range(n):
+                assert (comp[v] == comp[w]) == (v == w or (reach[v][w] and reach[w][v]))
 
 
 def _rome_matches_char_poly(case):

@@ -278,8 +278,9 @@ class TestCriticalSubgraph:
 
     @pytest.mark.parametrize("name,n", [("dream", 4), ("persistent", 7), ("montevideo", 3)])
     def test_family_rotation_interval_is_extreme_loop_mean(self, name, n):
-        M = make(name, n).markov
-        rot = rotation_interval(M.lifting)
+        inst = make(name, n)
+        M = inst.markov
+        rot = rotation_interval(inst.lifting)
         assert (rot.c, rot.d) == (karp_extreme_mean(M, 1), -karp_extreme_mean(M, -1))
 
     @given(data=two_orbit_maps())
