@@ -13,7 +13,6 @@ are the quantities the verifier checks against the constructed system.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -189,12 +188,6 @@ class FamilyInstance:
     x_positions: tuple
     y_positions: tuple
     extension: Optional[ExtensionSpec]
-
-    def class_index(self, a: Fraction, b: Fraction) -> int:
-        i = bisect_left(self.markov.partition, a)
-        if i < self.markov.size and self.markov.classes[i] == (a, b):
-            return i
-        raise KeyError(f"no class [{rat_str(a)},{rat_str(b)}]")
 
 
 def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> FamilyInstance:

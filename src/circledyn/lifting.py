@@ -3,7 +3,8 @@
 A Lifting stores one fundamental domain: strictly increasing breakpoints in
 [0,1) and the map's values there; between consecutive breakpoints (and across
 the wrap to first_breakpoint + 1) the map is affine, and evaluation anywhere
-uses F(x+1) = F(x) + 1.  All data are exact rationals.
+uses F(x+1) = F(x) + 1.  All data are exact rationals.  Evaluation, the
+envelopes and the dual run on the lifting's integer grid (`Lifting.grid`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -48,6 +50,16 @@ class Lifting:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def grid(self) -> tuple[int, tuple, tuple]:
+        """(D, X, V): D the lcm of the denominators of the breakpoints and
+        values, X = breakpoints·D and V = values·D as integers, with the wrap
+        X[n] = X[0] + D, V[n] = V[0] + D appended.  Built on first use."""
+        D = lcm(*(x.denominator for x in self.breakpoints + self.values))
+        X = [b.numerator * (D // b.denominator) for b in self.breakpoints]
+        V = [v.numerator * (D // v.denominator) for v in self.values]
+        return D, (*X, X[0] + D), (*V, V[0] + D)
+
     # -- geometry -------------------------------------------------------------
 
     def segments(self):
@@ -60,21 +72,21 @@ class Lifting:
         return out
 
     def is_nondecreasing(self) -> bool:
-        return all(vL <= vR for _, _, vL, vR in self.segments())  # every xR > xL
+        V = self.grid[2]
+        return all(a <= b for a, b in zip(V, V[1:]))  # every xR > xL
 
     def eval(self, x) -> Fraction:
-        """Exact F(x) for any rational x, via F(x+1) = F(x) + 1."""
-        x = Fraction(x)
-        b = self.breakpoints
-        k = floor_frac(x - b[0])
-        t = x - k  # t in [b0, b0 + 1)
-        i = bisect_right(b, t) - 1
-        if i == len(b) - 1:
-            xL, xR, vL, vR = b[-1], b[0] + 1, self.values[-1], self.values[0] + 1
-        else:
-            xL, xR, vL, vR = b[i], b[i + 1], self.values[i], self.values[i + 1]
-        val = vL if t == xL else vL + (vR - vL) * (t - xL) / (xR - xL)
-        return val + k
+        """Exact F(x) for any rational x = a/b, via F(x+1) = F(x) + 1: the
+        piece is found by bisection on floor(aD/b), the value interpolated
+        on integers and made one Fraction at the end."""
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        D, X, V = self.grid
+        a, b = x.numerator, x.denominator
+        k = (a * D - X[0] * b) // (D * b)  # x - k lies in [b0, b0 + 1)
+        i = bisect_right(X, a * D // b - k * D) - 1
+        u = a * D - (X[i] + k * D) * b  # b·D·(x - k - breakpoint i)
+        dx = X[i + 1] - X[i]
+        return Fraction((V[i] + k * D) * b * dx + (V[i + 1] - V[i]) * u, D * b * dx)
 
     def iterate(self, x, k: int) -> Fraction:
         x = Fraction(x)
@@ -88,14 +100,7 @@ class Lifting:
 
     def dual(self) -> "Lifting":
         """The lifting G(y) = -F(-y); swaps lower and upper constructions."""
-        pts = []
-        for b, v in zip(self.breakpoints, self.values):
-            if b == 0:
-                pts.append((Fraction(0), -v))
-            else:
-                pts.append((1 - b, 1 - v))
-        pts.sort()
-        return Lifting(tuple(p for p, _ in pts), tuple(w for _, w in pts))
+        return _on_grid(*_reflect(*self.grid))
 
     def to_json(self) -> dict:
         return {
@@ -182,60 +187,75 @@ def build_from_orbits(orbits: Sequence[LiftedOrbit]) -> Lifting:
 # ---------------------------------------------------------------------------
 
 
+def _on_grid(D: int, X, V) -> Lifting:
+    """The lifting with breakpoints X/D and values V/D, wrap entries dropped."""
+    return Lifting(tuple(Fraction(x, D) for x in X[:-1]), tuple(Fraction(v, D) for v in V[:-1]))
+
+
+def _reflect(D: int, X, V) -> tuple[int, list, list]:
+    """G(y) = -F(-y) on F's grid, wrap entries included: the points
+    (D - x, D - v) read right to left.  The first of them, -X[0], lies
+    below 0 unless X[0] = 0, and then it moves to the end as the wrap."""
+    xs, vs = [D - x for x in reversed(X)], [D - v for v in reversed(V)]
+    if xs[0]:
+        xs, vs = xs[1:] + [xs[1] + D], vs[1:] + [vs[1] + D]
+    return D, xs, vs
+
+
+def _corners(X, V) -> list:
+    """The indices of the breakpoints where the slope changes, slopes
+    compared by cross-multiplying (X and V with their wrap entries): every
+    index of at most two breakpoints, and the first alone for an affine map."""
+    n = len(X) - 1
+    dx, dv = [b - a for a, b in zip(X, X[1:])], [b - a for a, b in zip(V, V[1:])]
+    return list(range(n)) if n <= 2 else [i for i in range(n) if dv[i - 1] * dx[i] != dv[i] * dx[i - 1]] or [0]
+
+
+def _lower(D: int, X, V) -> tuple[int, list, list]:
+    """F_l on F's grid, simplified, wrap entries included.
+
+    Right-to-left sweep of the running minimum over one period, starting at
+    the infimum of F over [b0+1, +inf), which is min(F) + 1.  Every value is
+    a grid integer; a plateau end where a rising piece crosses the running
+    level may fall between grid points, and then the grid is refined by the
+    lcm of those ends' denominators."""
+    m = min(V) + D
+    xs, vs = [], []  # starts of the envelope's pieces, right to left
+    for i in range(len(X) - 2, -1, -1):
+        xL, xR, vL, vR = X[i], X[i + 1], V[i], V[i + 1]
+        if vL > vR:
+            m = min(vR, m)
+        elif m >= vR:
+            m = vL
+        elif m > vL:  # rising piece crosses the running level m
+            xs.append(Fraction(xL * (vR - vL) + (m - vL) * (xR - xL), vR - vL))
+            vs.append(m)
+            m = vL
+        xs.append(xL)
+        vs.append(m)
+    # starts at or past one period move down; the starts are distinct mod 1
+    pts = sorted((x - D, v - D) if x >= D else (x, v) for x, v in zip(xs, vs))
+    pts.append((pts[0][0] + D, pts[0][1] + D))
+    E = lcm(*(x.denominator for x, _ in pts))
+    D, X, V = E * D, [x.numerator * (E // x.denominator) for x, _ in pts], [v * E for _, v in pts]
+    keep = _corners(X, V)
+    return D, [X[i] for i in keep] + [X[keep[0]] + D], [V[i] for i in keep] + [V[keep[0]] + D]
+
+
 def lower_map(F: Lifting) -> Lifting:
-    """F_l(x) = inf{F(y) : y >= x}, computed exactly.
-
-    Right-to-left sweep of the running minimum over one period, with plateau
-    endpoints solved as intersections of affine pieces.  The sweep starts at
-    the infimum of F over [b0+1, +inf), which is min(F) + 1.
-    """
-    segs = F.segments()
-    m = min(F.values) + 1
-    pieces = []  # (xL, xR, vL, vR) of the envelope, right to left
-    for (xL, xR, vL, vR) in reversed(segs):
-        if vL <= vR:
-            if m >= vR:
-                pieces.append((xL, xR, vL, vR))
-                m = vL
-            elif m <= vL:
-                pieces.append((xL, xR, m, m))
-            else:
-                # rising piece crosses the running level m
-                xc = xL + (m - vL) * (xR - xL) / (vR - vL)
-                pieces.append((xc, xR, m, m))
-                pieces.append((xL, xc, vL, m))
-                m = vL
-        else:
-            c = min(vR, m)
-            pieces.append((xL, xR, c, c))
-            m = c
-
-    # starts at or past 1 move down one period; the starts are distinct mod 1
-    points = sorted((xL - 1, vL - 1) if xL >= 1 else (xL, vL) for (xL, _, vL, _) in pieces)
-    return _simplify(Lifting(tuple(x for x, _ in points), tuple(v for _, v in points)))
+    """F_l(x) = inf{F(y) : y >= x}, computed exactly on F's grid."""
+    return _on_grid(*_lower(*F.grid))
 
 
 def _simplify(F: Lifting) -> Lifting:
     """Drop breakpoints interior to a single affine piece."""
-    if len(F.breakpoints) <= 2:
-        return F
-    segs = F.segments()
-    slopes = [(vR - vL) / (xR - xL) for (xL, xR, vL, vR) in segs]
-    keep_b, keep_v = [], []
-    n = len(F.breakpoints)
-    for i in range(n):
-        prev_slope = slopes[(i - 1) % n]
-        if prev_slope != slopes[i]:
-            keep_b.append(F.breakpoints[i])
-            keep_v.append(F.values[i])
-    if not keep_b:  # globally affine (rigid translation)
-        return Lifting((F.breakpoints[0],), (F.values[0],))
-    return Lifting(tuple(keep_b), tuple(keep_v))
+    keep = _corners(*F.grid[1:])
+    return Lifting(tuple(F.breakpoints[i] for i in keep), tuple(F.values[i] for i in keep))
 
 
 def upper_map(F: Lifting) -> Lifting:
     """F_u(x) = sup{F(y) : y <= x} via the duality F_u = dual(lower(dual(F)))."""
-    return lower_map(F.dual()).dual()
+    return _on_grid(*_reflect(*_lower(*_reflect(*F.grid))))
 
 
 def upper_lower(F: Lifting) -> tuple[Lifting, Lifting]:
@@ -255,8 +275,9 @@ _PLATEAU_ITER_CAP = 20000
 def _displacement_extrema(F: Lifting) -> tuple[Fraction, Fraction]:
     """Exact min/max of F(x) - x over one period (attained at breakpoints of F
     or at the wrap endpoint, since the displacement is affine between them)."""
-    disps = [v - b for b, v in zip(F.breakpoints, F.values)]
-    return min(disps), max(disps)
+    D, X, V = F.grid
+    disps = [v - x for x, v in zip(X, V)]
+    return Fraction(min(disps), D), Fraction(max(disps), D)
 
 
 def compose(A: Lifting, B: Lifting) -> Lifting:
@@ -264,42 +285,39 @@ def compose(A: Lifting, B: Lifting) -> Lifting:
 
     Each affine piece of A adds the preimages of the breakpoints of B inside
     its image, found by bisection turn by turn, so the work follows the
-    breakpoints produced rather than the product of the two counts."""
-    new_bps = set(A.breakpoints)
+    breakpoints produced rather than the product of the two counts.  A
+    preimage x of c + k, c a breakpoint of B, has the image B(c) + k, so B
+    is evaluated only at the values of A."""
+    images = dict(zip(A.breakpoints, map(B.eval, A.values)))
     cs = B.breakpoints
     for (xL, xR, vL, vR) in A.segments():
         if vL == vR:
             continue
         lo, hi = min(vL, vR), max(vL, vR)
         for k in range(floor_frac(lo), floor_frac(hi) + 1):
-            for c in cs[bisect_right(cs, lo - k) : bisect_left(cs, hi - k)]:
-                x = xL + (c + k - vL) * (xR - xL) / (vR - vL)
-                new_bps.add(x - floor_frac(x))
-    bps = sorted(new_bps)
-    vals = [B.eval(A.eval(x)) for x in bps]
-    return Lifting(tuple(bps), tuple(vals))
+            for j in range(bisect_right(cs, lo - k), bisect_left(cs, hi - k)):
+                x = xL + (cs[j] + k - vL) * (xR - xL) / (vR - vL)
+                f = floor_frac(x)
+                images[x - f] = B.values[j] + k - f
+    bps = sorted(images)
+    return Lifting(tuple(bps), tuple(images[x] for x in bps))
 
 
 def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     """Iterate a plateau value exactly; a repeat mod 1 exhibits a periodic
     orbit whose rotation number is the rotation number of the monotone map."""
-    plateau_value = None
-    for (xL, xR, vL, vR) in F.segments():
-        if vL == vR:
-            plateau_value = vL
-            break
-    if plateau_value is None:
+    V = F.grid[2]
+    plateau = next((i for i in range(len(F.values)) if V[i] == V[i + 1]), None)
+    if plateau is None:
         return None
-    z = plateau_value
-    seen: dict[Fraction, tuple[int, Fraction]] = {}
+    z = F.values[plateau]
+    seen: dict[tuple[int, int], tuple[int, int]] = {}  # z mod 1 -> (turn, numerator)
     for k in range(cap):
-        r = z - floor_frac(z)
-        if r in seen:
-            j, zj = seen[r]
-            L = k - j
-            t = z - zj
-            return Fraction(t.numerator, L)
-        seen[r] = (k, z)
+        a, b = z.numerator, z.denominator
+        if (a % b, b) in seen:
+            j, aj = seen[a % b, b]
+            return Fraction((a - aj) // b, k - j)  # equal fractional parts share b
+        seen[a % b, b] = (k, a)
         z = F.eval(z)
     return None
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
-from .lifting import Lifting, lower_map, upper_map
 from .periods import interior_integer_count
 
 
@@ -167,13 +166,3 @@ def beta(c: Fraction, d: Fraction, tol: Fraction = Fraction(1, 10**9)) -> BetaRe
     root_r = root_q if agreement else largest_root_above(pr, Fraction(1), tol)
     return BetaResult(beta=root_q, beta_counts=root_r, method_agreement=agreement, tol=tol)
 
-
-def envelope_rotation_bounds(G: Lifting, steps: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Certified enclosures of rho(G_l) and rho(G_u) by orbit displacement:
-    |G^n(x) - x - n*rho| <= 1 for monotone maps gives width-2/n brackets."""
-    out = []
-    for H in (lower_map(G), upper_map(G)):
-        x0 = H.breakpoints[0]
-        disp = H.iterate(x0, steps) - x0
-        out.append(((disp - 1) / steps, (disp + 1) / steps))
-    return out[0], out[1]

@@ -16,6 +16,7 @@ from circledyn.graphext import (
     verify_extension,
 )
 from circledyn.markov import entropy as markov_entropy, markov_char_poly
+from family_classes import class_index
 
 F2 = Fraction
 
@@ -190,8 +191,8 @@ class TestExtend:
         # J2 = [x1, y_(n-2)] as class n - 1
         inst = persistent(n)
         x, y = inst.x_positions, inst.y_positions
-        assert inst.class_index(x[0], y[0]) == 0
-        assert inst.class_index(x[1], y[n - 2]) == n - 1
+        assert class_index(inst, x[0], y[0]) == 0
+        assert class_index(inst, x[1], y[n - 2]) == n - 1
 
     def test_integer_evaluation_identity(self):
         # char * cofactor == x^pow * closed form, checked at x = 2 and 3

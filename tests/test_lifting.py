@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circledyn.errors import Degenerate, DepthExceeded
+from circledyn.errors import CircledynError, Degenerate, DepthExceeded
 from circledyn.families import dream, montevideo, persistent
 from circledyn.lifting import (
     LiftedOrbit,
@@ -18,6 +18,7 @@ from circledyn.lifting import (
     upper_lower,
     upper_map,
 )
+import lifting_reference as ref
 
 F2 = Fraction
 
@@ -263,6 +264,81 @@ class TestRotationInterval:
     def test_endpoints_ordered(self):
         r = rotation_interval(sample_lifting())
         assert r.c <= r.d
+
+
+@st.composite
+def mixed_liftings(draw):
+    """Liftings with mixed denominators and values of either sign: arbitrary,
+    nondecreasing (with or without plateaus) or rigid, translated by an
+    integer.  The crossings of their envelopes mostly fall between grid
+    points."""
+    points = sorted(draw(st.sets(st.fractions(0, F2(99, 100), max_denominator=100), min_size=1, max_size=6)))
+    shape = draw(st.sampled_from(["any", "nondecreasing", "rigid"]))
+    if shape == "any":
+        values = [draw(st.fractions(-3, 3, max_denominator=60)) for _ in points]
+    elif shape == "rigid":
+        r = draw(rationals)
+        values = [p + r for p in points]
+    else:
+        steps = [draw(st.fractions(0, 1, max_denominator=12)) for _ in points]
+        v0, total = draw(rationals), sum(steps) or 1
+        values = [v0 + sum(steps[:i]) / total for i in range(len(points))]
+    return Lifting(tuple(points), tuple(values)).translate(draw(st.integers(-2, 2)))
+
+
+@st.composite
+def resolvable_liftings(draw):
+    """Liftings whose envelope rotation numbers resolve quickly: maps on the
+    full grid j/N with values on it (plateau orbits stay on the grid),
+    homeomorphisms interpolating one twist orbit (the Stern-Brocot search)
+    and rigid rotations, translated by an integer."""
+    shape = draw(st.sampled_from(["grid", "orbit", "rigid"]))
+    if shape == "grid":
+        N = draw(st.integers(1, 12))
+        values = [F2(draw(st.integers(-3 * N, 3 * N)), N) for _ in range(N)]
+        F = Lifting(tuple(F2(j, N) for j in range(N)), tuple(values))
+    elif shape == "orbit":
+        q = draw(st.integers(1, 9))
+        p = draw(st.sampled_from([p for p in range(-9, 19) if math.gcd(p, q) == 1]))
+        points = draw(st.sets(st.fractions(0, F2(99, 100), max_denominator=100), min_size=q, max_size=q))
+        F = build_from_orbits([LiftedOrbit(tuple(sorted(points)), p)])
+    else:
+        F = rigid(draw(rationals))
+    return F.translate(draw(st.integers(-2, 2)))
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of its typed error."""
+    try:
+        return fn(*args)
+    except CircledynError as e:
+        return type(e), str(e)
+
+
+class TestGridMatchesReference:
+    """The integer-grid path equals the Fraction reference in
+    tests/lifting_reference.py."""
+
+    @given(F=mixed_liftings(), G=mixed_liftings(), xs=st.lists(rationals, max_size=4))
+    @example(F=sample_lifting(), G=rigid(F2(1, 3)), xs=[])  # crossings refine the grid 20 -> 140
+    @example(F=Lifting((F2(0), F2(1, 2)), (F2(1, 3), F2(5, 6))), G=sample_lifting(), xs=[])  # affine, both stay
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_envelopes_dual_eval_and_compose(self, F, G, xs):
+        Fl, Fu = ref.lower_map(F), ref.upper_map(F)
+        assert lower_map(F) == Fl and upper_map(F) == Fu and upper_lower(F) == (Fl, Fu)
+        assert F.dual() == ref.dual(F)
+        assert compose(F, G) == ref.compose(F, G)
+        for H in (F, Fl, Fu):
+            for x in [*H.breakpoints, *(b + k for b in H.breakpoints for k in (-2, 1)), 3, *xs]:
+                assert H.eval(x) == ref.eval_(H, x)
+
+    @given(F=resolvable_liftings())
+    @example(F=sample_lifting())
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_rotation_interval(self, F):
+        # the bound 40 turns rigid rotations with larger denominators into
+        # DepthExceeded on both sides
+        assert outcome(rotation_interval, F, 40) == outcome(ref.rotation_interval, F, 40)
 
 
 class TestSerialization:

@@ -28,9 +28,10 @@ from circledyn.markov import (
     transitivity_certificate,
     validate_rome,
 )
-from circledyn.minentropy import envelope_rotation_bounds
 from circledyn.oracle import periods_up_to
 from circledyn.periods import per_from_rotation
+from family_classes import class_index
+from lifting_reference import envelope_rotation_bounds
 from test_graphext import apple_graph, triangle_with_tail
 from test_periods import two_orbit_maps
 
@@ -577,6 +578,7 @@ class TestDenseViews:
         entropy(M, F2(1, 10**9))
         for view in ("matrix", "partition", "classes", "orientation"):
             assert view not in vars(M), view
+        assert "grid" not in vars(inst.lifting)  # the scans never evaluate the lifting
         assert [len(out) for out in M.successors] == [sum(row) for row in M.matrix]
         assert M.arrows() == [(i, j) for i in range(M.size) for j in range(M.size) if M.matrix[i][j]]
         assert vars(M)["matrix"] is M.matrix  # built once, then cached
@@ -628,8 +630,8 @@ class TestRome:
     def test_persistent_two_element_rome_validates(self):
         inst = persistent(7)
         M = inst.markov
-        j0 = inst.class_index(F2(0), inst.y_positions[0])
-        j3 = inst.class_index(inst.y_positions[13], F2(0) + 1)
+        j0 = class_index(inst, F2(0), inst.y_positions[0])
+        j3 = class_index(inst, inst.y_positions[13], F2(0) + 1)
         supplied = Rome({j0, j3})
         validate_rome(M, supplied)
         assert rome_char_poly(M, supplied) == markov_char_poly(M) == persistent_poly(7)
@@ -640,11 +642,11 @@ class TestRome:
         n, p, r, q = 3, 5, 7, 18
         x, y = inst.x_positions, inst.y_positions
         members = {
-            inst.class_index(x[n - 1], x[n]),
-            inst.class_index(x[p + n - 1], y[0]),
-            inst.class_index(x[n * p + n - 1], y[(n - 2) * r + n + 1]),
-            inst.class_index(y[(n - 1) * r], y[(n - 1) * r + 1]),
-            inst.class_index(y[q - 1], x[0] + 1),
+            class_index(inst, x[n - 1], x[n]),
+            class_index(inst, x[p + n - 1], y[0]),
+            class_index(inst, x[n * p + n - 1], y[(n - 2) * r + n + 1]),
+            class_index(inst, y[(n - 1) * r], y[(n - 1) * r + 1]),
+            class_index(inst, y[q - 1], x[0] + 1),
         }
         assert len(members) == 5
         supplied = Rome(members)
@@ -867,8 +869,8 @@ class TestLoops:
     def test_persistent_j0_j2_loop_positive(self):
         inst = persistent(5)
         M = inst.markov
-        j0 = inst.class_index(F2(0), inst.y_positions[0])
-        j2 = inst.class_index(inst.x_positions[1], inst.y_positions[3])
+        j0 = class_index(inst, F2(0), inst.y_positions[0])
+        j2 = class_index(inst, inst.x_positions[1], inst.y_positions[3])
         loops = enumerate_loops(M, 2)
         two = [l for l in loops if l.length == 2 and set(l.vertices) == {j0, j2}]
         assert len(two) == 1 and two[0].simple

@@ -12,12 +12,12 @@ from circledyn.families import dream, persistent
 from circledyn.markov import entropy as markov_entropy
 from circledyn.minentropy import (
     beta,
-    envelope_rotation_bounds,
     q_balance,
     q_series_enclosure,
     r_balance,
     r_series_enclosure,
 )
+from lifting_reference import envelope_rotation_bounds
 from minentropy_model import min_entropy_model, offset_sum
 
 F2 = Fraction
