@@ -285,9 +285,6 @@ class CertifiedRoot:
         """float(log(midpoint)); presentation only, never used in proofs."""
         return math.log(float(self.midpoint()))
 
-    def overlaps(self, other: "CertifiedRoot", slack: Fraction = Fraction(0)) -> bool:
-        return self.lower <= other.upper + slack and other.lower <= self.upper + slack
-
     def to_json(self) -> dict:
         return {"lower": rat_str(self.lower), "upper": rat_str(self.upper)}
 

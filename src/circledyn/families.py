@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .arith import CertifiedRoot, IntPolynomial, largest_root_above, rat_str
 from .cofiniteness import CofinitenessReport, report as cofin_report
 from .errors import BadParameter, NoRootAbove
-from .lifting import Lifting, LiftedOrbit, RotationInterval, build_from_orbits, rotation_interval
+from .lifting import Lifting, RotationInterval, orbit_lifting, rotation_interval
 from .markov import (
     MarkovSystem,
     build_markov_system,
@@ -185,9 +186,16 @@ class FamilyInstance:
     expected_poly: IntPolynomial
     poly_cofactor: IntPolynomial  # char * cofactor == expected_poly, exactly
     cofin_expectations: dict
-    x_positions: tuple
-    y_positions: tuple
+    orbit_keys: tuple  # (x keys, y keys): orbit point j/N at key j, N their total count
     extension: Optional[ExtensionSpec]
+
+    # the orbit points j/N as Fractions, views of `orbit_keys`
+    x_positions = cached_property(lambda self: self._points(0))
+    y_positions = cached_property(lambda self: self._points(1))
+
+    def _points(self, orbit: int) -> tuple:
+        N = sum(map(len, self.orbit_keys))
+        return tuple(Fraction(j, N) for j in self.orbit_keys[orbit])
 
 
 def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> FamilyInstance:
@@ -199,8 +207,8 @@ def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> F
     those ends."""
     N = len(order)
     place = {lab: j for j, lab in enumerate(order)}
-    xs, ys = (tuple(Fraction(place[lab], N) for lab in sorted(place) if lab[0] == o) for o in "xy")
-    F = build_from_orbits([LiftedOrbit(points=xs, shift=shifts[0]), LiftedOrbit(points=ys, shift=shifts[1])])
+    xs, ys = (tuple(place[lab] for lab in sorted(place) if lab[0] == o) for o in "xy")
+    F = orbit_lifting(N, [(xs, shifts[0]), (ys, shifts[1])])
 
     def class_of(left, right) -> int:
         j = place[left]
@@ -218,8 +226,7 @@ def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> F
         expected_poly=POLYNOMIALS[name](n),
         poly_cofactor=cofactor,
         cofin_expectations=cofin,
-        x_positions=xs,
-        y_positions=ys,
+        orbit_keys=(xs, ys),
         extension=None if extension is None else ExtensionSpec(*(class_of(*ends) for ends in extension)),
     )
 
@@ -443,7 +450,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     poly_root_ok = closed_form_root_ok(poly_exact, sigma, inst.poly_cofactor, tol)
 
     cert = transitivity_certificate(M)
-    classes_ok = M.size == len(inst.x_positions) + len(inst.y_positions)
+    classes_ok = M.size == sum(map(len, inst.orbit_keys))
 
     creport = cofin_report(per)
     flags = {}

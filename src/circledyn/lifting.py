@@ -3,8 +3,9 @@
 A Lifting stores one fundamental domain: strictly increasing breakpoints in
 [0,1) and the map's values there; between consecutive breakpoints (and across
 the wrap to first_breakpoint + 1) the map is affine, and evaluation anywhere
-uses F(x+1) = F(x) + 1.  All data are exact rationals.  Evaluation, the
-envelopes and the dual run on the lifting's integer grid (`Lifting.grid`).
+uses F(x+1) = F(x) + 1.  All data are exact rationals, held as one integer
+grid (`Lifting.grid`); evaluation, the envelopes and the dual run on it, and
+the Fraction breakpoints and values are views built on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .arith import ceil_frac, floor_frac, rat_str
@@ -25,51 +26,46 @@ def _fractions(xs) -> tuple:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
-def _check_points(pts: tuple, name: str) -> None:
-    """ValueError unless pts is nonempty and strictly increasing in [0,1):
-    neighbours compared by cross-multiplying, then the first and last point;
-    out of order, a point outside [0,1) is still reported first."""
-    increasing = all(a.numerator * b.denominator < b.numerator * a.denominator for a, b in zip(pts, pts[1:]))
-    if not pts or not (0 <= pts[0] and pts[-1] < 1 if increasing else all(0 <= p < 1 for p in pts)):
+def _keys(pts: tuple, D: int) -> list:
+    """The points p as integers p*D; D a common denominator."""
+    return [p.numerator * (D // p.denominator) for p in pts]
+
+
+def _check_keys(X, D: int, name: str) -> None:
+    """ValueError unless the keys X/D are nonempty and strictly increasing in
+    [0,1); out of order, a point outside [0,1) is still reported first."""
+    increasing = all(a < b for a, b in zip(X, X[1:]))
+    if not X or not (0 <= X[0] and X[-1] < D if increasing else all(0 <= x < D for x in X)):
         raise ValueError(f"{name} must lie in [0,1)")
     if not increasing:
         raise ValueError(f"{name} must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lifting:
-    breakpoints: tuple
-    values: tuple
+    """grid = (D, X, V): D the lcm of the reduced denominators of the
+    breakpoints and values, X = breakpoints·D and V = values·D as integers,
+    with the wrap X[n] = X[0] + D, V[n] = V[0] + D appended.  The grid is the
+    lifting's data (==, hash); `_on_grid` builds a lifting from any grid."""
 
-    def __post_init__(self):
-        bps = _fractions(self.breakpoints)
-        vals = _fractions(self.values)
-        if len(bps) != len(vals) or not bps:
-            raise ValueError("need matching nonempty breakpoints/values")
-        _check_points(bps, "breakpoints")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+    grid: tuple
 
-    @cached_property
-    def grid(self) -> tuple[int, tuple, tuple]:
-        """(D, X, V): D the lcm of the denominators of the breakpoints and
-        values, X = breakpoints·D and V = values·D as integers, with the wrap
-        X[n] = X[0] + D, V[n] = V[0] + D appended.  Built on first use."""
-        D = lcm(*(x.denominator for x in self.breakpoints + self.values))
-        X = [b.numerator * (D // b.denominator) for b in self.breakpoints]
-        V = [v.numerator * (D // v.denominator) for v in self.values]
-        return D, (*X, X[0] + D), (*V, V[0] + D)
+    def __init__(self, breakpoints, values):
+        bps, vals = _fractions(breakpoints), _fractions(values)
+        D = lcm(*(x.denominator for x in bps + vals))
+        object.__setattr__(self, "grid", _on_grid(D, _keys(bps, D), _keys(vals, D)).grid)
+        vars(self).update(breakpoints=bps, values=vals)  # the views, at hand
+
+    # the Fraction views of the grid, built on first use
+    breakpoints = cached_property(lambda self: tuple(Fraction(x, self.grid[0]) for x in self.grid[1][:-1]))
+    values = cached_property(lambda self: tuple(Fraction(v, self.grid[0]) for v in self.grid[2][:-1]))
 
     # -- geometry -------------------------------------------------------------
 
     def segments(self):
         """Affine pieces covering one period: (xL, xR, vL, vR), wrap included."""
-        b, v = self.breakpoints, self.values
-        out = []
-        for i in range(len(b) - 1):
-            out.append((b[i], b[i + 1], v[i], v[i + 1]))
-        out.append((b[-1], b[0] + 1, v[-1], v[0] + 1))
-        return out
+        b, v = self.breakpoints + (self.breakpoints[0] + 1,), self.values + (self.values[0] + 1,)
+        return [(b[i], b[i + 1], v[i], v[i + 1]) for i in range(len(b) - 1)]
 
     def is_nondecreasing(self) -> bool:
         V = self.grid[2]
@@ -96,11 +92,13 @@ class Lifting:
 
     def translate(self, k: int) -> "Lifting":
         """F + k, another lifting of the same circle map."""
-        return Lifting(self.breakpoints, tuple(v + k for v in self.values))
+        D, X, V = self.grid
+        return _on_grid(D, X[:-1], [v + k * D for v in V[:-1]])
 
     def dual(self) -> "Lifting":
         """The lifting G(y) = -F(-y); swaps lower and upper constructions."""
-        return _on_grid(*_reflect(*self.grid))
+        D, X, V = _reflect(*self.grid)
+        return _on_grid(D, X[:-1], V[:-1])
 
     def to_json(self) -> dict:
         return {
@@ -110,10 +108,20 @@ class Lifting:
 
     @staticmethod
     def from_json(d: dict) -> "Lifting":
-        return Lifting(
-            tuple(Fraction(s) for s in d["breakpoints"]),
-            tuple(Fraction(s) for s in d["values"]),
-        )
+        return Lifting(*(tuple(map(Fraction, d[key])) for key in ("breakpoints", "values")))
+
+
+def _on_grid(D: int, X, V) -> Lifting:
+    """The lifting with breakpoints X/D and values V/D (no wrap entries), on
+    its canonical grid: D over gcd(D, X, V).  ValueError as for `Lifting`."""
+    if len(X) != len(V) or not X:
+        raise ValueError("need matching nonempty breakpoints/values")
+    _check_keys(X, D, "breakpoints")
+    g = gcd(D, *X, *V)
+    D, X, V = D // g, [x // g for x in X], [v // g for v in V]
+    F = object.__new__(Lifting)
+    object.__setattr__(F, "grid", (D, (*X, X[0] + D), (*V, V[0] + D)))
+    return F
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,8 @@ class LiftedOrbit:
 
     def __post_init__(self):
         pts = _fractions(self.points)
-        _check_points(pts, "orbit points")
+        D = lcm(*(p.denominator for p in pts))
+        _check_keys(_keys(pts, D), D, "orbit points")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -164,32 +173,34 @@ class RotationInterval:
 
 def build_from_orbits(orbits: Sequence[LiftedOrbit]) -> Lifting:
     """The unique degree-one piecewise-affine lifting interpolating the
-    prescribed orbit dynamics at the union of the orbit points.  The points
-    are sorted by their integer keys on the common denominator."""
+    prescribed orbit dynamics at the union of the orbit points."""
     D = lcm(*(p.denominator for orbit in orbits for p in orbit.points))
-    pts: list[tuple[int, Fraction, Fraction]] = []  # (key, image, point)
-    for orbit in orbits:
-        q, points = orbit.period, orbit.points
-        for j, p in enumerate(points):
-            k, r = divmod(j + orbit.shift, q)
-            pts.append((p.numerator * (D // p.denominator), points[r] + k if k else points[r], p))
+    return orbit_lifting(D, [(_keys(orbit.points, D), orbit.shift) for orbit in orbits])
+
+
+def orbit_lifting(D: int, orbits) -> Lifting:
+    """`build_from_orbits` on integer keys: each orbit is (keys, shift), the
+    keys x_j = points[j]*D strictly increasing in [0, D), and the extension
+    x_(j + q*l) = x_j + l*D moves by the index shift j -> j + shift."""
+    pts = []  # (key, image key)
+    for keys, shift in orbits:
+        q = len(keys)
+        for j, x in enumerate(keys):
+            k, r = divmod(j + shift, q)
+            pts.append((x, keys[r] + k * D))
     pts.sort()
-    for (x1, v1, p1), (x2, v2, _) in zip(pts, pts[1:]):
+    for (x1, v1), (x2, v2) in zip(pts, pts[1:]):
         if x1 == x2:
+            p = rat_str(Fraction(x1, D))
             if v1 != v2:
-                raise OrderConflict(f"point {rat_str(p1)} prescribed two images")
-            raise Degenerate(f"orbit point {rat_str(p1)} duplicated")
-    return Lifting(tuple(p for _, _, p in pts), tuple(v for _, v, _ in pts))
+                raise OrderConflict(f"point {p} prescribed two images")
+            raise Degenerate(f"orbit point {p} duplicated")
+    return _on_grid(D, [x for x, _ in pts], [v for _, v in pts])
 
 
 # ---------------------------------------------------------------------------
 # Upper and lower maps
 # ---------------------------------------------------------------------------
-
-
-def _on_grid(D: int, X, V) -> Lifting:
-    """The lifting with breakpoints X/D and values V/D, wrap entries dropped."""
-    return Lifting(tuple(Fraction(x, D) for x in X[:-1]), tuple(Fraction(v, D) for v in V[:-1]))
 
 
 def _reflect(D: int, X, V) -> tuple[int, list, list]:
@@ -244,18 +255,23 @@ def _lower(D: int, X, V) -> tuple[int, list, list]:
 
 def lower_map(F: Lifting) -> Lifting:
     """F_l(x) = inf{F(y) : y >= x}, computed exactly on F's grid."""
-    return _on_grid(*_lower(*F.grid))
+    D, X, V = _lower(*F.grid)
+    return _on_grid(D, X[:-1], V[:-1])
 
 
 def _simplify(F: Lifting) -> Lifting:
-    """Drop breakpoints interior to a single affine piece."""
-    keep = _corners(*F.grid[1:])
-    return Lifting(tuple(F.breakpoints[i] for i in keep), tuple(F.values[i] for i in keep))
+    """Drop breakpoints interior to a single affine piece; F's views carry over."""
+    D, X, V = F.grid
+    keep = _corners(X, V)
+    H = _on_grid(D, [X[i] for i in keep], [V[i] for i in keep])
+    vars(H).update(breakpoints=tuple(F.breakpoints[i] for i in keep), values=tuple(F.values[i] for i in keep))
+    return H
 
 
 def upper_map(F: Lifting) -> Lifting:
     """F_u(x) = sup{F(y) : y <= x} via the duality F_u = dual(lower(dual(F)))."""
-    return _on_grid(*_reflect(*_lower(*_reflect(*F.grid))))
+    D, X, V = _reflect(*_lower(*_reflect(*F.grid)))
+    return _on_grid(D, X[:-1], V[:-1])
 
 
 def upper_lower(F: Lifting) -> tuple[Lifting, Lifting]:
@@ -305,15 +321,19 @@ def compose(A: Lifting, B: Lifting) -> Lifting:
 
 def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     """Iterate a plateau value exactly; a repeat mod 1 exhibits a periodic
-    orbit whose rotation number is the rotation number of the monotone map."""
-    V = F.grid[2]
-    plateau = next((i for i in range(len(F.values)) if V[i] == V[i + 1]), None)
+    orbit whose rotation number is the rotation number of the monotone map.
+    None once the denominator passes D^2: such an orbit has left the grid
+    and may near a periodic orbit forever, gaining bits every turn."""
+    D, _, V = F.grid
+    plateau = next((i for i in range(len(V) - 1) if V[i] == V[i + 1]), None)
     if plateau is None:
         return None
-    z = F.values[plateau]
+    z = Fraction(V[plateau], D)
     seen: dict[tuple[int, int], tuple[int, int]] = {}  # z mod 1 -> (turn, numerator)
     for k in range(cap):
         a, b = z.numerator, z.denominator
+        if b > D * D:
+            return None
         if (a % b, b) in seen:
             j, aj = seen[a % b, b]
             return Fraction((a - aj) // b, k - j)  # equal fractional parts share b

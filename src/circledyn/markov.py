@@ -16,11 +16,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .arith import CertifiedRoot, IntPolynomial, floor_frac, kronecker_det, largest_root_above, rat_str
+from .arith import CertifiedRoot, IntPolynomial, kronecker_det, largest_root_above, rat_str
 from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
 from .lifting import Lifting, RotationInterval
 
@@ -135,17 +135,18 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
 
     The point set is closed under the circle map; NotInvariant if the forward
     closure does not terminate within budget (a point count, and a total
-    denominator bit length for closures whose denominators keep growing),
-    NotShort if some basic interval has an image of length >= 1 (the
-    partition would not project to a Markov partition of the circle map).
-    The closure runs on reduced pairs (a, b) for the point a/b: reducing
-    mod 1 is (a % b, b), still reduced, so it needs no gcd and no Fraction.
-    Images of breakpoints come off F.values; F is evaluated only at the other
-    points.
+    reduced-denominator bit length for closures whose denominators keep
+    growing), NotShort if some basic interval has an image of length >= 1
+    (the partition would not project to a Markov partition of the circle
+    map).  The closure runs on F's integer grid (D, X, V): a point p is the
+    key p*D in [0, D), an int on the grid and a Fraction between grid points.
+    A breakpoint's image is read off V; F is evaluated only at the other
+    points.  Keys off the grid refine it once, after the closure, by the lcm
+    E of their denominators.
 
-    After the closure everything is integer: on the common denominator D of
-    the partition, point p is the key X = p*D and its image the integer
-    Y = F(p)*D, so the index map comes from divmod(Y, D) and each branch
+    After the closure everything is integer: on the partition's common
+    denominator D*E, point p is the key X = p*D*E and its image the integer
+    Y = F(p)*D*E, so the index map comes from divmod(Y, D*E) and each branch
     from integer differences of consecutive (X, Y).  Lifted index L stands
     for the point partition[L mod n] + L div n, and the lifted class L for
     [point L, point L+1].  With F(partition[i]) at lifted index G[i], class i
@@ -153,43 +154,39 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1, where
     G[n] = G[0] + n closes the wrap class.
     """
-    images = {
-        (b.numerator, b.denominator): (v.numerator, v.denominator) for b, v in zip(F.breakpoints, F.values)
-    }
+    D, X, V = F.grid
+    images = dict(zip(X[:-1], V))  # key -> key of its image, not reduced mod D
     pts = set(images)
     for p in extra_points:
-        p = Fraction(p)
-        p -= floor_frac(p)
-        pts.add((p.numerator, p.denominator))
+        pts.add(Fraction(p) * D % D)
     frontier = list(pts)
-    bits = sum(b.bit_length() for _, b in pts)
+    bits = sum((x.denominator * D // gcd(x.numerator, D)).bit_length() for x in pts)
     while frontier:
         if len(pts) > _CLOSURE_BUDGET or bits > _CLOSURE_BITS:
             raise NotInvariant("forward closure of the partition does not stabilize")
         x = frontier.pop()
         y = images.get(x)
         if y is None:
-            v = F.eval(Fraction(*x))
-            y = images[x] = (v.numerator, v.denominator)
-        a, b = y
-        y = (a % b, b)
+            y = images[x] = F.eval(Fraction(x, D)) * D
+        y %= D
         if y not in pts:
             pts.add(y)
             frontier.append(y)
-            bits += b.bit_length()
+            bits += (y.denominator * D // gcd(y.numerator, D)).bit_length()
     n = len(pts)
     if n < 2:
         raise NotInvariant("need at least two partition points mod 1")
 
-    D = lcm(*{b for _, b in pts})
-    keyed = sorted((a * (D // b), (a, b)) for a, b in pts)
+    E = lcm(*{x.denominator for x in pts})
+    keyed = sorted((x.numerator * (E // x.denominator), x) for x in pts)
+    D *= E
     X = [key for key, _ in keyed]
     index = {key: i for i, key in enumerate(X)}
     Y = []
     G = []
     for _, x in keyed:
-        a, b = images[x]
-        Y.append(a * (D // b))
+        y = images[x]
+        Y.append(y.numerator * (E // y.denominator))
         k, r = divmod(Y[-1], D)
         G.append(index[r] + n * k)
     X.append(X[0] + D)
@@ -198,18 +195,17 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
 
     coverings = []
     for i in range(n):
-        g0, g1 = G[i], G[i + 1]
-        if abs(g1 - g0) >= n:
+        lo, hi = (G[i], G[i + 1]) if G[i] <= G[i + 1] else (G[i + 1], G[i])
+        if hi - lo >= n:
             a, b = Fraction(X[i], D), Fraction(X[i + 1], D)
             length = Fraction(abs(Y[i + 1] - Y[i]), D)
             raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {length} >= 1")
         # lifted classes lo..hi-1 (fewer than n) in class order: those past
         # the turn, classes 0.. at turn q+1 (all below r), then r..top-1 at q
-        lo, hi = min(g0, g1), max(g0, g1)
         q, r = divmod(lo, n)
         top = min(hi - q * n, n)
-        coverings.extend((i, j, q + 1) for j in range(hi - (q + 1) * n))
-        coverings.extend((i, j, q) for j in range(r, top))
+        coverings += zip(repeat(i), range(hi - (q + 1) * n), repeat(q + 1))
+        coverings += zip(repeat(i), range(r, top), repeat(q))
 
     return MarkovSystem(
         denominator=D,

@@ -3,17 +3,19 @@ code in `circledyn.lifting`.
 
 `lower_map`, `upper_map`, `dual`, `eval`, `compose` and the plateau-orbit
 rotation number sweep and evaluate on the lifting's Fraction breakpoints and
-values, as the program did before it moved to the integer grid; they read no
-`Lifting.grid`.  `rotation_interval` runs the program's Stern-Brocot search
-with these pieces swapped in, so its budgets and `DepthExceeded` stay the
-program's own.  `envelope_rotation_bounds` is the orbit-displacement
-enclosure of both envelope rotation numbers, built on this reference alone.
+values (views of its grid), as the program did before it moved to the
+integer grid; they read no `Lifting.grid`.  `rotation_interval` runs the
+program's Stern-Brocot search with these pieces swapped in, so its budgets
+and `DepthExceeded` stay the program's own.  `envelope_rotation_bounds` is
+the orbit-displacement enclosure of both envelope rotation numbers, built on
+this reference alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -115,7 +117,8 @@ def compose(A: Lifting, B: Lifting) -> Lifting:
 
 def rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     """Iterate a plateau value exactly; a repeat mod 1 gives the rotation
-    number of the monotone map."""
+    number of the monotone map.  An orbit whose denominator passes D^2, D
+    the lcm of the denominators of F's breakpoints and values, gives None."""
     plateau_value = None
     for (xL, xR, vL, vR) in F.segments():
         if vL == vR:
@@ -124,8 +127,11 @@ def rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     if plateau_value is None:
         return None
     z = plateau_value
+    D = lcm(*(x.denominator for x in F.breakpoints + F.values))
     seen: dict[Fraction, tuple[int, Fraction]] = {}
     for k in range(cap):
+        if z.denominator > D * D:
+            return None
         r = z - floor_frac(z)
         if r in seen:
             j, zj = seen[r]

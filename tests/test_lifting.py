@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circledyn import lifting
 from circledyn.errors import CircledynError, Degenerate, DepthExceeded
 from circledyn.families import dream, montevideo, persistent
 from circledyn.lifting import (
     LiftedOrbit,
     Lifting,
+    RotationInterval,
     build_from_orbits,
     compose,
     lower_map,
@@ -220,6 +222,28 @@ class TestRotationNumbers:
         F = build_from_orbits([LiftedOrbit(tuple(sorted(points)[:q]), p)])
         assert rotation_number_monotone(F) == F2(p, q)
 
+    def test_plateau_orbit_off_the_grid_left_to_stern_brocot(self, monkeypatch):
+        # the plateau value's orbit is attracted to a periodic orbit on a
+        # sloped piece without reaching it, gaining about 6 bits a turn; it
+        # stops once its denominator passes D^2 = 481^2, and the Stern-Brocot
+        # search answers after a few powers
+        F = Lifting(
+            (F2(0), F2(4, 37), F2(9, 37), F2(17, 37), F2(29, 37)),
+            (F2(36, 13), F2(1335, 481), F2(1337, 481), F2(1337, 481), F2(1340, 481)),
+        )
+        calls = []
+        evaluate = Lifting.eval
+
+        def counted(G, x):
+            calls.append(x)
+            assert len(calls) <= 100, "the plateau orbit runs on"
+            return evaluate(G, x)
+
+        monkeypatch.setattr(Lifting, "eval", counted)
+        assert rotation_number_monotone(F, 60) == F2(11, 5)
+        monkeypatch.undo()
+        assert ref.rotation_interval(F, 60) == rotation_interval(F, 60) == RotationInterval(F2(11, 5), F2(11, 5))
+
     def test_depth_exceeded_signal(self):
         F = rigid(F2(355, 113000))
         with pytest.raises(DepthExceeded):
@@ -360,6 +384,44 @@ BAD_POINTS = [
     ((F2(0), F2(2, 3), F2(1, 3)), "must be strictly increasing"),
     ((F2(1, 2), F2(1, 4), F2(3, 4)), "must be strictly increasing"),
 ]
+
+
+@st.composite
+def grids(draw):
+    """(D, X, V) for `lifting._on_grid`, D a multiple of the points' own
+    denominator as the envelopes' refined grids are: mostly valid, sometimes
+    out of order, outside [0, D) or with unmatched lengths."""
+    D, m = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        X = sorted(draw(st.sets(st.integers(0, D - 1), min_size=1, max_size=6)))
+    else:
+        X = draw(st.lists(st.integers(-D, 2 * D), max_size=6))
+    n = max(0, len(X) + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    V = [draw(st.integers(-3 * D, 3 * D)) for _ in range(n)]
+    return D * m, [x * m for x in X], [v * m for v in V]
+
+
+def _fraction_built(D, X, V):
+    return Lifting(tuple(F2(x, D) for x in X), tuple(F2(v, D) for v in V))
+
+
+class TestGridConstructor:
+    @given(grid=grids())
+    @example(grid=(lambda D, X, V: (D, X[:-1], V[:-1]))(*lifting._lower(*sample_lifting().grid)))  # D = 140
+    @example(grid=(12, [0, 4, 8], [3, 7, 11]))  # rigid on a refined grid: D = 4
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_grid_built_equals_fraction_built(self, grid):
+        try:
+            want = _fraction_built(*grid)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                lifting._on_grid(*grid)
+            assert str(err.value) == str(e)
+            return
+        got = lifting._on_grid(*grid)
+        assert got == want and hash(got) == hash(want) and got.to_json() == want.to_json()
+        assert got.grid == want.grid and got.grid[0] == math.lcm(*(x.denominator for x in want.breakpoints + want.values))
+        assert (got.breakpoints, got.values) == (want.breakpoints, want.values)
 
 
 class TestValidation:

@@ -30,6 +30,7 @@ from circledyn.markov import (
 )
 from circledyn.oracle import periods_up_to
 from circledyn.periods import per_from_rotation
+from brackets import overlaps
 from family_classes import class_index
 from lifting_reference import envelope_rotation_bounds
 from test_graphext import apple_graph, triangle_with_tail
@@ -578,7 +579,9 @@ class TestDenseViews:
         entropy(M, F2(1, 10**9))
         for view in ("matrix", "partition", "classes", "orientation"):
             assert view not in vars(M), view
-        assert "grid" not in vars(inst.lifting)  # the scans never evaluate the lifting
+        # the scans build the lifting and its system on integer grids
+        assert {"breakpoints", "values"}.isdisjoint(vars(inst.lifting))
+        assert {"x_positions", "y_positions"}.isdisjoint(vars(inst))
         assert [len(out) for out in M.successors] == [sum(row) for row in M.matrix]
         assert M.arrows() == [(i, j) for i in range(M.size) for j in range(M.size) if M.matrix[i][j]]
         assert vars(M)["matrix"] is M.matrix  # built once, then cached
@@ -804,7 +807,7 @@ class TestEntropy:
         M = dream(3).markov
         b = entropy(M, F2(1, 10**12))
         expected = largest_root_above(dream_poly(3), F2(1), F2(1, 10**12))
-        assert b.overlaps(expected, slack=F2(1, 10**12))
+        assert overlaps(b, expected, slack=F2(1, 10**12))
 
     def test_entropy_decreasing_dream(self):
         prev = None
