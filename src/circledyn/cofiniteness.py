@@ -15,38 +15,14 @@ from .errors import NotCofinite
 from .periods import PeriodSet
 
 
-def _require_cofinite(ps: PeriodSet) -> int:
-    if not ps.is_cofinite():
-        raise NotCofinite("period set has no cofinite tail")
-    return ps.tail_from
-
-
 def sbc(ps: PeriodSet) -> int:
     """Strict boundary of cofiniteness: least n with S(n) contained in ps.
 
     That is `tail_from`: PeriodSet normalization absorbs finite elements
     adjacent to the tail, so tail_from - 1 is never in ps."""
-    return _require_cofinite(ps)
-
-
-def low_period_count(ps: PeriodSet, L: int) -> int:
-    """Card({1..L-2} ∩ ps)."""
-    return sum(1 for k in range(1, L - 1) if k in ps)
-
-
-def density_condition(ps: PeriodSet, L: int) -> bool:
-    """count <= 2*log2(L-2), decided exactly as 2^count <= (L-2)^2."""
-    if L <= 2:
-        return False
-    return 2 ** low_period_count(ps, L) <= (L - 2) ** 2
-
-
-def dens_low_per(ps: PeriodSet, L: int) -> Fraction:
-    """Density of the L-low periods: Card({1..L-2} ∩ ps) / (L-2)."""
-    _require_cofinite(ps)
-    if L <= 2:
-        raise ValueError("density needs L > 2")
-    return Fraction(low_period_count(ps, L), L - 2)
+    if not ps.is_cofinite():
+        raise NotCofinite("period set has no cofinite tail")
+    return ps.tail_from
 
 
 @dataclass(frozen=True)
@@ -77,13 +53,3 @@ def report(ps: PeriodSet) -> CofinitenessReport:
         if inside[L] and not inside[L - 1] and 2**count <= (L - 2) ** 2:
             dens[L] = Fraction(count, L - 2)
     return CofinitenessReport(sbc=s, sbcset=frozenset(dens), bc=max(dens, default=None), dens_at=dens)
-
-
-def sbcset(ps: PeriodSet) -> set[int]:
-    """{L in ps : L > 2, L-1 not in ps, low-period density condition holds}."""
-    return set(report(ps).sbcset)
-
-
-def bc(ps: PeriodSet) -> Optional[int]:
-    """max sbcset(ps), or None when the candidate set is empty."""
-    return report(ps).bc

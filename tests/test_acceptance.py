@@ -8,7 +8,7 @@ montevideo n in 3..6, shared across criteria through a module-scoped cache.
 from fractions import Fraction
 
 from circledyn.arith import IntPolynomial, largest_root_above
-from circledyn.cofiniteness import report as cofin_report, sbcset
+from circledyn.cofiniteness import report as cofin_report
 from circledyn.families import (
     make,
     montevideo_nu,
@@ -21,6 +21,7 @@ from circledyn.minentropy import beta
 from circledyn.oracle import periods_up_to
 from circledyn.periods import per_from_rotation
 from brackets import overlaps
+from cofiniteness_reference import sbcset
 
 F2 = Fraction
 TOL12 = F2(1, 10**12)

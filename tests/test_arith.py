@@ -10,18 +10,28 @@ from circledyn import arith
 from circledyn.arith import (
     CertifiedRoot,
     IntPolynomial,
+    _newton_guess,
     _shifted,
     bareiss_det,
     bisect_root,
-    char_poly,
     kronecker_det,
     land_root,
     largest_root_above,
     sharkovskii_geq,
 )
 from circledyn.errors import BudgetExceeded, NoRootAbove
-from circledyn.families import POLYNOMIALS, dream, dream_poly
+from circledyn.families import POLYNOMIALS, dream, dream_poly, make
 from circledyn.markov import markov_char_poly
+from circledyn.minentropy import q_balance
+from poly_reference import char_poly, dense_sign_at
+from test_minentropy import GRID
+
+SCAN_RANGES = (
+    [("dream", n) for n in range(3, 52)]
+    + [("persistent", n) for n in range(5, 102, 2)]
+    + [("montevideo", n) for n in range(3, 11)]
+)
+BETA_PAIRS = GRID + [(Fraction(1, 2 * n - 1), Fraction(2, 2 * n - 1)) for n in range(3, 9)]
 
 sho_values = st.integers(min_value=1, max_value=3000)
 
@@ -121,6 +131,51 @@ class TestIntPolynomial:
     def test_accepts_bools_as_integers(self):
         p = IntPolynomial([-1, True, False])  # char_poly's diagonal entries
         assert p == IntPolynomial([-1, 1]) and type(p.coeffs[1]) is int
+
+
+@st.composite
+def sign_cases(draw):
+    """(p, points): p of degree up to about 3000 with an exact rational root r,
+    dense, with a few terms, or (x - 1) times runs of equal coefficients; the
+    points are r, 0, 1, negative ones and ones with large denominators."""
+    rnd = draw(st.randoms(use_true_random=False))
+    d = draw(st.sampled_from([0, 1, 5, 40, 300, 3000]))
+    shape = draw(st.sampled_from(["dense", "few", "runs"]))
+    if shape == "dense":
+        cs = [rnd.randint(-9, 9) for _ in range(d + 1)]
+    elif shape == "few":
+        cs = [0] * (d + 1)
+        for e in rnd.sample(range(d + 1), min(d + 1, 5)):
+            cs[e] = rnd.choice([-1, 1]) * rnd.randint(1, 10**6)
+    else:
+        cs = []
+        while len(cs) <= d:
+            cs += [rnd.randint(-9, 9)] * rnd.randint(1, 400)
+        cs = (IntPolynomial(cs[: d + 1]) * linear(1)).coeffs
+    r = Fraction(rnd.randint(-40, 40), rnd.randint(1, 9))
+    points = [r, Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(rnd.randint(-(2**70), 2**70), 2**64 + 13)]
+    return IntPolynomial(cs) * linear(r), points
+
+
+class TestSparseSign:
+    """`IntPolynomial.sign_at` skips runs of zero coefficients; the dense
+    Horner over every coefficient is its reference."""
+
+    @given(sign_cases())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_equals_dense_sign(self, case):
+        p, points = case
+        for x in points:
+            assert p.sign_at(x) == dense_sign_at(p, x)
+        assert p.sign_at(points[0]) == 0  # r is a root
+
+    @pytest.mark.parametrize(
+        "cs", [(), (5,), (0, 0, 0, 2), (3, 0, 0, 0, 0, -1), (0, 1, 0, 0, 0, 0, 0, -4), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)]
+    )
+    def test_zero_runs_at_the_ends(self, cs):
+        p = IntPolynomial(cs)
+        for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(5, 7), Fraction(1, 2**70)):
+            assert p.sign_at(x) == dense_sign_at(p, x)
 
 
 class TestLargestRoot:
@@ -245,6 +300,14 @@ def _bisect_outcome(p, floor, tol):
         return _outcome(p, floor, tol)
 
 
+def _land_with_form(p, lo, hi, tol):
+    """land_root's bracket, and the polynomial it took its signs on."""
+    forms = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_newton_guess", lambda q, *a: forms.append(q) or _newton_guess(q, *a))
+        return land_root(p, lo, hi, tol), forms[0]
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The calls that land_root makes to bisect_root."""
@@ -306,11 +369,27 @@ class TestLandRoot:
         monkeypatch.setattr(arith, "_newton_guess", lambda *a: lo - Fraction(5, 2048))
         assert land_root(p, lo, hi, tol) == bisect_root(p.sign_at, lo, hi, tol) == CertifiedRoot(Fraction(2), Fraction(2049, 1024))
 
-    @pytest.mark.parametrize("name,n", [("dream", 3), ("dream", 51), ("persistent", 101), ("montevideo", 6)])
+    @pytest.mark.parametrize("name,n", SCAN_RANGES)
     def test_family_roots_land_without_bisection(self, fallbacks, name, n):
         # the fixed-point guess is good enough on the Perron polynomials
         largest_root_above(POLYNOMIALS[name](n), Fraction(1), Fraction(1, 10**12))
         assert fallbacks == []
+
+    @pytest.mark.parametrize("c,d", BETA_PAIRS)
+    def test_beta_roots_land_without_bisection(self, fallbacks, c, d):
+        largest_root_above(q_balance(c, d)[0], Fraction(1), Fraction(1, 10**12))
+        assert fallbacks == []
+
+    def test_checks_only_points_in_the_piece(self, monkeypatch):
+        # a guess in the first cell checks cells 0 and 1 and then bisects: the
+        # cell below lo never passes, and below 1 (x - 1) p, which carries
+        # this p's signs, need not have p's sign
+        p, lo, tol = IntPolynomial([-9] * 96 + [1] * 4), Fraction(1), Fraction(1, 10**9)
+        hi, points, sign_at = p.cauchy_root_bound(), [], IntPolynomial.sign_at
+        monkeypatch.setattr(IntPolynomial, "sign_at", lambda q, x: points.append(x) or sign_at(q, x))
+        monkeypatch.setattr(arith, "_newton_guess", lambda *a: lo)
+        assert land_root(p, lo, hi, tol) == bisect_root(lambda x: sign_at(p, x), lo, hi, tol)
+        assert points and all(lo <= x <= hi for x in points)
 
     def test_forced_miss_falls_back_to_bisection(self, monkeypatch, fallbacks):
         # a guess at the far end of the piece checks the wrong cells
@@ -329,6 +408,51 @@ def one_variation_polys(draw):
     cs += draw(st.lists(st.integers(0, 9), max_size=30)) + [draw(st.integers(1, 9))]
     p = IntPolynomial(cs) * draw(st.sampled_from([1, -1]))
     return p, Fraction(draw(st.integers(0, 24)), draw(st.sampled_from([1, 2, 3, 8])))
+
+
+@st.composite
+def equal_run_polys(draw):
+    """Coefficients in runs of equal values, nonpositive runs then nonnegative
+    ones (one sign variation): the shape (x - 1) p compresses."""
+
+    def runs(values):
+        blocks = draw(st.lists(st.tuples(values, st.integers(1, 60)), min_size=1, max_size=4))
+        return [v for v, k in blocks for _ in range(k)]
+
+    low = runs(st.integers(-9, 0)) + [draw(st.integers(-9, -1))]
+    return IntPolynomial(low + runs(st.integers(0, 9)) + [draw(st.integers(1, 9))])
+
+
+class TestLandOnOneVariation:
+    """`land_root` on polynomials with one sign variation, with and without
+    the difference form: the bracket is bisection's."""
+
+    @given(
+        st.one_of(one_variation_polys().map(lambda case: case[0]), equal_run_polys()),
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2)]),
+        st.sampled_from([Fraction(1, 10**9), Fraction(1, 3)]),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_one_variation_equals_bisection(self, p, floor, tol):
+        # one sign variation and p(floor) < 0: one simple root in (floor, bound)
+        p = -p if p.leading() < 0 else p
+        hi = p.cauchy_root_bound()
+        assume(p.sign_at(floor) < 0 and hi > floor)
+        got, form = _land_with_form(p, floor, hi, tol)
+        assert got == bisect_root(p.sign_at, floor, hi, tol)
+        assert form == p or (floor >= 1 and form == p * linear(1))
+
+    @pytest.mark.parametrize("floor,difference", [(Fraction(0), False), (Fraction(1), True), (Fraction(3, 2), True)])
+    def test_difference_form_above_one(self, floor, difference):
+        # p = -9(1 + ... + x^95) + (x^96 + ... + x^99), negative up to its one
+        # positive root (about 1.78), has 100 nonzero terms, (x - 1) p =
+        # x^100 - 10x^96 + 9 has 3: it carries the signs on pieces from 1 up
+        p = IntPolynomial([-9] * 96 + [1] * 4)
+        hi, tol = p.cauchy_root_bound(), Fraction(1, 10**9)
+        got, form = _land_with_form(p, floor, hi, tol)
+        assert got == bisect_root(p.sign_at, floor, hi, tol)
+        assert (form == p * linear(1)) == difference
+        assert len(form.coeffs) - form.coeffs.count(0) == (3 if difference else 100)
 
 
 def _first_piece_count(p, floor):
@@ -402,6 +526,26 @@ class TestOneVariation:
             mp.setattr(arith, "_shifted", _no_shift)
             with pytest.raises(_TaylorShift):
                 largest_root_above(p, Fraction(-1), self.TOL)
+
+
+class TestLargeN:
+    """Perron brackets at large n, where the sparse signs and the difference
+    form carry the kernel.  The brackets were recorded with the dense kernel,
+    which evaluated every coefficient of the characteristic polynomial."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "name,n,lower,upper",
+        [
+            ("dream", 801, Fraction(1081343425, 1073741824), Fraction(540671713, 536870912)),
+            ("persistent", 1601, Fraction(1080565495, 1073741824), Fraction(135070687, 134217728)),
+            ("montevideo", 30, Fraction(1121776147, 1073741824), Fraction(280444037, 268435456)),
+        ],
+        ids=["dream-801", "persistent-1601", "montevideo-30"],
+    )
+    def test_recorded_brackets(self, name, n, lower, upper):
+        char = markov_char_poly(make(name, n).markov)
+        assert largest_root_above(char, Fraction(1), Fraction(1, 10**9)) == CertifiedRoot(lower, upper)
 
 
 def leibniz_det(matrix, one):

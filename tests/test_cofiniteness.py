@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn.cofiniteness import bc, dens_low_per, density_condition, report, sbc, sbcset
+from circledyn.cofiniteness import report, sbc
 from circledyn.errors import NotCofinite
 from circledyn.families import dream_per, montevideo_per, persistent_per
 from circledyn.periods import PeriodSet
+from cofiniteness_reference import bc, dens_low_per, density_condition, sbcset
 
 F2 = Fraction
 

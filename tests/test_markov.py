@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circledyn import markov
-from circledyn.arith import CertifiedRoot, IntPolynomial, char_poly, floor_frac, rat_str
+from circledyn.arith import CertifiedRoot, IntPolynomial, floor_frac, rat_str
 from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
 from circledyn.graphext import extend
@@ -33,6 +33,7 @@ from circledyn.periods import per_from_rotation
 from brackets import overlaps
 from family_classes import class_index
 from lifting_reference import envelope_rotation_bounds
+from poly_reference import char_poly
 from test_graphext import apple_graph, triangle_with_tail
 from test_periods import two_orbit_maps
 
