@@ -20,24 +20,30 @@ from typing import Optional
 from .arith import IntPolynomial
 from .errors import BadParameter, NotExtendable
 from .families import DEFAULT_POLY_TOL, POLYNOMIALS, FamilyInstance, closed_form_root_ok
-from .markov import entropy as markov_entropy, enumerate_loops, markov_char_poly, transitivity_certificate
+from .markov import entropy as markov_entropy, markov_char_poly, transitivity_certificate
 
 
 @dataclass(frozen=True)
 class CombGraph:
-    """Multigraph: vertex names plus edges as (u, v) pairs; self-loops and
-    parallel edges allowed."""
+    """Multigraph: distinct vertex names plus edges as (u, v) pairs;
+    self-loops and parallel edges allowed.  ValueError names a repeated
+    vertex, an edge that is not a pair, or an edge on an unknown vertex."""
 
     vertices: tuple
     edges: tuple
 
     def __post_init__(self):
         vs = tuple(self.vertices)
-        es = tuple((u, v) for (u, v) in self.edges)
+        es = tuple(map(tuple, self.edges))
         names = set(vs)
-        for (u, v) in es:
-            if u not in names or v not in names:
-                raise ValueError(f"edge ({u},{v}) uses unknown vertex")
+        if len(names) < len(vs):
+            twice = next(v for i, v in enumerate(vs) if v in vs[:i])
+            raise ValueError(f"graph vertex {twice} is listed twice")
+        for i, e in enumerate(es):
+            if len(e) != 2:
+                raise ValueError(f"graph edge {i} is not a pair of vertices")
+            if not names.issuperset(e):
+                raise ValueError(f"edge ({e[0]},{e[1]}) uses unknown vertex")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
 
@@ -124,22 +130,11 @@ class Traversal:
     m: int
     steps: tuple  # (edge_key, from_vertex, to_vertex) per step, J last
     segment_halves: tuple  # per segment 0..m-1: the U-id it maps onto
-    s_images: tuple  # per s_i, 0..m: ("vertex", name) or ("alpha", edge_key)
     u_ids: tuple  # distinct U-ids in order of first appearance
 
     @property
     def u_count(self) -> int:
         return len(self.u_ids)
-
-    def parity_property_holds(self) -> bool:
-        """Equal phi-images only at indices of equal parity."""
-        by_image: dict = {}
-        for i, img in enumerate(self.s_images):
-            by_image.setdefault(img, []).append(i)
-        for idxs in by_image.values():
-            if len({i % 2 for i in idxs}) > 1:
-                return False
-        return True
 
 
 def _subdivide_self_loops(graph: CombGraph) -> CombGraph:
@@ -221,15 +216,10 @@ def traversal(X: CombGraph, a, b) -> Traversal:
         return (edge_idx, 0 if vertex == u else 1)
 
     seg_halves: list = []
-    s_images: list = []
-    for t, (ei, fr, to) in enumerate(steps):
-        s_images.append(("vertex", fr))
-        if t < n_steps - 1:
-            seg_halves.append(half_id(ei, fr))
-            seg_halves.append(half_id(ei, to))
-            s_images.append(("alpha", ei))
+    for ei, fr, to in steps[:-1]:
+        seg_halves.append(half_id(ei, fr))
+        seg_halves.append(half_id(ei, to))
     seg_halves.append(("J",))
-    s_images.append(("vertex", b))
 
     if m < 5:
         raise NotExtendable("traversal shorter than the construction permits")
@@ -237,7 +227,6 @@ def traversal(X: CombGraph, a, b) -> Traversal:
         m=m,
         steps=tuple(steps),
         segment_halves=tuple(seg_halves),
-        s_images=tuple(s_images),
         u_ids=tuple(dict.fromkeys(seg_halves)),  # distinct, in order of first appearance
     )
 
@@ -281,7 +270,6 @@ class ExtendedMarkov:
     m: int = 0
     u_count: int = 0
     successors: tuple = ()  # sorted successor lists of the extended covering graph
-    orientation: tuple = ()
     projection: tuple = ()  # extended vertex -> base vertex index
     base_index: dict = field(default_factory=dict)  # surviving base idx -> ext idx
     expected_poly: Optional[IntPolynomial] = None
@@ -331,8 +319,6 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
         succ[base_index[p]].extend(l_ids)
     succ.extend([u_index[trav.segment_halves[i]]] for i in range(m))
     succ.extend([base_index[ext.ret]] for _ in trav.u_ids)
-
-    orientation = [base.orientation[i] for i in keep] + [0] * (m + len(u_index))
     return ExtendedMarkov(
         base=base,
         name=inst.name,
@@ -340,7 +326,6 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
         m=m,
         u_count=len(u_index),
         successors=tuple(map(tuple, succ)),
-        orientation=tuple(orientation),
         projection=tuple(projection),
         base_index=base_index,
         expected_poly=POLYNOMIALS[inst.name](inst.n, m),
@@ -390,18 +375,12 @@ def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dic
         "base_entropy": base_root,
     }
     if E.name == "persistent":
-        # the only loop among {J0~, J2~} is the length-2 positive loop; in the
-        # order x0 < y0 < .. < y_(n-3) < x1 < y_(n-2) < .., J0 = [x0, y0] is
-        # class 0 and J2 = [x1, y_(n-2)] is class n - 1
+        # the only loop among {J0~, J2~} is the length-2 positive loop: both
+        # cross arrows and no self-arrow.  In the order x0 < y0 < .. < y_(n-3)
+        # < x1 < y_(n-2) < .., J0 = [x0, y0] is class 0 and J2 = [x1, y_(n-2)]
+        # is class n - 1
         j0, j2 = E.base_index[0], E.base_index[E.n - 1]
-        sub = _loops_within(E, {j0, j2})
-        result["j0_j2_unique_2loop"] = sub == {2}
-        sign = E.orientation[j0] * E.orientation[j2]
-        result["j0_j2_loop_positive"] = sign == 1
+        out0, out2 = E.successors[j0], E.successors[j2]
+        result["j0_j2_unique_2loop"] = j2 in out0 and j0 in out2 and j0 not in out0 and j2 not in out2
+        result["j0_j2_loop_positive"] = E.base.orientation[0] * E.base.orientation[E.n - 1] == 1
     return result
-
-
-def _loops_within(E: ExtendedMarkov, allowed: set) -> set:
-    """Lengths of simple loops staying inside `allowed` (tiny vertex sets)."""
-    succ = [[w for w in out if w in allowed] if v in allowed else [] for v, out in enumerate(E.successors)]
-    return {l.length for l in enumerate_loops(E, max_len=8, succ=succ) if l.simple}

@@ -5,9 +5,10 @@ on their common denominator, the lifted index of each point's image, and the
 covering arrows with the integer translate realizing each one.  Everything
 else (partition, classes, orientation, Rot(F), graph views) derives from them.
 Later stages walk indices, keys and arrows instead of evaluating the lifting.
-The graph passes here read two things of a system: `successors` (sorted
-successor lists of the covering graph) and `orientation`; any other graph (an
-extension, a test fixture) carries its own.
+The graph passes here (transitivity, romes, loops) read one thing of a
+system, `successors` (sorted successor lists of the covering graph), so any
+other graph (an extension, a test fixture) is its successor lists alone;
+`critical_successors` also reads the shifts in `coverings`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
 from .arith import CertifiedRoot, IntPolynomial, kronecker_det, largest_root_above, rat_str
 from .errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
@@ -130,8 +131,8 @@ class MarkovSystem:
         }
 
 
-def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem:
-    """Markov system modulo 1 generated by the breakpoints and extra points.
+def build_markov_system(F: Lifting) -> MarkovSystem:
+    """Markov system modulo 1 generated by the breakpoints.
 
     The point set is closed under the circle map; NotInvariant if the forward
     closure does not terminate within budget (a point count, and a total
@@ -142,7 +143,8 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     key p*D in [0, D), an int on the grid and a Fraction between grid points.
     A breakpoint's image is read off V; F is evaluated only at the other
     points.  Keys off the grid refine it once, after the closure, by the lcm
-    E of their denominators.
+    E of their denominators.  (To put a point p into the partition, make it a
+    breakpoint of F with the value F.eval(p).)
 
     After the closure everything is integer: on the partition's common
     denominator D*E, point p is the key X = p*D*E and its image the integer
@@ -157,8 +159,6 @@ def build_markov_system(F: Lifting, extra_points: Iterable = ()) -> MarkovSystem
     D, X, V = F.grid
     images = dict(zip(X[:-1], V))  # key -> key of its image, not reduced mod D
     pts = set(images)
-    for p in extra_points:
-        pts.add(Fraction(p) * D % D)
     frontier = list(pts)
     bits = sum((x.denominator * D // gcd(x.numerator, D)).bit_length() for x in pts)
     while frontier:
@@ -266,9 +266,9 @@ def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
     """One iterative depth-first walk of the graph without the vertices in
     `skip`, roots and successors in increasing order.  Returns the finishing
     order (each vertex after every vertex it reaches, unless they share a
-    loop), the targets of the back arrows, and the first loop it closes
-    (w .. v w for the first back arrow v -> w), or None when no loop avoids
-    `skip`."""
+    loop; the first root finishes last iff it reaches every vertex), the
+    targets of the back arrows, and the first loop it closes (w .. v w for
+    the first back arrow v -> w), or None when no loop avoids `skip`."""
     state = [0] * len(succ)  # 0 unseen, 1 on the path, 2 finished or skipped
     for v in skip:
         state[v] = 2
@@ -297,34 +297,20 @@ def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
     return order, targets, loop
 
 
-def _components(succ) -> list[int]:
-    """Strongly connected component label of each vertex (Kosaraju: the
-    reverse graph in reverse finishing order of `_walk`)."""
-    pred = _reverse(succ)
-    comp = [-1] * len(succ)
-    for root in reversed(_walk(succ)[0]):
-        if comp[root] < 0:
-            comp[root] = root
-            stack = [root]
-            while stack:
-                for u in pred[stack.pop()]:
-                    if comp[u] < 0:
-                        comp[u] = root
-                        stack.append(u)
-    return comp
-
-
 def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[list[int]]:
-    """Successor lists of the arrows on loops of mean (shift / length) exactly
-    e = r/s, where side = +1 if e is the least loop mean and -1 if the largest.
+    """Successor lists of the tight arrows for the loop mean (shift / length)
+    e = r/s, where side = +1 if e is the least loop mean and -1 if the largest:
+    a loop has mean exactly e iff every arrow on it is tight.
 
     Bellman-Ford potentials pi for the weights side*(s*k - r) make every
-    reduced cost w + pi(i) - pi(j) >= 0, so a loop has mean e iff all its
-    arrows are tight (reduced cost 0): the tight arrows inside one strongly
-    connected component of the tight graph (Karp 1978), for any feasible pi.
-    A FIFO queue relaxes the arrows out of each lowered vertex.  A potential's
+    reduced cost w + pi(i) - pi(j) >= 0, and a loop's reduced costs sum to its
+    weight, so a loop has mean e iff all its arrows are tight (reduced cost
+    0), for any feasible pi (Karp 1978).  A tight arrow between two strongly
+    connected components lies on no loop; loop searches never take it.  A
+    FIFO queue relaxes the arrows out of each lowered vertex.  A potential's
     walk of n arrows repeats a vertex, whose two lowerings close a loop of
-    mean beyond e: RotationMismatch then, or if no loop has mean e."""
+    mean beyond e: RotationMismatch then, or if `_walk` closes no tight loop
+    (no loop has mean e)."""
     r, s = e.numerator, e.denominator
     n = system.size
     out = [[] for _ in range(n)]
@@ -344,11 +330,9 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
                     queued[j] = True
                     queue.append(j)
     tight = [[j for j, w in out[i] if w + pi[i] == pi[j]] for i in range(n)]
-    comp = _components(tight)
-    succ = [[j for j in tight[i] if comp[j] == comp[i]] for i in range(n)]
-    if not any(succ):
+    if _walk(tight)[2] is None:
         raise RotationMismatch(f"no loop has mean {rat_str(e)}")
-    return succ
+    return tight
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +342,18 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
 
 def transitivity_certificate(system) -> dict:
     """{'irreducible', 'permutation', 'transitive'} of the covering graph;
-    transitive = irreducible and not a permutation matrix.  Irreducibility
-    belongs to this graph, so it depends on the partition: refining the rigid
-    1/2-rotation from two classes to four splits its single 2-cycle into two,
-    and the certificate turns reducible."""
+    transitive = irreducible and not a permutation matrix.  Irreducible: some
+    vertex exists, vertex 0 reaches every vertex along the arrows and along
+    the reversed arrows (`_walk` finishes it last in both), and a lone vertex
+    has its self-arrow.  Irreducibility belongs to this graph, so it depends
+    on the partition: refining the rigid 1/2-rotation from two classes to four
+    splits its single 2-cycle into two, and the certificate turns reducible."""
     succ = system.successors
-    irr = len(set(_components(succ))) == 1 and (len(succ) > 1 or 0 in succ[0])
+    irr = (
+        bool(succ)
+        and (len(succ) > 1 or 0 in succ[0])
+        and all(_walk(g)[0][-1] == 0 for g in (succ, _reverse(succ)))
+    )
     # one 1 in each row and column
     perm = all(len(out) == 1 for out in succ) and len({out[0] for out in succ}) == len(succ)
     return {"irreducible": irr, "permutation": perm, "transitive": irr and not perm}

@@ -159,6 +159,20 @@ class TestExtend:
         assert code == 1 and out == ""
         assert err.startswith("error: graph JSON") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({**TRIANGLE_TAIL, "vertices": ["u", "v", "w", "p", "p"]}, "graph vertex p is listed twice"),
+            ({**TRIANGLE_TAIL, "edges": [["u", "v"], ["u"]]}, "graph edge 1 is not a pair of vertices"),
+            ({**TRIANGLE_TAIL, "edges": [["u", "v", "x"]]}, "graph edge 0 is not a pair of vertices"),
+        ],
+    )
+    def test_repeated_vertex_or_bad_edge_exits_one(self, capsys, tmp_path, doc, message):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "extend", "dream", "--n", "5", "--graph", str(gfile))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestOracle:
     def test_matches_closed_form(self, capsys):

@@ -15,10 +15,29 @@ from circledyn.graphext import (
     traversal,
     verify_extension,
 )
-from circledyn.markov import entropy as markov_entropy, markov_char_poly
+from circledyn.markov import entropy as markov_entropy, enumerate_loops, markov_char_poly
 from family_classes import class_index
 
 F2 = Fraction
+
+
+def s_images(tr) -> list:
+    """The phi-images of s_0 .. s_m, rebuilt from the walk: ("vertex", v) at
+    each step's start, ("alpha", edge) at the midpoint of each step but the
+    last (J), and ("vertex", b) at the end."""
+    images = []
+    for ei, fr, _ in tr.steps[:-1]:
+        images += [("vertex", fr), ("alpha", ei)]
+    _, fr, b = tr.steps[-1]
+    return images + [("vertex", fr), ("vertex", b)]
+
+
+def parity_property_holds(tr) -> bool:
+    """Equal phi-images only at indices of equal parity."""
+    parities: dict = {}
+    for i, img in enumerate(s_images(tr)):
+        parities.setdefault(img, set()).add(i % 2)
+    return all(len(p) == 1 for p in parities.values())
 
 
 def triangle_with_tail() -> CombGraph:
@@ -63,13 +82,27 @@ class TestCombGraph:
         G = apple_graph()
         assert CombGraph.from_json(G.to_json()).edges == G.edges
 
+    @pytest.mark.parametrize(
+        "vertices,edges,message",
+        [
+            (("u", "v", "p", "p"), (("u", "v"), ("u", "p")), "graph vertex p is listed twice"),
+            (("u", "v"), (("u", "v"), ("u",)), "graph edge 1 is not a pair of vertices"),
+            (("u", "v"), (("u", "v", "u"),), "graph edge 0 is not a pair of vertices"),
+            (("u", "v"), (("u", "x"),), "edge (u,x) uses unknown vertex"),
+        ],
+    )
+    def test_malformed_graph_rejected(self, vertices, edges, message):
+        with pytest.raises(ValueError) as err:
+            CombGraph(vertices, edges)
+        assert str(err.value) == message
+
 
 class TestTraversal:
     def test_three_star(self):
         X, a, b = three_star_excised()
         tr = traversal(X, a, b)
         assert tr.m >= 5 and tr.m % 2 == 1
-        assert tr.parity_property_holds()
+        assert parity_property_holds(tr)
         assert tr.m == 2 * len(tr.steps) - 1
         assert 1 <= tr.u_count <= tr.m
 
@@ -77,9 +110,9 @@ class TestTraversal:
         X, a, b = excise(apple_graph())
         tr = traversal(X, a, b)
         assert tr.m >= 5 and tr.m % 2 == 1
-        assert tr.parity_property_holds()
+        assert parity_property_holds(tr)
         # b appears exactly once among the s-images, at the last index
-        b_hits = [i for i, img in enumerate(tr.s_images) if img == ("vertex", b)]
+        b_hits = [i for i, img in enumerate(s_images(tr)) if img == ("vertex", b)]
         assert b_hits == [tr.m]
 
     def test_interval_not_extendable(self):
@@ -101,7 +134,7 @@ class TestTraversal:
     def test_self_loop_gets_artificial_point(self):
         X, a, b = excise(apple_graph())
         tr = traversal(X, a, b)
-        alphas = {img for img in tr.s_images if img[0] == "alpha"}
+        alphas = {img for img in s_images(tr) if img[0] == "alpha"}
         assert alphas  # every traversed component carries its midpoint
 
     def test_long_tail_leaves_recursion_limit_alone(self):
@@ -118,7 +151,7 @@ class TestTraversal:
         assert all(s[2] == t[1] for s, t in zip(tr.steps, tr.steps[1:]))
         # every non-J edge down and back, the tree path a -> w -> v -> u, then J
         assert len(tr.steps) == 2 * (len(edges) - 1) + (len(tail) + 2) + 1
-        assert tr.m == 2 * len(tr.steps) - 1 and tr.parity_property_holds()
+        assert tr.m == 2 * len(tr.steps) - 1 and parity_property_holds(tr)
 
 
 class TestExtend:
@@ -184,6 +217,23 @@ class TestExtend:
         E = extend(persistent(7), triangle_with_tail())
         rep = verify_extension(E)
         assert rep["j0_j2_unique_2loop"] and rep["j0_j2_loop_positive"]
+
+    @pytest.mark.parametrize("toggle", [None, ("j0", "j0"), ("j2", "j2"), ("j0", "j2"), ("j2", "j0")])
+    def test_unique_2loop_matches_loop_enumeration(self, toggle):
+        # the arrow test against the simple loops inside {J0~, J2~}, on the
+        # extension and on copies with one arrow inside the pair toggled: a
+        # self-arrow added or a cross arrow cut
+        E = extend(persistent(7), triangle_with_tail())
+        ends = {"j0": E.base_index[0], "j2": E.base_index[E.n - 1]}
+        j0, j2 = ends.values()
+        succ = [set(out) for out in E.successors]
+        if toggle is not None:
+            v, w = (ends[x] for x in toggle)
+            succ[v] ^= {w}
+        E = replace(E, successors=tuple(tuple(sorted(out)) for out in succ))
+        inside = [[w for w in out if w in (j0, j2)] if v in (j0, j2) else [] for v, out in enumerate(E.successors)]
+        lengths = {loop.length for loop in enumerate_loops(E, 8, succ=inside) if loop.simple}
+        assert verify_extension(E)["j0_j2_unique_2loop"] == (lengths == {2}) == (toggle is None)
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
     def test_persistent_j0_j2_classes(self, n):
@@ -255,5 +305,4 @@ class TestExtend:
 
             shim = Shim()
             shim.successors = tuple(tuple(j for j, a in enumerate(row) if a) for row in matrix)
-            shim.orientation = E.orientation
             assert markov_char_poly(shim) == base_char

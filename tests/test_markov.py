@@ -44,24 +44,31 @@ class FakeSystem:
     """Bare graph for the graph-level operations: the successor lists of a
     0/1 matrix, which stays at hand for the reference computations."""
 
-    def __init__(self, matrix, orientation=None):
+    def __init__(self, matrix):
         self.matrix = tuple(tuple(r) for r in matrix)
         self.successors = tuple(tuple(j for j, a in enumerate(row) if a) for row in self.matrix)
-        self.orientation = tuple(orientation or [1] * len(matrix))
 
     @classmethod
     def from_successors(cls, succ):
         """A large sparse graph, without the dense matrix."""
         system = cls.__new__(cls)
         system.successors = tuple(map(tuple, succ))
-        system.orientation = (1,) * len(succ)
         return system
+
+
+def with_points(F: Lifting, points=()) -> Lifting:
+    """The same map with the points (mod 1) among its breakpoints, valued by
+    F.eval: its Markov partition then holds their forward orbits as well."""
+    bps = sorted(set(F.breakpoints) | {Fraction(p) % 1 for p in points})
+    return Lifting(bps, [F.eval(p) for p in bps])
 
 
 def reference_build(F: Lifting, extra_points=()):
     """The covering relation by pairwise Fraction comparisons, O(n^2): for
     each class pair, the unique integer k with [c+k, d+k] inside the image of
-    class i.  Returns (partition, classes, matrix, shifts, orientation)."""
+    class i; the closure starts from the breakpoints and the extra points,
+    which the program takes as breakpoints (`with_points`).  Returns
+    (partition, classes, matrix, shifts, orientation)."""
     pts = {b for b in F.breakpoints}
     for p in extra_points:
         p = Fraction(p)
@@ -149,16 +156,16 @@ def shift_table(M):
     return tuple(map(tuple, rows))
 
 
-def _build_outcome(build, F, extra):
+def _build_outcome(build, *args):
     try:
-        return build(F, extra)
+        return build(*args)
     except (NotInvariant, NotShort) as e:
         return (type(e), str(e))
 
 
 def _check_against_reference(F, extra):
     ref = _build_outcome(reference_build, F, extra)
-    got = _build_outcome(build_markov_system, F, extra)
+    got = _build_outcome(build_markov_system, with_points(F, extra))
     if isinstance(ref, tuple) and len(ref) == 2:
         assert got == ref
         return
@@ -215,7 +222,7 @@ class TestIndexWalkBuild:
         # the closure adds 1/6, 1/2 and 5/6, which F.values does not give, so
         # the common denominator of the partition is not the breakpoints' one
         F = Lifting((F2(0), F2(1, 3), F2(2, 3)), values).translate(k)
-        M = build_markov_system(F, extra)
+        M = build_markov_system(with_points(F, extra))
         assert {F2(1, 6), F2(1, 2), F2(5, 6)} <= set(M.partition) - set(F.breakpoints)
         _check_against_reference(F, extra)
 
@@ -263,10 +270,10 @@ class TestIndexWalkBuild:
         for name, size in (("_CLOSURE_BUDGET", len(pts)), ("_CLOSURE_BITS", bits)):
             with monkeypatch.context() as m:
                 m.setattr(markov, name, size)
-                assert build_markov_system(F, extra).partition == pts
+                assert build_markov_system(with_points(F, extra)).partition == pts
                 m.setattr(markov, name, size - 1)
                 with pytest.raises(NotInvariant) as got:
-                    build_markov_system(F, extra)
+                    build_markov_system(with_points(F, extra))
                 assert str(got.value) == "forward closure of the partition does not stabilize"
 
 
@@ -340,7 +347,7 @@ def _spectral_radius_above_one(matrix) -> bool:
 
 def rigid_half_system():
     F = Lifting((F2(0),), (F2(1, 2),))
-    return build_markov_system(F, extra_points=[F2(0)])
+    return build_markov_system(F)
 
 
 class TestBuild:
@@ -371,7 +378,7 @@ class TestBuild:
 
     def test_extra_points_refine_partition(self):
         F = Lifting((F2(0),), (F2(1, 2),))
-        M = build_markov_system(F, extra_points=[F2(1, 4)])
+        M = build_markov_system(with_points(F, [F2(1, 4)]))
         assert M.partition == (F2(0), F2(1, 4), F2(1, 2), F2(3, 4))
         # the 1/2-rotation swaps [0,1/4] <-> [1/2,3/4] and [1/4,1/2] <-> [3/4,1]:
         # two disjoint 2-cycles, a permutation that is not strongly connected
@@ -499,7 +506,7 @@ class TestOnePassRomeMatrix:
     @settings(max_examples=40, derandomize=True, deadline=None)
     def test_grid_maps(self, case, data):
         try:
-            M = build_markov_system(*case)
+            M = build_markov_system(with_points(*case))
         except (NotInvariant, NotShort):
             assume(False)
         for rome in _romes(data, M):
@@ -710,9 +717,10 @@ def greedy_rome_reference(succ):
 
 
 class TestWalk:
-    """The one depth-first walk behind Kosaraju, `find_rome`, `validate_rome`
-    and `rome_matrix`, against brute force and the restart-per-loop greedy,
-    on graphs with a cycle and on drawn subgraphs of them."""
+    """The one depth-first walk behind `transitivity_certificate`,
+    `critical_successors`, `find_rome`, `validate_rome` and `rome_matrix`,
+    against brute force and the restart-per-loop greedy, on graphs with a
+    cycle and on drawn subgraphs of them."""
 
     @given(graphs_with_cycle(), st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -751,14 +759,17 @@ class TestWalk:
 
     @given(graphs_with_cycle(), st.data())
     @settings(max_examples=80, derandomize=True, deadline=None)
-    def test_components_are_mutual_reachability(self, matrix, data):
+    def test_irreducible_is_mutual_reachability(self, matrix, data):
         succ = [[w for w in out if data.draw(st.booleans())] for out in FakeSystem(matrix).successors]
         n = len(succ)
         reach = reach_closure(succ, set(range(n)))
-        comp = markov._components(succ)
-        for v in range(n):
-            for w in range(n):
-                assert (comp[v] == comp[w]) == (v == w or (reach[v][w] and reach[w][v]))
+        irreducible = all(reach[v][w] for v in range(n) for w in range(n))
+        assert transitivity_certificate(FakeSystem.from_successors(succ))["irreducible"] == irreducible
+
+    @pytest.mark.parametrize("succ,irreducible", [([], False), ([[]], False), ([[0]], True)])
+    def test_irreducible_on_at_most_one_vertex(self, succ, irreducible):
+        # a lone vertex is irreducible only with its self-arrow
+        assert transitivity_certificate(FakeSystem.from_successors(succ))["irreducible"] == irreducible
 
 
 def _rome_matches_char_poly(case):

@@ -74,7 +74,7 @@ def reference_periods_up_to(M, P, succ=None):
 
 def rigid_half():
     F = Lifting((F2(0),), (F2(1, 2),))
-    return F, build_markov_system(F, extra_points=[F2(0)])
+    return F, build_markov_system(F)
 
 
 class TestRigidRotation:

@@ -102,7 +102,7 @@ class TestEndpointPeriods:
     def test_rigid_rotation(self):
         # every point has minimal period exactly 2: Q(1/2) = {2}
         F = Lifting((F2(0),), (F2(1, 2),))
-        M = build_markov_system(F, extra_points=[F2(0)])
+        M = build_markov_system(F)
         assert endpoint_periods(M, F2(1, 2), bound=4) == {2}
 
     def test_persistent7_half(self):
@@ -139,7 +139,7 @@ class TestPerFromRotation:
 
     def test_degenerate_interval_rejected(self):
         F = Lifting((F2(0),), (F2(1, 2),))
-        M = build_markov_system(F, extra_points=[F2(0)])
+        M = build_markov_system(F)
         with pytest.raises(DegenerateRotationInterval):
             per_from_rotation(F, M)
 
