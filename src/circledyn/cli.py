@@ -37,12 +37,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from None
 
 
-def _digits(text: str) -> int:
-    """A nonnegative digit count for the tolerance 10^-digits."""
-    digits = int(text)
-    if digits < 0:
-        raise argparse.ArgumentTypeError(f"digits must be >= 0, got {digits}")
-    return digits
+def _at_least(low: int, what: str):
+    """An integer argument type; a value below `low` is a usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _cmd_periods(args) -> int:
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--digits", type=_digits, default=12, help="bracket tolerance 10^-digits")
+    p.add_argument("--digits", type=_at_least(0, "digits"), default=12, help="bracket tolerance 10^-digits")
     p.add_argument(
         "--strict",
         action="store_true",
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
-    p.add_argument("--digits", type=_digits, default=9)
+    p.add_argument("--digits", type=_at_least(0, "digits"), default=9)
     p.add_argument("--json", action="store_true", help="emit the JSON report instead of CSV")
     p.add_argument("--out")
     p.add_argument("--svg")
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-period", type=int, required=True)
-    p.add_argument("--loop-cap", type=int, default=10**6, help="loop enumeration budget")
+    p.add_argument("--loop-cap", type=_at_least(1, "loop cap"), default=10**6, help="loop enumeration budget")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_oracle)
 

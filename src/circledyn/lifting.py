@@ -406,7 +406,7 @@ def rotation_interval(
 
     The general path, for liftings with no Markov system (NotShort,
     NotInvariant) or an irrational endpoint (DepthExceeded).  The scans use
-    `markov.partition_rotation_interval` instead; `verify` checks both."""
+    `markov.MarkovSystem.rotation` instead; `verify` checks both."""
     Fl, Fu = upper_lower(F)
     c = rotation_number_monotone(Fl, denominator_bound)
     d = rotation_number_monotone(Fu, denominator_bound)

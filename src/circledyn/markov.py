@@ -8,12 +8,11 @@ Later stages walk indices, keys and arrows instead of evaluating the lifting.
 The graph passes here (transitivity, romes, loops) read one thing of a
 system, `successors` (sorted successor lists of the covering graph), so any
 other graph (an extension, a test fixture) is its successor lists alone;
-`critical_successors` also reads the shifts in `coverings`.
+`critical_successors` also reads `coverings` and `envelope_cycles`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,10 +43,10 @@ class MarkovSystem:
     `denominator`, `keys`, `index_map` and `coverings` are the only map and
     graph data; the lifting they came from stays with the caller.  Views
     derived from them on first use and cached: `partition`, `classes`,
-    `orientation` and `rotation` for the map, `successors` for the graph
-    passes, `arrow_steps` and `partition_cycles` for the oracle, and the dense
-    0/1 `matrix` for tests and the benchmark tracer (the scan builds none of
-    the Fraction views or `matrix`).
+    `orientation`, `envelope_cycles` and `rotation` for the map,
+    `successors` for the graph passes, `arrow_steps` and `partition_cycles`
+    for the oracle, and the dense 0/1 `matrix` for tests and the benchmark
+    tracer (the scan builds none of the Fraction views or `matrix`).
     """
 
     denominator: int  # D, the common denominator of the partition
@@ -77,9 +76,22 @@ class MarkovSystem:
         return tuple((b > a) - (b < a) for a, b in zip(G, G[1:]))
 
     @cached_property
+    def envelope_cycles(self) -> tuple:
+        """The `index_cycles` entries (r, m, rho, residues) of point 0 under
+        the lower and upper maps.  F is affine between partition points, so
+        on them F_l(x) = min F[x, x+1] and F_u(x) = max F[x-1, x] take
+        partition values: G_l[i] = min G[i..i+n) and G_u[i] = max G(i-n..i],
+        a suffix minimum and a prefix maximum over G doubled (G[j+n] = G[j] + n)."""
+        n = self.size
+        doubled = list(self.index_map) + [g + n for g in self.index_map]
+        lower = list(accumulate(reversed(doubled), min))[::-1][:n]
+        upper = [g - n for g in list(accumulate(doubled, max))[n:]]
+        return tuple(index_cycles(E, (0,))[0] for E in (lower, upper))
+
+    @cached_property
     def rotation(self) -> RotationInterval:
-        """Rot(F), read off the index map (`partition_rotation_interval`)."""
-        return partition_rotation_interval(self)
+        """Rot(F) = [rho(F_l), rho(F_u)], exactly, from the `envelope_cycles`."""
+        return RotationInterval(*(cycle[2] for cycle in self.envelope_cycles))
 
     @property
     def class_names(self) -> list[str]:
@@ -237,23 +249,6 @@ def index_cycles(E, starts) -> list[tuple]:
     return cycles
 
 
-def partition_rotation_interval(system: MarkovSystem) -> RotationInterval:
-    """Rot(F) = [rho(F_l), rho(F_u)] from the lifted index map alone, exactly.
-
-    F is affine between partition points, so on them the lower map
-    F_l(x) = min F[x, x+1] and the upper map F_u(x) = max F[x-1, x] take
-    partition values: G_l[i] = min G[i..i+n) and G_u[i] = max G(i-n..i], a
-    suffix minimum and a prefix maximum over G doubled (G[j+n] = G[j] + n).
-    The orbit of point 0 under either monotone map repeats mod 1 within n
-    steps; a repeat after m steps, K turns higher, gives rho = K/m.
-    """
-    n = system.size
-    doubled = list(system.index_map) + [g + n for g in system.index_map]
-    lower = list(accumulate(reversed(doubled), min))[::-1][:n]
-    upper = [g - n for g in list(accumulate(doubled, max))[n:]]
-    return RotationInterval(*(index_cycles(E, (0,))[0][2] for E in (lower, upper)))
-
-
 def _reverse(succ) -> list[list[int]]:
     pred = [[] for _ in succ]
     for v, out in enumerate(succ):
@@ -299,39 +294,39 @@ def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
 
 def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[list[int]]:
     """Successor lists of the tight arrows for the loop mean (shift / length)
-    e = r/s, where side = +1 if e is the least loop mean and -1 if the largest:
+    e, where side = +1 if e is the least loop mean and -1 if the largest:
     a loop has mean exactly e iff every arrow on it is tight.
 
-    Bellman-Ford potentials pi for the weights side*(s*k - r) make every
-    reduced cost w + pi(i) - pi(j) >= 0, and a loop's reduced costs sum to its
-    weight, so a loop has mean e iff all its arrows are tight (reduced cost
-    0), for any feasible pi (Karp 1978).  A tight arrow between two strongly
-    connected components lies on no loop; loop searches never take it.  A
-    FIFO queue relaxes the arrows out of each lowered vertex.  A potential's
-    walk of n arrows repeats a vertex, whose two lowerings close a loop of
-    mean beyond e: RotationMismatch then, or if `_walk` closes no tight loop
-    (no loop has mean e)."""
-    r, s = e.numerator, e.denominator
-    n = system.size
-    out = [[] for _ in range(n)]
+    The potential is that end's envelope cycle (lower map for side = +1,
+    upper for -1), of m points and K turns, rho = K/m: pi[i] counts its
+    points at or below point i, pi(j + k*n) = pi[j] + k*m, and arrow
+    (i, j, k) costs side*(pi[j] + k*m - pi[i] - K) >= 0.  Lower: the covered
+    lifted class L = j + k*n starts at or above min(G[i], G[i+1]) >= G_l[i],
+    and G_l, nondecreasing, moves its cycle points in order K places on, so
+    pi(L) >= pi(G_l[i]) >= pi[i] + K.  Upper: L + 1 <= G_u[i+1], and with
+    Psi counting the cycle points strictly below a point,
+    pi(L) = Psi(L + 1) <= Psi(G_u[i+1]) <= Psi(i + 1) + K = pi[i] + K.  A
+    loop's costs sum to side*m*length*(mean - rho): no loop has a mean beyond
+    rho, and a loop has mean rho iff all its arrows are tight (cost 0).  A
+    tight arrow between two strongly connected components lies on no loop;
+    loop searches never take it.  RotationMismatch if an arrow costs below 0
+    or `_walk` closes no tight loop (the cycle certifies nothing), and if e
+    is not rho: a loop has mean beyond e, or no loop has mean e."""
+    _, m, rho, cycle = system.envelope_cycles[side < 0]
+    K, cycle = int(rho * m), set(cycle)
+    pi = list(accumulate(i in cycle for i in range(system.size)))
+    tight = [[] for _ in pi]
     for i, j, k in system.coverings:
-        out[i].append((j, side * (s * k - r)))
-    pi, arrows = [0] * n, [0] * n
-    queue, queued = deque(range(n)), [True] * n
-    while queue:
-        i = queue.popleft()
-        queued[i] = False
-        for j, w in out[i]:
-            if pi[i] + w < pi[j]:
-                pi[j], arrows[j] = pi[i] + w, arrows[i] + 1
-                if arrows[j] >= n:
-                    raise RotationMismatch(f"a loop has mean beyond {rat_str(e)}")
-                if not queued[j]:
-                    queued[j] = True
-                    queue.append(j)
-    tight = [[j for j, w in out[i] if w + pi[i] == pi[j]] for i in range(n)]
+        cost = side * (pi[j] + k * m - pi[i] - K)
+        if cost < 0:
+            raise RotationMismatch(f"arrow ({i}, {j}, {k}) costs {cost} on the cycle of mean {rat_str(rho)}")
+        if cost == 0:
+            tight[i].append(j)
     if _walk(tight)[2] is None:
-        raise RotationMismatch(f"no loop has mean {rat_str(e)}")
+        raise RotationMismatch(f"no loop has mean {rat_str(rho)}")
+    if e != rho:  # the loops of mean rho are beyond e, or none has mean e
+        message = "a loop has mean beyond" if side * (e - rho) > 0 else "no loop has mean"
+        raise RotationMismatch(f"{message} {rat_str(e)}")
     return tight
 
 

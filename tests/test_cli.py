@@ -203,6 +203,19 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("oracle", "dream", "--n", "5", "--max-period", "3", "--loop-cap", "-1"),
+            ("oracle", "persistent", "--n", "5", "--max-period", "6", "--loop-cap", "-5"),
+            ("oracle", "dream", "--n", "3", "--max-period", "3", "--loop-cap", "0"),
+        ],
+    )
+    def test_loop_cap_below_one_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and f"--loop-cap: loop cap must be >= 1, got {argv[-1]}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("periods", "--c", "1/0", "--d", "1"),
             ("beta", "--d", "1/0"),
             ("beta", "--tol", "1/0"),

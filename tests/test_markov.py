@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from circledyn import markov
 from circledyn.arith import CertifiedRoot, IntPolynomial, floor_frac, rat_str
-from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort
+from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
 from circledyn.graphext import extend
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
@@ -17,11 +18,11 @@ from circledyn.markov import (
     MarkovSystem,
     Rome,
     build_markov_system,
+    critical_successors,
     entropy,
     enumerate_loops,
     find_rome,
     markov_char_poly,
-    partition_rotation_interval,
     perron_bracket,
     rome_char_poly,
     rome_matrix,
@@ -32,6 +33,7 @@ from circledyn.oracle import periods_up_to
 from circledyn.periods import per_from_rotation
 from brackets import overlaps
 from family_classes import class_index
+from graph_reference import bellman_ford_critical_successors
 from lifting_reference import envelope_rotation_bounds
 from poly_reference import char_poly
 from test_graphext import apple_graph, triangle_with_tail
@@ -289,13 +291,59 @@ class TestPartitionRotationInterval:
             M = build_markov_system(F)
         except (NotInvariant, NotShort):
             assume(False)
-        rot = partition_rotation_interval(M)
+        rot = M.rotation
         assert rot == rotation_interval(F)
         (c_lo, c_hi), (d_lo, d_hi) = envelope_rotation_bounds(F, 16)
         assert c_lo <= rot.c <= c_hi and d_lo <= rot.d <= d_hi
 
     def test_rigid_rotation_is_degenerate(self):
-        assert partition_rotation_interval(rigid_half_system()) == RotationInterval(F2(1, 2), F2(1, 2))
+        assert rigid_half_system().rotation == RotationInterval(F2(1, 2), F2(1, 2))
+
+
+class TestEnvelopeCertificate:
+    """`critical_successors` checks every arrow's cost against the envelope
+    cycle, and refuses a cycle that closes no tight loop."""
+
+    def half_turn(self, coverings):
+        """The rigid 1/2-rotation's map (G = (1, 2): both envelope cycles run
+        0 -> 1 -> 0 one turn up, pi = [1, 2], K = 1) with the given arrows."""
+        return MarkovSystem(denominator=2, keys=(0, 1, 2), index_map=(1, 2), coverings=coverings)
+
+    @pytest.mark.parametrize(
+        "extra,side,cost",
+        [
+            ((0, 0, 0), 1, -1),  # lifted class 0 starts below G_l[0] = 1
+            ((0, 0, 1), -1, -1),  # lifted class 2 ends above G_u[1] = 2
+            ((1, 1, 0), 1, -1),  # lifted class 1 starts below G_l[1] = 2
+        ],
+    )
+    def test_arrow_off_the_envelopes_raises(self, extra, side, cost):
+        M = self.half_turn(tuple(sorted(((0, 1, 0), (1, 0, 1), extra))))
+        with pytest.raises(RotationMismatch, match=re.escape(f"arrow {extra} costs {cost} ")):
+            critical_successors(M, F2(1, 2), side)
+        # the reference sees the loop through that arrow: its mean is beyond 1/2
+        with pytest.raises(RotationMismatch, match="a loop has mean beyond 1/2"):
+            bellman_ford_critical_successors(M, F2(1, 2), side)
+
+    def test_no_tight_loop_raises(self):
+        # every class covers itself one turn up: each arrow costs 1, and no
+        # loop has the cycle's mean 1/2
+        M = self.half_turn(((0, 0, 1), (1, 1, 1)))
+        for query in (critical_successors, bellman_ford_critical_successors):
+            with pytest.raises(RotationMismatch, match="no loop has mean 1/2"):
+                query(M, F2(1, 2), 1)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (3, 4)])
+    def test_potential_reads_its_scale_off_the_cycle(self, p, q):
+        # rotation by p/q on 2q points has two cycles of q points; their
+        # union, 2q points and 2p turns, certifies the same tight lists
+        M = build_markov_system(Lifting((F2(0), F2(1, 2 * q)), (F2(p, q), F2(p, q) + F2(1, 2 * q))))
+        assert [cycle[1] for cycle in M.envelope_cycles] == [q, q]
+        want = [critical_successors(M, F2(p, q), side) for side in (1, -1)]
+        union = (0, 2 * q, F2(p, q), tuple(range(2 * q)))
+        M = dataclasses.replace(M)
+        M.__dict__["envelope_cycles"] = (union, union)
+        assert [critical_successors(M, F2(p, q), side) for side in (1, -1)] == want
 
 
 @st.composite

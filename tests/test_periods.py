@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from graph_reference import bellman_ford_critical_successors, tight_loop_arrows
 from test_arith import _odd, _v2
 
 import circledyn.markov
@@ -14,7 +16,7 @@ from circledyn.arith import ceil_frac, floor_frac, sharkovskii_geq
 from circledyn.errors import CircledynError, DegenerateRotationInterval, RotationMismatch
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
-from circledyn.markov import build_markov_system, critical_successors, enumerate_loops, partition_rotation_interval
+from circledyn.markov import build_markov_system, critical_successors, enumerate_loops
 from circledyn.oracle import periods_up_to
 from circledyn.periods import (
     PeriodSet,
@@ -247,6 +249,42 @@ def loop_mean(M, word):
     return F2(sum(shift[v, word[(t + 1) % len(word)]] for t, v in enumerate(word)), len(word))
 
 
+def critical_verdict(query, M, e, side):
+    """(tight successor lists, None) of an endpoint query, or (None, the
+    RotationMismatch message)."""
+    try:
+        return query(M, e, side), None
+    except RotationMismatch as err:
+        return None, str(err)
+
+
+def endpoint_queries(rot, off, both_sides=True):
+    """Both ends of Rot(F) and the means just off each, on both sides or on
+    each end's own side."""
+    return [
+        (e + delta, s)
+        for e, side in ((rot.c, 1), (rot.d, -1))
+        for delta in (0, -off, off)
+        for s in ((1, -1) if both_sides else (side,))
+    ]
+
+
+def check_against_bellman_ford(M, rot, max_len=0, off=F2(1, 97), both_sides=True):
+    """The envelope-cycle certificate and the Bellman-Ford reference give the
+    same verdict and message, the same tight arrows on tight loops, and tight
+    lists with the same loops up to max_len (a tight arrow on no loop may
+    differ with the potential)."""
+    for e, side in endpoint_queries(rot, off, both_sides):
+        got, message = critical_verdict(critical_successors, M, e, side)
+        want, want_message = critical_verdict(bellman_ford_critical_successors, M, e, side)
+        assert message == want_message, (e, side)
+        if got is not None:
+            assert tight_loop_arrows(got) == tight_loop_arrows(want), (e, side)
+            if max_len:
+                loops = [l.vertices for l in enumerate_loops(M, max_len, succ=got)]
+                assert loops == [l.vertices for l in enumerate_loops(M, max_len, succ=want)], (e, side)
+
+
 class TestCriticalSubgraph:
     @given(data=two_orbit_maps())
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -306,18 +344,59 @@ class TestCriticalSubgraph:
             with pytest.raises(RotationMismatch, match=message):
                 critical_successors(M, e, side)
 
+    @given(data=two_orbit_maps())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_two_orbit_maps_match_bellman_ford(self, data):
+        F, M, rot = data
+        check_against_bellman_ford(M, rot, 8)
+
+    @pytest.mark.parametrize("name,n", SCAN_INSTANCES)
+    def test_scan_instances_match_bellman_ford(self, name, n):
+        M = make(name, n).markov
+        check_against_bellman_ford(M, M.rotation, 8)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name,n", [("montevideo", 60), ("dream", 3201), ("persistent", 6401)])
+    def test_large_systems_match_bellman_ford(self, name, n):
+        # critical loops here are longer than a loop enumeration can reach,
+        # so the tight arrows on tight loops stand in for them; each end on
+        # its own side, as the reference takes about 30 s per query inside
+        # Rot(F) at persistent 6401
+        inst = make(name, n)
+        M = inst.markov
+        check_against_bellman_ford(M, M.rotation, off=F2(1, 10**6), both_sides=False)
+        with mock.patch("circledyn.periods.critical_successors", bellman_ford_critical_successors):
+            want = per_from_rotation(inst.lifting, M)
+        assert per_from_rotation(inst.lifting, M) == want
+
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_loop_through_every_class(self, n):
-        # one loop through all n classes, shift -1 on every arrow but the
-        # closing one: shortest paths run to n - 1 arrows, and a loop of mean
-        # below 0 shows only in a walk of n arrows
+        # the reference on one loop through all n classes, shift -1 on every
+        # arrow but the closing one: shortest paths run to n - 1 arrows, and a
+        # loop of mean below 0 shows only in a walk of n arrows
         def system(closing):
             arrows = [(i, i + 1, -1) for i in range(n - 1)] + [(n - 1, 0, closing)]
             return SimpleNamespace(size=n, coverings=sorted(arrows))
 
-        assert critical_successors(system(n - 1), F2(0), 1) == [[(i + 1) % n] for i in range(n)]
+        assert bellman_ford_critical_successors(system(n - 1), F2(0), 1) == [[(i + 1) % n] for i in range(n)]
         with pytest.raises(RotationMismatch, match="a loop has mean beyond"):
-            critical_successors(system(n - 2), F2(0), 1)
+            bellman_ford_critical_successors(system(n - 2), F2(0), 1)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (7, 3), (12, 5)])
+    def test_rigid_rotation_is_one_loop(self, n, k):
+        # x -> x + k/n on the n points j/n: class i covers class i + k only,
+        # and the n classes form one loop of mean k/n
+        M = build_markov_system(Lifting((F2(0),), (F2(k, n),)))
+        assert M.size == n and M.rotation == RotationInterval(F2(k, n), F2(k, n))
+        for side in (1, -1):
+            succ = critical_successors(M, F2(k, n), side)
+            assert succ == [[(i + k) % n] for i in range(n)]
+            (loop,) = enumerate_loops(M, n, succ=succ)
+            assert loop.simple and sorted(loop.vertices) == list(range(n))
+            with pytest.raises(RotationMismatch, match="a loop has mean beyond"):
+                critical_successors(M, F2(k, n) + side * F2(1, 97), side)
+            with pytest.raises(RotationMismatch, match="no loop has mean"):
+                critical_successors(M, F2(k, n) - side * F2(1, 97), side)
 
     @pytest.mark.parametrize(
         "dc,dd,message",
@@ -344,19 +423,19 @@ class TestCriticalSubgraph:
 
 
 class TestPartitionRotationInterval:
-    """The index-map path that `per_from_rotation` and the scans use, against
-    the lifting's envelopes."""
+    """`MarkovSystem.rotation`, the index-map path that `per_from_rotation`
+    and the scans use, against the lifting's envelopes."""
 
     @given(data=two_orbit_maps())
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_two_orbit_maps_match_lifting(self, data):
         F, M, rot = data
-        assert partition_rotation_interval(M) == rot
+        assert M.rotation == rot
 
     @pytest.mark.parametrize("name,n", SCAN_INSTANCES[::4])
     def test_scan_instances_match_lifting(self, name, n):
         inst = make(name, n)
-        assert partition_rotation_interval(inst.markov) == rotation_interval(inst.lifting)
+        assert dataclasses.replace(inst.markov).rotation == rotation_interval(inst.lifting)
 
 
 def one_walk_per_start(M):
@@ -411,13 +490,16 @@ class TestPartitionCycles:
     @given(data=two_orbit_maps())
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_one_walk_per_system(self, data):
+        # the two envelope cycles (Rot(F) and both certificates) and the
+        # partition cycles, each walked once on a fresh system
         F, M, rot = data
-        assert M.rotation == rot  # Rot(F) walks the two envelope orbits first
+        M = dataclasses.replace(M)
         walk = mock.Mock(wraps=circledyn.markov.index_cycles)
         with mock.patch.object(circledyn.markov, "index_cycles", walk):
+            assert M.rotation == rot
             per_from_rotation(F, M)
             periods_up_to(M, 4)
-        assert walk.call_count == 1
+        assert walk.call_count == 3
 
 
 def reference_sho_type(ks: set[int], bound: int):
