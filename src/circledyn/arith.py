@@ -552,14 +552,14 @@ def bareiss_det(matrix):
 
 
 def kronecker_det(matrix) -> IntPolynomial:
-    """Determinant of a square matrix of IntPolynomials as one integer
-    `bareiss_det` at y = 2^B.  Every |coefficient| of det is at most per(S) <= H,
-    the product of the row sums of S, the entries' absolute coefficient sums.
-    With 2^(B-1) > H and 8 | B they are the balanced base-2^B digits of
-    det(2^B), read as the bytes of det(2^B) + 2^(B-1) (1 + 2^B + 2^2B + ...)."""
-    size = (math.prod(sum(sum(map(abs, p.coeffs)) for p in row) for row in matrix).bit_length() + 8) // 8
+    """Determinant of a square matrix over Z[y], entries {power: coefficient}
+    dicts, as one integer `bareiss_det` at y = 2^B.  Every |coefficient| of det
+    is at most per(S) <= H, the product of the row sums of S, the entries'
+    absolute coefficient sums.  With 2^(B-1) > H and 8 | B they are the balanced
+    base-2^B digits of det(2^B), read as the bytes of det(2^B) + 2^(B-1) (1 + 2^B + ...)."""
+    size = (math.prod(sum(sum(map(abs, e.values())) for e in row) for row in matrix).bit_length() + 8) // 8
     bits, half = 8 * size, 1 << (8 * size - 1)
-    v = bareiss_det([[sum(c << bits * k for k, c in enumerate(p.coeffs) if c) for p in row] for row in matrix])
+    v = bareiss_det([[sum(c << bits * k for k, c in e.items() if c) for e in row] for row in matrix])
     digits = v.bit_length() // bits + 1  # > degree, as |v| > 2^(B*degree - 1)
     bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
     raw = (v + bias).to_bytes(size * digits, "little")

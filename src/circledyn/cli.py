@@ -37,6 +37,18 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from None
 
 
+def _glue_rationals(argv) -> list[str]:
+    """`--c -1/2` as `--c=-1/2`: argparse takes "-1/2" for an option, so a
+    token that starts with "-" after --c, --d or --tol is glued to it."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--c", "--d", "--tol") and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _at_least(low: int, what: str):
     """An integer argument type; a value below `low` is a usage error."""
 
@@ -235,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_rationals(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:

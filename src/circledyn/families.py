@@ -183,15 +183,16 @@ class FamilyInstance:
     markov: MarkovSystem
     expected_rot: RotationInterval
     expected_per: PeriodSet
-    expected_poly: IntPolynomial
     poly_cofactor: IntPolynomial  # char * cofactor == expected_poly, exactly
     cofin_expectations: dict
     orbit_keys: tuple  # (x keys, y keys): orbit point j/N at key j, N their total count
     extension: Optional[ExtensionSpec]
 
-    # the orbit points j/N as Fractions, views of `orbit_keys`
+    # the orbit points j/N as Fractions, views of `orbit_keys`, and the
+    # family's transition polynomial, a view of (name, n)
     x_positions = cached_property(lambda self: self._points(0))
     y_positions = cached_property(lambda self: self._points(1))
+    expected_poly = cached_property(lambda self: POLYNOMIALS[self.name](self.n))
 
     def _points(self, orbit: int) -> tuple:
         N = sum(map(len, self.orbit_keys))
@@ -223,7 +224,6 @@ def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> F
         markov=build_markov_system(F),
         expected_rot=rot,
         expected_per=per,
-        expected_poly=POLYNOMIALS[name](n),
         poly_cofactor=cofactor,
         cofin_expectations=cofin,
         orbit_keys=(xs, ys),

@@ -13,7 +13,7 @@ other graph (an extension, a test fixture) is its successor lists alone;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -206,15 +206,18 @@ def build_markov_system(F: Lifting) -> MarkovSystem:
     G.append(G[0] + n)
 
     coverings = []
-    for i in range(n):
-        lo, hi = (G[i], G[i + 1]) if G[i] <= G[i + 1] else (G[i + 1], G[i])
+    for i, (g, h) in enumerate(zip(G, G[1:])):
+        lo, hi = (g, h) if g <= h else (h, g)
+        q, r = divmod(lo, n)
+        if hi - lo == 1:  # most classes cover one lifted class
+            coverings.append((i, r, q))
+            continue
         if hi - lo >= n:
             a, b = Fraction(X[i], D), Fraction(X[i + 1], D)
             length = Fraction(abs(Y[i + 1] - Y[i]), D)
             raise NotShort(f"class [{rat_str(a)},{rat_str(b)}] has image length {length} >= 1")
         # lifted classes lo..hi-1 (fewer than n) in class order: those past
         # the turn, classes 0.. at turn q+1 (all below r), then r..top-1 at q
-        q, r = divmod(lo, n)
         top = min(hi - q * n, n)
         coverings += zip(repeat(i), range(hi - (q + 1) * n), repeat(q + 1))
         coverings += zip(repeat(i), range(r, top), repeat(q))
@@ -234,18 +237,20 @@ def index_cycles(E, starts) -> list[tuple]:
     r that repeats mod n after m steps, K turns higher.  A walk stops at a
     point that an earlier walk met, whose cycle is already listed."""
     n = len(E)
-    seen: set = set()
-    cycles = []
+    at = [0] * n  # 1 + the number of points met before point r; 0 while unmet
+    met, cycles = 0, []
     for start in starts:
-        pos, L = {}, start  # point L mod n -> (step, L) along this walk
-        while L % n not in pos and L % n not in seen:
-            pos[L % n] = (len(pos), L)
-            L = E[L % n] + L - L % n
-        seen.update(pos)
-        if L % n in pos:
-            j, L0 = pos[L % n]
-            m = len(pos) - j
-            cycles.append((L % n, m, Fraction((L - L0) // n, m), tuple(pos)[j:]))
+        path, L, r = [], start, start % n  # the lifted points of this walk
+        while not at[r]:
+            path.append(L)
+            at[r] = met + len(path)
+            L += E[r] - r
+            r = L % n
+        j = at[r] - met - 1  # the step of this walk at r; < 0 if an earlier walk met r
+        met += len(path)
+        if j >= 0:
+            m = len(path) - j
+            cycles.append((r, m, Fraction((L - path[j]) // n, m), tuple(x % n for x in path[j:])))
     return cycles
 
 
@@ -362,6 +367,7 @@ def transitivity_certificate(system) -> dict:
 @dataclass(frozen=True)
 class Rome:
     members: frozenset
+    order: Optional[tuple] = field(default=None, compare=False, repr=False)  # find_rome's walk order
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
@@ -381,74 +387,57 @@ def find_rome(system) -> Rome:
     """Greedy rome: all vertices of out-degree >= 2, then one vertex of each
     loop of the (now functional) complement graph.  One `_walk` of the
     complement closes each such loop at exactly one back arrow, so the
-    members are those arrows' targets; no loop avoids the result."""
+    members are those arrows' targets; no loop avoids the result.  The walk's
+    finishing order goes with the rome: an arrow into a vertex that finishes
+    later is a back arrow, so it ends at a member."""
     succ = system.successors
     members = {i for i, out in enumerate(succ) if len(out) >= 2}
-    return Rome(members.union(_walk(succ, members)[1]))
-
-
-def rome_matrix(system, rome: Rome):
-    """(sorted members, m x m matrix of IntPolynomials in y = 1/x).
-
-    Entry (i,j) counts simple rome paths r_i -> r_j by length: the coefficient
-    of y^l is the number of such paths of length l.  One pass over the
-    complement in finishing order (`validate_rome`, which raises InvalidRome
-    with a loop avoiding the rome) carries, for each vertex, its path counts
-    to the members as sparse {(member, length): count}; on `find_rome`'s
-    romes every complement vertex has one successor, so each carries a single
-    term.
-    """
-    succ = system.successors
-    members = sorted(rome.members)
-    paths: dict[int, dict] = {}
-
-    def step(v) -> dict:
-        """Paths v -> member through the complement, one arrow longer than
-        those of v's successors."""
-        acc: dict = {}
-        for w in succ[v]:
-            terms = paths[w].items() if w in paths else [((w, 0), 1)]  # a member ends the path
-            for (r, length), count in terms:
-                acc[r, length + 1] = acc.get((r, length + 1), 0) + count
-        return acc
-
-    for v in validate_rome(system, rome):
-        paths[v] = step(v)
-    col = {r: jc for jc, r in enumerate(members)}
-    rm = []
-    for ri in members:
-        coeffs = [[0] for _ in members]
-        for (r, length), count in step(ri).items():
-            row = coeffs[col[r]]
-            row.extend([0] * (length + 1 - len(row)))
-            row[length] += count
-        rm.append([IntPolynomial(c) for c in coeffs])
-    return members, rm
+    order, targets, _ = _walk(succ, members)
+    return Rome(members.union(targets), tuple(order))
 
 
 def rome_char_poly(system, rome: Rome) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M) via the rome method:
-    (-1)^(k-m) x^k det(M_R(x) - I) normalized to the monic convention, with
-    the m x m determinant over Z[y] by `kronecker_det` (its bound H: the product
-    over rows of 1 + the row's rome path count); the checks below catch a fault."""
-    n = len(system.successors)
-    members, rm = rome_matrix(system, rome)
-    m = len(members)
-    if m == 0:
-        return IntPolynomial.monomial(1, n)  # acyclic graph
-    for i in range(m):
-        rm[i][i] = rm[i][i] - IntPolynomial([1])
-    det = kronecker_det(rm)
-    if det.is_zero():
+    """Exact characteristic polynomial det(xI - M) by the rome method (Block,
+    Guckenheimer, Misiurewicz & Young 1980): (-1)^(k-m) x^k det(M_R(x) - I),
+    made monic; M_R(y)[i][j] sums y^length over the paths r_i -> r_j with no
+    member inside (an empty rome, on an acyclic graph, gives x^n).  One pass
+    over the rome's `order` (`validate_rome`'s if it has none) joins to the
+    rome each vertex of out-degree >= 2 (no rome or member order changes the
+    polynomial) and carries every other vertex's one path to the rome: the
+    member's column and the length, in two int lists.  The rows go to
+    `kronecker_det` as {length: count} dicts (its bound H: the product over
+    rows of 1 + the row's path count)."""
+    succ = system.successors
+    n = len(succ)
+    order = validate_rome(system, rome) if rome.order is None else rome.order
+    members = list(rome.members)
+    end, length = [-1] * n, [0] * n  # column of the member v's path ends at (-1: no path), its length
+    for c, r in enumerate(members):
+        end[r] = c
+    for v in order:
+        if end[v] < 0:  # outside the rome
+            if len(succ[v]) > 1:
+                end[v] = len(members)
+                members.append(v)
+            elif succ[v]:
+                w = succ[v][0]
+                end[v], length[v] = end[w], length[w] + 1
+    rows = []
+    for c, r in enumerate(members):
+        row = [{} for _ in members]
+        row[c][0] = -1  # M_R(y) - I: every path has length >= 1
+        for w in succ[r]:
+            if end[w] >= 0:
+                row[end[w]][length[w] + 1] = row[end[w]].get(length[w] + 1, 0) + 1
+        rows.append(row)
+    det = kronecker_det(rows).coeffs
+    if not det:
         raise ArithmeticError("rome determinant vanished identically")
-    if det.degree > n:
+    if len(det) > n + 1:
         raise ArithmeticError("rome path length exceeded matrix size")
-    p = IntPolynomial((det.coeffs + (0,) * (n - det.degree))[::-1])  # x^n det(1/x)
-    if p.leading() < 0:
-        p = -p
-    if p.leading() != 1 or p.degree != n:
+    if det[0] not in (1, -1):  # the x^n coefficient of x^n det(1/x)
         raise ArithmeticError("rome polynomial is not monic of degree n")
-    return p
+    return IntPolynomial([0] * (n + 1 - len(det)) + [det[0] * c for c in reversed(det)])
 
 
 def markov_char_poly(system) -> IntPolynomial:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import floor_frac, rat_str, sharkovskii_geq
+from .arith import rat_str, sharkovskii_geq
 from .errors import DegenerateRotationInterval
 from .markov import critical_successors
 from .oracle import periods_up_to
@@ -79,23 +79,22 @@ def interior_integer_count(c: Fraction, d: Fraction, q: int) -> int:
     return max(0, below - above - 1)
 
 
-def in_m_set(c: Fraction, d: Fraction, q: int) -> bool:
-    return interior_integer_count(c, d, q) > 0
-
-
 def m_set(c: Fraction, d: Fraction) -> PeriodSet:
     """M(c,d) = {n : c < k/n < d for some integer k}, exactly.
 
+    On c = a/b and d = e/f, n is in it iff ceil(ne/f) - floor(na/b) >= 2.
     The tail threshold starts at floor(1/(d-c)) + 1 (interval longer than 1
     forces an interior integer) and is refined downward by direct membership.
     """
     c, d = Fraction(c), Fraction(d)
     if not c < d:
         raise ValueError("m_set needs c < d")
-    t = floor_frac(1 / (d - c)) + 1
-    while t > 1 and in_m_set(c, d, t - 1):
+    a, b, e, f = c.numerator, c.denominator, d.numerator, d.denominator
+    t = b * f // (e * b - a * f) + 1
+    ms = {n for n in range(1, t) if -(-e * n // f) - a * n // b >= 2}
+    while t - 1 in ms:
         t -= 1
-    return PeriodSet({q for q in range(1, t) if in_m_set(c, d, q)}, tail_from=t)
+    return PeriodSet(ms, tail_from=t)
 
 
 # ---------------------------------------------------------------------------

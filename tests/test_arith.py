@@ -629,6 +629,12 @@ wide_entries = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_si
 
 
 
+def kronecker(matrix):
+    """`kronecker_det` of a matrix of IntPolynomials, each entry handed over
+    as its {power: coefficient} dict."""
+    return kronecker_det([[dict(enumerate(p.coeffs)) for p in row] for row in matrix])
+
+
 class TestKroneckerDet:
     """`kronecker_det`, one integer determinant at y = 2^B, against Bareiss
     over Z[y] and the Leibniz sum, and at the edges of its digit bound."""
@@ -636,7 +642,7 @@ class TestKroneckerDet:
     @given(square_matrices(poly_entries) | square_matrices(wide_entries, max_size=4))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_matches_bareiss_over_polynomials(self, m):
-        det = kronecker_det(m)
+        det = kronecker(m)
         assert det == (bareiss_det(m) if m else ONE)
         if len(m) <= 3:
             assert det == leibniz_det(m, ONE)
@@ -646,28 +652,42 @@ class TestKroneckerDet:
         # one coefficient carries the whole bound H = |c|: at H = 2^(B-1) - 1
         # the balanced digit is as wide as it gets, and at H = 2^8k - 1 the
         # bit length is a multiple of 8, so B needs the next byte up
-        assert kronecker_det([[IntPolynomial([0, c])]]) == IntPolynomial([0, c])
-        assert kronecker_det([[IntPolynomial([c, 0, 0, c])]]) == IntPolynomial([c, 0, 0, c])
+        assert kronecker([[IntPolynomial([0, c])]]) == IntPolynomial([0, c])
+        assert kronecker([[IntPolynomial([c, 0, 0, c])]]) == IntPolynomial([c, 0, 0, c])
         # 32767 = 7 * 31 * 151: the bound is the product of the row sums
         diagonal = [IntPolynomial([0, -7]), IntPolynomial([31]), IntPolynomial([0, 0, 151])]
         m = [[p if i == j else IntPolynomial([]) for j in range(3)] for i, p in enumerate(diagonal)]
-        assert kronecker_det(m) == IntPolynomial([0, 0, 0, -32767])
+        assert kronecker(m) == IntPolynomial([0, 0, 0, -32767])
 
     def test_negative_top_coefficient(self):
         # a permutation's sign: det = -y^3 (y^2 + 5y - 1), whose top digit -1
         # sits over a negative digit and a positive one
         m = [[IntPolynomial([]), IntPolynomial([0, 0, 0, 1])], [IntPolynomial([-1, 5, 1]), IntPolynomial([2])]]
-        assert kronecker_det(m) == IntPolynomial([0, 0, 0, 1, -5, -1]) == leibniz_det(m, ONE)
-        assert kronecker_det([[IntPolynomial([5, 0, -3])]]).leading() == -3
+        assert kronecker(m) == IntPolynomial([0, 0, 0, 1, -5, -1]) == leibniz_det(m, ONE)
+        assert kronecker([[IntPolynomial([5, 0, -3])]]).leading() == -3
 
     def test_vanishing_and_empty(self):
-        assert kronecker_det([[Y, Y * Y], [ONE, Y]]).is_zero()
-        assert kronecker_det([[IntPolynomial([]), Y], [IntPolynomial([]), ONE]]).is_zero()
-        assert kronecker_det([]) == ONE
+        assert kronecker([[Y, Y * Y], [ONE, Y]]).is_zero()
+        assert kronecker([[IntPolynomial([]), Y], [IntPolynomial([]), ONE]]).is_zero()
+        assert kronecker([]) == ONE
+
+    def test_bound_counts_absolute_values(self):
+        # the signed coefficient sums cancel; the bound must not
+        assert kronecker_det([[{0: 200, 1: -200}]]) == IntPolynomial([200, -200])
+        m = [[{0: 300, 2: -300}, {1: 1}], [{1: -1}, {0: 1}]]
+        assert kronecker_det(m) == IntPolynomial([300, 0, -299])
+
+    def test_sparse_entries(self):
+        # entries are {power: coefficient} dicts in any order; zero
+        # coefficients and empty dicts add nothing
+        assert kronecker_det([[{3: 2, 0: 0, 1: -1}]]) == IntPolynomial([0, -1, 0, 2])
+        m = [[{}, {5: 1}], [{2: 1, 0: -1}, {}]]
+        dense = [[IntPolynomial([]), IntPolynomial([0, 0, 0, 0, 0, 1])], [Y * Y - ONE, IntPolynomial([])]]
+        assert kronecker_det(m) == IntPolynomial([0, 0, 0, 0, 0, 1, 0, -1]) == leibniz_det(dense, ONE)
 
     def test_not_square(self):
         with pytest.raises(ValueError):
-            kronecker_det([[ONE, Y]])
+            kronecker([[ONE, Y]])
 
 
 class TestCharPoly:

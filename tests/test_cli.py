@@ -117,6 +117,31 @@ class TestBeta:
         assert data["method_agreement"]
 
 
+class TestNegativeRationals:
+    """A negative endpoint is a value of --c, --d or --tol, not an option."""
+
+    def test_beta_shifted_by_one(self, capsys):
+        # beta depends on Rot(F) only up to an integer shift
+        negative = run(capsys, "beta", "--c", "-1/2", "--d", "0")
+        assert negative == run(capsys, "beta", "--c", "1/2", "--d", "1")
+        assert negative[0] == 0
+        assert negative == run(capsys, "beta", "--c=-1/2", "--d", "0")
+
+    def test_periods_across_zero(self, capsys):
+        code, out, _ = run(capsys, "periods", "--c", "-1/3", "--d", "1/3")
+        assert code == 0 and json.loads(out)["tail_from"] == 1
+
+    @pytest.mark.parametrize("argv", [("--c", "-x", "--d", "1/3"), ("--c", "--d", "1/3"), ("--c", "1/3", "--d", "-")])
+    def test_malformed_value_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "periods", *argv)
+        assert code == 1 and out == "" and "error" in err
+
+    def test_negative_tol_reaches_the_program(self, capsys):
+        # parsed as a value, then refused by beta itself, not by argparse
+        code, out, err = run(capsys, "beta", "--c", "1/2", "--d", "7/10", "--tol", "-1/1000")
+        assert (code, out, err) == (1, "", "error: tol must be positive\n")
+
+
 class TestExtend:
     def test_extend_roundtrip(self, capsys, tmp_path):
         gfile = tmp_path / "g.json"

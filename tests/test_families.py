@@ -156,6 +156,18 @@ class TestPolynomials:
         inst = make(name, n)
         assert markov_char_poly(inst.markov) * inst.poly_cofactor == inst.expected_poly
 
+    @pytest.mark.parametrize("name,n", [("dream", 7), ("persistent", 9), ("montevideo", 4)])
+    def test_expected_poly_is_a_view_of_name_and_n(self, name, n, monkeypatch):
+        # built on first read, then cached; a scan never reads it
+        inst = make(name, n)
+        assert "expected_poly" not in vars(inst)
+        assert inst.expected_poly == families.POLYNOMIALS[name](n)
+        assert vars(inst)["expected_poly"] is inst.expected_poly
+        monkeypatch.setattr(families, "POLYNOMIALS", {})
+        assert mts1_scan(name, n, n).all_green
+        with pytest.raises(KeyError):
+            make(name, n).expected_poly
+
     def test_cofactor_roots_on_unit_circle(self):
         # the cofactors are products of x^k - 1: exactly the structural check
         for inst in (dream(4), montevideo(3)):

@@ -3,6 +3,7 @@ import math
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +26,6 @@ from circledyn.markov import (
     markov_char_poly,
     perron_bracket,
     rome_char_poly,
-    rome_matrix,
     transitivity_certificate,
     validate_rome,
 )
@@ -33,7 +33,14 @@ from circledyn.oracle import periods_up_to
 from circledyn.periods import per_from_rotation
 from brackets import overlaps
 from family_classes import class_index
-from graph_reference import bellman_ford_critical_successors
+from graph_reference import (
+    bellman_ford_critical_successors,
+    dict_index_cycles,
+    per_member_rome_matrix,
+    per_vertex_rome_matrix,
+    reference_coverings,
+    reference_rome_char_poly,
+)
 from lifting_reference import envelope_rotation_bounds
 from poly_reference import char_poly
 from test_graphext import apple_graph, triangle_with_tail
@@ -173,6 +180,7 @@ def _check_against_reference(F, extra):
         return
     M = got
     assert (M.partition, M.classes, M.matrix, shift_table(M), M.orientation) == ref
+    assert list(M.coverings) == reference_coverings(M.index_map)
     n, D = M.size, M.denominator
     assert D == math.lcm(*(p.denominator for p in M.partition))
     assert M.keys == tuple(p * D for p in M.partition + (M.partition[0] + 1,))
@@ -298,6 +306,51 @@ class TestPartitionRotationInterval:
 
     def test_rigid_rotation_is_degenerate(self):
         assert rigid_half_system().rotation == RotationInterval(F2(1, 2), F2(1, 2))
+
+
+class TestArrowsAndCycles:
+    """The arrow list and `index_cycles` against the loops they replaced:
+    two range extends per class, and a dict of visits per walk."""
+
+    @staticmethod
+    def check(M):
+        assert list(M.coverings) == reference_coverings(M.index_map)
+        starts = range(M.size)
+        assert M.partition_cycles == tuple(dict_index_cycles(M.index_map, starts))
+        n = M.size
+        doubled = list(M.index_map) + [g + n for g in M.index_map]
+        lower = [min(doubled[i : i + n]) for i in range(n)]
+        upper = [max(doubled[i + 1 : i + n + 1]) - n for i in range(n)]
+        assert M.envelope_cycles == tuple(dict_index_cycles(E, (0,))[0] for E in (lower, upper))
+
+    @given(two_orbit_maps(), st.integers(min_value=-2, max_value=2))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_two_orbit_maps(self, case, k):
+        self.check(case[1])
+        self.check(build_markov_system(case[0].translate(k)))
+
+    @given(grid_maps(), st.integers(min_value=-2, max_value=2))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_grid_maps(self, case, k):
+        try:
+            M = build_markov_system(case[0].translate(k))
+        except (NotInvariant, NotShort):
+            assume(False)
+        self.check(M)
+
+    @pytest.mark.parametrize("name,n", [("dream", 9), ("persistent", 21), ("montevideo", 5)])
+    def test_families(self, name, n):
+        self.check(make(name, n).markov)
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_random_index_maps(self, data):
+        # any lifted images, and starts anywhere (negative, repeated, lifted)
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        E = data.draw(st.lists(st.integers(min_value=-3 * n, max_value=3 * n), min_size=n, max_size=n))
+        starts = data.draw(st.lists(st.integers(min_value=-2 * n, max_value=2 * n), max_size=2 * n))
+        assert markov.index_cycles(E, starts) == dict_index_cycles(E, starts)
+        assert markov.index_cycles(tuple(E), range(n)) == dict_index_cycles(E, range(n))
 
 
 class TestEnvelopeCertificate:
@@ -476,46 +529,6 @@ class TestTransitivity:
             assert all(all(row) for row in reach) == transitivity_certificate(M)["irreducible"]
 
 
-def per_member_rome_matrix(system, rome):
-    """Reference rome matrix by a per-member dynamic program: for each member
-    r_j, one pass over the complement in reverse topological order building
-    dense polynomials of the paths to r_j."""
-    validate_rome(system, rome)
-    succ = system.successors
-    members = sorted(rome.members)
-    comp = [v for v in range(len(succ)) if v not in rome.members]
-    compset = set(comp)
-    indeg = {v: sum(1 for u in comp for w in succ[u] if w == v) for v in comp}
-    topo = [v for v in comp if indeg[v] == 0]
-    queue = list(topo)
-    while queue:
-        v = queue.pop()
-        for w in succ[v]:
-            if w in compset:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    topo.append(w)
-                    queue.append(w)
-    y = IntPolynomial([0, 1])
-
-    def paths(v, rj, g):
-        acc = IntPolynomial.zero()
-        for w in succ[v]:
-            if w == rj:
-                acc = acc + IntPolynomial([1])
-            if w in compset and not g[w].is_zero():
-                acc = acc + g[w]
-        return y * acc if not acc.is_zero() else acc
-
-    entries = []
-    for rj in members:
-        g = {}
-        for v in reversed(topo):
-            g[v] = paths(v, rj, g)
-        entries.append({ri: paths(ri, rj, g) for ri in members})
-    return members, [[entries[jc][ri] for jc in range(len(members))] for ri in members]
-
-
 def shrunk_rome(system, order) -> Rome:
     """A minimal rome: every vertex, then drop each vertex in `order` whose
     removal leaves no loop outside the rest.  Its complement may hold
@@ -537,18 +550,29 @@ def _romes(data, system):
     yield shrunk_rome(system, data.draw(st.permutations(range(n))))
 
 
+def check_rome(system, rome, matrix=None):
+    """The program's rome polynomial against the per-vertex reference (its
+    determinant by Bareiss over Z[y]), the two reference rome matrices
+    against each other, and, given the 0/1 matrix, against det(xI - M)."""
+    assert per_vertex_rome_matrix(system, rome) == per_member_rome_matrix(system, rome)
+    want = reference_rome_char_poly(system, rome)
+    assert rome_char_poly(system, rome) == want
+    if matrix is not None:
+        assert want == char_poly(matrix)
+
+
 class TestOnePassRomeMatrix:
-    """The one-pass rome_matrix against the per-member dynamic program, and
-    the packed rome determinant against Bareiss over Z[x], on found romes
-    with random extra members and on random minimal romes."""
+    """The one-pass rome polynomial (each vertex's one path to the rome in
+    two int lists) against the per-vertex and per-member dynamic programs
+    and Bareiss over Z[x], on found romes with random extra members and on
+    random minimal romes, whose complement may branch."""
 
     @given(two_orbit_maps(), st.data())
     @settings(max_examples=30, derandomize=True, deadline=None)
     def test_two_orbit_maps(self, case, data):
         M = case[1]
         for rome in _romes(data, M):
-            assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
-            assert rome_char_poly(M, rome) == char_poly(M.matrix)
+            check_rome(M, rome, M.matrix)
 
     @given(grid_maps(), st.data())
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -558,8 +582,7 @@ class TestOnePassRomeMatrix:
         except (NotInvariant, NotShort):
             assume(False)
         for rome in _romes(data, M):
-            assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
-            assert rome_char_poly(M, rome) == char_poly(M.matrix)
+            check_rome(M, rome, M.matrix)
 
     @given(
         st.sampled_from([("dream", 5), ("persistent", 7), ("montevideo", 4)]),
@@ -570,17 +593,56 @@ class TestOnePassRomeMatrix:
     def test_extended_systems(self, family, graph, data):
         E = extend(make(*family), graph())  # successor lists only, no arrow list
         for rome in _romes(data, E):
-            assert rome_matrix(E, rome) == per_member_rome_matrix(E, rome)
+            check_rome(E, rome)
+        assert markov_char_poly(E) == reference_rome_char_poly(E, find_rome(E))
 
     @pytest.mark.parametrize("name,n", [("dream", 5), ("persistent", 7), ("montevideo", 3)])
     def test_branching_complement(self, name, n):
-        # a minimal rome with a complement vertex of out-degree >= 2: several
-        # path terms meet there, and the polynomial still matches Bareiss
+        # a minimal rome with a complement vertex of out-degree >= 2: the
+        # program adds it to the rome, and the polynomial still matches
         M = make(name, n).markov
         rome = shrunk_rome(M, range(M.size))
         assert any(len(M.successors[v]) >= 2 for v in range(M.size) if v not in rome.members)
-        assert rome_matrix(M, rome) == per_member_rome_matrix(M, rome)
-        assert rome_char_poly(M, rome) == char_poly(M.matrix)
+        check_rome(M, rome, M.matrix)
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_dead_ends_and_acyclic_graphs(self, matrix, data):
+        # drawn subgraphs: vertices with no arrow out, and graphs with no loop
+        succ = [[w for w in out if data.draw(st.booleans())] for out in FakeSystem(matrix).successors]
+        n = len(succ)
+        sub = FakeSystem([[int(j in out) for j in range(n)] for out in succ])
+        for rome in _romes(data, sub):
+            check_rome(sub, rome, sub.matrix)
+        check_rome(sub, find_rome(sub), sub.matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0, 1, 1], [0, 0, 1], [0, 0, 0]],  # acyclic
+            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]],  # a loop and a dead end
+            [[0, 1, 0], [1, 0, 0], [1, 0, 0]],  # a tail into a 2-cycle
+            [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],  # a self-arrow on a 4-cycle
+        ],
+    )
+    def test_fixed_fake_systems(self, matrix):
+        M = FakeSystem(matrix)
+        for rome in (find_rome(M), Rome(range(len(matrix))), Rome(find_rome(M).members)):
+            check_rome(M, rome, M.matrix)
+
+    def test_found_rome_carries_its_walk(self, monkeypatch):
+        # markov_char_poly walks the graph once: find_rome's finishing order
+        # goes with its rome, and rome_char_poly does not walk it again
+        for name, n in (("dream", 7), ("persistent", 9), ("montevideo", 4)):
+            M = make(name, n).markov
+            walk = mock.Mock(wraps=markov._walk)
+            monkeypatch.setattr(markov, "_walk", walk)
+            char = markov_char_poly(M)
+            assert walk.call_count == 1
+            monkeypatch.undo()
+            rome = find_rome(M)
+            assert rome == Rome(rome.members) and rome.order is not None
+            assert char == rome_char_poly(M, Rome(rome.members)) == reference_rome_char_poly(M, rome)
 
 
 class TestDenseViews:
@@ -660,11 +722,14 @@ class TestRome:
             validate_rome(sys, Rome(frozenset()))
 
     def test_rome_char_poly_rejects_invalid_rome(self):
-        # the walk of the complement in rome_matrix finds the loop avoiding the rome
+        # a rome without a walk is walked: the loop avoiding it is the error,
+        # also where a vertex of out-degree 2 on the loop would close it
         with pytest.raises(InvalidRome, match=r"loop avoiding the rome: \[0, 1, 0\]"):
             rome_char_poly(FakeSystem([[0, 1], [1, 0]]), Rome(frozenset()))
-        with pytest.raises(InvalidRome):
-            rome_matrix(FakeSystem([[1, 1, 0], [0, 0, 1], [0, 1, 0]]), Rome({0}))
+        with pytest.raises(InvalidRome, match=r"loop avoiding the rome: \[1, 2, 1\]"):
+            rome_char_poly(FakeSystem([[1, 1, 0], [0, 0, 1], [0, 1, 0]]), Rome({0}))
+        with pytest.raises(InvalidRome, match=r"loop avoiding the rome: \[0, 1, 0\]"):
+            rome_char_poly(FakeSystem([[0, 1, 1], [1, 0, 0], [0, 0, 0]]), Rome(frozenset()))
 
     def test_acyclic_graph_empty_rome(self):
         # no loop at all: the empty rome, and det(xI - M) = x^n
@@ -674,16 +739,27 @@ class TestRome:
     def test_vanishing_determinant_raises(self, monkeypatch):
         # rows of M_R(y) - I equal: no graph has this rome matrix, since
         # det(xI - M) is monic, so it can only come from a fault upstream
-        one, y = IntPolynomial([1]), IntPolynomial([0, 1])
-        monkeypatch.setattr(markov, "rome_matrix", lambda system, rome: ([0, 1], [[one + y, y], [y, one + y]]))
+        rows = [[{1: 1}, {1: 1}], [{1: 1}, {1: 1}]]
+        det = markov.kronecker_det
+        assert det(rows).is_zero()
+        monkeypatch.setattr(markov, "kronecker_det", lambda _: det(rows))
         with pytest.raises(ArithmeticError, match="rome determinant vanished identically"):
             rome_char_poly(FakeSystem([[1, 1], [1, 1]]), Rome({0, 1}))
 
     def test_non_monic_result_raises(self, monkeypatch):
         # a path of length 0 (a constant term) leaves det(M_R(0) - I) != +-1;
         # the check is a raise, not an assert, so it holds under python -O
-        monkeypatch.setattr(markov, "rome_matrix", lambda system, rome: ([0], [[IntPolynomial([3])]]))
+        monkeypatch.setattr(markov, "kronecker_det", lambda _: IntPolynomial([3]))
         with pytest.raises(ArithmeticError, match="not monic of degree n"):
+            rome_char_poly(FakeSystem([[1]]), Rome({0}))
+        monkeypatch.setattr(markov, "kronecker_det", lambda _: IntPolynomial([0, 1]))
+        with pytest.raises(ArithmeticError, match="not monic of degree n"):
+            rome_char_poly(FakeSystem([[1]]), Rome({0}))
+
+    def test_long_path_raises(self, monkeypatch):
+        # a determinant of degree above n: longer paths than the graph has
+        monkeypatch.setattr(markov, "kronecker_det", lambda _: IntPolynomial([-1, 0, 1]))
+        with pytest.raises(ArithmeticError, match="rome path length exceeded matrix size"):
             rome_char_poly(FakeSystem([[1]]), Rome({0}))
 
     def test_persistent_two_element_rome_validates(self):
@@ -766,7 +842,7 @@ def greedy_rome_reference(succ):
 
 class TestWalk:
     """The one depth-first walk behind `transitivity_certificate`,
-    `critical_successors`, `find_rome`, `validate_rome` and `rome_matrix`,
+    `critical_successors`, `find_rome`, `validate_rome` and `rome_char_poly`,
     against brute force and the restart-per-loop greedy, on graphs with a
     cycle and on drawn subgraphs of them."""
 
@@ -792,7 +868,7 @@ class TestWalk:
         has_loop = any(reach[v][v] for v in outside)
         reference = complement_cycle_reference(M.successors, members)
         assert (reference is not None) == has_loop
-        for check in (validate_rome, rome_matrix):
+        for check in (validate_rome, rome_char_poly):
             if not has_loop:
                 check(M, Rome(members))
                 continue
@@ -852,6 +928,17 @@ class TestLargeRomes:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_two_orbit_maps_up_to_28_classes_long_run(self, case):
         _rome_matches_char_poly(case)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name,n", [("dream", 3201), ("persistent", 6401), ("montevideo", 60)])
+    def test_large_instances_match_references(self, name, n):
+        # thousands of classes, romes of 3 to 5 members whose paths run to
+        # thousands of arrows: the arrows as the two-extend loop gives them,
+        # and the rome polynomial times the cofactor is the closed form
+        inst = make(name, n)
+        M = inst.markov
+        assert list(M.coverings) == reference_coverings(M.index_map)
+        assert markov_char_poly(M) * inst.poly_cofactor == inst.expected_poly
 
 
 class TestEntropy:

@@ -21,7 +21,6 @@ from circledyn.oracle import periods_up_to
 from circledyn.periods import (
     PeriodSet,
     endpoint_periods,
-    in_m_set,
     infer_sho_type,
     interior_integer_count,
     m_set,
@@ -73,6 +72,20 @@ class TestMSet:
             direct = any(c < F2(k, n) < d for k in range(-1, n + 2))
             assert (n in ms) == direct
 
+    @given(
+        c=st.fractions(min_value=-5, max_value=5, max_denominator=40),
+        width=st.fractions(min_value=0, max_value=2, max_denominator=40),
+    )
+    @settings(max_examples=200, derandomize=True)
+    def test_integer_tail_matches_interior_count(self, c, width):
+        # m_set runs on the endpoints' numerators and denominators; the
+        # Fraction count is the definition it must reproduce, also below 0
+        assume(width > 0)
+        d = c + width
+        ms = m_set(c, d)
+        for q in range(1, ms.tail_from + 40):
+            assert (q in ms) == (interior_integer_count(c, d, q) > 0), q
+
     def test_farey_gap_property(self):
         # m_set(1/(2n-1), 2/(2n-1)) ∩ [1, 2n-2] = [n, 2n-2]
         for n in range(3, 12):
@@ -97,7 +110,7 @@ class TestMSet:
         d = c + width
         expected = max(0, (ceil_frac(q * d) - 1) - (floor_frac(q * c) + 1) + 1)
         assert interior_integer_count(c, d, q) == expected
-        assert in_m_set(F2(1, 5), F2(2, 5), 6)
+        assert 6 in m_set(F2(1, 5), F2(2, 5))
 
 
 class TestEndpointPeriods:
