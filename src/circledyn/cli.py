@@ -157,8 +157,8 @@ def _cmd_extend(args) -> int:
     E = extend(inst, G, edge_index=CombGraph.excise_hint_from_json(raw))
     rep = verify_extension(E)
     data = {
-        "family": E.name,
-        "n": E.n,
+        "family": inst.name,
+        "n": inst.n,
         "m": E.m,
         "u_count": E.u_count,
         "size": E.size,

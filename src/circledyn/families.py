@@ -7,16 +7,16 @@ certificates depend only on that order, so equal spacing loses nothing and
 keeps every computation exact.
 
 Closed-form data carried by an instance (expected rotation interval, period
-set, transition-polynomial and its unit-circle cofactor, cofiniteness values)
+set, transition-polynomial and its unit-circle cofactor, cofiniteness bounds)
 are the quantities the verifier checks against the constructed system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import CertifiedRoot, IntPolynomial, largest_root_above, rat_str
 from .cofiniteness import CofinitenessReport, report as cofin_report
@@ -164,15 +164,36 @@ def montevideo_per(n: int) -> PeriodSet:
 
 
 @dataclass(frozen=True)
+class Bound:
+    """One stated cofiniteness bound: its `theorem_bound_flags` key, the
+    desk-scan flag it feeds (or None), its test on the CofinitenessReport
+    (None when it needs a bc and there is none), and the outcome the
+    documented small-n failures predict."""
+
+    key: str
+    scan_flag: Optional[str]
+    test: Callable[[CofinitenessReport], Optional[bool]]
+    expected: bool = True
+
+
+def _on_bc(test: Callable[[int], bool]) -> Callable[[CofinitenessReport], Optional[bool]]:
+    return lambda r: None if r.bc is None else test(r.bc)
+
+
+@dataclass(frozen=True)
 class ExtensionSpec:
     """Designated classes for the graph extension: the detour class (its
     interval is replaced by the L's), the excised class (replaced by the U's)
     and the return class every U covers.  The extension's polynomial is the
-    family polynomial at the traversal's m, with the instance's cofactor."""
+    family polynomial at the traversal's m, with the instance's cofactor.
+    `j0` and `j2`, when given (persistent's J0 and J2), are the pair whose
+    one loop in the extension, positive and of length 2, its report checks."""
 
     detour: int
     excised: int
     ret: int
+    j0: Optional[int] = None
+    j2: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,7 @@ class FamilyInstance:
     expected_rot: RotationInterval
     expected_per: PeriodSet
     poly_cofactor: IntPolynomial  # char * cofactor == expected_poly, exactly
-    cofin_expectations: dict
+    bounds: tuple = field(compare=False)  # one Bound per stated cofiniteness bound; a view of (name, n)
     orbit_keys: tuple  # (x keys, y keys): orbit point j/N at key j, N their total count
     extension: Optional[ExtensionSpec]
 
@@ -199,10 +220,10 @@ class FamilyInstance:
         return tuple(Fraction(j, N) for j in self.orbit_keys[orbit])
 
 
-def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> FamilyInstance:
+def _instance(name, n, order, shifts, rot, per, cofactor, bounds, extension) -> FamilyInstance:
     """The family instance whose orbit points x_i and y_i lie at j/N, j the
     label's place in `order` (N = len(order)), with the given orbit shifts.
-    `extension` names the detour, excised and return classes by their
+    `extension` names the ExtensionSpec classes, in field order, by their
     (left, right) labels, or is None; class j is [order[j], order[j+1]],
     the last one wrapping to order[0] + 1, and KeyError if no class has
     those ends."""
@@ -225,7 +246,7 @@ def _instance(name, n, order, shifts, rot, per, cofactor, cofin, extension) -> F
         expected_rot=rot,
         expected_per=per,
         poly_cofactor=cofactor,
-        cofin_expectations=cofin,
+        bounds=bounds,
         orbit_keys=(xs, ys),
         extension=None if extension is None else ExtensionSpec(*(class_of(*ends) for ends in extension)),
     )
@@ -249,7 +270,10 @@ def dream(n: int) -> FamilyInstance:
         RotationInterval(Fraction(1, p), Fraction(2, p)),
         dream_per(n),
         IntPolynomial([-1, 1]),  # char * (x - 1) == T_n
-        {"sbc": n, "bc": n},
+        (
+            Bound("sbc_equals_n", None, lambda r: r.sbc == n),
+            Bound("bc_equals_n", "bc_closed_form", lambda r: r.bc == n),
+        ),
         extension,
     )
 
@@ -264,7 +288,8 @@ def persistent(n: int) -> FamilyInstance:
     k = persistent_k(n)
     # chain classes I_1, I_2, I_3 with I_i = [y_(n+1+i(n+2) mod 2n), +1]
     chain = [(n + 1 + i * (n + 2)) % (2 * n) for i in (1, 2, 3)]
-    extension = [(("y", a), ("y", a + 1)) for a in chain] if n >= 7 else None
+    j0_j2 = [(("x", 0), ("y", 0)), (("x", 1), ("y", n - 2))]  # J0 = [x_0, y_0], J2 = [x_1, y_(n-2)]
+    extension = [(("y", a), ("y", a + 1)) for a in chain] + j0_j2 if n >= 7 else None
     return _instance(
         "persistent",
         n,
@@ -273,12 +298,11 @@ def persistent(n: int) -> FamilyInstance:
         RotationInterval(Fraction(1, 2), Fraction(n + 2, 2 * n)),
         persistent_per(n),
         IntPolynomial([1]),  # char == T_n exactly
-        {
-            "sbc": n if n >= 5 else 2,
-            "bc_lo": 2 * k + 1,
-            "bc_hi": n,
-            "bc_exists": n >= 5,
-        },
+        (
+            Bound("sbc_matches", None, lambda r: r.sbc == (n if n >= 5 else 2)),
+            Bound("bc_exists", None, lambda r: r.bc is not None, n >= 5),
+            Bound("bc_in_bounds", "bc_closed_form", _on_bc(lambda bc: 2 * k + 1 <= bc <= n)),
+        ),
         extension,
     )
 
@@ -295,6 +319,7 @@ def montevideo(n: int) -> FamilyInstance:
         order += [("x", blk * p + n + t) for t in range(p)]
         order += [("y", (blk - 1) * r + n + 1 + t) for t in range(r)]
     nu = montevideo_nu(n)
+    bc_hi = n * nu - 1 - nu // 2
     extension = None
     if n >= 4:
         extension = [
@@ -311,12 +336,13 @@ def montevideo(n: int) -> FamilyInstance:
         RotationInterval(Fraction(p, q), Fraction(r, q)),
         montevideo_per(n),
         cof,  # char * (x^(2n-1)-1)(x^(2n+1)-1) == T_n
-        {
-            "sbc": n * nu + 1 - nu // 2,
-            "bc_lo": n,
-            "bc_hi": n * nu - 1 - nu // 2,
-            "bc_upper_bound_expected": n >= 6,
-        },
+        (
+            Bound("sbc_matches", None, lambda r: r.sbc == n * nu + 1 - nu // 2),
+            Bound("bc_exists", None, lambda r: r.bc is not None),
+            Bound("bc_lower_bound", "bc_closed_form", _on_bc(lambda bc: n <= bc)),
+            # literal value of the theorem's upper bound; fails for n <= 5
+            Bound("bc_upper_bound", "bc_upper_bound_holds", _on_bc(lambda bc: bc <= bc_hi), n >= 6),
+        ),
         extension,
     )
 
@@ -453,30 +479,11 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     classes_ok = M.size == sum(map(len, inst.orbit_keys))
 
     creport = cofin_report(per)
-    flags = {}
-    expected_flags = {}
-    exp = inst.cofin_expectations
-    if inst.name == "dream":
-        flags["sbc_equals_n"] = creport.sbc == exp["sbc"]
-        flags["bc_equals_n"] = creport.bc == exp["bc"]
-        expected_flags = {"sbc_equals_n": True, "bc_equals_n": True}
-    elif inst.name == "persistent":
-        flags["sbc_matches"] = creport.sbc == exp["sbc"]
-        flags["bc_exists"] = creport.bc is not None
-        expected_flags = {"sbc_matches": True, "bc_exists": exp["bc_exists"]}
-        if creport.bc is not None:
-            flags["bc_in_bounds"] = exp["bc_lo"] <= creport.bc <= exp["bc_hi"]
-            expected_flags["bc_in_bounds"] = True
-    else:
-        flags["sbc_matches"] = creport.sbc == exp["sbc"]
-        flags["bc_exists"] = creport.bc is not None
-        expected_flags = {"sbc_matches": True, "bc_exists": True}
-        if creport.bc is not None:
-            flags["bc_lower_bound"] = exp["bc_lo"] <= creport.bc
-            # literal value of the theorem's upper bound; fails for n <= 5
-            flags["bc_upper_bound"] = creport.bc <= exp["bc_hi"]
-            expected_flags["bc_lower_bound"] = True
-            expected_flags["bc_upper_bound"] = exp["bc_upper_bound_expected"]
+    flags, expected_flags = {}, {}
+    for b in inst.bounds:  # a bound that needs a bc is left out where there is none
+        holds = b.test(creport)
+        if holds is not None:
+            flags[b.key], expected_flags[b.key] = holds, b.expected
 
     P = creport.sbc + 3
     oracle_result = periods_up_to(M, P)
@@ -593,14 +600,8 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
         crep = cofin_report(per)
         sigma = markov_entropy(inst.markov, tol)
         flags = {"per_matches_closed_form": per == inst.expected_per}
-        exp = inst.cofin_expectations
-        if family == "dream":
-            flags["bc_closed_form"] = crep.bc == exp["bc"]
-        elif family == "persistent":
-            flags["bc_closed_form"] = crep.bc is not None and exp["bc_lo"] <= crep.bc <= exp["bc_hi"]
-        else:
-            flags["bc_closed_form"] = crep.bc is not None and crep.bc >= exp["bc_lo"]
-            flags["bc_upper_bound_holds"] = crep.bc is not None and crep.bc <= exp["bc_hi"]
+        # each bound's scan flag: bc exists and the bound holds
+        flags.update((b.scan_flag, crep.bc is not None and b.test(crep)) for b in inst.bounds if b.scan_flag)
         rows.append(
             ScanRow(
                 n=n,

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .arith import IntPolynomial
 from .errors import BadParameter, NotExtendable
-from .families import DEFAULT_POLY_TOL, POLYNOMIALS, FamilyInstance, closed_form_root_ok
+from .families import DEFAULT_POLY_TOL, POLYNOMIALS, ExtensionSpec, FamilyInstance, closed_form_root_ok
 from .markov import entropy as markov_entropy, markov_char_poly, transitivity_certificate
 
 
@@ -265,8 +265,7 @@ def excise(G: CombGraph, edge_index: Optional[int] = None):
 @dataclass(frozen=True)
 class ExtendedMarkov:
     base: object  # the circle family MarkovSystem
-    name: str = ""
-    n: int = 0
+    spec: ExtensionSpec  # the instance's designated classes
     m: int = 0
     u_count: int = 0
     successors: tuple = ()  # sorted successor lists of the extended covering graph
@@ -321,8 +320,7 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
     succ.extend([base_index[ext.ret]] for _ in trav.u_ids)
     return ExtendedMarkov(
         base=base,
-        name=inst.name,
-        n=inst.n,
+        spec=ext,
         m=m,
         u_count=len(u_index),
         successors=tuple(map(tuple, succ)),
@@ -374,13 +372,12 @@ def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dic
         "ext_entropy": ext_root,
         "base_entropy": base_root,
     }
-    if E.name == "persistent":
+    spec = E.spec
+    if spec.j0 is not None:
         # the only loop among {J0~, J2~} is the length-2 positive loop: both
-        # cross arrows and no self-arrow.  In the order x0 < y0 < .. < y_(n-3)
-        # < x1 < y_(n-2) < .., J0 = [x0, y0] is class 0 and J2 = [x1, y_(n-2)]
-        # is class n - 1
-        j0, j2 = E.base_index[0], E.base_index[E.n - 1]
+        # cross arrows and no self-arrow
+        j0, j2 = E.base_index[spec.j0], E.base_index[spec.j2]
         out0, out2 = E.successors[j0], E.successors[j2]
         result["j0_j2_unique_2loop"] = j2 in out0 and j0 in out2 and j0 not in out0 and j2 not in out2
-        result["j0_j2_loop_positive"] = E.base.orientation[0] * E.base.orientation[E.n - 1] == 1
+        result["j0_j2_loop_positive"] = E.base.orientation[spec.j0] * E.base.orientation[spec.j2] == 1
     return result

@@ -277,21 +277,21 @@ def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
         if state[root]:
             continue
         state[root] = 1
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            v, it = stack[-1]
-            for w in it:
+        path, its = [root], [iter(succ[root])]  # its[i]: the successors of path[i] not yet read
+        while path:
+            for w in its[-1]:
                 if not state[w]:
                     state[w] = 1
-                    stack.append((w, iter(succ[w])))
+                    path.append(w)
+                    its.append(iter(succ[w]))
                     break
                 if state[w] == 1:
                     targets.append(w)
                     if loop is None:
-                        path = [u for u, _ in stack]
                         loop = path[path.index(w) :] + [w]
             else:
-                stack.pop()
+                its.pop()
+                v = path.pop()
                 state[v] = 2
                 order.append(v)
     return order, targets, loop

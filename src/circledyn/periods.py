@@ -35,11 +35,11 @@ class PeriodSet:
             tail = int(tail)
             if tail < 1:
                 raise ValueError("tail_from must be >= 1")
-            # absorb finite elements adjacent to the tail, then drop the rest
-            fin = frozenset(k for k in fin if k < tail)
+            # absorb the run of finite elements just below the tail, then
+            # drop it and everything above it in one filter
             while tail - 1 in fin:
                 tail -= 1
-                fin = fin - {tail}
+            fin = frozenset(k for k in fin if k < tail)
         object.__setattr__(self, "finite", fin)
         object.__setattr__(self, "tail_from", tail)
 
@@ -83,8 +83,9 @@ def m_set(c: Fraction, d: Fraction) -> PeriodSet:
     """M(c,d) = {n : c < k/n < d for some integer k}, exactly.
 
     On c = a/b and d = e/f, n is in it iff ceil(ne/f) - floor(na/b) >= 2.
-    The tail threshold starts at floor(1/(d-c)) + 1 (interval longer than 1
-    forces an interior integer) and is refined downward by direct membership.
+    The tail threshold floor(1/(d-c)) + 1 (interval longer than 1 forces an
+    interior integer) is lowered past the members just below it by
+    PeriodSet's normalization.
     """
     c, d = Fraction(c), Fraction(d)
     if not c < d:
@@ -92,8 +93,6 @@ def m_set(c: Fraction, d: Fraction) -> PeriodSet:
     a, b, e, f = c.numerator, c.denominator, d.numerator, d.denominator
     t = b * f // (e * b - a * f) + 1
     ms = {n for n in range(1, t) if -(-e * n // f) - a * n // b >= 2}
-    while t - 1 in ms:
-        t -= 1
     return PeriodSet(ms, tail_from=t)
 
 

@@ -1,10 +1,12 @@
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from circledyn import families
 from circledyn.arith import CertifiedRoot, IntPolynomial, rat_str
+from circledyn.cofiniteness import CofinitenessReport
 from circledyn.errors import BadParameter
 from circledyn.families import (
     closed_form_root_ok,
@@ -23,6 +25,7 @@ from circledyn.families import (
 from circledyn.lifting import RotationInterval
 from circledyn.markov import markov_char_poly
 from family_classes import class_index
+import family_bounds_reference
 
 F2 = Fraction
 
@@ -85,7 +88,7 @@ class TestConstructors:
             ends = [(y[3], y[4]), (y[5], y[6]), (y[7], y[8])]
         elif name == "persistent":
             chain = [(n + 1 + i * (n + 2)) % (2 * n) for i in (1, 2, 3)]
-            ends = [(y[a], y[a + 1]) for a in chain]
+            ends = [(y[a], y[a + 1]) for a in chain] + [(x[0], y[0]), (x[1], y[n - 2])]  # J0, J2
         else:
             p, r, q = 2 * n - 1, 2 * n + 1, 2 * n * n
             ends = [
@@ -97,7 +100,7 @@ class TestConstructors:
 
     def test_extension_labels_must_bound_a_class(self):
         order = [("x", 0), ("y", 0), ("x", 1), ("y", 1)]
-        args = ("dream", 3, order, (1, 1), None, None, None, {})
+        args = ("dream", 3, order, (1, 1), None, None, None, ())
         wrap = [(("y", 1), ("x", 0))] * 3  # class 3 wraps to x_0 + 1
         assert families._instance(*args, wrap).extension == families.ExtensionSpec(3, 3, 3)
         with pytest.raises(KeyError):
@@ -304,3 +307,105 @@ class TestScan:
         assert sc.all_green
         flags = {r.n: r.flags["bc_upper_bound_holds"] for r in sc.rows}
         assert flags == {3: False, 4: False, 5: False, 6: True}
+
+
+SCAN_RANGES = {"montevideo": range(3, 11), "persistent": range(5, 102, 2), "dream": range(3, 52)}
+
+
+def without_oracle(monkeypatch):
+    # the bound flags read only the cofiniteness report; an empty oracle
+    # result keeps verify cheap (its oracle_ok reads false)
+    empty = SimpleNamespace(periods=set, period_rotations=list)
+    monkeypatch.setattr(families, "periods_up_to", lambda M, P: empty)
+
+
+def flags_on(name, n, report, monkeypatch):
+    """verify's theorem and expected bound flags and the scan row's bound
+    flags on instance (name, n) when its cofiniteness report is `report`."""
+    without_oracle(monkeypatch)
+    monkeypatch.setattr(families, "cofin_report", lambda per: report)
+    rep = verify(make(name, n))
+    (row,) = mts1_scan(name, n, n).rows
+    assert (row.sbc, row.bc) == (report.sbc, report.bc)
+    scan = {k: v for k, v in row.flags.items() if k != "per_matches_closed_form"}
+    return rep.theorem_bound_flags, rep.expected_bound_flags, scan
+
+
+def synthetic_reports(name, n):
+    """Reports with no bc, with bc one off each stated bc value, and with sbc
+    one off the stated sbc: every side of every bound."""
+    exp = family_bounds_reference.expectations(name, n)
+    values = [v for k, v in exp.items() if k != "sbc" and type(v) is int]
+    bcs = [None] + sorted({v + dv for v in values for dv in (-1, 0, 1)})
+    sbcs = [exp["sbc"] + ds for ds in (-1, 0, 1)]
+    return [CofinitenessReport(sbc=s, sbcset=frozenset(), bc=bc, dens_at={}) for s in sbcs for bc in bcs]
+
+
+class TestBoundsMatchReference:
+    # each family states its bounds once, as `Bound`s; verify's and the
+    # scan's flags read off them match the per-family ladders of
+    # tests/family_bounds_reference.py
+    @pytest.mark.parametrize("name", sorted(SCAN_RANGES))
+    def test_scan_ranges(self, name, monkeypatch):
+        ns = SCAN_RANGES[name]
+        sc = mts1_scan(name, ns[0], ns[-1])
+        assert [r.n for r in sc.rows] == list(ns)
+        without_oracle(monkeypatch)
+        for row in sc.rows:
+            rep = verify(make(name, row.n))
+            assert (rep.cofin.sbc, rep.cofin.bc) == (row.sbc, row.bc)
+            want = family_bounds_reference.verify_flags(name, row.n, rep.cofin)
+            assert (rep.theorem_bound_flags, rep.expected_bound_flags) == want
+            want_scan = family_bounds_reference.scan_flags(name, row.n, rep.cofin)
+            assert row.flags == {"per_matches_closed_form": True, **want_scan}
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [("persistent", 3), ("dream", 3)] + [("montevideo", n) for n in (3, 4, 5, 6)],
+    )
+    def test_verify(self, name, n):
+        rep = verify(make(name, n))
+        want = family_bounds_reference.verify_flags(name, n, rep.cofin)
+        assert (rep.theorem_bound_flags, rep.expected_bound_flags) == want
+        assert rep.to_json()["theorem_bound_flags"] == dict(sorted(want[0].items()))
+        assert rep.all_green
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [("dream", n) for n in (3, 4, 51)]
+        + [("persistent", n) for n in (3, 5, 7, 99, 101)]
+        + [("montevideo", n) for n in (3, 4, 5, 6, 10)],
+    )
+    def test_synthetic_reports(self, name, n, monkeypatch):
+        for r in synthetic_reports(name, n):
+            flags, expected, scan = flags_on(name, n, r, monkeypatch)
+            assert (flags, expected) == family_bounds_reference.verify_flags(name, n, r), r
+            assert scan == family_bounds_reference.scan_flags(name, n, r), r
+            assert all(type(v) is bool for d in (flags, expected, scan) for v in d.values())
+
+    @pytest.mark.parametrize(
+        "name,n,with_bc,without_bc",
+        [
+            ("dream", 5, {"sbc_equals_n", "bc_equals_n"}, {"sbc_equals_n", "bc_equals_n"}),
+            ("persistent", 7, {"sbc_matches", "bc_exists", "bc_in_bounds"}, {"sbc_matches", "bc_exists"}),
+            (
+                "montevideo",
+                4,
+                {"sbc_matches", "bc_exists", "bc_lower_bound", "bc_upper_bound"},
+                {"sbc_matches", "bc_exists"},
+            ),
+        ],
+    )
+    def test_keys_present(self, name, n, with_bc, without_bc, monkeypatch):
+        # dream's bc_equals_n is there without a bc; the other bc bounds are
+        # there, in the flags and the expected flags alike, only with one.
+        # Without a bc every scan flag reads false
+        for bc, keys in ((n, with_bc), (None, without_bc)):
+            report = CofinitenessReport(sbc=n, sbcset=frozenset(), bc=bc, dens_at={})
+            flags, expected, scan = flags_on(name, n, report, monkeypatch)
+            assert set(flags) == set(expected) == keys
+        assert set(scan.values()) == {False}
+
+    def test_instances_compare_by_their_data(self):
+        # the bound tests are closures, left out of the instance's equality
+        assert make("montevideo", 4) == make("montevideo", 4) != make("montevideo", 5)

@@ -224,7 +224,7 @@ class TestExtend:
         # extension and on copies with one arrow inside the pair toggled: a
         # self-arrow added or a cross arrow cut
         E = extend(persistent(7), triangle_with_tail())
-        ends = {"j0": E.base_index[0], "j2": E.base_index[E.n - 1]}
+        ends = {"j0": E.base_index[E.spec.j0], "j2": E.base_index[E.spec.j2]}
         j0, j2 = ends.values()
         succ = [set(out) for out in E.successors]
         if toggle is not None:
@@ -237,12 +237,20 @@ class TestExtend:
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
     def test_persistent_j0_j2_classes(self, n):
-        # verify_extension reads J0 = [x0, y0] as class 0 and
-        # J2 = [x1, y_(n-2)] as class n - 1
+        # J0 = [x0, y0] is class 0 and J2 = [x1, y_(n-2)] is class n - 1;
+        # the extension spec names them from n = 7 on
         inst = persistent(n)
         x, y = inst.x_positions, inst.y_positions
         assert class_index(inst, x[0], y[0]) == 0
         assert class_index(inst, x[1], y[n - 2]) == n - 1
+        if n >= 7:
+            assert (inst.extension.j0, inst.extension.j2) == (0, n - 1)
+
+    @pytest.mark.parametrize("name,n", [("dream", 5), ("montevideo", 4)])
+    def test_no_j0_j2_pair_no_loop_facts(self, name, n):
+        E = extend(make(name, n), triangle_with_tail())
+        assert E.spec.j0 is None and E.spec.j2 is None
+        assert not [key for key in verify_extension(E) if key.startswith("j0_j2")]
 
     def test_integer_evaluation_identity(self):
         # char * cofactor == x^pow * closed form, checked at x = 2 and 3

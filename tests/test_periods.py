@@ -48,6 +48,20 @@ class TestPeriodSet:
         ps = PeriodSet({2}, tail_from=5)
         assert ps.to_json() == {"finite": [2], "tail_from": 5, "patterns": []}
 
+    def test_long_run_below_the_tail_absorbed_promptly(self):
+        # the run below the tail is counted once and dropped in one filter;
+        # absorbing it one element at a time took quadratic time
+        start = time.perf_counter()
+        assert PeriodSet(range(1, 32000), tail_from=32000) == PeriodSet(tail_from=1)
+        assert m_set(F2(-1, 10**6), F2(1, 10**6)) == PeriodSet(tail_from=1)
+        assert time.perf_counter() - start < 2
+
+    @given(st.frozensets(st.integers(1, 40)), st.integers(1, 45))
+    def test_normalization_keeps_membership(self, fin, tail):
+        ps = PeriodSet(fin, tail_from=tail)
+        assert all((k in ps) == (k in fin or k >= tail) for k in range(1, 50))
+        assert all(k < ps.tail_from - 1 for k in ps.finite)  # the run below the tail is absorbed
+
 
 class TestMSet:
     def test_spec_examples(self):
