@@ -24,6 +24,7 @@ from .errors import BadParameter, NoRootAbove
 from .lifting import Lifting, RotationInterval, orbit_lifting, rotation_interval
 from .markov import (
     MarkovSystem,
+    bracket_above,
     build_markov_system,
     entropy as markov_entropy,
     markov_char_poly,
@@ -488,15 +489,12 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     P = creport.sbc + 3
     oracle_result = periods_up_to(M, P)
     oracle_ok = oracle_result.periods() == inst.expected_per.up_to(P)
-    # bounded-evidence Sharkovskii type of each endpoint: observed k = m/s
+    # bounded-evidence Sharkovskii type of each endpoint: observed k = m/s (a
+    # witness of rotation e = r/s has e*m integer, so s divides m)
     endpoint_types = {}
     for e in (rot.c, rot.d):
         s = e.denominator
-        ks = {
-            m // s
-            for (m, rho) in oracle_result.period_rotations()
-            if rho == e and m % s == 0
-        }
+        ks = {m // s for (m, rho) in oracle_result.period_rotations() if rho == e}
         endpoint_types[rat_str(e)] = infer_sho_type(ks, bound=P // s)
 
     return VerificationReport(
@@ -614,9 +612,7 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
             )
         )
     len_dec = all(rows[i].len_rot > rows[i + 1].len_rot for i in range(len(rows) - 1))
-    ent_dec = all(
-        rows[i].entropy.lower > rows[i + 1].entropy.upper for i in range(len(rows) - 1)
-    )
+    ent_dec = all(bracket_above(rows[i].entropy, rows[i + 1].entropy) for i in range(len(rows) - 1))
     bcs = [r.bc for r in rows if r.bc is not None]
     bc_nondec = all(bcs[i] <= bcs[i + 1] for i in range(len(bcs) - 1))
     bc_cf = all(r.flags.get("bc_closed_form", False) for r in rows)

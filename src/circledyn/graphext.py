@@ -20,7 +20,7 @@ from typing import Optional
 from .arith import IntPolynomial
 from .errors import BadParameter, NotExtendable
 from .families import DEFAULT_POLY_TOL, POLYNOMIALS, ExtensionSpec, FamilyInstance, closed_form_root_ok
-from .markov import entropy as markov_entropy, markov_char_poly, transitivity_certificate
+from .markov import bracket_above, entropy as markov_entropy, markov_char_poly, transitivity_certificate
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dic
 
     ext_root = markov_entropy(E, tol, char)
     base_root = markov_entropy(E.base, tol)
-    entropy_strict = ext_root.lower > base_root.upper
+    entropy_strict = bracket_above(ext_root, base_root)
     root_ok = closed_form_root_ok(ident, ext_root, E.cofactor, tol)
 
     proj_ok = projection_preserves_arrows(E)

@@ -477,6 +477,18 @@ def entropy(
         return CertifiedRoot(Fraction(1), Fraction(1))
 
 
+def bracket_above(high: CertifiedRoot, low: CertifiedRoot) -> bool:
+    """Whether the root in the `entropy` bracket `high` is certainly above
+    the one in `low`.  A bracket is either exact, [r, r] with r a rational
+    root of a monic integer polynomial and so an integer, or holds its root
+    in [lower, upper) with upper no root.  So brackets that touch at a
+    non-integer t are ordered too: low's root lies below t, high's at or
+    above it.  Integer touching points, the exact [1, 1] among them, are not
+    decided."""
+    t = high.lower
+    return t > low.upper or (t == low.upper and t.denominator != 1)
+
+
 # ---------------------------------------------------------------------------
 # Loop enumeration
 # ---------------------------------------------------------------------------

@@ -85,56 +85,30 @@ def _steps(M: MarkovSystem, word: tuple) -> list[tuple]:
     return list(map(M.arrow_steps.__getitem__, zip(word, word[1:] + word[:1])))
 
 
-def loop_branch(steps: list) -> tuple[int, int, int]:
-    """Composed return map x -> (a*x + b)/c on the keys along a loop's steps.
+def loop_branch(steps: list) -> tuple[int, int, int, int]:
+    """Composed return map x -> (a*x + b)/c on the keys along a loop's steps,
+    and K, the sum of their shifts.
 
     Each step is x -> F(x) - shift on the class representative, so a fixed
     point of the composition is a point whose F-orbit realizes the itinerary
-    and comes back to itself modulo the accumulated integer translation.
+    and comes back to itself modulo the integer translation K.
     """
-    a, b, c = 1, 0, 1
-    for _, _, dx, dy, e, _ in steps:
-        a, b, c = dy * a, dy * b + e * c, dx * c
-    return a, b, c
+    a, b, c, K = 1, 0, 1, 0
+    for _, _, dx, dy, e, k in steps:
+        a, b, c, K = dy * a, dy * b + e * c, dx * c, K + k
+    return a, b, c, K
 
 
-def _orbit_data(steps: list, u0: int, v0: int):
-    """(minimal period, rotation number) of the key u0/v0 (v0 > 0) if its orbit
-    stays strictly inside the representatives of the loop's steps (translated
-    back by the arrow shifts) and returns exactly; None otherwise.
-
-    Orbit points strictly inside representatives differ by an integer only
-    when equal, so the first return to u0/v0 at a divisor of the loop length
-    is the minimal period, and the shifts summed up to it are its integer gain.
-    """
-    L = len(steps)
-    u, v, gain = u0, v0, 0
-    period = None
-    for t, (lo, hi, dx, dy, e, k) in enumerate(steps):
+def _follows(steps: list, u: int, v: int) -> bool:
+    """Whether the orbit of the key u/v (v > 0) stays strictly inside the
+    representatives of the loop's steps (translated back by the arrow
+    shifts).  The walk applies the steps whose composition is the loop's
+    branch, so a fixed point of that branch returns to itself exactly."""
+    for lo, hi, dx, dy, e, _ in steps:
         if not (lo * v < u < hi * v):
-            return None
+            return False
         u, v = dy * u + e * v, dx * v
-        gain += k
-        if period is None and u * v0 == u0 * v and L % (t + 1) == 0:
-            period = (t + 1, Fraction(gain, t + 1))
-    return period if u * v0 == u0 * v else None
-
-
-def _witness(M: MarkovSystem, word: tuple, steps: list, u: int, v: int, result: OracleResult):
-    """Adds the witness at the key u/v (v > 0) when its orbit realizes the
-    word."""
-    data = _orbit_data(steps, u, v)
-    if data is not None:
-        m, rho = data
-        result.add(PeriodicWitness(Fraction(u, v * M.denominator), m, rho, tuple(word[:m])))
-
-
-def _sample_degenerate(M: MarkovSystem, word: tuple, steps: list, result: OracleResult):
-    """Reports an identity branch and its witnesses at interior samples."""
-    result.degenerate_loops.append(word)
-    lo, hi = steps[0][:2]
-    for num, den in ((1, 2), (1, 3), (2, 5)):
-        _witness(M, word, steps, lo * den + (hi - lo) * num, den, result)
+    return True
 
 
 def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, succ=None) -> OracleResult:
@@ -142,40 +116,49 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
 
     Loops of length p <= P catch every periodic orbit disjoint from the
     partition (the associated loop has the orbit's length); partition orbits
-    are read off `M.partition_cycles`.  Minimal periods need only be checked
-    on divisors of the loop length, which F^p(x) = x + m forces.  Non-simple
-    loops carry no new orbits except even repetitions of a branch with slope
-    -1, whose doubled (identity) branch is sampled explicitly.  `succ`
-    (successor lists) restricts the loops to a subgraph, such as the critical
-    subgraph of an endpoint; every partition orbit up to P is kept either way.
+    are read off `M.partition_cycles`.  `succ` (successor lists) restricts
+    the loops to a subgraph, such as the critical subgraph of an endpoint;
+    every partition orbit up to P is kept either way.
 
-    Only the first witness of each pair is kept, so a simple loop whose pair
-    (L, K/L), K its summed shifts, is already witnessed is neither solved nor
-    walked.  This is exact: a simple loop is a Lyndon word, hence primitive,
-    and its orbit points lie strictly inside one class each, so a return
-    after m < L steps would give the cyclic word the period gcd(m, L) < L.
-    Its witness thus has the pair (L, K/L) and cannot displace the one kept.
+    Each witness's pair is stated, not searched for.  A simple loop is a
+    Lyndon word, hence primitive, and its orbit points lie strictly inside
+    one class each, so a return after m < L steps would give the cyclic word
+    the period gcd(m, L) < L: a point that follows the loop has the pair
+    (L, K/L), K its summed shifts.  So a loop whose pair is already witnessed
+    is neither solved nor walked (only the first witness of each pair is
+    kept), and the walk only checks that the fixed point stays inside its
+    classes.
+    A branch of slope +-1 maps its whole first class onto itself, so every
+    inner point of the class follows the word.  An identity branch gets its
+    witness at the class midpoint.  A reflection fixes the midpoint; every
+    other inner point, the one a third of the way in among them, has period
+    2L.  These are the only orbits a non-simple loop carries: the doubled
+    word of a branch with slope -1.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     result = OracleResult(bound=P)
+    D = M.denominator
     for r, m, rho, orbit in M.partition_cycles:
-        result.add(PeriodicWitness(Fraction(M.keys[r], M.denominator), m, rho, orbit))
+        result.add(PeriodicWitness(Fraction(M.keys[r], D), m, rho, orbit))
     for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
         if not loop.simple:
             continue
         word = loop.vertices
         steps = _steps(M, word)
-        a, b, c = loop_branch(steps)
+        a, b, c, K = loop_branch(steps)
+        L, rho = len(word), Fraction(K, len(word))
+        lo, hi = steps[0][:2]
         if a == c:
             if b == 0:
-                _sample_degenerate(M, word, steps, result)
+                result.degenerate_loops.append(word)
+                result.add(PeriodicWitness(Fraction(lo + hi, 2 * D), L, rho, word))
             continue
-        L = len(word)
-        if (L, Fraction(sum(step[5] for step in steps), L)) not in result.witnesses:
+        if (L, rho) not in result.witnesses:
             u, v = (b, c - a) if c > a else (-b, a - c)  # the fixed point u/v = b/(c - a)
-            _witness(M, word, steps, u, v, result)
+            if _follows(steps, u, v):
+                result.add(PeriodicWitness(Fraction(u, v * D), L, rho, word))
         if a == -c and 2 * L <= P:
-            # doubled branch is the identity: an interval of period-2L points
-            _sample_degenerate(M, word + word, steps + steps, result)
+            result.degenerate_loops.append(word + word)
+            result.add(PeriodicWitness(Fraction(2 * lo + hi, 3 * D), 2 * L, rho, word + word))
     return result

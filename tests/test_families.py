@@ -301,6 +301,15 @@ class TestScan:
         ents = [r.entropy for r in sc.rows]
         assert all(ents[i].lower > ents[i + 1].upper for i in range(len(ents) - 1))
 
+    @pytest.mark.slow
+    def test_persistent_scan_touching_brackets(self):
+        # the brackets of 12799 and 12801 touch at 1074890341/2^30, a
+        # non-integer: 12799's root is at or above it, 12801's below
+        sc = mts1_scan("persistent", 12799, 12801)
+        hi, lo = (r.entropy for r in sc.rows)
+        assert hi.lower == lo.upper == F2(1074890341, 2**30)
+        assert sc.entropy_strictly_decreasing
+
     def test_montevideo_scan(self):
         sc = mts1_scan("montevideo", 3, 6)
         assert [str(r.len_rot) for r in sc.rows] == ["1/9", "1/16", "1/25", "1/36"]

@@ -18,6 +18,7 @@ from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from
 from circledyn.markov import (
     MarkovSystem,
     Rome,
+    bracket_above,
     build_markov_system,
     critical_successors,
     entropy,
@@ -963,6 +964,24 @@ class TestEntropy:
             if prev is not None:
                 assert b.upper < prev.lower
             prev = b
+
+    @pytest.mark.parametrize(
+        "high,low,above",
+        [
+            ((F2(3, 2), F2(2)), (F2(1), F2(5, 4)), True),  # disjoint
+            ((F2(1), F2(5, 4)), (F2(3, 2), F2(2)), False),  # disjoint, the other way
+            ((F2(6, 5), F2(2)), (F2(1), F2(5, 4)), False),  # overlapping
+            ((F2(5, 4), F2(2)), (F2(1), F2(5, 4)), True),  # touching at a non-integer
+            ((F2(1), F2(5, 4)), (F2(5, 4), F2(2)), False),  # touching, the other way
+            ((F2(2), F2(3)), (F2(3, 2), F2(2)), False),  # touching at an integer
+            ((F2(2), F2(2)), (F2(3, 2), F2(2)), False),  # an exact [2, 2] on the touching end
+            ((F2(1), F2(1)), (F2(1), F2(1)), False),  # both exact [1, 1]
+        ],
+    )
+    def test_touching_brackets(self, high, low, above):
+        # each bracket holds its root in [lower, upper) or is an exact
+        # integer [r, r]: only a non-integer touching point orders them
+        assert bracket_above(CertifiedRoot(*high), CertifiedRoot(*low)) is above
 
     def test_perron_bracket_width(self):
         b = perron_bracket(persistent(5).markov, F2(1, 10**9))

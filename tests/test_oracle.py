@@ -3,7 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracle_reference import orbit_data, reference_periods_up_to
 from test_periods import two_orbit_maps
 
 from circledyn import oracle
@@ -11,65 +13,11 @@ from circledyn.cofiniteness import sbc
 from circledyn.errors import CircledynError
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import Lifting, rotation_interval
-from circledyn.markov import build_markov_system, critical_successors, enumerate_loops
-from circledyn.oracle import (
-    OracleResult,
-    PeriodicWitness,
-    _orbit_data,
-    _sample_degenerate,
-    _steps,
-    loop_branch,
-    periods_up_to,
-)
+from circledyn.markov import MarkovSystem, build_markov_system, critical_successors, enumerate_loops
+from circledyn.oracle import PeriodicWitness, _follows, _steps, loop_branch, periods_up_to
 from circledyn.periods import per_from_rotation
 
 F2 = Fraction
-
-
-def reference_steps(M, word, shift):
-    """(lo, hi, dx, dy, e, k) for each arrow along the loop word, computed
-    for this loop alone from the keys, the index map and the arrow shifts
-    `shift` ({(i, j): k})."""
-    X, G, D, n = M.keys, M.index_map, M.denominator, M.size
-    steps = []
-    for t, i in enumerate(word):
-        k = shift[i, word[(t + 1) % len(word)]]
-        g0, g1 = G[i], G[i + 1] if i + 1 < n else G[0] + n
-        y0, y1 = X[g0 % n] + g0 // n * D, X[g1 % n] + g1 // n * D
-        dx, dy = X[i + 1] - X[i], y1 - y0
-        steps.append((X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k))
-    return steps
-
-
-def reference_periods_up_to(M, P, succ=None):
-    """The oracle that solves and walks every simple loop, whatever pairs are
-    already witnessed.  Also returns ((L, K/L), orbit data) for each simple
-    loop whose branch has a fixed point, in loop order: L its length, K its
-    summed shifts, data None when the check walk rejects the point."""
-    shift = {(i, j): k for i, j, k in M.coverings}
-    result = OracleResult(bound=P)
-    for r, m, rho, orbit in M.partition_cycles:
-        result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
-    solved = []
-    for loop in enumerate_loops(M, P, succ=succ):
-        if not loop.simple:
-            continue
-        word = loop.vertices
-        steps = reference_steps(M, word, shift)
-        a, b, c = loop_branch(steps)
-        if a == c:
-            if b == 0:
-                _sample_degenerate(M, word, steps, result)
-            continue
-        u, v = (b, c - a) if c > a else (-b, a - c)
-        data = _orbit_data(steps, u, v)
-        solved.append(((len(word), F2(sum(step[5] for step in steps), len(word))), data))
-        if data is not None:
-            m, rho = data
-            result.add(PeriodicWitness(F2(u, v * M.denominator), m, rho, word[:m]))
-        if a == -c and 2 * loop.length <= P:
-            _sample_degenerate(M, word + word, steps + steps, result)
-    return result, solved
 
 
 def rigid_half():
@@ -122,7 +70,7 @@ def test_partition_point_is_not_a_loop_orbit(name, n):
     ]
     assert words
     for word in words:
-        assert _orbit_data(_steps(M, word), M.keys[word[0]], 1) is None
+        assert not _follows(_steps(M, word), M.keys[word[0]], 1)
 
 
 @pytest.mark.parametrize("name,n,P", [("dream", 3, 8), ("persistent", 7, 10), ("montevideo", 3, 9)])
@@ -151,15 +99,15 @@ def test_two_repetition_of_negative_loop_has_half_period():
         doubled = l.vertices + l.vertices
         steps = _steps(M, l.vertices)
         assert _steps(M, doubled) == steps + steps
-        a, b, c = loop_branch(steps + steps)
-        a1, b1, c1 = loop_branch(steps)
-        assert (a, c) == (a1 * a1, c1 * c1)
+        a, b, c, K = loop_branch(steps + steps)
+        a1, b1, c1, K1 = loop_branch(steps)
+        assert (a, c, K) == (a1 * a1, c1 * c1, 2 * K1)
         if a == c:
             continue
         # the doubled branch's fixed point is the loop's own
         assert F2(b, c - a) == F2(b1, c1 - a1)
         u, v = (b, c - a) if c > a else (-b, a - c)
-        if _orbit_data(steps + steps, u, v) is None:
+        if orbit_data(steps + steps, u, v) is None:
             continue
         y = F2(u, v * M.denominator)
         z = y
@@ -182,10 +130,18 @@ def test_minus_one_slope_doubling_sampled():
     M = build_markov_system(F)
     res = periods_up_to(M, 4)
     assert (1, F2(0)) in res.period_rotations()  # center 3/8 and the endpoint orbits
-    assert (2, F2(0)) in res.period_rotations()  # sampled from the doubled branch
+    assert (2, F2(0)) in res.period_rotations()  # the orbit of 1/4; the third point shares it
     assert any(len(d) % 2 == 0 for d in res.degenerate_loops)
     w = res.witnesses[(2, F2(0))]
     assert F.iterate(w.point, 2) == w.point and F.eval(w.point) != w.point
+    assert res.to_json() == reference_periods_up_to(M, 4)[0].to_json()
+    for entry in res.degenerate_loops:
+        for exact in exact_degenerate_witnesses(M, entry):
+            assert exact.check(F)
+    # without the partition orbits, the reflection's midpoint and third point
+    res = periods_up_to(hiding_partition_orbits(M), 4)
+    assert res.witnesses[(1, F2(0))].point == F2(3, 8)
+    assert res.witnesses[(2, F2(0))].point == F2(1, 3)
 
 
 class TestWitnessedPairsSkipped:
@@ -229,9 +185,97 @@ class TestWitnessedPairsSkipped:
 
         def counted(*args):
             calls.append(args)
-            return _orbit_data(*args)
+            return _follows(*args)
 
-        monkeypatch.setattr(oracle, "_orbit_data", counted)
+        monkeypatch.setattr(oracle, "_follows", counted)
         assert periods_up_to(M, P).to_json() == expected.to_json()
         assert len(solved) == 575
         assert len(calls) == new_pairs < len(solved) // 10
+
+
+@st.composite
+def grid_liftings(draw, max_N=7):
+    """(F, M) for a lifting with its breakpoints and values on the grid j/N,
+    N <= max_N, where slopes of +-1 (identity and reflection branches) are
+    common."""
+    N = draw(st.integers(min_value=1, max_value=max_N))
+    js = sorted(draw(st.sets(st.integers(min_value=0, max_value=N - 1), min_size=1)))
+    values = [F2(draw(st.integers(min_value=-N, max_value=2 * N)), N) for _ in js]
+    F = Lifting(tuple(F2(j, N) for j in js), tuple(values))
+    try:
+        M = build_markov_system(F)
+    except CircledynError:
+        assume(False)
+    return F, M
+
+
+def exact_degenerate_witnesses(M, entry):
+    """The witnesses the proof states for one entry of `degenerate_loops`:
+    an identity word gets its class midpoint with period L; a doubled word
+    (a reflection: simple words are primitive, so never squares) gets the
+    point a third of the way in with period 2L, and its midpoint, the
+    reflection's fixed point, has period L."""
+    L = len(entry)
+    reflection = L % 2 == 0 and entry[: L // 2] == entry[L // 2 :]
+    word = entry[: L // 2] if reflection else entry
+    _, _, _, K = loop_branch(_steps(M, word))
+    bounds = M.partition + (M.partition[0] + 1,)
+    lo, hi = bounds[word[0]], bounds[word[0] + 1]
+    rho = F2(K, len(word))
+    yield PeriodicWitness((lo + hi) / 2, len(word), rho, word)
+    if reflection:
+        yield PeriodicWitness(lo + (hi - lo) / 3, L, rho, entry)
+
+
+def hiding_partition_orbits(M):
+    """M with no partition orbits for the oracle to read.  They witness
+    their pairs before any loop does, so reports seldom show a loop's own
+    witness; without them every identity and reflection witness shows."""
+    hidden = MarkovSystem(M.denominator, M.keys, M.index_map, M.coverings)
+    vars(hidden)["partition_cycles"] = ()
+    return hidden
+
+
+class TestDegenerateBranchesByProof:
+    """Every identity and reflection branch gets its witness at an exact
+    point, stated by the Lyndon argument; the stated points pass the exact
+    check and the reports equal the three-sample reference's."""
+
+    @given(data=grid_liftings())
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_exact_points_witness_their_pairs(self, data):
+        F, M = data
+        P = 6
+        try:
+            expected, _ = reference_periods_up_to(M, P)
+        except CircledynError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                periods_up_to(M, P)
+            return
+        res = periods_up_to(M, P)
+        assert res.to_json() == expected.to_json()
+        for entry in res.degenerate_loops:
+            for w in exact_degenerate_witnesses(M, entry):
+                assert w.check(F), (entry, w)
+                assert (w.minimal_period, w.rotation) in res.witnesses
+        hidden = hiding_partition_orbits(M)
+        res = periods_up_to(hidden, P)
+        assert res.to_json() == reference_periods_up_to(hidden, P)[0].to_json()
+        assert all(w.check(F) for w in res.witnesses.values())
+
+    @pytest.mark.parametrize("rho", [F2(1, 2), F2(2, 5), F2(3, 7), F2(5, 12)])
+    def test_rigid_rotation_midpoints(self, rho):
+        # a rigid rotation by p/q is one identity branch of period q
+        F = Lifting((F2(0),), (rho,))
+        M = build_markov_system(F)
+        res = periods_up_to(M, rho.denominator + 1)
+        assert res.to_json() == reference_periods_up_to(M, rho.denominator + 1)[0].to_json()
+        assert res.period_rotations() == {(rho.denominator, rho)}
+        assert res.degenerate_loops
+        for entry in res.degenerate_loops:
+            (w,) = exact_degenerate_witnesses(M, entry)
+            assert w.check(F)
+        # the first loop's midpoint, once the orbit of 0 no longer comes first
+        res = periods_up_to(hiding_partition_orbits(M), rho.denominator + 1)
+        (w,) = res.witnesses.values()
+        assert w == next(exact_degenerate_witnesses(M, res.degenerate_loops[0]))

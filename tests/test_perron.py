@@ -1,0 +1,69 @@
+"""The reported entropy brackets against `perron_reference.above_perron`,
+which decides x > sigma(M) from the rome matrix without forming the
+characteristic polynomial: each bracket's lower end is not above the Perron
+root and its upper end is, the [lower, upper) property that
+`markov.bracket_above` orders touching brackets by."""
+
+from fractions import Fraction
+
+import pytest
+from perron_reference import above_perron
+from test_families import SCAN_RANGES
+from test_golden import EXTEND_GOLDEN, GRAPHS
+
+from circledyn.arith import CertifiedRoot
+from circledyn.families import make, mts1_scan
+from circledyn.graphext import CombGraph, extend, verify_extension
+from circledyn.lifting import Lifting
+from circledyn.markov import build_markov_system
+
+F2 = Fraction
+
+
+def assert_brackets_perron(system, bracket):
+    assert bracket.lower < bracket.upper
+    assert not above_perron(system, bracket.lower)
+    assert above_perron(system, bracket.upper)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_RANGES))
+def test_scan_brackets(name):
+    ns = SCAN_RANGES[name]
+    for row in mts1_scan(name, ns[0], ns[-1], F2(1, 10**9)).rows:
+        assert_brackets_perron(make(name, row.n).markov, row.entropy)
+
+
+def test_extension_brackets():
+    for graph, family, n, _ in EXTEND_GOLDEN:
+        g = GRAPHS[graph]
+        E = extend(make(family, n), CombGraph(g["vertices"], g["edges"]))
+        rep = verify_extension(E, F2(1, 10**12))
+        assert_brackets_perron(E, rep["ext_entropy"])
+        assert_brackets_perron(E.base, rep["base_entropy"])
+
+
+@pytest.mark.parametrize("name,n", [("dream", 3), ("persistent", 5), ("montevideo", 3)])
+def test_shifted_bracket_fails(name, n):
+    # the check has teeth: the bracket moved up or down by its own width, as
+    # a root kernel off by one cell would report it, fails
+    M = make(name, n).markov
+    (row,) = mts1_scan(name, n, n).rows
+    lo, hi, w = row.entropy.lower, row.entropy.upper, row.entropy.width
+    for shift in (w, -w):
+        with pytest.raises(AssertionError):
+            assert_brackets_perron(M, CertifiedRoot(lo + shift, hi + shift))
+
+
+def test_permutation_system():
+    # a rigid rotation's graph is one cycle: sigma = 1, so 1 is not above it
+    M = build_markov_system(Lifting((F2(0),), (F2(1, 2),)))
+    assert not above_perron(M, 1) and above_perron(M, F2(1001, 1000))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [12799, 12801])
+def test_touching_persistent_brackets(n):
+    # the two brackets that touch at 1074890341/2^30
+    M = make("persistent", n).markov
+    (row,) = mts1_scan("persistent", n, n).rows
+    assert_brackets_perron(M, row.entropy)
