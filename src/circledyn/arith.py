@@ -1,17 +1,13 @@
 """Exact scalar arithmetic: rationals, the Sharkovskii ordering, integer
-polynomials and certified real root isolation.  Root brackets are certified
-by exact integer signs alone; the fixed-point arithmetic of `_newton_guess`
-only chooses which cell they check.  Both run Horner over the nonzero
-coefficients, and above 1 `land_root` takes them on (x - 1) p when that has
-fewer nonzero terms (dream's Perron polynomial: 6,403 at n = 3201, then 6).
+polynomials and certified real root isolation.
 
-`largest_root_above` isolates its root by counting sign variations.  A
-polynomial with one sign variation, negative at a floor >= 0, has exactly one
-root above the floor (Descartes' rule of signs), and by Budan's theorem the
-Descartes count on any piece above the floor is then exactly one, so no
-Taylor shift is needed.  The family polynomials of the desk scans and the
-`beta` balance polynomials are of this kind.  Any other polynomial is counted
-piece by piece on Taylor-shifted coefficients (Vincent-Collins-Akritas).
+The root kernel answers the one question the engine asks of a polynomial:
+its largest real root above 1 (`largest_root_above`), the Perron root of a
+rome polynomial or `beta`'s balance root.  Brackets are certified by exact
+integer signs alone; the fixed-point arithmetic of `_newton_guess` only
+chooses which cell they check.  Both run one list of Horner steps over the
+nonzero coefficients (`IntPolynomial.horner_steps`), on (x - 1) p when its
+steps cost less (dream's Perron polynomial: 6,403 terms at n = 3201, then 6).
 
 Rationals are `fractions.Fraction` throughout the package (always reduced,
 positive denominator). They serialize as "p/q" strings.
@@ -23,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, NoRootAbove
@@ -197,22 +193,26 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def horner_steps(self) -> list[tuple[int, int]]:
+        """Horner's steps over the nonzero coefficients, from the top:
+        (0, leading), then (g, c) for each lower nonzero coefficient c, g its
+        exponent gap from the one before, and (e, 0) last when the lowest
+        nonzero exponent e is above 0.  acc = acc * x^g + c over the steps,
+        from acc = 0, is p(x)."""
+        es = [e for e in range(self.degree, -1, -1) if self.coeffs[e]]
+        steps = [(a - e, self.coeffs[e]) for a, e in zip([self.degree, *es], es)]
+        return steps + [(es[-1], 0)] if es and es[-1] else steps
+
     def sign_at(self, x: Fraction) -> int:
         """Sign of p(x) for x = a/b in lowest terms, from the integer
-        b^d p(a/b) = sum c_i a^i b^(d-i) (b > 0, so the signs agree), by
-        Horner on the nonzero coefficients: a run of g zeros multiplies by
-        a^g and b^g at once."""
+        b^d p(a/b) = sum c_i a^i b^(d-i) (b > 0, so the signs agree): a step
+        of gap g multiplies by a^g, and the scale b^(d-i) by b^g."""
         a, b = x.numerator, x.denominator
-        acc, scale, gap = 0, 1, 0
-        for c in reversed(self.coeffs):
-            if not c:
-                gap += 1
-                continue
-            if gap:
-                acc, scale, gap = acc * a**gap, scale * b**gap, 0
-            acc = acc * a + c * scale
-            scale *= b
-        return _sign(acc * a**gap)
+        acc, scale = 0, 1
+        for g, c in self.horner_steps():
+            scale *= b**g
+            acc = acc * a**g + c * scale
+        return (acc > 0) - (acc < 0)
 
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Euclidean division over the integers, (quotient, remainder).
@@ -298,10 +298,6 @@ class CertifiedRoot:
         return {"lower": rat_str(self.lower), "upper": rat_str(self.upper)}
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def bisect_root(sign_at: Callable[[Fraction], int], lo: Fraction, hi: Fraction, tol: Fraction) -> CertifiedRoot:
     """Bisection with certified signs; sign_at(lo) <= 0 < sign_at(hi).
 
@@ -311,10 +307,7 @@ def bisect_root(sign_at: Callable[[Fraction], int], lo: Fraction, hi: Fraction, 
     `land_root` must return."""
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if sign_at(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if sign_at(mid) > 0 else (mid, hi)
     return CertifiedRoot(lo, hi)
 
 
@@ -322,37 +315,24 @@ def _newton_guess(p: IntPolynomial, lo: Fraction, hi: Fraction, k: int) -> Fract
     """A guess at the root of p in (lo, hi), p(lo) <= 0 < p(hi), meant to fall
     well within (hi - lo) / 2^k of it; it only picks the cell `land_root` checks.
 
-    Fixed point X / 2^P, truncating Horner for p and p' that skips each stretch
-    of g >= 2 zero coefficients with one fixed-point x^g, built once per g and
-    evaluation.  Bisection on fixed-point signs until width * degree <= right
-    end / 2; then Newton steps from the right end (monotone for the largest
-    root of a Perron polynomial), or the midpoint when a step leaves the
-    bracket, until a step is under a quarter cell or P steps are spent."""
+    Fixed point X / 2^P, truncating Horner for p and p' over `horner_steps`:
+    a step of gap g multiplies by a fixed-point x^g, built with x^(g-1) once
+    per g and evaluation.  Bisection on fixed-point signs until width * degree
+    <= right end / 2; then Newton steps from the right end (monotone for the
+    largest root of a Perron polynomial), or the midpoint when a step leaves
+    the bracket, until a step is under a quarter cell or P steps are spent."""
     width = hi - lo
     P = k + width.denominator.bit_length() + lo.denominator.bit_length() + 24
-    runs, gap = [(0, [])], 0  # (zeros skipped above, run) from the top
-    for nonzero, run in groupby(reversed(p.coeffs), bool):
-        run = [c << P for c in run]
-        if not nonzero and len(run) > 1:
-            gap = len(run)
-        elif gap:
-            runs.append((gap, run))
-            gap = 0
-        else:
-            runs[-1][1].extend(run)  # a lone zero stays a Horner step
-    if gap:
-        runs.append((gap, []))
-    gaps = {g for g, _ in runs if g}
+    (_, top), *steps = [(g, c << P) for g, c in p.horner_steps()]
+    gaps = {g for g, _ in steps}
 
     def at(x: int, slope: bool) -> tuple[int, int]:
-        powers = {g: pow(x, g - 1) << P >> P * (g - 1) for g in gaps}  # x^(g-1)
-        v = dv = 0
-        for g, run in runs:
-            if g:
-                xg = powers[g] * x >> P
-                v, dv = v * xg >> P, slope and (dv * xg + g * v * powers[g]) >> P
-            for c in run:
-                v, dv = (v * x >> P) + c, slope and (dv * x >> P) + v
+        below = {g: pow(x, g - 1) << P >> P * (g - 1) for g in gaps}  # x^(g-1)
+        powers = {g: (u * x >> P, g * u) for g, u in below.items()}  # x^g, g x^(g-1)
+        v, dv = top, 0
+        for g, c in steps:
+            xg, gxg1 = powers[g]
+            v, dv = (v * xg >> P) + c, slope and (dv * xg + v * gxg1) >> P
         return v, dv
 
     a, b = (lo.numerator << P) // lo.denominator, (hi.numerator << P) // hi.denominator
@@ -372,6 +352,13 @@ def _newton_guess(p: IntPolynomial, lo: Fraction, hi: Fraction, k: int) -> Fract
     return Fraction(nx, 1 << P)
 
 
+def _horner_cost(p: IntPolynomial) -> int:
+    """Work of one Horner pass over `horner_steps`: a step per nonzero term,
+    and a power per distinct gap above 1."""
+    steps = p.horner_steps()
+    return len(steps) + len({g for g, _ in steps if g > 1})
+
+
 def land_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction) -> CertifiedRoot:
     """The bracket `bisect_root(p.sign_at, lo, hi, tol)` returns, for a piece
     (lo, hi) holding one simple root of p with p(lo) <= 0 < p(hi).
@@ -382,13 +369,14 @@ def land_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction) -> Ce
     inside the piece (outside it no cell passes, as p(lo) <= 0 < p(hi)), and
     any other miss bisects.
 
-    When lo >= 1 the signs are taken on (x - 1) p if it has fewer nonzero
-    terms than p: it has p's sign above 1, and at lo = 1 its zero gives
-    p(lo)'s verdict, <= 0.  Every point checked lies in [lo, hi] (below lo,
-    (x - 1) p need not share p's sign), so no verdict changes."""
-    cs = p.coeffs
-    if lo >= 1 and sum(map(operator.ne, (0, *cs), (*cs, 0))) < len(cs) - cs.count(0):
-        p = IntPolynomial([a - b for a, b in zip((0, *cs), (*cs, 0))])
+    When lo >= 1 the signs are taken on (x - 1) p if its Horner steps cost
+    less than p's (ties stay on p): it has p's sign above 1, and at lo = 1
+    its zero gives p(lo)'s verdict, <= 0.  Every point checked lies in
+    [lo, hi] (below lo, (x - 1) p need not share p's sign), so no verdict
+    changes."""
+    if lo >= 1:
+        cs = p.coeffs
+        p = min(p, IntPolynomial([a - b for a, b in zip((0, *cs), (*cs, 0))]), key=_horner_cost)
     width = hi - lo
     k = (ceil_frac(width / tol) - 1).bit_length()
     den = lo.denominator * width.denominator << k  # c_i = (base + i step) / den
@@ -403,15 +391,14 @@ def land_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction) -> Ce
     return bisect_root(p.sign_at, lo, hi, tol)
 
 
-def _shifted(c: list[int], a: int = 1) -> list[int]:
-    """Coefficients of q(x + a) from those of q(x), constant term first.
+def _shifted(c: list[int]) -> list[int]:
+    """Coefficients of q(x + 1) from those of q(x), constant term first.
 
-    Each pass of synthetic division by (x - a) leaves the next coefficient;
-    for a = 1 a pass is a plain running sum."""
-    step = None if a == 1 else (lambda s, x: s * a + x)
+    Each pass of synthetic division by (x - 1), a running sum from the top,
+    leaves the next coefficient."""
     rest, out = c[::-1], []
     while rest:
-        rest = list(accumulate(rest, step))
+        rest = list(accumulate(rest))
         out.append(rest.pop())
     return out
 
@@ -430,67 +417,54 @@ def _descartes_bound(q: list[int]) -> int:
     return _sign_variations(_shifted(q[::-1]))
 
 
-def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> CertifiedRoot:
-    """Certified bracket of width <= tol around the largest real root > floor.
+def largest_root_above(p: IntPolynomial, tol: Fraction) -> CertifiedRoot:
+    """Certified bracket of width <= tol around the largest real root > 1.
 
-    Roots exactly at `floor` are deflated first and p is oriented so that it
-    is positive above its largest root.  When floor >= 0, p(floor) < 0 and the
-    coefficients of p have exactly one sign variation, `land_root` brackets
-    the root in (floor, Cauchy bound) at once.  By Descartes' rule of signs p
-    has exactly one positive root; it is simple and lies above the floor.
-    The subdivision below would count exactly one root on that first piece
-    too.  Its count there is V(g(x + 1)) with g(y) = y^d r(w/y),
-    r(x) = p(x + floor) and w the piece's width, and a Taylor shift by a
+    Roots at 1 are deflated first (p(1) is the sum of the coefficients, and
+    the quotient by x - 1 their running sum from the top), and p is oriented
+    to be positive above its largest root.  When p(1) < 0 and p has exactly
+    one sign variation, `land_root` brackets the root in (1, Cauchy bound) at
+    once: by Descartes' rule of signs p has exactly one positive root, simple
+    and above 1.  The subdivision below would count exactly one root on that
+    first piece too: its count there is V(g(x + 1)) with g(y) = y^d r(w/y),
+    r(x) = p(x + 1) and w the piece's width, and a Taylor shift by a
     nonnegative amount never adds sign variations (Budan's theorem), so
     V(g(x + 1)) <= V(g) = V(r) <= V(p) = 1; having the parity of the one
     root, it is 1.
 
-    Otherwise the open interval (floor, Cauchy bound) is subdivided from the
-    right, and the roots of p in each piece are counted exactly with
-    Descartes' rule on the Moebius transform of p to (0, 1), built by integer
-    Taylor shifts (Vincent-Collins-Akritas).  Pieces with no root are
-    dropped; the first one with exactly one root holds the largest root, and
-    `land_root` narrows it to the bracket that bisection with exact integer
-    signs ends in.  So the result certifies both a sign change in the bracket
-    and no root above it; a largest root that a cut hits exactly comes back
-    as the exact bracket [r, r].  NoRootAbove when the count finds no root
-    above the floor; BudgetExceeded when the largest root still cannot be
-    told apart from another root (or a complex pair) at width tol, as for a
-    repeated root.
+    Otherwise (1, Cauchy bound) is subdivided from the right, and the roots
+    of p in each piece are counted exactly with Descartes' rule on the
+    Moebius transform of p to (0, 1), built by integer Taylor shifts
+    (Vincent-Collins-Akritas).  Pieces with no root are dropped; the first
+    one with exactly one root holds the largest root, and `land_root` narrows
+    it to the bracket that bisection with exact integer signs ends in.  So
+    the result certifies both a sign change in the bracket and no root above
+    it; a largest root that a cut hits exactly comes back as the exact
+    bracket [r, r].  NoRootAbove when the count finds no root above 1;
+    BudgetExceeded when the largest root still cannot be told apart from
+    another root (or a complex pair) at width tol, as for a repeated root.
     """
-    floor = Fraction(floor)
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if p.is_zero() or p.degree == 0:
-        raise NoRootAbove("constant polynomial")
-
-    s = p.sign_at(floor)
-    while s == 0:
-        p, _ = p.divmod_exact(IntPolynomial([-floor.numerator, floor.denominator]))
-        if p.degree == 0:
-            raise NoRootAbove("all roots at the floor")
-        s = p.sign_at(floor)
-
-    bound = p.cauchy_root_bound()
-    if bound <= floor:
-        raise NoRootAbove("Cauchy bound at or below floor")
+    cs = p.coeffs
+    while cs and not sum(cs):
+        cs = list(accumulate(reversed(cs)))[-2::-1]  # p / (x - 1)
+    if not any(cs[:-1]):
+        raise NoRootAbove("once its roots at 1 are deflated, p is c x^d")
+    p = IntPolynomial(cs)
     if p.leading() < 0:
-        p, s = -p, -s  # positive above its largest root, as land_root expects
-    if floor >= 0 and s < 0 and _sign_variations(p.coeffs) == 1:
-        return land_root(p, floor, bound, tol)
+        p = -p  # positive above its largest root, as land_root expects
+    one, bound = Fraction(1), p.cauchy_root_bound()
+    if sum(p.coeffs) < 0 and _sign_variations(p.coeffs) == 1:
+        return land_root(p, one, bound, tol)
 
-    # q(t) = gamma^d p((alpha + beta t) / gamma) maps (floor, bound) to (0, 1)
-    d = p.degree
-    width = bound - floor
-    alpha = floor.numerator * width.denominator
-    beta = floor.denominator * width.numerator
-    gamma = floor.denominator * width.denominator
-    q = _shifted([c * gamma ** (d - i) for i, c in enumerate(p.coeffs)], alpha)
-    q = [c * beta**i for i, c in enumerate(q)]
+    # q(t) = den^d p(1 + t num / den) maps (1, bound) to (0, 1), bound - 1 = num / den
+    d, num, den = p.degree, (bound - 1).numerator, (bound - 1).denominator
+    q = [c * num**i * den ** (d - i) for i, c in enumerate(_shifted(list(p.coeffs)))]
 
     # depth-first from the right; (q, lo, hi) with lo == hi is a root at a cut
-    pending = [(q, floor, bound)]
+    pending = [(q, one, bound)]
     while pending:
         q, lo, hi = pending.pop()
         if lo == hi:
@@ -509,7 +483,7 @@ def largest_root_above(p: IntPolynomial, floor: Fraction, tol: Fraction) -> Cert
         if right[0] == 0:
             pending.append((None, mid, mid))
         pending.append((right, mid, hi))
-    raise NoRootAbove("no root above floor")
+    raise NoRootAbove("no root above 1")
 
 
 # ---------------------------------------------------------------------------

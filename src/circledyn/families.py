@@ -456,7 +456,7 @@ def closed_form_root_ok(identity: bool, sigma: CertifiedRoot, cofactor: IntPolyn
     if not (identity and sigma.upper > 1):
         return False
     try:
-        largest_root_above(cofactor, Fraction(1), tol)
+        largest_root_above(cofactor, tol)
     except NoRootAbove:
         return True
     return False

@@ -370,9 +370,9 @@ def rotation_number_monotone(
     # rho lies in [min displacement, max displacement]; an integer p in that
     # range certifies a fixed point of F - p, hence rho = p exactly.
     lo_d, hi_d = _displacement_extrema(F)
-    for p in range(floor_frac(lo_d), ceil_frac(hi_d) + 1):
-        if lo_d <= p <= hi_d:
-            return Fraction(p)
+    p = ceil_frac(lo_d)
+    if p <= hi_d:
+        return Fraction(p)
     k = floor_frac(lo_d)  # both extrema in (k, k+1), so rho is too
 
     # each bound p/q carries F^q; the mediant's power is F^(ql) then F^(qr)

@@ -453,7 +453,7 @@ def perron_bracket(
     root count.  `char` is that polynomial when the caller already has it."""
     if char is None:
         char = markov_char_poly(system)
-    return largest_root_above(char, Fraction(1), tol)
+    return largest_root_above(char, tol)
 
 
 def entropy(

@@ -161,8 +161,8 @@ def beta(c: Fraction, d: Fraction, tol: Fraction = Fraction(1, 10**9)) -> BetaRe
     is isolated separately only if the identity fails."""
     tol = Fraction(tol)
     pq, pr = q_balance(c, d)[0], r_balance(c, d)[0]
-    root_q = largest_root_above(pq, Fraction(1), tol)
+    root_q = largest_root_above(pq, tol)
     agreement = pq == _Z_MINUS_1 * pr
-    root_r = root_q if agreement else largest_root_above(pr, Fraction(1), tol)
+    root_r = root_q if agreement else largest_root_above(pr, tol)
     return BetaResult(beta=root_q, beta_counts=root_r, method_agreement=agreement, tol=tol)
 

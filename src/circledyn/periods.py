@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import rat_str, sharkovskii_geq
+from .arith import _sho_key, rat_str, sharkovskii_geq
 from .errors import DegenerateRotationInterval
 from .markov import critical_successors
 from .oracle import periods_up_to
@@ -136,15 +136,14 @@ class ShoInference:
 def infer_sho_type(ks: set[int], bound: int) -> ShoInference:
     """Least type t in N with tail(t) ∩ [1, bound] equal to the observed ks.
 
+    Only the Sharkovskii-greatest element of ks can be that t: every match
+    lies above all of ks, and that element matches whenever any t does.
     An all-powers-of-two observation is flagged ambiguous: the evidence cannot
     separate the reported type from larger powers of two or 2^∞.
     """
     all_pow2 = bool(ks) and all(k & (k - 1) == 0 for k in ks)
-    best = None
-    for t in sorted(ks):
-        if {k for k in range(1, bound + 1) if sharkovskii_geq(t, k)} == ks:
-            if best is None or not sharkovskii_geq(t, best):
-                best = t
+    t = min(ks, key=_sho_key, default=None)  # the smallest key is the greatest
+    best = t if t is not None and {k for k in range(1, bound + 1) if sharkovskii_geq(t, k)} == ks else None
     ambiguous = best is not None and all_pow2 and max(ks) * 2 > bound
     return ShoInference(sho=best, ambiguous_two_infinity=ambiguous)
 

@@ -111,7 +111,7 @@ def test_criterion_4_entropy_polynomials():
             assert char * inst.poly_cofactor == inst.expected_poly, (name, n)
             assert _unit_circle_cofactor(inst.poly_cofactor), (name, n)
             got = markov_entropy(inst.markov, TOL12)
-            want = largest_root_above(inst.expected_poly, F2(1), TOL12)
+            want = largest_root_above(inst.expected_poly, TOL12)
             assert overlaps(got, want, slack=TOL12), (name, n)
             if prev is not None:
                 assert got.upper < prev.lower, (name, n, "entropy not decreasing")
@@ -195,7 +195,7 @@ def test_criterion_7_graph_extension():
         E = extend(inst_of("dream", n) if n <= 10 else make("dream", n), APPLE)
         rep = verify_extension(E, TOL12)
         assert rep["poly_exact"] and rep["poly_root_ok"], n
-        want = largest_root_above(E.expected_poly, F2(1), TOL12)
+        want = largest_root_above(E.expected_poly, TOL12)
         assert overlaps(rep["ext_entropy"], want, slack=TOL12), n
         char = markov_char_poly(E)
         lhs = char * E.cofactor
@@ -212,7 +212,7 @@ def test_criterion_7_graph_extension():
         E = extend(inst_of(name, n), APPLE)
         rep = verify_extension(E, TOL12)
         assert rep["poly_exact"] and rep["poly_root_ok"] and rep["entropy_above_base"], (name, n)
-        want = largest_root_above(E.expected_poly, F2(1), TOL12)
+        want = largest_root_above(E.expected_poly, TOL12)
         assert overlaps(rep["ext_entropy"], want, slack=TOL12), (name, n)
         char = markov_char_poly(E)
         lhs = char * E.cofactor

@@ -176,16 +176,23 @@ class TestSparseSign:
         p = IntPolynomial(cs)
         for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(5, 7), Fraction(1, 2**70)):
             assert p.sign_at(x) == dense_sign_at(p, x)
+        # the steps walk the exponents down to 0, one step per nonzero term
+        steps, e, rebuilt = p.horner_steps(), p.degree, [0] * len(p.coeffs)
+        for g, c in steps:
+            e -= g
+            rebuilt[e] = c
+        assert IntPolynomial(rebuilt) == p and e == min(p.degree, 0)
+        assert [c for _, c in steps if c] == [c for c in reversed(p.coeffs) if c]
 
 
 class TestLargestRoot:
     def test_linear(self):
-        r = largest_root_above(IntPolynomial([-2, 1]), Fraction(1), Fraction(1, 10**9))
+        r = largest_root_above(IntPolynomial([-2, 1]), Fraction(1, 10**9))
         assert r.lower <= 2 <= r.upper and r.width <= Fraction(1, 10**9)
 
     def test_golden_ratio(self):
         # x^2 - x - 1: largest root (1+sqrt5)/2
-        r = largest_root_above(IntPolynomial([-1, -1, 1]), Fraction(1), Fraction(1, 10**12))
+        r = largest_root_above(IntPolynomial([-1, -1, 1]), Fraction(1, 10**12))
         phi = 1.6180339887498949
         assert float(r.lower) <= phi <= float(r.upper)
         # certified: sign change inside the bracket
@@ -196,18 +203,18 @@ class TestLargestRoot:
         # T3 = (x^10 - 1)(x - 1) - 2x^3(x^5 - 1); bisection cross-checked by
         # exact endpoint evaluations
         p = dream_poly(3)
-        r = largest_root_above(p, Fraction(1), Fraction(1, 10**9))
+        r = largest_root_above(p, Fraction(1, 10**9))
         assert p.eval(r.lower) * p.eval(r.upper) <= 0
         assert r.width <= Fraction(1, 10**9)
 
     def test_no_root_above(self):
         with pytest.raises(NoRootAbove):
-            largest_root_above(IntPolynomial([1, 0, 1]), Fraction(1), Fraction(1, 10**6))
+            largest_root_above(IntPolynomial([1, 0, 1]), Fraction(1, 10**6))
 
     def test_deflates_floor_roots(self):
-        # (x-1)^2 (x-3): floor root deflated, finds 3
+        # (x-1)^2 (x-3): the double root at 1 is deflated, finds 3
         p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([-3, 1])
-        r = largest_root_above(p, Fraction(1), Fraction(1, 10**9))
+        r = largest_root_above(p, Fraction(1, 10**9))
         assert r.lower <= 3 <= r.upper
 
 
@@ -219,9 +226,9 @@ def linear(root: Fraction) -> IntPolynomial:
 
 @st.composite
 def known_root_polys(draw):
-    """(roots, p, floor): p is the product of linear factors at `roots` (some
-    pairs only 1e-7 apart) and an irreducible quadratic whose complex roots
-    may lie right of every real root."""
+    """(roots, p): p is the product of linear factors at `roots` (some pairs
+    only 1e-7 apart) and an irreducible quadratic whose complex roots may lie
+    right of every real root."""
     roots = [Fraction(k, 8) for k in draw(st.lists(st.integers(-40, 80), max_size=4, unique=True))]
     if roots:
         roots += [r + Fraction(1, 10**7) for r in draw(st.lists(st.sampled_from(roots), unique=True))]
@@ -229,12 +236,12 @@ def known_root_polys(draw):
     p = IntPolynomial([u * u + s, -8 * u, 16])  # 16 (x - u/4)^2 + s
     for r in roots:
         p = p * linear(r)
-    return roots, p, Fraction(draw(st.integers(-16, 48)), 4)
+    return roots, p
 
 
 class TestRootKernel:
-    """Exact root counting: the bracket holds the largest root above the
-    floor, however close its neighbours are."""
+    """Exact root counting: the bracket holds the largest root above 1,
+    however close its neighbours are."""
 
     TOL = Fraction(1, 10**9)
 
@@ -249,13 +256,13 @@ class TestRootKernel:
         p = IntPolynomial([1])
         for r in roots:
             p = p * linear(r)
-        b = largest_root_above(p, Fraction(1), self.TOL)
+        b = largest_root_above(p, self.TOL)
         assert b.lower <= max(roots) <= b.upper and b.width <= self.TOL
 
     def test_complex_roots_right_of_real_root(self):
         # (x - 2)((x - 3)^2 + 1): roots 2 and 3 +- i
         p = linear(2) * IntPolynomial([10, -6, 1])
-        b = largest_root_above(p, Fraction(1), self.TOL)
+        b = largest_root_above(p, self.TOL)
         assert b.lower <= 2 <= b.upper and b.width <= self.TOL
 
     def test_repeated_largest_root_raises(self):
@@ -263,41 +270,41 @@ class TestRootKernel:
         p = linear(2) * linear(2) * linear(Fraction(-1, 2))
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            largest_root_above(p, Fraction(1), self.TOL)
+            largest_root_above(p, self.TOL)
         assert time.perf_counter() - start < 10
 
     def test_root_at_a_cut_is_exact(self):
         # x^2 (x - 2)^2: the cuts of (1, 5) reach the double root 2 exactly
         p = IntPolynomial([0, 0, 4, -4, 1])
-        assert largest_root_above(p, Fraction(1), self.TOL) == CertifiedRoot(Fraction(2), Fraction(2))
+        assert largest_root_above(p, self.TOL) == CertifiedRoot(Fraction(2), Fraction(2))
 
     @given(known_root_polys())
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_largest_known_root(self, case):
-        roots, p, floor = case
-        above = [r for r in roots if r > floor]
+        roots, p = case
+        above = [r for r in roots if r > 1]
         if not above:
             with pytest.raises(NoRootAbove):
-                largest_root_above(p, floor, self.TOL)
+                largest_root_above(p, self.TOL)
             return
-        b = largest_root_above(p, floor, self.TOL)
+        b = largest_root_above(p, self.TOL)
         assert b.lower <= max(above) <= b.upper and b.width <= self.TOL
-        assert b.lower > floor
+        assert b.lower > 1
 
 
-def _outcome(p, floor, tol):
+def _outcome(p, tol):
     """largest_root_above's bracket, or the type of error it raises."""
     try:
-        return largest_root_above(p, floor, tol)
+        return largest_root_above(p, tol)
     except (NoRootAbove, BudgetExceeded) as e:
         return type(e)
 
 
-def _bisect_outcome(p, floor, tol):
+def _bisect_outcome(p, tol):
     """The same, with bisection in place of the landing step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "land_root", lambda q, lo, hi, t: bisect_root(q.sign_at, lo, hi, t))
-        return _outcome(p, floor, tol)
+        return _outcome(p, tol)
 
 
 def _land_with_form(p, lo, hi, tol):
@@ -316,6 +323,36 @@ def fallbacks(monkeypatch):
     return calls
 
 
+class TestDeflation:
+    """Roots at 1 are deflated by running sums of the coefficients; repeated
+    `divmod_exact` by x - 1 is the reference."""
+
+    @given(
+        st.one_of(st.integers(-9, 9).map(lambda c: [c]), st.lists(st.integers(-9, 9), max_size=9)),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_running_sums_equal_division(self, cs, k):
+        p = IntPolynomial(cs)
+        for _ in range(k):
+            p = p * linear(1)
+        want = p
+        while want and want.sign_at(Fraction(1)) == 0:
+            want, rest = want.divmod_exact(linear(1))
+            assert not rest
+        # the kernel's first look at the deflated, oriented polynomial is its
+        # Cauchy bound; c x^d (constants too) has no root above 1
+        seen, bound = [], IntPolynomial.cauchy_root_bound
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntPolynomial, "cauchy_root_bound", lambda q: seen.append(q) or bound(q))
+            got = _outcome(p, Fraction(1, 10**9))
+        if not any(want.coeffs[:-1]):
+            assert got is NoRootAbove and seen == []
+        else:
+            assert seen[0] == (want if want.leading() > 0 else -want)
+            assert got == _outcome(want, Fraction(1, 10**9))
+
+
 class TestLandRoot:
     """The landing step returns exactly the bracket bisection ends in."""
 
@@ -323,8 +360,8 @@ class TestLandRoot:
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_equals_bisection_on_known_roots(self, case, tol):
         # the roots k/8 lie on the grid points of many cuts
-        _, p, floor = case
-        assert _outcome(p, floor, tol) == _bisect_outcome(p, floor, tol)
+        _, p = case
+        assert _outcome(p, tol) == _bisect_outcome(p, tol)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=13), st.integers(1, 9))
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -333,7 +370,7 @@ class TestLandRoot:
         cs = cs + [lead]
         cs[0] -= sum(cs) + 1
         p = IntPolynomial(cs)
-        assert _outcome(p, Fraction(1), Fraction(1, 10**9)) == _bisect_outcome(p, Fraction(1), Fraction(1, 10**9))
+        assert _outcome(p, Fraction(1, 10**9)) == _bisect_outcome(p, Fraction(1, 10**9))
 
     @pytest.mark.parametrize("cell,misses", [(None, 0), (-2, 1), (-1, 0), (0, 0), (1, 0), (2, 1)])
     def test_root_on_a_cell_end(self, monkeypatch, fallbacks, cell, misses):
@@ -372,12 +409,12 @@ class TestLandRoot:
     @pytest.mark.parametrize("name,n", SCAN_RANGES)
     def test_family_roots_land_without_bisection(self, fallbacks, name, n):
         # the fixed-point guess is good enough on the Perron polynomials
-        largest_root_above(POLYNOMIALS[name](n), Fraction(1), Fraction(1, 10**12))
+        largest_root_above(POLYNOMIALS[name](n), Fraction(1, 10**12))
         assert fallbacks == []
 
     @pytest.mark.parametrize("c,d", BETA_PAIRS)
     def test_beta_roots_land_without_bisection(self, fallbacks, c, d):
-        largest_root_above(q_balance(c, d)[0], Fraction(1), Fraction(1, 10**12))
+        largest_root_above(q_balance(c, d)[0], Fraction(1, 10**12))
         assert fallbacks == []
 
     def test_checks_only_points_in_the_piece(self, monkeypatch):
@@ -401,13 +438,12 @@ class TestLandRoot:
 
 @st.composite
 def one_variation_polys(draw):
-    """(p, floor): the coefficients of p, constant term first, are nonpositive
+    """Polynomials whose coefficients, constant term first, are nonpositive
     then nonnegative (zeros anywhere), with one sign variation; p may be
-    negated, and floor >= 0."""
+    negated."""
     cs = draw(st.lists(st.integers(-9, 0), max_size=8)) + [draw(st.integers(-99, -1))]
     cs += draw(st.lists(st.integers(0, 9), max_size=30)) + [draw(st.integers(1, 9))]
-    p = IntPolynomial(cs) * draw(st.sampled_from([1, -1]))
-    return p, Fraction(draw(st.integers(0, 24)), draw(st.sampled_from([1, 2, 3, 8])))
+    return IntPolynomial(cs) * draw(st.sampled_from([1, -1]))
 
 
 @st.composite
@@ -428,7 +464,7 @@ class TestLandOnOneVariation:
     the difference form: the bracket is bisection's."""
 
     @given(
-        st.one_of(one_variation_polys().map(lambda case: case[0]), equal_run_polys()),
+        st.one_of(one_variation_polys(), equal_run_polys()),
         st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2)]),
         st.sampled_from([Fraction(1, 10**9), Fraction(1, 3)]),
     )
@@ -454,17 +490,38 @@ class TestLandOnOneVariation:
         assert (form == p * linear(1)) == difference
         assert len(form.coeffs) - form.coeffs.count(0) == (3 if difference else 100)
 
+    @pytest.mark.parametrize(
+        "poly,difference",
+        [
+            # 7 terms and one gap above 1 against 6 terms and two: a tie stays on p
+            (lambda: q_balance(Fraction(1, 5), Fraction(2, 5))[0], False),
+            # 4 terms against 3 terms and a gap of 2: again a tie
+            (lambda: q_balance(Fraction(0), Fraction(1, 2))[0], False),
+            # 11 terms against 6 terms and two gaps
+            (lambda: q_balance(Fraction(1, 9), Fraction(2, 9))[0], True),
+            # the Perron polynomial: 103 terms against 6 terms and two gaps
+            (lambda: markov_char_poly(dream(51).markov), True),
+        ],
+        ids=["beta-1/5-2/5", "beta-0-1/2", "beta-1/9-2/9", "dream-51"],
+    )
+    def test_form_with_the_cheaper_horner_steps(self, monkeypatch, poly, difference):
+        p, forms = poly(), []
+        while p.sign_at(Fraction(1)) == 0:
+            p = p // linear(1)
+        monkeypatch.setattr(arith, "_newton_guess", lambda q, *a: forms.append(q) or _newton_guess(q, *a))
+        largest_root_above(p, Fraction(1, 10**9))
+        assert forms == [p * linear(1) if difference else p]
 
-def _first_piece_count(p, floor):
+
+def _first_piece_count(p):
     """The Descartes count the subdivision makes on its first piece,
-    (floor, Cauchy bound), from Taylor-shifted coefficients."""
-    d, bound = p.degree, p.cauchy_root_bound()
-    width = bound - floor
-    alpha = floor.numerator * width.denominator
-    beta = floor.denominator * width.numerator
-    gamma = floor.denominator * width.denominator
-    q = _shifted([c * gamma ** (d - i) for i, c in enumerate(p.coeffs)], alpha)
-    return arith._descartes_bound([c * beta**i for i, c in enumerate(q)])
+    (1, Cauchy bound), on q(t) = den^d p(1 + t num / den), bound - 1 =
+    num / den, built by polynomial products rather than Taylor shifts."""
+    d, w = p.degree, p.cauchy_root_bound() - 1
+    q, power, y = IntPolynomial.zero(), IntPolynomial([1]), IntPolynomial([w.denominator, w.numerator])
+    for i, c in enumerate(p.coeffs):
+        q, power = q + power * (c * w.denominator ** (d - i)), power * y
+    return arith._descartes_bound(list(q.coeffs))
 
 
 class _TaylorShift(Exception):
@@ -476,37 +533,37 @@ def _no_shift(*args):
 
 
 class TestOneVariation:
-    """Coefficients with one sign variation and p(floor) < 0 settle the first
+    """Coefficients with one sign variation and p(1) < 0 settle the first
     piece without a Taylor shift, with the bracket the subdivision gives."""
 
     TOL = Fraction(1, 10**12)
 
     @given(
-        st.one_of(one_variation_polys(), known_root_polys().map(lambda case: case[1:])),
+        st.one_of(one_variation_polys(), known_root_polys().map(lambda case: case[1])),
         st.sampled_from([Fraction(1, 10**9), Fraction(1, 3)]),
     )
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_first_piece_counts_one_when_the_test_fires(self, case, tol):
         # a bracket found with no Taylor shift comes from the one-variation
         # test; the subdivision would have counted 1 on the same first piece
-        p, floor = case
+        p = case
         shifts = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "_shifted", lambda *a: shifts.append(a) or _shifted(*a))
-            got = _outcome(p, floor, tol)
+            got = _outcome(p, tol)
         if isinstance(got, CertifiedRoot) and not shifts:
-            while p.sign_at(floor) == 0:
-                p = p // linear(floor)  # deflated as largest_root_above does
-            assert _first_piece_count(p, floor) == 1
-        assert got == _bisect_outcome(*case, tol)
+            while p.sign_at(Fraction(1)) == 0:
+                p = p // linear(1)  # deflated as largest_root_above does
+            assert _first_piece_count(p) == 1
+        assert got == _bisect_outcome(case, tol)
 
     @pytest.mark.parametrize("name,n", [("dream", 3), ("dream", 51), ("persistent", 101), ("montevideo", 6)])
     def test_family_roots_need_no_shift(self, name, n):
         p = POLYNOMIALS[name](n)
-        want = largest_root_above(p, Fraction(1), self.TOL)
+        want = largest_root_above(p, self.TOL)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "_shifted", _no_shift)
-            assert largest_root_above(p, Fraction(1), self.TOL) == want
+            assert largest_root_above(p, self.TOL) == want
 
     @pytest.mark.parametrize("p", [linear(2) * IntPolynomial([10, -6, 1]), linear(3) * linear(Fraction(1, 2)) * linear(2)])
     def test_several_variations_subdivide(self, p):
@@ -515,17 +572,7 @@ class TestOneVariation:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "_shifted", _no_shift)
             with pytest.raises(_TaylorShift):
-                largest_root_above(p, Fraction(1), self.TOL)
-
-    def test_negative_floor_subdivides(self):
-        # (2x + 1)(4x + 1)(x - 2) has one variation and is negative at -1, but
-        # Descartes' rule counts positive roots: three roots lie above -1
-        p = linear(Fraction(-1, 2)) * linear(Fraction(-1, 4)) * linear(2)
-        assert arith._sign_variations(p.coeffs) == 1 and p.sign_at(Fraction(-1)) < 0
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(arith, "_shifted", _no_shift)
-            with pytest.raises(_TaylorShift):
-                largest_root_above(p, Fraction(-1), self.TOL)
+                largest_root_above(p, self.TOL)
 
 
 class TestLargeN:
@@ -545,7 +592,7 @@ class TestLargeN:
     )
     def test_recorded_brackets(self, name, n, lower, upper):
         char = markov_char_poly(make(name, n).markov)
-        assert largest_root_above(char, Fraction(1), Fraction(1, 10**9)) == CertifiedRoot(lower, upper)
+        assert largest_root_above(char, Fraction(1, 10**9)) == CertifiedRoot(lower, upper)
 
 
 def leibniz_det(matrix, one):

@@ -278,7 +278,7 @@ class TestClosedFormRootOk:
         assert not closed_form_root_ok(False, self.SIGMA, IntPolynomial([1]), self.TOL)
 
     def test_kernel_errors_propagate(self, monkeypatch):
-        def broken(p, lo, tol):
+        def broken(p, tol):
             raise ArithmeticError("root finder failed")
 
         monkeypatch.setattr(families, "largest_root_above", broken)

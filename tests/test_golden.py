@@ -19,6 +19,9 @@ version reproduces them byte for byte.
 - The built `MarkovSystem` of every criterion-9 scan instance (partition,
   denominator, keys, index map, arrows and orientation), taken while the
   forward closure still ran on Fractions.
+- Every call the scans, the verify and extend instances and the beta
+  intervals above make to the root kernel: the polynomial, the tol and the
+  bracket or NoRootAbove, taken while `largest_root_above` still took a floor.
 
 A digest change means a report is no longer byte-identical: the change must
 be deliberate, and the new digests recomputed with the reports read side by
@@ -27,11 +30,15 @@ side.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from circledyn import arith, families, markov, minentropy
 from circledyn.cli import main
-from circledyn.families import make, scan_values
+from circledyn.errors import NoRootAbove
+from circledyn.families import make, mts1_scan, scan_values, verify
+from circledyn.graphext import CombGraph, extend, verify_extension
 
 
 def _digest(capsys, argv, code=0):
@@ -203,3 +210,45 @@ def _markov_digest(family, start, end):
 @pytest.mark.parametrize("family,start,end,digest", MARKOV_GOLDEN)
 def test_built_systems_match_golden_digests(family, start, end, digest):
     assert _markov_digest(family, start, end) == digest
+
+
+# (workload, calls, digest of the kernel calls): the instances above at the
+# benchmark's tolerances
+KERNEL_GOLDEN = [
+    ("scan", 106, "fa7c44b7e557daa1949110c144533d03d7201463bc59ef9fa2f156d3b2672a55"),
+    ("verify", 70, "f7a0b887fb198d578a9f4f803ab9bc84e3c94ce9cbe1d69bd6a08e4fbd6f28f3"),
+    ("beta", 14, "643624b94a4b4c060ab1efd7642da17893abe92bf4feca5b04c4061d9e2f4c22"),
+]
+
+
+def _run_workload(workload):
+    if workload == "scan":
+        for family, start, end, _ in SCAN_GOLDEN:
+            mts1_scan(family, start, end, Fraction(1, 10**9))
+    elif workload == "verify":
+        for family, n, _, _ in VERIFY_GOLDEN:
+            verify(make(family, n), Fraction(1, 10**12))
+        for graph, family, n, _ in EXTEND_GOLDEN:
+            verify_extension(extend(make(family, n), CombGraph(**GRAPHS[graph])), Fraction(1, 10**12))
+    else:
+        for c, d, _ in BETA_GOLDEN:
+            minentropy.beta(Fraction(c), Fraction(d), Fraction(1, 10**8))
+
+
+@pytest.mark.parametrize("workload,calls,digest", KERNEL_GOLDEN)
+def test_kernel_outcomes_match_golden_digest(monkeypatch, workload, calls, digest):
+    outcomes = []
+
+    def traced(p, tol):
+        try:
+            root = arith.largest_root_above(p, tol)
+        except NoRootAbove:
+            outcomes.append((p.coeffs, tol, "NoRootAbove"))
+            raise
+        outcomes.append((p.coeffs, tol, root))
+        return root
+
+    for module in (markov, families, minentropy):
+        monkeypatch.setattr(module, "largest_root_above", traced)
+    _run_workload(workload)
+    assert (len(outcomes), hashlib.sha256(repr(outcomes).encode()).hexdigest()) == (calls, digest)

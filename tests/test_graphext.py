@@ -267,7 +267,7 @@ class TestExtend:
         # other error from the root finder is a fault and must reach the caller
         import circledyn.families
 
-        def broken(p, lo, tol):
+        def broken(p, tol):
             raise ArithmeticError("root finder failed")
 
         E = extend(dream(5), triangle_with_tail())

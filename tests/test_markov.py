@@ -954,7 +954,7 @@ class TestEntropy:
 
         M = dream(3).markov
         b = entropy(M, F2(1, 10**12))
-        expected = largest_root_above(dream_poly(3), F2(1), F2(1, 10**12))
+        expected = largest_root_above(dream_poly(3), F2(1, 10**12))
         assert overlaps(b, expected, slack=F2(1, 10**12))
 
     def test_entropy_decreasing_dream(self):

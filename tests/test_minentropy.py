@@ -61,13 +61,13 @@ class TestTwoMethods:
         # with its roots at 1 deflated, q_balance has one sign variation and is
         # negative at 1: the kernel brackets its root without subdividing
         pq = q_balance(c, d)[0]
-        want = largest_root_above(pq, F2(1), TOL)
+        want = largest_root_above(pq, TOL)
 
         def no_shift(*args):
             raise AssertionError("Taylor shift")
 
         monkeypatch.setattr(arith, "_shifted", no_shift)
-        assert largest_root_above(pq, F2(1), TOL) == want
+        assert largest_root_above(pq, TOL) == want
 
     def test_series_identity_numerically(self):
         # Q(z) == (z-1)(1 - 2R(z)) at sample points (enclosures must overlap)

@@ -554,7 +554,25 @@ def reference_sho_type(ks: set[int], bound: int):
     return best, all_pow2 and max(ks) * 2 > bound
 
 
+@st.composite
+def sho_observations(draw):
+    """(bound, segment, subset), bound up to 120: the Sharkovskii initial
+    segment {k <= bound : k <=_Sh t} of some t, and any subset of [1, bound]."""
+    bound = draw(st.integers(1, 120))
+    t = draw(st.integers(1, 2 * bound + 1))
+    segment = {k for k in range(1, bound + 1) if sharkovskii_geq(t, k)}
+    return bound, segment, set(draw(st.lists(st.integers(1, bound), max_size=12)))
+
+
 class TestShoInference:
+    @given(sho_observations())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_matches_brute_force_over_every_type(self, case):
+        bound, *observations = case
+        for ks in observations:
+            inf = infer_sho_type(ks, bound)
+            assert (inf.sho, inf.ambiguous_two_infinity) == reference_sho_type(ks, bound), ks
+
     @pytest.mark.parametrize("bound", range(1, 11))
     def test_every_subset_matches_definition(self, bound):
         for mask in range(1 << bound):
