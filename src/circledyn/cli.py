@@ -14,19 +14,23 @@ from fractions import Fraction
 
 from .errors import CircledynError
 from .families import FAMILIES, make, mts1_scan, verify
-from .graphext import CombGraph, extend, verify_extension
+from .graphext import CombGraph, extend, extension_green, verify_extension
+from .markov import DEFAULT_LOOP_CAP
 from .minentropy import beta
 from .oracle import periods_up_to
 from .periods import m_set
 
 
-def _emit(data, out_path=None):
-    text = json.dumps(data, sort_keys=True, indent=2, default=str)
+def _emit(report, out_path=None) -> None:
+    """The one writer: a report dict as sorted JSON, CSV text as it is, to
+    out_path or else to stdout."""
+    if not isinstance(report, str):
+        report = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(report)
     else:
-        print(text)
+        sys.stdout.write(report)
 
 
 def _rational(text: str) -> Fraction:
@@ -61,53 +65,41 @@ def _at_least(low: int, what: str):
     return integer
 
 
-def _cmd_periods(args) -> int:
-    ms = m_set(args.c, args.d)
-    _emit(ms.to_json(), args.out)
-    return 0
+# Each command returns (report, verdict); `main` writes the report through
+# `_emit` and exits 0 on a green verdict, 2 on a red one.
 
 
-def _cmd_family(args) -> int:
+def _cmd_periods(args):
+    return m_set(args.c, args.d).to_json(), True
+
+
+def _cmd_family(args):
     inst = make(args.family, args.n)
     if not args.verify:
-        _emit(
-            {
-                "family": inst.name,
-                "n": inst.n,
-                "classes": inst.markov.size,
-                "lifting": inst.lifting.to_json(),
-                "markov": inst.markov.to_json(),
-            },
-            args.out,
-        )
-        return 0
+        return {
+            "family": inst.name,
+            "n": inst.n,
+            "classes": inst.markov.size,
+            "lifting": inst.lifting.to_json(),
+            "markov": inst.markov.to_json(),
+        }, True
     rep = verify(inst, tol=Fraction(1, 10 ** args.digits))
-    _emit(rep.to_json(), args.out)
-    green = rep.strict_green if args.strict else rep.all_green
-    return 0 if green else 2
+    return rep.to_json(), rep.strict_green if args.strict else rep.all_green
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     res = mts1_scan(args.family, args.start, args.end, tol=Fraction(1, 10 ** args.digits))
     if args.svg:
         _write_svg(args.svg, res.rows)
     if args.json:
-        _emit(res.to_json(), args.out)
-        return 0 if res.all_green else 2
-    rows = res.rows
+        return res.to_json(), res.all_green
     lines = ["n,rot_c,rot_d,len_rot,entropy_lo,entropy_hi,sbc,bc,flags"]
-    for r in rows:
+    for r in res.rows:
         row = r.to_json()  # the nine columns, in order
         row["bc"] = "" if r.bc is None else r.bc
         row["flags"] = ";".join(f"{k}={v}" for k, v in row["flags"].items())
         lines.append(",".join(map(str, row.values())))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if res.all_green else 2
+    return "\n".join(lines) + "\n", res.all_green
 
 
 def _write_svg(path: str, rows) -> None:
@@ -143,62 +135,50 @@ def _write_svg(path: str, rows) -> None:
         fh.write("\n".join(svg) + "\n")
 
 
-def _cmd_beta(args) -> int:
+def _cmd_beta(args):
     res = beta(args.c, args.d, tol=args.tol)
-    _emit(res.to_json(), args.out)
-    return 0 if res.method_agreement else 2
+    return res.to_json(), res.method_agreement
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     inst = make(args.family, args.n)
     with open(args.graph) as fh:
         raw = json.load(fh)
-    G = CombGraph.from_json(raw)
-    E = extend(inst, G, edge_index=CombGraph.excise_hint_from_json(raw))
+    E = extend(inst, CombGraph.from_json(raw), edge_index=CombGraph.excise_hint_from_json(raw))
     rep = verify_extension(E)
-    data = {
-        "family": inst.name,
-        "n": inst.n,
-        "m": E.m,
-        "u_count": E.u_count,
-        "size": E.size,
-    }
-    green = True
-    for k, v in rep.items():
-        if k in ("ext_entropy", "base_entropy"):
-            data[k] = v.to_json()
-        else:
-            data[k] = v
-            if isinstance(v, bool) and k not in ("permutation",):
-                green = green and v
-    _emit(data, args.out)
-    return 0 if green else 2
+    data = {"family": inst.name, "n": inst.n, "m": E.m, "u_count": E.u_count, "size": E.size}
+    data.update(rep, ext_entropy=rep["ext_entropy"].to_json(), base_entropy=rep["base_entropy"].to_json())
+    return data, extension_green(rep)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     inst = make(args.family, args.n)
     res = periods_up_to(inst.markov, args.max_period, loop_cap=args.loop_cap)
     expected = inst.expected_per.up_to(args.max_period)
     data = res.to_json()
     data["expected_periods"] = sorted(expected)
     data["matches_closed_form"] = res.periods() == expected
-    _emit(data, args.out)
-    return 0 if data["matches_closed_form"] else 2
+    return data, data["matches_closed_form"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="circledyn", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("periods", help="M(c,d) with its cofinite tail threshold")
+    # the options more than one command shares, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("family", choices=sorted(FAMILIES))
+    instance = argparse.ArgumentParser(add_help=False, parents=[family])
+    instance.add_argument("--n", type=int, required=True)
+
+    p = sub.add_parser("periods", parents=[out], help="M(c,d) with its cofinite tail threshold")
     p.add_argument("--c", type=_rational, required=True, help='left endpoint, e.g. "1/2"')
     p.add_argument("--d", type=_rational, required=True, help='right endpoint, e.g. "7/10"')
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_periods)
 
-    p = sub.add_parser("family", help="build one family instance, optionally verify")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("family", parents=[instance, out], help="build one family instance, optionally verify")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--digits", type=_at_least(0, "digits"), default=12, help="bracket tolerance 10^-digits")
     p.add_argument(
@@ -206,39 +186,31 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the documented small-n theorem-bound failures as red",
     )
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_family)
 
-    p = sub.add_parser("scan", help="main-theorem desk scan over an n range")
-    p.add_argument("family", choices=sorted(FAMILIES))
+    p = sub.add_parser("scan", parents=[family, out], help="main-theorem desk scan over an n range")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
     p.add_argument("--digits", type=_at_least(0, "digits"), default=9)
     p.add_argument("--json", action="store_true", help="emit the JSON report instead of CSV")
-    p.add_argument("--out")
     p.add_argument("--svg")
     p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("beta", help="minimum entropy exponent for a rotation interval")
+    p = sub.add_parser("beta", parents=[out], help="minimum entropy exponent for a rotation interval")
     p.add_argument("--c", type=_rational, required=True)
     p.add_argument("--d", type=_rational, required=True)
     p.add_argument("--tol", type=_rational, default="1/1000000000")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_beta)
 
-    p = sub.add_parser("extend", help="extend a family instance over a graph")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("extend", parents=[instance, out], help="extend a family instance over a graph")
     p.add_argument("--graph", required=True, help="CombGraph JSON file")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_extend)
 
-    p = sub.add_parser("oracle", help="brute-force periods of a family instance")
-    p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("oracle", parents=[instance, out], help="brute-force periods of a family instance")
     p.add_argument("--max-period", type=int, required=True)
-    p.add_argument("--loop-cap", type=_at_least(1, "loop cap"), default=10**6, help="loop enumeration budget")
-    p.add_argument("--out")
+    p.add_argument(
+        "--loop-cap", type=_at_least(1, "loop cap"), default=DEFAULT_LOOP_CAP, help="loop enumeration budget"
+    )
     p.set_defaults(fn=_cmd_oracle)
 
     return ap
@@ -251,10 +223,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        report, green = args.fn(args)
+        _emit(report, args.out)
     except (CircledynError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0 if green else 2
 
 
 if __name__ == "__main__":

@@ -157,7 +157,9 @@ def traversal(X: CombGraph, a, b) -> Traversal:
     Requires a, b to be distinct degree-one vertices and X not an interval.
     The walk doubles a DFS over all non-J edges (so each is crossed down and
     up), then descends to J's inner endpoint and finishes through J; m is
-    2 * (number of steps) - 1, always odd and at least 5.
+    2 * (number of steps) - 1, always odd.  X minus b is connected, so the
+    DFS crosses every non-J edge; X is no interval, so there are at least
+    two of them and m >= 11.
     """
     if a == b or a not in X.vertices or b not in X.vertices:
         raise NotExtendable("endpoints must be two distinct vertices of X")
@@ -195,8 +197,6 @@ def traversal(X: CombGraph, a, b) -> Traversal:
             if stack:  # back up the tree edge that reached u
                 i, p = parent_path[u]
                 steps.append((i, u, p))
-    if len(visited_edges) != len(G.edges):
-        raise NotExtendable("excised subgraph is disconnected")
 
     # descend from a to the inner endpoint of J along tree-parent links
     chain = []
@@ -208,9 +208,6 @@ def traversal(X: CombGraph, a, b) -> Traversal:
     steps.extend(chain[::-1])
     steps.append((j_edge, v_inner, b))
 
-    n_steps = len(steps)
-    m = 2 * n_steps - 1
-
     def half_id(edge_idx, vertex):
         u, w = G.edges[edge_idx]
         return (edge_idx, 0 if vertex == u else 1)
@@ -221,10 +218,8 @@ def traversal(X: CombGraph, a, b) -> Traversal:
         seg_halves.append(half_id(ei, to))
     seg_halves.append(("J",))
 
-    if m < 5:
-        raise NotExtendable("traversal shorter than the construction permits")
     return Traversal(
-        m=m,
+        m=2 * len(steps) - 1,
         steps=tuple(steps),
         segment_halves=tuple(seg_halves),
         u_ids=tuple(dict.fromkeys(seg_halves)),  # distinct, in order of first appearance
@@ -381,3 +376,9 @@ def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dic
         result["j0_j2_unique_2loop"] = j2 in out0 and j0 in out2 and j0 not in out0 and j2 not in out2
         result["j0_j2_loop_positive"] = E.base.orientation[spec.j0] * E.base.orientation[spec.j2] == 1
     return result
+
+
+def extension_green(report: dict) -> bool:
+    """The verdict on a `verify_extension` report: every boolean check holds.
+    `permutation` is not a check; `transitive` already covers it."""
+    return all(v for k, v in report.items() if isinstance(v, bool) and k != "permutation")

@@ -13,8 +13,9 @@ M-matrix if and only if its leading principal minors are positive.
 
 M_R comes from `graph_reference.per_vertex_rome_matrix` on `find_rome`'s
 rome, the rome `rome_char_poly` reads its rows off.  Scaled by p^top for
-x = p/q it is an integer matrix with minors of the same signs, and one
-fraction-free elimination with no row swaps has those minors as pivots.
+x = p/q it is an integer matrix with minors of the same signs.  Its leading
+principal minors come from Berkowitz's division-free recurrence: each
+leading block's characteristic polynomial from the one before.
 """
 
 from __future__ import annotations
@@ -39,13 +40,23 @@ def above_perron(system, x) -> bool:
         return sum(c * q**k * p ** (top - k) for k, c in enumerate(e.coeffs) if c)
 
     a = [[(p**top if i == j else 0) - scaled(e) for j, e in enumerate(row)] for i, row in enumerate(rm)]
-    n, prev = len(a), 1
-    for k in range(n):
-        pivot = a[k][k]  # the (k+1)-th leading principal minor of the scaled matrix
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return True
+    return all(minor > 0 for minor in leading_minors(a))
+
+
+def leading_minors(a):
+    """The leading principal minors of the square integer matrix a, in
+    order and without a division (Berkowitz).  With A_r the r-th leading
+    block, head = A[r][:r], col = A[:r][r] and t = (1, -A[r][r],
+    -head.col, -head.A_r.col, ..., -head.A_r^(r-1).col), the coefficients of
+    det(zI - A_(r+1)), highest first, are t convolved with those of
+    det(zI - A_r); the minor is (-1)^(r+1) times the constant term."""
+    char = [1]
+    for r, row in enumerate(a):
+        head, col = row[:r], [a[i][r] for i in range(r)]
+        t = [1, -row[r]]
+        for k in range(r):
+            if k:
+                col = [sum(x * y for x, y in zip(a[i][:r], col)) for i in range(r)]
+            t.append(-sum(x * y for x, y in zip(head, col)))
+        char = [sum(t[k - j] * c for j, c in enumerate(char[: k + 1])) for k in range(r + 2)]
+        yield char[-1] if r % 2 else -char[-1]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from circledyn.cli import main
+import circledyn.cli
+from circledyn.cli import build_parser, main
+from circledyn.markov import DEFAULT_LOOP_CAP
 
 TRIANGLE_TAIL = {"vertices": ["u", "v", "w", "p"], "edges": [["u", "v"], ["v", "w"], ["w", "u"], ["u", "p"]]}
 
@@ -158,6 +160,16 @@ class TestExtend:
         data = json.loads(out)
         assert data["poly_exact"] and data["m"] % 2 == 1 and data["m"] >= 5
 
+    @pytest.mark.parametrize("key", ["poly_exact", "counts_ok", "j0_j2_loop_positive"])
+    def test_extend_red_report_exits_two(self, capsys, tmp_path, monkeypatch, key):
+        # the exit code is graphext's verdict on the report it writes
+        real = circledyn.cli.verify_extension
+        monkeypatch.setattr(circledyn.cli, "verify_extension", lambda E: {**real(E), key: False})
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(TRIANGLE_TAIL))
+        code, out, _ = run(capsys, "extend", "persistent", "--n", "7", "--graph", str(gfile))
+        assert code == 2 and json.loads(out)[key] is False
+
     def test_extend_circle_fails_cleanly(self, capsys, tmp_path):
         gfile = tmp_path / "circle.json"
         gfile.write_text(
@@ -209,6 +221,18 @@ class TestOracle:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["periods", "family", "scan", "beta", "extend", "oracle"])
+    def test_help_lists_out(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: circledyn {command}") and "--out OUT" in out
+
+    def test_loop_cap_default_is_the_library_budget(self, monkeypatch):
+        argv = ["oracle", "dream", "--n", "3", "--max-period", "3"]
+        assert build_parser().parse_args(argv).loop_cap == DEFAULT_LOOP_CAP
+        monkeypatch.setattr(circledyn.cli, "DEFAULT_LOOP_CAP", 7)
+        assert build_parser().parse_args(argv).loop_cap == 7
+
     def test_unknown_family_usage_error(self, capsys):
         code, _, _ = run(capsys, "family", "unknown", "--n", "3")
         assert code == 1

@@ -12,6 +12,7 @@ from circledyn.graphext import (
     CombGraph,
     excise,
     extend,
+    extension_green,
     traversal,
     verify_extension,
 )
@@ -101,7 +102,7 @@ class TestTraversal:
     def test_three_star(self):
         X, a, b = three_star_excised()
         tr = traversal(X, a, b)
-        assert tr.m >= 5 and tr.m % 2 == 1
+        assert tr.m == 11  # the smallest X: two non-J edges, each crossed twice
         assert parity_property_holds(tr)
         assert tr.m == 2 * len(tr.steps) - 1
         assert 1 <= tr.u_count <= tr.m
@@ -109,7 +110,7 @@ class TestTraversal:
     def test_apple_after_excision(self):
         X, a, b = excise(apple_graph())
         tr = traversal(X, a, b)
-        assert tr.m >= 5 and tr.m % 2 == 1
+        assert tr.m >= 11 and tr.m % 2 == 1
         assert parity_property_holds(tr)
         # b appears exactly once among the s-images, at the last index
         b_hits = [i for i, img in enumerate(s_images(tr)) if img == ("vertex", b)]
@@ -136,6 +137,26 @@ class TestTraversal:
         tr = traversal(X, a, b)
         alphas = {img for img in s_images(tr) if img[0] == "alpha"}
         assert alphas  # every traversed component carries its midpoint
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_walk_crosses_every_edge(self, seed):
+        # X connected and no interval is all the walk needs: every non-J edge
+        # (a self-loop as its two halves) is crossed, and m >= 11
+        rng = random.Random(seed)
+        k = rng.randint(1, 6)
+        verts = [f"v{i}" for i in range(k)]
+        edges = [(verts[i], rng.choice(verts[:i])) for i in range(1, k)]  # a spanning tree
+        edges += [(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(0, 3))]
+        edges += [("a", rng.choice(verts)), ("b", rng.choice(verts))]
+        X = CombGraph(tuple(verts) + ("a", "b"), tuple(edges))
+        if X.is_interval():
+            with pytest.raises(NotExtendable):
+                traversal(X, "a", "b")
+            return
+        tr = traversal(X, "a", "b")
+        loops = sum(u == v for u, v in edges)
+        assert len({ei for ei, _, _ in tr.steps}) == len(edges) + loops
+        assert tr.m >= 11 and tr.m == 2 * len(tr.steps) - 1 and parity_property_holds(tr)
 
     def test_long_tail_leaves_recursion_limit_alone(self):
         # a triangle with a 1,200-edge path to a and a pendant edge J to b:
@@ -212,6 +233,19 @@ class TestExtend:
         ):
             assert rep[key], (name, n, key, rep)
         assert not rep["permutation"]
+        assert extension_green(rep)
+
+    def test_extension_green_reads_every_check(self):
+        # red when any one boolean check is false, the j0_j2_* loop facts
+        # included; permutation is a fact that transitive covers, not a check
+        rep = verify_extension(extend(persistent(7), triangle_with_tail()))
+        checks = [k for k, v in rep.items() if isinstance(v, bool) and k != "permutation"]
+        assert {"j0_j2_unique_2loop", "j0_j2_loop_positive", "poly_exact", "counts_ok"} <= set(checks)
+        assert extension_green(rep)
+        for key in checks:
+            assert not extension_green({**rep, key: False}), key
+        assert extension_green({**rep, "permutation": True})
+        assert extension_green({**rep, "poly_power": 0})  # a number, not a check
 
     def test_persistent_loop_facts(self):
         E = extend(persistent(7), triangle_with_tail())

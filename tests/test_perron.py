@@ -7,11 +7,13 @@ root and its upper end is, the [lower, upper) property that
 from fractions import Fraction
 
 import pytest
-from perron_reference import above_perron
+from hypothesis import given
+from hypothesis import strategies as st
+from perron_reference import above_perron, leading_minors
 from test_families import SCAN_RANGES
 from test_golden import EXTEND_GOLDEN, GRAPHS
 
-from circledyn.arith import CertifiedRoot
+from circledyn.arith import CertifiedRoot, bareiss_det
 from circledyn.families import make, mts1_scan
 from circledyn.graphext import CombGraph, extend, verify_extension
 from circledyn.lifting import Lifting
@@ -52,6 +54,15 @@ def test_shifted_bracket_fails(name, n):
     for shift in (w, -w):
         with pytest.raises(AssertionError):
             assert_brackets_perron(M, CertifiedRoot(lo + shift, hi + shift))
+
+
+def square_matrices(n):
+    return st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@given(st.integers(1, 5).flatmap(square_matrices))
+def test_leading_minors_are_determinants(a):
+    assert list(leading_minors(a)) == [bareiss_det([row[:r] for row in a[:r]]) for r in range(1, len(a) + 1)]
 
 
 def test_permutation_system():
