@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable
 
 from .errors import BudgetExceeded, NoRootAbove
@@ -78,10 +78,11 @@ class IntPolynomial:
     """Dense integer-coefficient polynomial, constant term first.
 
     Immutable; the coefficient list is normalized so the leading coefficient
-    is nonzero (the zero polynomial is the empty tuple).
+    is nonzero (the zero polynomial is the empty tuple).  `_steps` holds the
+    `horner_steps` once they are built.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_steps")
 
     def __init__(self, coeffs: Iterable[int]):
         cs = list(map(operator.index, coeffs))  # TypeError on a non-integer
@@ -193,15 +194,22 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def horner_steps(self) -> list[tuple[int, int]]:
+    def horner_steps(self) -> tuple[tuple[int, int], ...]:
         """Horner's steps over the nonzero coefficients, from the top:
         (0, leading), then (g, c) for each lower nonzero coefficient c, g its
         exponent gap from the one before, and (e, 0) last when the lowest
         nonzero exponent e is above 0.  acc = acc * x^g + c over the steps,
-        from acc = 0, is p(x)."""
+        from acc = 0, is p(x).  Built on the first call and kept."""
+        try:
+            return self._steps
+        except AttributeError:
+            pass
         es = [e for e in range(self.degree, -1, -1) if self.coeffs[e]]
         steps = [(a - e, self.coeffs[e]) for a, e in zip([self.degree, *es], es)]
-        return steps + [(es[-1], 0)] if es and es[-1] else steps
+        if es and es[-1]:
+            steps.append((es[-1], 0))
+        object.__setattr__(self, "_steps", tuple(steps))
+        return self._steps
 
     def sign_at(self, x: Fraction) -> int:
         """Sign of p(x) for x = a/b in lowest terms, from the integer
@@ -263,7 +271,7 @@ class IntPolynomial:
         lead = abs(self.leading())
         if self.degree == 0:
             return Fraction(1)
-        m = max(abs(c) for c in self.coeffs[:-1])
+        m = max(map(abs, self.coeffs[:-1]))
         return 1 + Fraction(m, lead)
 
 
@@ -530,11 +538,13 @@ def kronecker_det(matrix) -> IntPolynomial:
     dicts, as one integer `bareiss_det` at y = 2^B.  Every |coefficient| of det
     is at most per(S) <= H, the product of the row sums of S, the entries'
     absolute coefficient sums.  With 2^(B-1) > H and 8 | B they are the balanced
-    base-2^B digits of det(2^B), read as the bytes of det(2^B) + 2^(B-1) (1 + 2^B + ...)."""
+    base-2^B digits of det(2^B), read as the bytes of det(2^B) + 2^(B-1) (1 + 2^B + ...):
+    byte k of every digit, worth 2^(8k), is the byte slice raw[k::B/8]."""
     size = (math.prod(sum(sum(map(abs, e.values())) for e in row) for row in matrix).bit_length() + 8) // 8
     bits, half = 8 * size, 1 << (8 * size - 1)
     v = bareiss_det([[sum(c << bits * k for k, c in e.items() if c) for e in row] for row in matrix])
     digits = v.bit_length() // bits + 1  # > degree, as |v| > 2^(B*degree - 1)
     bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
     raw = (v + bias).to_bytes(size * digits, "little")
-    return IntPolynomial(int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size))
+    columns = [map(operator.lshift, raw[k::size], repeat(8 * k)) for k in range(size)]
+    return IntPolynomial(map(sum, zip(repeat(-half), *columns)))

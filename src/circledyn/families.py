@@ -223,14 +223,18 @@ class FamilyInstance:
 
 def _instance(name, n, order, shifts, rot, per, cofactor, bounds, extension) -> FamilyInstance:
     """The family instance whose orbit points x_i and y_i lie at j/N, j the
-    label's place in `order` (N = len(order)), with the given orbit shifts.
-    `extension` names the ExtensionSpec classes, in field order, by their
-    (left, right) labels, or is None; class j is [order[j], order[j+1]],
-    the last one wrapping to order[0] + 1, and KeyError if no class has
-    those ends."""
+    label's place in `order` (N = len(order)), with the given orbit shifts;
+    each orbit's labels run up from 0 along `order`, as a twist orbit's
+    points do.  `extension` names the ExtensionSpec classes, in field order,
+    by their (left, right) labels, or is None; class j is
+    [order[j], order[j+1]], the last one wrapping to order[0] + 1, and
+    KeyError if no class has those ends."""
     N = len(order)
-    place = {lab: j for j, lab in enumerate(order)}
-    xs, ys = (tuple(place[lab] for lab in sorted(place) if lab[0] == o) for o in "xy")
+    place, keys = {}, {"x": [], "y": []}
+    for j, lab in enumerate(order):
+        place[lab] = j
+        keys[lab[0]].append(j)
+    xs, ys = tuple(keys["x"]), tuple(keys["y"])
     F = orbit_lifting(N, [(xs, shifts[0]), (ys, shifts[1])])
 
     def class_of(left, right) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import lt
 from typing import Sequence
 
 from .arith import ceil_frac, floor_frac, rat_str
@@ -34,7 +35,7 @@ def _keys(pts: tuple, D: int) -> list:
 def _check_keys(X, D: int, name: str) -> None:
     """ValueError unless the keys X/D are nonempty and strictly increasing in
     [0,1); out of order, a point outside [0,1) is still reported first."""
-    increasing = all(a < b for a, b in zip(X, X[1:]))
+    increasing = all(map(lt, X, X[1:]))
     if not X or not (0 <= X[0] and X[-1] < D if increasing else all(0 <= x < D for x in X)):
         raise ValueError(f"{name} must lie in [0,1)")
     if not increasing:

@@ -80,13 +80,20 @@ class MarkovSystem:
         """The `index_cycles` entries (r, m, rho, residues) of point 0 under
         the lower and upper maps.  F is affine between partition points, so
         on them F_l(x) = min F[x, x+1] and F_u(x) = max F[x-1, x] take
-        partition values: G_l[i] = min G[i..i+n) and G_u[i] = max G(i-n..i],
-        a suffix minimum and a prefix maximum over G doubled (G[j+n] = G[j] + n)."""
-        n = self.size
-        doubled = list(self.index_map) + [g + n for g in self.index_map]
-        lower = list(accumulate(reversed(doubled), min))[::-1][:n]
-        upper = [g - n for g in list(accumulate(doubled, max))[n:]]
-        return tuple(index_cycles(E, (0,))[0] for E in (lower, upper))
+        partition values: G_l[i] = min G[i..i+n) and G_u[i] = max G(i-n..i].
+        As G[j+n] = G[j] + n, they are a running minimum of G from the end,
+        started at min G + n, and a running maximum from the start, started
+        at max G - n."""
+        G, n = self.index_map, self.size
+        lower, upper = [], []
+        lo, hi = min(G) + n, max(G) - n
+        for g in reversed(G):
+            lo = g if g < lo else lo
+            lower.append(lo)
+        for g in G:
+            hi = g if g > hi else hi
+            upper.append(hi)
+        return tuple(index_cycles(E, (0,))[0] for E in (lower[::-1], upper))
 
     @cached_property
     def rotation(self) -> RotationInterval:
@@ -172,7 +179,7 @@ def build_markov_system(F: Lifting) -> MarkovSystem:
     images = dict(zip(X[:-1], V))  # key -> key of its image, not reduced mod D
     pts = set(images)
     frontier = list(pts)
-    bits = sum((x.denominator * D // gcd(x.numerator, D)).bit_length() for x in pts)
+    bits = sum([(D // gcd(x, D)).bit_length() for x in pts])  # the grid keys x are ints
     while frontier:
         if len(pts) > _CLOSURE_BUDGET or bits > _CLOSURE_BITS:
             raise NotInvariant("forward closure of the partition does not stabilize")
@@ -190,17 +197,12 @@ def build_markov_system(F: Lifting) -> MarkovSystem:
         raise NotInvariant("need at least two partition points mod 1")
 
     E = lcm(*{x.denominator for x in pts})
-    keyed = sorted((x.numerator * (E // x.denominator), x) for x in pts)
     D *= E
-    X = [key for key, _ in keyed]
+    points = sorted(pts)
+    X = [x.numerator * (E // x.denominator) for x in points]
+    Y = [y.numerator * (E // y.denominator) for y in map(images.__getitem__, points)]
     index = {key: i for i, key in enumerate(X)}
-    Y = []
-    G = []
-    for _, x in keyed:
-        y = images[x]
-        Y.append(y.numerator * (E // y.denominator))
-        k, r = divmod(Y[-1], D)
-        G.append(index[r] + n * k)
+    G = [index[r] + n * k for k, r in map(divmod, Y, repeat(D))]
     X.append(X[0] + D)
     Y.append(Y[0] + D)
     G.append(G[0] + n)
@@ -250,7 +252,7 @@ def index_cycles(E, starts) -> list[tuple]:
         met += len(path)
         if j >= 0:
             m = len(path) - j
-            cycles.append((r, m, Fraction((L - path[j]) // n, m), tuple(x % n for x in path[j:])))
+            cycles.append((r, m, Fraction((L - path[j]) // n, m), tuple([x % n for x in path[j:]])))
     return cycles
 
 
@@ -318,8 +320,10 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
     or `_walk` closes no tight loop (the cycle certifies nothing), and if e
     is not rho: a loop has mean beyond e, or no loop has mean e."""
     _, m, rho, cycle = system.envelope_cycles[side < 0]
-    K, cycle = int(rho * m), set(cycle)
-    pi = list(accumulate(i in cycle for i in range(system.size)))
+    on_cycle = [0] * system.size
+    for i in cycle:
+        on_cycle[i] = 1
+    K, pi = int(rho * m), list(accumulate(on_cycle))
     tight = [[] for _ in pi]
     for i, j, k in system.coverings:
         cost = side * (pi[j] + k * m - pi[i] - K)
@@ -528,6 +532,8 @@ def enumerate_loops(
     loops = []
     explored = 0
     for start in range(len(succ)):
+        if max(succ[start], default=-1) < start:  # start is the least vertex of no loop
+            continue
         # dist[v] = shortest path v -> start through vertices above start
         # (BFS on reversed arrows); a return of max_len or more fits no loop
         dist = {start: 0}

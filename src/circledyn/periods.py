@@ -27,7 +27,7 @@ class PeriodSet:
     tail_from: Optional[int] = None
 
     def __post_init__(self):
-        fin = frozenset(int(k) for k in self.finite)
+        fin = frozenset(map(int, self.finite))
         if any(k < 1 for k in fin):
             raise ValueError("periods are positive integers")
         tail = self.tail_from

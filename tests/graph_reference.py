@@ -11,6 +11,8 @@
 - `reference_coverings`, for the arrow loop of `build_markov_system`: two
   range extends per class, with no one-arrow shortcut.
 - `dict_index_cycles`, for `index_cycles`: one dict of visits per walk.
+- `reference_envelopes`, for `MarkovSystem.envelope_cycles`: the lower and
+  upper index maps, each entry the min or max over its window of G.
 - `per_vertex_rome_matrix` and `per_member_rome_matrix`, for
   `rome_char_poly`: path counts to the rome as {(member, length): count}
   dicts carried per vertex, which also serve romes whose complement
@@ -132,6 +134,21 @@ def dict_index_cycles(E, starts) -> list[tuple]:
             m = len(pos) - j
             cycles.append((L % n, m, Fraction((L - L0) // n, m), tuple(pos)[j:]))
     return cycles
+
+
+def reference_envelopes(index_map) -> tuple[list[int], list[int]]:
+    """The lower and upper index maps by their definition, over the lifted
+    index map G(j + k*n) = G[j] + k*n (n = len(G)): G_l[i] = min G[i..i+n)
+    and G_u[i] = max G(i-n..i]."""
+    n = len(index_map)
+
+    def G(j):
+        q, r = divmod(j, n)
+        return index_map[r] + q * n
+
+    lower = [min(G(j) for j in range(i, i + n)) for i in range(n)]
+    upper = [max(G(j) for j in range(i - n + 1, i + 1)) for i in range(n)]
+    return lower, upper
 
 
 def per_vertex_rome_matrix(system, rome):

@@ -176,13 +176,69 @@ class TestSparseSign:
         p = IntPolynomial(cs)
         for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(5, 7), Fraction(1, 2**70)):
             assert p.sign_at(x) == dense_sign_at(p, x)
-        # the steps walk the exponents down to 0, one step per nonzero term
+        # the steps walk the exponents down to 0, one step per nonzero term;
+        # the second call reads the kept steps
+        p.horner_steps()
         steps, e, rebuilt = p.horner_steps(), p.degree, [0] * len(p.coeffs)
         for g, c in steps:
             e -= g
             rebuilt[e] = c
         assert IntPolynomial(rebuilt) == p and e == min(p.degree, 0)
         assert [c for _, c in steps if c] == [c for c in reversed(p.coeffs) if c]
+
+
+@st.composite
+def sparse_or_dense_polys(draw):
+    """Integer polynomials, the zero polynomial and constants included: dense
+    ones of degree < 40, or a few terms at exponents up to 500."""
+    if draw(st.booleans()):
+        return IntPolynomial(draw(st.lists(st.integers(-9, 9), max_size=40)))
+    terms = draw(st.dictionaries(st.integers(0, 500), st.integers(-(2**70), 2**70), max_size=6))
+    return IntPolynomial([terms.get(e, 0) for e in range(max(terms, default=-1) + 1)])
+
+
+def reference_horner_steps(cs) -> list[tuple[int, int]]:
+    """`horner_steps` of the coefficients cs by its definition: (gap from the
+    exponent before, coefficient) from the leading term down, then (e, 0)
+    for a lowest nonzero exponent e above 0."""
+    steps, before = [], len(cs) - 1
+    for e in range(len(cs) - 1, -1, -1):
+        if cs[e]:
+            steps.append((before - e, cs[e]))
+            before = e
+    return steps + [(before, 0)] if steps and before else steps
+
+
+class TestHornerCache:
+    """`horner_steps` is built on the first call and kept in the `_steps`
+    slot, which equality, hashing and repr do not read."""
+
+    @given(sparse_or_dense_polys())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_kept_steps_equal_a_fresh_build(self, p):
+        steps = p.horner_steps()
+        assert list(steps) == reference_horner_steps(p.coeffs)
+        assert p.horner_steps() is steps
+        # equal polynomials built apart give equal steps, each its own
+        q = IntPolynomial(list(p.coeffs))
+        assert q.horner_steps() == steps
+
+    @pytest.mark.parametrize("cs", [(), (7,), (0, 0, 3), (1, -1, 0, 2)])
+    def test_eq_hash_repr_ignore_the_kept_steps(self, cs):
+        p, q = IntPolynomial(cs), IntPolynomial(cs)
+        p.horner_steps()
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert repr(p) == repr(IntPolynomial(cs))
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_slots_stay_read_only(self, built):
+        p = IntPolynomial([1, 0, -2])
+        if built:
+            p.horner_steps()
+        for name in ("coeffs", "_steps"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
+        assert p.coeffs == (1, 0, -2) and p.horner_steps() == ((0, -2), (2, 1))
 
 
 class TestLargestRoot:

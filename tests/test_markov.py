@@ -40,10 +40,12 @@ from graph_reference import (
     per_member_rome_matrix,
     per_vertex_rome_matrix,
     reference_coverings,
+    reference_envelopes,
     reference_rome_char_poly,
 )
 from lifting_reference import envelope_rotation_bounds
 from poly_reference import char_poly
+from test_families import SCAN_RANGES
 from test_graphext import apple_graph, triangle_with_tail
 from test_periods import two_orbit_maps
 
@@ -318,11 +320,7 @@ class TestArrowsAndCycles:
         assert list(M.coverings) == reference_coverings(M.index_map)
         starts = range(M.size)
         assert M.partition_cycles == tuple(dict_index_cycles(M.index_map, starts))
-        n = M.size
-        doubled = list(M.index_map) + [g + n for g in M.index_map]
-        lower = [min(doubled[i : i + n]) for i in range(n)]
-        upper = [max(doubled[i + 1 : i + n + 1]) - n for i in range(n)]
-        assert M.envelope_cycles == tuple(dict_index_cycles(E, (0,))[0] for E in (lower, upper))
+        check_envelopes(M)
 
     @given(two_orbit_maps(), st.integers(min_value=-2, max_value=2))
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -352,6 +350,48 @@ class TestArrowsAndCycles:
         starts = data.draw(st.lists(st.integers(min_value=-2 * n, max_value=2 * n), max_size=2 * n))
         assert markov.index_cycles(E, starts) == dict_index_cycles(E, starts)
         assert markov.index_cycles(tuple(E), range(n)) == dict_index_cycles(E, range(n))
+
+
+def check_envelopes(M):
+    """`envelope_cycles` and `rotation` against the envelopes by definition."""
+    want = tuple(dict_index_cycles(E, (0,))[0] for E in reference_envelopes(M.index_map))
+    assert M.envelope_cycles == want
+    assert M.rotation == RotationInterval(want[0][2], want[1][2])
+
+
+@st.composite
+def index_map_systems(draw):
+    """A MarkovSystem on the keys 0..n of any index map of n <= 12 points:
+    steps of either sign or 0, so constant and decreasing classes too (the
+    envelopes read the index map alone)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    G = draw(st.lists(st.integers(min_value=-3 * n, max_value=3 * n), min_size=n, max_size=n))
+    if draw(st.booleans()):  # runs of equal images: constant classes
+        G = [G[i - i % 3] for i in range(n)]
+    return MarkovSystem(denominator=n, keys=tuple(range(n + 1)), index_map=tuple(G), coverings=())
+
+
+class TestEnvelopes:
+    """The running minimum and maximum behind `envelope_cycles` against the
+    window minimum and maximum of `reference_envelopes` (two-orbit and grid
+    maps: `TestArrowsAndCycles.check`)."""
+
+    @given(index_map_systems())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_random_index_maps(self, M):
+        check_envelopes(M)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_RANGES))
+    def test_scan_systems(self, name):
+        for n in SCAN_RANGES[name]:
+            check_envelopes(make(name, n).markov)
+
+    def test_constant_and_decreasing_classes(self):
+        # G = (2, 2, 0): class 0 constant, class 1 decreasing, the wrap class
+        # rises to G[0] + 3 = 5; G_l = (0, 0, 0) and G_u = (2, 2, 2)
+        M = MarkovSystem(denominator=3, keys=(0, 1, 2, 3), index_map=(2, 2, 0), coverings=())
+        assert reference_envelopes(M.index_map) == ([0, 0, 0], [2, 2, 2])
+        check_envelopes(M)
 
 
 class TestEnvelopeCertificate:

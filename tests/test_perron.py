@@ -7,17 +7,19 @@ root and its upper end is, the [lower, upper) property that
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from perron_reference import above_perron, leading_minors
 from test_families import SCAN_RANGES
 from test_golden import EXTEND_GOLDEN, GRAPHS
+from test_markov import FakeSystem, graphs_with_cycle, reach_closure
 
 from circledyn.arith import CertifiedRoot, bareiss_det
+from circledyn.errors import BudgetExceeded
 from circledyn.families import make, mts1_scan
 from circledyn.graphext import CombGraph, extend, verify_extension
 from circledyn.lifting import Lifting
-from circledyn.markov import build_markov_system
+from circledyn.markov import build_markov_system, entropy
 
 F2 = Fraction
 
@@ -69,6 +71,63 @@ def test_permutation_system():
     # a rigid rotation's graph is one cycle: sigma = 1, so 1 is not above it
     M = build_markov_system(Lifting((F2(0),), (F2(1, 2),)))
     assert not above_perron(M, 1) and above_perron(M, F2(1001, 1000))
+
+
+NEAR = F2(1, 3 * 10**6)  # off every bracket end, which have power-of-two denominators
+
+
+def check_graph_entropy(succ):
+    """The `entropy` bracket of a small graph against `above_perron`: False
+    at and just below the lower end, True at and just above the upper end.
+    An acyclic graph has sigma = 0 and the bracket [1, 1], so there 1 and
+    the points below it are above sigma too.  A repeated Perron root raises
+    BudgetExceeded by design and is let pass."""
+    system = FakeSystem.from_successors(succ)
+    try:
+        bracket = entropy(system)
+    except BudgetExceeded:
+        return
+    lo, hi = bracket.lower, bracket.upper
+    assert above_perron(system, hi + NEAR)
+    assert lo == hi or above_perron(system, hi)
+    reach = reach_closure(system.successors, set(range(len(succ))))
+    if not any(reach[v][v] for v in range(len(succ))):
+        assert (lo, hi) == (1, 1) and above_perron(system, lo) and above_perron(system, lo - NEAR)
+    else:
+        assert not above_perron(system, lo) and not above_perron(system, lo - NEAR)
+
+
+@given(graphs_with_cycle(), st.data())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_random_graph_brackets(matrix, data):
+    # the graph, and a drawn share of its arrows: reducible and acyclic ones too
+    succ = FakeSystem(matrix).successors
+    check_graph_entropy(succ)
+    check_graph_entropy([[w for w in out if data.draw(st.booleans())] for out in succ])
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(n))))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_permutation_graph_brackets(perm):
+    # unions of cycles: sigma = 1 and the bracket [1, 1]
+    succ = [[w] for w in perm]
+    assert entropy(FakeSystem.from_successors(succ)) == CertifiedRoot(F2(1), F2(1))
+    check_graph_entropy(succ)
+
+
+@pytest.mark.parametrize(
+    "succ,sigma",
+    [
+        ([[1], [2], []], 0),  # acyclic
+        ([[1], [0], [3], [2]], 1),  # two 2-cycles, reducible
+        ([[0, 1], [0, 1]], 2),  # the full graph on two vertices
+        ([[0, 1], [0, 1], [2]], 2),  # reducible, a loop of sigma 1 beside it
+    ],
+)
+def test_small_graph_brackets(succ, sigma):
+    got = entropy(FakeSystem.from_successors(succ))
+    assert got.lower <= max(sigma, 1) <= got.upper
+    check_graph_entropy(succ)
 
 
 @pytest.mark.slow
