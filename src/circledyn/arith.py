@@ -93,6 +93,10 @@ class IntPolynomial:
     def __setattr__(self, *a):
         raise AttributeError("IntPolynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the coefficients, not through __setattr__
+        return IntPolynomial, (self.coeffs,)
+
     # -- basic structure ----------------------------------------------------
 
     @property

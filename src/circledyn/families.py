@@ -220,6 +220,10 @@ class FamilyInstance:
         N = sum(map(len, self.orbit_keys))
         return tuple(Fraction(j, N) for j in self.orbit_keys[orbit])
 
+    def __reduce__(self):
+        # copied or pickled as what it is a view of; `bounds` are closures
+        return make, (self.name, self.n)
+
 
 def _instance(name, n, order, shifts, rot, per, cofactor, bounds, extension) -> FamilyInstance:
     """The family instance whose orbit points x_i and y_i lie at j/N, j the
@@ -447,23 +451,29 @@ class VerificationReport:
         }
 
 
-def closed_form_root_ok(identity: bool, sigma: CertifiedRoot, cofactor: IntPolynomial, tol: Fraction) -> bool:
-    """Exact certificate that `sigma` brackets the closed form's largest root.
-
-    `identity` is the checked `char * cofactor == x^k * closed form`, and
-    `sigma` the bracket of `char`'s largest root above 1 ([1, 1] when it has
-    none).  When the cofactor has no root above 1, the closed form's roots
-    above 1 are `char`'s, so its largest one lies in `sigma`.  One exact root
-    count settles the cofactor; kernel errors other than NoRootAbove
-    propagate.
-    """
-    if not (identity and sigma.upper > 1):
-        return False
-    try:
-        largest_root_above(cofactor, tol)
-    except NoRootAbove:
-        return True
-    return False
+def certify(system, closed_form: IntPolynomial, cofactor: IntPolynomial, tol: Fraction) -> tuple[dict, CertifiedRoot]:
+    """`(checks, sigma)`: sigma the entropy bracket of `system`'s
+    characteristic polynomial `char`, and `checks` its
+    `transitivity_certificate` plus `poly_exact`, the exact identity
+    `char * cofactor == x^k * closed_form`; `poly_power`, k, the degree gap
+    (also when the identity fails); and `poly_root_ok`, that sigma holds the
+    closed form's largest root.  It does when the identity holds, sigma is
+    not [1, 1] and the cofactor has no root above 1: one exact root count
+    settles that, and kernel errors other than NoRootAbove propagate."""
+    char = markov_char_poly(system)
+    sigma = markov_entropy(system, tol, char)
+    lhs = char * cofactor
+    power = lhs.degree - closed_form.degree
+    exact = power >= 0 and lhs == closed_form.shift(power)
+    root_ok = False
+    if exact and sigma.upper > 1:
+        try:
+            largest_root_above(cofactor, tol)
+        except NoRootAbove:
+            root_ok = True
+    checks = transitivity_certificate(system)
+    checks.update(poly_exact=exact, poly_power=power, poly_root_ok=root_ok)
+    return checks, sigma
 
 
 def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> VerificationReport:
@@ -475,12 +485,9 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     per = per_from_rotation(F, M)
     per_ok = per == inst.expected_per
 
-    char = markov_char_poly(M)
-    poly_exact = char * inst.poly_cofactor == inst.expected_poly
-    sigma = markov_entropy(M, tol, char)
-    poly_root_ok = closed_form_root_ok(poly_exact, sigma, inst.poly_cofactor, tol)
-
-    cert = transitivity_certificate(M)
+    # on the circle the closed form is char * cofactor itself, at power 0
+    checks, sigma = certify(M, inst.expected_poly, inst.poly_cofactor, tol)
+    poly_exact = checks["poly_exact"] and checks["poly_power"] == 0
     classes_ok = M.size == sum(map(len, inst.orbit_keys))
 
     creport = cofin_report(per)
@@ -507,8 +514,8 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
         rot_ok=rot_ok,
         per_ok=per_ok,
         poly_exact=poly_exact,
-        poly_root_ok=poly_root_ok,
-        transitive_ok=cert["transitive"],
+        poly_root_ok=poly_exact and checks["poly_root_ok"],
+        transitive_ok=checks["transitive"],
         oracle_ok=oracle_ok,
         classes_ok=classes_ok,
         cofin=creport,

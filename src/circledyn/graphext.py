@@ -12,15 +12,15 @@ the return class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .arith import IntPolynomial
 from .errors import BadParameter, NotExtendable
-from .families import DEFAULT_POLY_TOL, POLYNOMIALS, ExtensionSpec, FamilyInstance, closed_form_root_ok
-from .markov import bracket_above, entropy as markov_entropy, markov_char_poly, transitivity_certificate
+from .families import DEFAULT_POLY_TOL, POLYNOMIALS, ExtensionSpec, FamilyInstance, certify
+from .markov import bracket_above, entropy as markov_entropy
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ class CombGraph:
         """Is the graph homeomorphic to a closed interval (a path)?"""
         if not self.is_connected():
             return False
-        if any(u == v for (u, v) in self.edges):
-            return False
         if len(self.edges) != len(self.vertices) - 1:
-            return False  # a connected graph with a cycle (or multi-edge)
+            return False  # a connected graph with a cycle, a multi-edge or a self-loop
         degs = [self.degree(v) for v in self.vertices]
         return all(d <= 2 for d in degs) and sum(1 for d in degs if d == 1) == 2
 
@@ -142,7 +140,7 @@ def _subdivide_self_loops(graph: CombGraph) -> CombGraph:
     edges = []
     for i, (u, v) in enumerate(graph.edges):
         if u == v:
-            mid = f"__loop{i}"
+            mid = object()  # a fresh vertex, equal to no vertex of the user's graph
             verts.append(mid)
             edges.append((u, mid))
             edges.append((mid, v))
@@ -245,10 +243,9 @@ def excise(G: CombGraph, edge_index: Optional[int] = None):
     elif edge_index not in non_bridges:
         raise NotExtendable("chosen edge is not on a circuit")
     u, v = G.edges[edge_index]
-    a, b = "__cut_a", "__cut_b"
-    edges = list(G.edges[:edge_index] + G.edges[edge_index + 1 :])
-    edges += [(u, a), (v, b)] if u != v else [(u, a), (u, b)]
-    X = CombGraph(tuple(G.vertices) + (a, b), tuple(edges))
+    a, b = object(), object()  # fresh vertices, equal to no vertex of G
+    edges = G.edges[:edge_index] + G.edges[edge_index + 1 :] + ((u, a), (v, b))
+    X = CombGraph(G.vertices + (a, b), edges)
     return X, a, b
 
 
@@ -261,13 +258,13 @@ def excise(G: CombGraph, edge_index: Optional[int] = None):
 class ExtendedMarkov:
     base: object  # the circle family MarkovSystem
     spec: ExtensionSpec  # the instance's designated classes
-    m: int = 0
-    u_count: int = 0
-    successors: tuple = ()  # sorted successor lists of the extended covering graph
-    projection: tuple = ()  # extended vertex -> base vertex index
-    base_index: dict = field(default_factory=dict)  # surviving base idx -> ext idx
-    expected_poly: Optional[IntPolynomial] = None
-    cofactor: Optional[IntPolynomial] = None
+    m: int
+    u_count: int
+    successors: tuple  # sorted successor lists of the extended covering graph
+    projection: tuple  # extended vertex -> base vertex index
+    base_index: dict  # surviving base idx -> ext idx
+    expected_poly: IntPolynomial
+    cofactor: IntPolynomial
 
     @property
     def size(self) -> int:
@@ -334,36 +331,18 @@ def projection_preserves_arrows(E: ExtendedMarkov) -> bool:
 
 
 def verify_extension(E: ExtendedMarkov, tol: Fraction = DEFAULT_POLY_TOL) -> dict:
-    """Report on the extension: transitivity certificate, exact closed-form
-    polynomial identity char * cofactor == x^pow * expected, the exact
-    certificate that the entropy bracket holds the closed form's largest root,
-    entropy strictly above the circle instance, and the projection and loop
-    facts the period-preservation argument uses."""
-    cert = transitivity_certificate(E)
-    char = markov_char_poly(E)
-    lhs = char * E.cofactor
-    power = lhs.degree - E.expected_poly.degree
-    ident = power >= 0 and lhs == E.expected_poly.shift(power)
-
-    ext_root = markov_entropy(E, tol, char)
+    """Report on the extension: the `families.certify` checks against the
+    family polynomial at the traversal's m (transitivity, the exact identity
+    up to a power of x and the certified root), entropy strictly above the
+    circle instance, and the projection and loop facts the
+    period-preservation argument uses."""
+    checks, ext_root = certify(E, E.expected_poly, E.cofactor, tol)
     base_root = markov_entropy(E.base, tol)
-    entropy_strict = bracket_above(ext_root, base_root)
-    root_ok = closed_form_root_ok(ident, ext_root, E.cofactor, tol)
-
-    proj_ok = projection_preserves_arrows(E)
-
-    counts_ok = E.size == E.base.size - 2 + E.m + E.u_count
-
     result = {
-        "irreducible": cert["irreducible"],
-        "permutation": cert["permutation"],
-        "transitive": cert["transitive"],
-        "poly_exact": ident,
-        "poly_power": power,
-        "poly_root_ok": root_ok,
-        "entropy_above_base": entropy_strict,
-        "projection_ok": proj_ok,
-        "counts_ok": counts_ok,
+        **checks,
+        "entropy_above_base": bracket_above(ext_root, base_root),
+        "projection_ok": projection_preserves_arrows(E),
+        "counts_ok": E.size == E.base.size - 2 + E.m + E.u_count,
         "ext_entropy": ext_root,
         "base_entropy": base_root,
     }

@@ -170,6 +170,23 @@ class TestExtend:
         code, out, _ = run(capsys, "extend", "persistent", "--n", "7", "--graph", str(gfile))
         assert code == 2 and json.loads(out)[key] is False
 
+    @pytest.mark.parametrize("rename", [{"w1": "__loop1"}, {"u": "__cut_a", "v": "__cut_b"}])
+    def test_vertex_names_leave_the_report_alone(self, capsys, tmp_path, rename):
+        # the cut ends and the self-loop midpoints are vertices of their own,
+        # whatever the user's vertices are called
+        doc = {"vertices": ["u", "v", "w1"], "edges": [["u", "v"], ["v", "u"], ["v", "v"], ["v", "w1"]]}
+        renamed = {
+            "vertices": [rename.get(v, v) for v in doc["vertices"]],
+            "edges": [[rename.get(v, v) for v in e] for e in doc["edges"]],
+        }
+        outs = []
+        for name, graph in (("g.json", doc), ("renamed.json", renamed)):
+            gfile = tmp_path / name
+            gfile.write_text(json.dumps(graph))
+            outs.append(run(capsys, "extend", "dream", "--n", "5", "--graph", str(gfile)))
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert (json.loads(outs[0][1])["m"], json.loads(outs[0][1])["u_count"]) == (25, 11)
+
     def test_extend_circle_fails_cleanly(self, capsys, tmp_path):
         gfile = tmp_path / "circle.json"
         gfile.write_text(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,7 +11,6 @@ from circledyn.arith import CertifiedRoot, IntPolynomial, rat_str
 from circledyn.cofiniteness import CofinitenessReport
 from circledyn.errors import BadParameter
 from circledyn.families import (
-    closed_form_root_ok,
     dream,
     dream_poly,
     make,
@@ -22,6 +23,7 @@ from circledyn.families import (
     persistent_poly,
     verify,
 )
+from circledyn.graphext import CombGraph, extend
 from circledyn.lifting import RotationInterval
 from circledyn.markov import markov_char_poly
 from family_classes import class_index
@@ -110,6 +112,38 @@ class TestConstructors:
         assert persistent_per(5).up_to(8) == {2, 3, 5, 6, 7, 8}
         assert persistent_per(13).up_to(13) == {2, 7, 9, 11, 13}
         assert montevideo_per(4).up_to(15) == {4, 8, 9, 11, 12, 13, 15}
+
+
+def _built_steps(p: IntPolynomial) -> IntPolynomial:
+    p.horner_steps()
+    return p
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dream(5),
+        lambda: persistent(7),
+        lambda: montevideo(4),
+        lambda: _built_steps(IntPolynomial([3, 0, 0, -2, 1])),
+        lambda: extend(dream(5), CombGraph(("u", "v", "p"), (("u", "v"), ("v", "u"), ("u", "p")))),
+    ],
+    ids=["dream", "persistent", "montevideo", "polynomial", "extension"],
+)
+def test_copy_and_pickle_round_trip(build, how):
+    # an instance goes to a worker process as what it is a view of, its
+    # family name and n; a polynomial as its coefficients
+    obj = build()
+    back = ROUND_TRIPS[how](obj)
+    assert type(back) is type(obj) and back == obj
 
 
 class TestGraphShapeInvariants:
@@ -251,10 +285,12 @@ class TestVerify:
 
 
 class TestClosedFormRootOk:
-    # char * cofactor == closed form: the bracket of char's largest root above
-    # 1 holds the closed form's exactly when the cofactor has no root above 1
-    SIGMA = CertifiedRoot(F2(3, 2), F2(8, 5))
+    # `certify` and its `poly_root_ok`: when char * cofactor == x^k * closed
+    # form, the bracket of char's largest root above 1 holds the closed
+    # form's exactly when the cofactor has no root above 1
     TOL = F2(1, 10**12)
+    GOLDEN = SimpleNamespace(successors=((0, 1), (0,)))  # char x^2 - x - 1
+    CHAR = IntPolynomial([-1, -1, 1])
 
     @pytest.mark.parametrize(
         "cofactor",
@@ -265,17 +301,50 @@ class TestClosedFormRootOk:
         ],
     )
     def test_unit_circle_cofactor_is_certified(self, cofactor):
-        assert closed_form_root_ok(True, self.SIGMA, cofactor, self.TOL)
+        checks, sigma = families.certify(self.GOLDEN, self.CHAR * cofactor, cofactor, self.TOL)
+        assert checks == {
+            "irreducible": True,
+            "permutation": False,
+            "transitive": True,
+            "poly_exact": True,
+            "poly_power": 0,
+            "poly_root_ok": True,
+        }
+        assert F2(1618033, 10**6) < sigma.lower < sigma.upper < F2(1618034, 10**6)  # the golden mean
+
+    def test_identity_up_to_a_power_of_x_is_certified(self):
+        # vertex 2 feeds the golden mean graph and carries no loop: char is
+        # x (x^2 - x - 1), the closed form at power 1
+        tail = SimpleNamespace(successors=((0, 1), (0,), (0,)))
+        checks, _ = families.certify(tail, self.CHAR, IntPolynomial([1]), self.TOL)
+        assert (checks["poly_exact"], checks["poly_power"], checks["poly_root_ok"]) == (True, 1, True)
+        assert not checks["irreducible"]
 
     def test_cofactor_root_above_one_is_not_certified(self):
-        assert not closed_form_root_ok(True, self.SIGMA, IntPolynomial([-2, 1]), self.TOL)
+        cofactor = IntPolynomial([-2, 1])
+        checks, _ = families.certify(self.GOLDEN, self.CHAR * cofactor, cofactor, self.TOL)
+        assert checks["poly_exact"] and not checks["poly_root_ok"]
 
     def test_no_root_above_one_is_not_certified(self):
-        # [1, 1] stands for "char has no root above 1"
-        assert not closed_form_root_ok(True, CertifiedRoot(F2(1), F2(1)), IntPolynomial([1]), self.TOL)
+        # a 2-cycle: char x^2 - 1, and [1, 1] stands for "no root above 1"
+        cycle = SimpleNamespace(successors=((1,), (0,)))
+        checks, sigma = families.certify(cycle, IntPolynomial([-1, 0, 1]), IntPolynomial([1]), self.TOL)
+        assert sigma == CertifiedRoot(F2(1), F2(1))
+        assert checks["poly_exact"] and checks["permutation"] and not checks["poly_root_ok"]
 
     def test_failed_identity_is_not_certified(self):
-        assert not closed_form_root_ok(False, self.SIGMA, IntPolynomial([1]), self.TOL)
+        checks, _ = families.certify(self.GOLDEN, IntPolynomial([0, -1, 1]), IntPolynomial([1]), self.TOL)
+        assert (checks["poly_exact"], checks["poly_power"], checks["poly_root_ok"]) == (False, 0, False)
+
+    @pytest.mark.parametrize(
+        "closed_form,power",
+        [(IntPolynomial([1, 1]), 1), (IntPolynomial([-1, -1, 1]).shift(1), -1)],
+    )
+    def test_failed_identity_reports_the_degree_gap(self, monkeypatch, closed_form, power):
+        # and the cofactor's root count is not made
+        monkeypatch.setattr(families, "largest_root_above", lambda p, tol: pytest.fail("counted"))
+        checks, _ = families.certify(self.GOLDEN, closed_form, IntPolynomial([1]), self.TOL)
+        assert (checks["poly_exact"], checks["poly_power"], checks["poly_root_ok"]) == (False, power, False)
 
     def test_kernel_errors_propagate(self, monkeypatch):
         def broken(p, tol):
@@ -283,7 +352,14 @@ class TestClosedFormRootOk:
 
         monkeypatch.setattr(families, "largest_root_above", broken)
         with pytest.raises(ArithmeticError, match="root finder failed"):
-            closed_form_root_ok(True, self.SIGMA, IntPolynomial([-1, 1]), self.TOL)
+            families.certify(self.GOLDEN, self.CHAR * IntPolynomial([-1, 1]), IntPolynomial([-1, 1]), self.TOL)
+
+    def test_circle_identity_is_at_power_zero(self):
+        # a cofactor one x too many makes the identity hold at power 1 only:
+        # on the circle that is no identity, and the root check needs one
+        inst = dream(5)
+        rep = verify(replace(inst, poly_cofactor=inst.poly_cofactor.shift(1)))
+        assert not rep.poly_exact and not rep.poly_root_ok and not rep.all_green
 
 
 class TestScan:

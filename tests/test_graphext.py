@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from circledyn.arith import IntPolynomial
 from circledyn.errors import BadParameter, NotExtendable
 from circledyn.families import dream, make, persistent
 from circledyn.graphext import (
@@ -234,6 +235,15 @@ class TestExtend:
             assert rep[key], (name, n, key, rep)
         assert not rep["permutation"]
         assert extension_green(rep)
+
+    def test_failed_identity_keeps_the_degree_gap(self):
+        # a closed form off by one in its constant term: no identity and no
+        # certified root, and the degree gap is the green report's
+        E = extend(dream(5), triangle_with_tail())
+        green = verify_extension(E)
+        red = verify_extension(replace(E, expected_poly=E.expected_poly + IntPolynomial([1])))
+        assert (red["poly_exact"], red["poly_root_ok"]) == (False, False) and not extension_green(red)
+        assert red["poly_power"] == green["poly_power"] > 0
 
     def test_extension_green_reads_every_check(self):
         # red when any one boolean check is false, the j0_j2_* loop facts

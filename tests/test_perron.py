@@ -4,7 +4,9 @@ characteristic polynomial: each bracket's lower end is not above the Perron
 root and its upper end is, the [lower, upper) property that
 `markov.bracket_above` orders touching brackets by."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,13 @@ from perron_reference import above_perron, leading_minors
 from test_families import SCAN_RANGES
 from test_golden import EXTEND_GOLDEN, GRAPHS
 from test_markov import FakeSystem, graphs_with_cycle, reach_closure
+from test_periods import two_orbit_maps
 
 from circledyn.arith import CertifiedRoot, bareiss_det
 from circledyn.errors import BudgetExceeded
 from circledyn.families import make, mts1_scan
 from circledyn.graphext import CombGraph, extend, verify_extension
-from circledyn.lifting import Lifting
+from circledyn.lifting import Lifting, build_from_orbits
 from circledyn.markov import build_markov_system, entropy
 
 F2 = Fraction
@@ -128,6 +131,29 @@ def test_small_graph_brackets(succ, sigma):
     got = entropy(FakeSystem.from_successors(succ))
     assert got.lower <= max(sigma, 1) <= got.upper
     check_graph_entropy(succ)
+
+
+@given(two_orbit_maps(max_period=14))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_two_orbit_map_brackets(case):
+    # maps through two twist orbits of period up to 14, as the generic
+    # benchmark maps are drawn
+    _, M, _ = case
+    check_graph_entropy(M.successors)
+
+
+@pytest.mark.slow
+def test_generic_map_brackets(monkeypatch):
+    # the 540 maps of bench/generic_liftings.py at seeds 0-2, 180 each
+    # (about 6 s); every one builds
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from generic_liftings import random_orbit_pair
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(180):
+            M = build_markov_system(build_from_orbits(random_orbit_pair(rng)))
+            check_graph_entropy(M.successors)
 
 
 @pytest.mark.slow
