@@ -139,18 +139,6 @@ class IntPolynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial(())
-
-    @staticmethod
-    def monomial(coeff: int, power: int) -> "IntPolynomial":
-        return IntPolynomial([0] * power + [coeff])
-
-    @staticmethod
-    def x_minus(c: int) -> "IntPolynomial":
-        return IntPolynomial([-c, 1])
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -174,7 +162,7 @@ class IntPolynomial:
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return IntPolynomial.zero()
+            return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
@@ -241,7 +229,7 @@ class IntPolynomial:
         dlead = divisor.leading()
         dd = divisor.degree
         if len(rem) - 1 < dd:
-            return IntPolynomial.zero(), IntPolynomial(rem)
+            return IntPolynomial(()), IntPolynomial(rem)
         terms = [(j, dc) for j, dc in enumerate(divisor.coeffs) if dc]
         q = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):

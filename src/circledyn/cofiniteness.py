@@ -20,7 +20,7 @@ def sbc(ps: PeriodSet) -> int:
 
     That is `tail_from`: PeriodSet normalization absorbs finite elements
     adjacent to the tail, so tail_from - 1 is never in ps."""
-    if not ps.is_cofinite():
+    if ps.tail_from is None:
         raise NotCofinite("period set has no cofinite tail")
     return ps.tail_from
 

@@ -505,7 +505,7 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
     endpoint_types = {}
     for e in (rot.c, rot.d):
         s = e.denominator
-        ks = {m // s for (m, rho) in oracle_result.period_rotations() if rho == e}
+        ks = {m // s for (m, rho) in oracle_result.witnesses if rho == e}
         endpoint_types[rat_str(e)] = infer_sho_type(ks, bound=P // s)
 
     return VerificationReport(
@@ -537,11 +537,14 @@ def verify(inst: FamilyInstance, tol: Fraction = DEFAULT_POLY_TOL) -> Verificati
 class ScanRow:
     n: int
     rot: RotationInterval
-    len_rot: Fraction
     entropy: CertifiedRoot
     sbc: int
     bc: Optional[int]
     flags: dict
+
+    @property
+    def len_rot(self) -> Fraction:
+        return self.rot.length
 
     def to_json(self) -> dict:
         return {
@@ -611,17 +614,7 @@ def mts1_scan(family: str, n_from: int, n_to: int, tol: Fraction = Fraction(1, 1
         flags = {"per_matches_closed_form": per == inst.expected_per}
         # each bound's scan flag: bc exists and the bound holds
         flags.update((b.scan_flag, crep.bc is not None and b.test(crep)) for b in inst.bounds if b.scan_flag)
-        rows.append(
-            ScanRow(
-                n=n,
-                rot=rot,
-                len_rot=rot.length,
-                entropy=sigma,
-                sbc=crep.sbc,
-                bc=crep.bc,
-                flags=flags,
-            )
-        )
+        rows.append(ScanRow(n=n, rot=rot, entropy=sigma, sbc=crep.sbc, bc=crep.bc, flags=flags))
     len_dec = all(rows[i].len_rot > rows[i + 1].len_rot for i in range(len(rows) - 1))
     ent_dec = all(bracket_above(rows[i].entropy, rows[i + 1].entropy) for i in range(len(rows) - 1))
     bcs = [r.bc for r in rows if r.bc is not None]

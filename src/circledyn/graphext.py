@@ -85,11 +85,6 @@ class CombGraph:
         degs = [self.degree(v) for v in self.vertices]
         return all(d <= 2 for d in degs) and sum(1 for d in degs if d == 1) == 2
 
-    def bridges(self) -> set[int]:
-        """Edge indices whose removal disconnects the graph (self-loops and
-        parallel copies are never bridges)."""
-        return {i for i, (u, v) in enumerate(self.edges) if u != v and not self._connected_without(i)}
-
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
 
@@ -129,10 +124,6 @@ class Traversal:
     steps: tuple  # (edge_key, from_vertex, to_vertex) per step, J last
     segment_halves: tuple  # per segment 0..m-1: the U-id it maps onto
     u_ids: tuple  # distinct U-ids in order of first appearance
-
-    @property
-    def u_count(self) -> int:
-        return len(self.u_ids)
 
 
 def _subdivide_self_loops(graph: CombGraph) -> CombGraph:
@@ -231,16 +222,21 @@ def traversal(X: CombGraph, a, b) -> Traversal:
 
 def excise(G: CombGraph, edge_index: Optional[int] = None):
     """Cut the open interior of a circuit edge of G: returns (X, a, b) where
-    a, b are the fresh degree-one endpoints left by the cut."""
+    a, b are the fresh degree-one endpoints left by the cut.  Without a hint
+    the edge is the first, in input order, that lies on a circuit: a
+    self-loop, or an edge whose removal leaves G connected."""
     if not G.is_connected():
         raise BadParameter("ambient graph must be connected")
-    bridges = G.bridges()
-    non_bridges = [i for i in range(len(G.edges)) if i not in bridges]
+
+    def on_circuit(i) -> bool:
+        u, v = G.edges[i]
+        return u == v or G._connected_without(i)
+
     if edge_index is None:
-        if not non_bridges:
+        edge_index = next(filter(on_circuit, range(len(G.edges))), None)
+        if edge_index is None:
             raise NotExtendable("ambient graph has no circuit")
-        edge_index = non_bridges[0]
-    elif edge_index not in non_bridges:
+    elif edge_index not in range(len(G.edges)) or not on_circuit(edge_index):
         raise NotExtendable("chosen edge is not on a circuit")
     u, v = G.edges[edge_index]
     a, b = object(), object()  # fresh vertices, equal to no vertex of G
@@ -325,7 +321,7 @@ def extend(inst: FamilyInstance, G: CombGraph, edge_index: Optional[int] = None)
 
 def projection_preserves_arrows(E: ExtendedMarkov) -> bool:
     """Every extended arrow must project onto an arrow of the base graph."""
-    base_arrows = set(E.base.arrows())
+    base_arrows = {(i, j) for i, j, _ in E.base.coverings}
     proj = E.projection
     return all((proj[i], proj[j]) in base_arrows for i, out in enumerate(E.successors) for j in out)
 

@@ -320,7 +320,7 @@ def compose(A: Lifting, B: Lifting) -> Lifting:
     return Lifting(tuple(bps), tuple(images[x] for x in bps))
 
 
-def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
+def _rotation_via_plateau_orbit(F: Lifting) -> Fraction | None:
     """Iterate a plateau value exactly; a repeat mod 1 exhibits a periodic
     orbit whose rotation number is the rotation number of the monotone map.
     None once the denominator passes D^2: such an orbit has left the grid
@@ -331,7 +331,7 @@ def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
         return None
     z = Fraction(V[plateau], D)
     seen: dict[tuple[int, int], tuple[int, int]] = {}  # z mod 1 -> (turn, numerator)
-    for k in range(cap):
+    for k in range(_PLATEAU_ITER_CAP):
         a, b = z.numerator, z.denominator
         if b > D * D:
             return None
@@ -343,9 +343,7 @@ def _rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     return None
 
 
-def rotation_number_monotone(
-    F: Lifting, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
-) -> Fraction:
+def rotation_number_monotone(F: Lifting) -> Fraction:
     """Exact rotation number of a nondecreasing lifting.
 
     Fast path: the exactly-periodic orbit of a plateau value.  General path:
@@ -364,7 +362,7 @@ def rotation_number_monotone(
     if not F.is_nondecreasing():
         raise ValueError("rotation_number_monotone needs a nondecreasing lifting")
 
-    rho = _rotation_via_plateau_orbit(F, _PLATEAU_ITER_CAP)
+    rho = _rotation_via_plateau_orbit(F)
     if rho is not None:
         return rho
 
@@ -382,8 +380,8 @@ def rotation_number_monotone(
     count = bits = 0  # breakpoints of the powers composed, and their bits
     while True:
         p, q = pl + pr, ql + qr
-        if q > denominator_bound:
-            raise DepthExceeded(f"denominator bound {denominator_bound} passed")
+        if q > DEFAULT_DENOMINATOR_BOUND:
+            raise DepthExceeded(f"denominator bound {DEFAULT_DENOMINATOR_BOUND} passed")
         if count > _COMPOSE_BREAKPOINTS or bits > _COMPOSE_BITS:
             raise DepthExceeded(
                 f"powers of the search passed {_COMPOSE_BREAKPOINTS} breakpoints or {_COMPOSE_BITS} bits"
@@ -400,15 +398,11 @@ def rotation_number_monotone(
             pr, qr, Hr = p, q, H  # rho < p/q
 
 
-def rotation_interval(
-    F: Lifting, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
-) -> RotationInterval:
+def rotation_interval(F: Lifting) -> RotationInterval:
     """Rot(F) = [rho(F_l), rho(F_u)], both computed exactly from the envelopes.
 
     The general path, for liftings with no Markov system (NotShort,
     NotInvariant) or an irrational endpoint (DepthExceeded).  The scans use
     `markov.MarkovSystem.rotation` instead; `verify` checks both."""
     Fl, Fu = upper_lower(F)
-    c = rotation_number_monotone(Fl, denominator_bound)
-    d = rotation_number_monotone(Fu, denominator_bound)
-    return RotationInterval(c, d)
+    return RotationInterval(rotation_number_monotone(Fl), rotation_number_monotone(Fu))

@@ -100,10 +100,6 @@ class MarkovSystem:
         """Rot(F) = [rho(F_l), rho(F_u)], exactly, from the `envelope_cycles`."""
         return RotationInterval(*(cycle[2] for cycle in self.envelope_cycles))
 
-    @property
-    def class_names(self) -> list[str]:
-        return [f"[{rat_str(a)},{rat_str(b)}]" for (a, b) in self.classes]
-
     @cached_property
     def successors(self) -> tuple:
         """Sorted successor lists of the covering graph (a view of `coverings`)."""
@@ -139,13 +135,10 @@ class MarkovSystem:
             rows[i][j] = 1
         return tuple(map(tuple, rows))
 
-    def arrows(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j, _ in self.coverings]
-
     def to_json(self) -> dict:
         return {
-            "classes": self.class_names,
-            "arrows": [[i, j] for (i, j) in self.arrows()],
+            "classes": [f"[{rat_str(a)},{rat_str(b)}]" for (a, b) in self.classes],
+            "arrows": [[i, j] for i, j, _ in self.coverings],
             "orientation": list(self.orientation),
         }
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CertifiedRoot, IntPolynomial, floor_frac, largest_root_above, rat_str
+from .errors import BudgetExceeded
 from .periods import interior_integer_count
 
 
@@ -92,12 +93,18 @@ def _normalize(c: Fraction, d: Fraction) -> tuple[Fraction, Fraction]:
     return c, d
 
 
-_Z_MINUS_1 = IntPolynomial.x_minus(1)
+_Z_MINUS_1 = IntPolynomial([-1, 1])
+_BALANCE_DEGREE_BUDGET = 100000  # of the balance polynomials, den c + den d + 2
 
 
 def _cycles(c: Fraction, d: Fraction) -> list[IntPolynomial]:
-    """z^s1 - 1 and z^s2 - 1 for s1 = den c, s2 = den d."""
-    return [IntPolynomial.monomial(1, x.denominator) - IntPolynomial([1]) for x in (c, d)]
+    """z^s1 - 1 and z^s2 - 1 for s1 = den c, s2 = den d.  BudgetExceeded,
+    before either is built, when the balance polynomials built from them
+    would pass `_BALANCE_DEGREE_BUDGET`."""
+    degree = c.denominator + d.denominator + 2
+    if degree > _BALANCE_DEGREE_BUDGET:
+        raise BudgetExceeded(f"balance polynomials of degree {degree} pass the budget {_BALANCE_DEGREE_BUDGET}")
+    return [IntPolynomial([-1] + [0] * (x.denominator - 1) + [1]) for x in (c, d)]
 
 
 def _t_numerator(alpha: Fraction) -> IntPolynomial:

@@ -63,9 +63,6 @@ class OracleResult:
     def periods(self) -> set[int]:
         return {m for (m, _) in self.witnesses}
 
-    def period_rotations(self) -> set:
-        return set(self.witnesses)
-
     def to_json(self) -> dict:
         items = sorted(self.witnesses.items(), key=lambda kv: (kv[0][0], kv[0][1]))
         return {

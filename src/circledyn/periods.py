@@ -51,9 +51,6 @@ class PeriodSet:
     def up_to(self, bound: int) -> set[int]:
         return {k for k in range(1, bound + 1) if k in self}
 
-    def is_cofinite(self) -> bool:
-        return self.tail_from is not None
-
     def to_json(self) -> dict:
         # "patterns" stays, always empty, so the reports keep their bytes
         return {"finite": sorted(self.finite), "tail_from": self.tail_from, "patterns": []}
@@ -116,8 +113,7 @@ def endpoint_periods(M, e: Fraction, bound: int, side: int = 1) -> set[int]:
     succ = critical_successors(M, e, side)
     if bound < 1:
         return set()
-    witnesses = periods_up_to(M, bound, succ=succ)
-    return {m for (m, rho) in witnesses.period_rotations() if rho == e}
+    return {m for (m, rho) in periods_up_to(M, bound, succ=succ).witnesses if rho == e}
 
 
 @dataclass(frozen=True)

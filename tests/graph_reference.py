@@ -206,7 +206,7 @@ def per_member_rome_matrix(system, rome):
     y = IntPolynomial([0, 1])
 
     def paths(v, rj, g):
-        acc = IntPolynomial.zero()
+        acc = IntPolynomial(())
         for w in succ[v]:
             if w == rj:
                 acc = acc + IntPolynomial([1])

@@ -115,7 +115,7 @@ def compose(A: Lifting, B: Lifting) -> Lifting:
     return Lifting(tuple(bps), tuple(eval_(B, eval_(A, x)) for x in bps))
 
 
-def rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
+def rotation_via_plateau_orbit(F: Lifting) -> Fraction | None:
     """Iterate a plateau value exactly; a repeat mod 1 gives the rotation
     number of the monotone map.  An orbit whose denominator passes D^2, D
     the lcm of the denominators of F's breakpoints and values, gives None."""
@@ -129,7 +129,7 @@ def rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     z = plateau_value
     D = lcm(*(x.denominator for x in F.breakpoints + F.values))
     seen: dict[Fraction, tuple[int, Fraction]] = {}
-    for k in range(cap):
+    for k in range(lifting._PLATEAU_ITER_CAP):
         if z.denominator > D * D:
             return None
         r = z - floor_frac(z)
@@ -141,7 +141,7 @@ def rotation_via_plateau_orbit(F: Lifting, cap: int) -> Fraction | None:
     return None
 
 
-def rotation_interval(F: Lifting, denominator_bound: int = lifting.DEFAULT_DENOMINATOR_BOUND) -> RotationInterval:
+def rotation_interval(F: Lifting) -> RotationInterval:
     """Rot(F) from the reference envelopes, with the reference evaluation,
     simplification and plateau orbit inside the program's search."""
     Fl, Fu = lower_map(F), upper_map(F)
@@ -150,8 +150,8 @@ def rotation_interval(F: Lifting, denominator_bound: int = lifting.DEFAULT_DENOM
         mp.setattr(lifting, "_simplify", simplify)
         mp.setattr(lifting, "compose", compose)
         mp.setattr(lifting, "_rotation_via_plateau_orbit", rotation_via_plateau_orbit)
-        c = lifting.rotation_number_monotone(Fl, denominator_bound)
-        return RotationInterval(c, lifting.rotation_number_monotone(Fu, denominator_bound))
+        c = lifting.rotation_number_monotone(Fl)
+        return RotationInterval(c, lifting.rotation_number_monotone(Fu))
 
 
 def envelope_rotation_bounds(G: Lifting, steps: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:

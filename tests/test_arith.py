@@ -574,7 +574,7 @@ def _first_piece_count(p):
     (1, Cauchy bound), on q(t) = den^d p(1 + t num / den), bound - 1 =
     num / den, built by polynomial products rather than Taylor shifts."""
     d, w = p.degree, p.cauchy_root_bound() - 1
-    q, power, y = IntPolynomial.zero(), IntPolynomial([1]), IntPolynomial([w.denominator, w.numerator])
+    q, power, y = IntPolynomial(()), IntPolynomial([1]), IntPolynomial([w.denominator, w.numerator])
     for i, c in enumerate(p.coeffs):
         q, power = q + power * (c * w.denominator ** (d - i)), power * y
     return arith._descartes_bound(list(q.coeffs))

@@ -3,6 +3,7 @@ input per budget, each under a wall-clock bound."""
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from circledyn.errors import BudgetExceeded, DepthExceeded, NotInvariant
 from circledyn.families import montevideo
 from circledyn.lifting import Lifting, RotationInterval, rotation_interval
 from circledyn.markov import build_markov_system, enumerate_loops
+from circledyn.minentropy import beta, q_balance, r_balance
 
 F2 = Fraction
 
@@ -34,10 +36,11 @@ def test_loop_cap_stops_enumeration():
     _raises_within(2, BudgetExceeded, enumerate_loops, M, 60, cap=10**4)
 
 
-def test_stern_brocot_bound_stops_search():
+def test_stern_brocot_bound_stops_search(monkeypatch):
     # rotation 1/1009 needs the denominator 1009, past the bound 100
+    monkeypatch.setattr(lifting, "DEFAULT_DENOMINATOR_BOUND", 100)
     F = Lifting((F2(0), F2(1, 2)), (F2(1, 1009), F2(1, 2) + F2(1, 1009)))
-    _raises_within(5, DepthExceeded, rotation_interval, F, denominator_bound=100)
+    _raises_within(5, DepthExceeded, rotation_interval, F)
 
 
 def test_stern_brocot_default_bound_stops_rigid_rotation():
@@ -69,3 +72,20 @@ def test_long_stern_brocot_chain_still_resolves():
     # rotation 1/1009 walks 1/2, 1/3, ..., 1/1009: rigid powers stay small
     F = Lifting((F2(0), F2(1, 2)), (F2(1, 1009), F2(1, 2) + F2(1, 1009)))
     assert rotation_interval(F) == RotationInterval(F2(1, 1009), F2(1, 1009))
+
+
+def test_balance_degree_budget_stops_beta():
+    # degree 1 + 10^6 + 2: building the two balance polynomials alone would
+    # take about a second, isolating their root minutes
+    _raises_within(1, BudgetExceeded, beta, F2(0), F2(1, 10**6))
+
+
+def test_balance_degree_budget_admits_the_beta_grid(monkeypatch):
+    # every interval of the benchmark's beta grid, and (0, 1/64000), builds
+    # its balance polynomials
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for c, d in workloads.BETA_GRID + [(F2(0), F2(1, 64000))]:
+        assert q_balance(c, d)[0].degree == c.denominator + d.denominator + 2
+        r_balance(c, d)

@@ -118,6 +118,11 @@ class TestBeta:
         data = json.loads(out)
         assert data["method_agreement"]
 
+    def test_beta_degree_budget_one_line(self, capsys):
+        # balance polynomials of degree 10^6 + 3 are refused before any is built
+        code, out, err = run(capsys, "beta", "--c", "0", "--d", "1/1000000")
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestNegativeRationals:
     """A negative endpoint is a value of --c, --d or --tol, not an option."""

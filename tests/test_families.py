@@ -400,7 +400,7 @@ SCAN_RANGES = {"montevideo": range(3, 11), "persistent": range(5, 102, 2), "drea
 def without_oracle(monkeypatch):
     # the bound flags read only the cofiniteness report; an empty oracle
     # result keeps verify cheap (its oracle_ok reads false)
-    empty = SimpleNamespace(periods=set, period_rotations=list)
+    empty = SimpleNamespace(periods=set, witnesses={})
     monkeypatch.setattr(families, "periods_up_to", lambda M, P: empty)
 
 

@@ -76,9 +76,25 @@ class TestCombGraph:
         assert path.is_interval()
         assert not triangle_with_tail().is_interval()
 
-    def test_bridges(self):
+    def test_excise_takes_circuit_edges_only(self):
         G = triangle_with_tail()
-        assert G.bridges() == {3}  # only the pendant edge
+        for i in range(3):  # the triangle
+            X, a, b = excise(G, i)
+            (u, v) = G.edges[i]
+            assert X.edges == G.edges[:i] + G.edges[i + 1 :] + ((u, a), (v, b))
+        for hint in (3, 4, -1):  # the pendant edge, then past either end
+            with pytest.raises(NotExtendable, match="not on a circuit"):
+                excise(G, hint)
+
+    def test_excise_tests_one_edge_at_a_time(self):
+        # edge 0 lies on the triangle: after the connectivity check (skip
+        # None), one pass without edge 0 settles it
+        G = triangle_with_tail()
+        connected_without = CombGraph._connected_without
+        with mock.patch.object(CombGraph, "_connected_without", autospec=True, side_effect=connected_without) as passes:
+            X, a, b = excise(G)
+        assert [call.args[1] for call in passes.call_args_list] == [None, 0]
+        assert X.edges == G.edges[1:] + (("u", a), ("v", b))
 
     def test_json_roundtrip(self):
         G = apple_graph()
@@ -106,7 +122,7 @@ class TestTraversal:
         assert tr.m == 11  # the smallest X: two non-J edges, each crossed twice
         assert parity_property_holds(tr)
         assert tr.m == 2 * len(tr.steps) - 1
-        assert 1 <= tr.u_count <= tr.m
+        assert 1 <= len(tr.u_ids) <= tr.m
 
     def test_apple_after_excision(self):
         X, a, b = excise(apple_graph())

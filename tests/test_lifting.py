@@ -239,15 +239,17 @@ class TestRotationNumbers:
             assert len(calls) <= 100, "the plateau orbit runs on"
             return evaluate(G, x)
 
+        monkeypatch.setattr(lifting, "DEFAULT_DENOMINATOR_BOUND", 60)
         monkeypatch.setattr(Lifting, "eval", counted)
-        assert rotation_number_monotone(F, 60) == F2(11, 5)
-        monkeypatch.undo()
-        assert ref.rotation_interval(F, 60) == rotation_interval(F, 60) == RotationInterval(F2(11, 5), F2(11, 5))
+        assert rotation_number_monotone(F) == F2(11, 5)
+        monkeypatch.setattr(Lifting, "eval", evaluate)
+        assert ref.rotation_interval(F) == rotation_interval(F) == RotationInterval(F2(11, 5), F2(11, 5))
 
-    def test_depth_exceeded_signal(self):
+    def test_depth_exceeded_signal(self, monkeypatch):
+        monkeypatch.setattr(lifting, "DEFAULT_DENOMINATOR_BOUND", 100)
         F = rigid(F2(355, 113000))
         with pytest.raises(DepthExceeded):
-            rotation_number_monotone(F, denominator_bound=100)
+            rotation_number_monotone(F)
 
     def test_dream_lower(self):
         inst = dream(3)
@@ -362,7 +364,9 @@ class TestGridMatchesReference:
     def test_rotation_interval(self, F):
         # the bound 40 turns rigid rotations with larger denominators into
         # DepthExceeded on both sides
-        assert outcome(rotation_interval, F, 40) == outcome(ref.rotation_interval, F, 40)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lifting, "DEFAULT_DENOMINATOR_BOUND", 40)
+            assert outcome(rotation_interval, F) == outcome(ref.rotation_interval, F)
 
 
 class TestSerialization:

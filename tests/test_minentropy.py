@@ -114,7 +114,7 @@ class TestClosedForm:
         # Q = (z-1)(1 - 2R) with Q = pq/dq and 1 - 2R = pr/dr
         pq, dq = q_balance(*cd)
         pr, dr = r_balance(*cd)
-        assert pq * dr == IntPolynomial.x_minus(1) * pr * dq
+        assert pq * dr == IntPolynomial([-1, 1]) * pr * dq
 
     @given(intervals())
     @settings(max_examples=30, derandomize=True, deadline=None)

@@ -29,7 +29,7 @@ class TestRigidRotation:
     def test_only_period_two(self):
         _, M = rigid_half()
         res = periods_up_to(M, 4)
-        assert res.period_rotations() == {(2, F2(1, 2))}
+        assert set(res.witnesses) == {(2, F2(1, 2))}
 
     def test_degenerate_loops_reported(self):
         _, M = rigid_half()
@@ -129,8 +129,8 @@ def test_minus_one_slope_doubling_sampled():
     )
     M = build_markov_system(F)
     res = periods_up_to(M, 4)
-    assert (1, F2(0)) in res.period_rotations()  # center 3/8 and the endpoint orbits
-    assert (2, F2(0)) in res.period_rotations()  # the orbit of 1/4; the third point shares it
+    assert (1, F2(0)) in res.witnesses  # center 3/8 and the endpoint orbits
+    assert (2, F2(0)) in res.witnesses  # the orbit of 1/4; the third point shares it
     assert any(len(d) % 2 == 0 for d in res.degenerate_loops)
     w = res.witnesses[(2, F2(0))]
     assert F.iterate(w.point, 2) == w.point and F.eval(w.point) != w.point
@@ -270,7 +270,7 @@ class TestDegenerateBranchesByProof:
         M = build_markov_system(F)
         res = periods_up_to(M, rho.denominator + 1)
         assert res.to_json() == reference_periods_up_to(M, rho.denominator + 1)[0].to_json()
-        assert res.period_rotations() == {(rho.denominator, rho)}
+        assert set(res.witnesses) == {(rho.denominator, rho)}
         assert res.degenerate_loops
         for entry in res.degenerate_loops:
             (w,) = exact_degenerate_witnesses(M, entry)

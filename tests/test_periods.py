@@ -246,7 +246,7 @@ def reference_per_from_rotation(F, M, rot):
     unresolved = candidates - extra
     if unresolved:
         full = periods_up_to(M, max(unresolved))
-        extra |= {m for (m, rho) in full.period_rotations() if m <= bound and rho in (c, d)}
+        extra |= {m for (m, rho) in full.witnesses if m <= bound and rho in (c, d)}
     return PeriodSet(finite=ms.finite | extra, tail_from=ms.tail_from)
 
 
