@@ -119,7 +119,8 @@ def _on_grid(D: int, X, V) -> Lifting:
         raise ValueError("need matching nonempty breakpoints/values")
     _check_keys(X, D, "breakpoints")
     g = gcd(D, *X, *V)
-    D, X, V = D // g, [x // g for x in X], [v // g for v in V]
+    if g > 1:
+        D, X, V = D // g, [x // g for x in X], [v // g for v in V]
     F = object.__new__(Lifting)
     object.__setattr__(F, "grid", (D, (*X, X[0] + D), (*V, V[0] + D)))
     return F

@@ -257,13 +257,15 @@ def _reverse(succ) -> list[list[int]]:
     return pred
 
 
-def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
+def _walk(succ, skip=(), until_loop=False) -> tuple[list[int], list[int], Optional[list[int]]]:
     """One iterative depth-first walk of the graph without the vertices in
     `skip`, roots and successors in increasing order.  Returns the finishing
     order (each vertex after every vertex it reaches, unless they share a
     loop; the first root finishes last iff it reaches every vertex), the
     targets of the back arrows, and the first loop it closes (w .. v w for
-    the first back arrow v -> w), or None when no loop avoids `skip`."""
+    the first back arrow v -> w), or None when no loop avoids `skip`.  With
+    `until_loop` the walk stops at that first back arrow, for callers that
+    read only the loop: the order and targets are then partial."""
     state = [0] * len(succ)  # 0 unseen, 1 on the path, 2 finished or skipped
     for v in skip:
         state[v] = 2
@@ -284,6 +286,8 @@ def _walk(succ, skip=()) -> tuple[list[int], list[int], Optional[list[int]]]:
                     targets.append(w)
                     if loop is None:
                         loop = path[path.index(w) :] + [w]
+                        if until_loop:
+                            return order, targets, loop
             else:
                 its.pop()
                 v = path.pop()
@@ -324,7 +328,7 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
             raise RotationMismatch(f"arrow ({i}, {j}, {k}) costs {cost} on the cycle of mean {rat_str(rho)}")
         if cost == 0:
             tight[i].append(j)
-    if _walk(tight)[2] is None:
+    if _walk(tight, until_loop=True)[2] is None:
         raise RotationMismatch(f"no loop has mean {rat_str(rho)}")
     if e != rho:  # the loops of mean rho are beyond e, or none has mean e
         message = "a loop has mean beyond" if side * (e - rho) > 0 else "no loop has mean"
@@ -505,12 +509,15 @@ def enumerate_loops(
     system, max_len: int, cap: int = DEFAULT_LOOP_CAP, succ: Optional[list] = None
 ) -> list[Loop]:
     """All loops of length <= max_len up to cyclic rotation, sorted, in the
-    whole covering graph or in the subgraph given by the successor lists
-    `succ`.
+    whole covering graph or in the subgraph given by the sorted successor
+    lists `succ`.
 
     Each loop is met once, as its least rotation (a necklace), by a DFS from
-    its least vertex.  A path a_1..a_L carries p, the length of its longest
-    Lyndon prefix (Fredricksen-Kessler-Maiorana): a next vertex w keeps p if
+    its least vertex.  The starts go up, and from each the DFS takes the
+    smaller successor first, so a path comes before its extensions and
+    before every larger path: the loops come out sorted.  A path a_1..a_L
+    carries p, the length of its longest Lyndon prefix
+    (Fredricksen-Kessler-Maiorana): a next vertex w keeps p if
     w == a_(L+1-p), makes it L + 1 if w is larger, and if w is smaller the
     path is the prefix of no necklace and is cut.  A closed walk is a
     necklace iff p divides L, and simple (a Lyndon word) iff p == L.  Paths
@@ -524,24 +531,22 @@ def enumerate_loops(
     pred = _reverse(succ)
     loops = []
     explored = 0
+    dist = [None] * len(succ)  # None outside the current start's return search
     for start in range(len(succ)):
-        if max(succ[start], default=-1) < start:  # start is the least vertex of no loop
-            continue
+        if max(succ[start], default=-1) < start or max(pred[start], default=-1) < start:
+            continue  # start is the least vertex of no loop
         # dist[v] = shortest path v -> start through vertices above start
         # (BFS on reversed arrows); a return of max_len or more fits no loop
-        dist = {start: 0}
+        dist[start] = 0
         queue = [start]
         for w in queue:
             if dist[w] + 1 < max_len:
                 for u in pred[w]:
-                    if u > start and u not in dist:
+                    if u > start and dist[u] is None:
                         dist[u] = dist[w] + 1
                         queue.append(u)
-        start_return = min((1 + dist[u] for u in succ[start] if u in dist), default=None)
-        if start_return is None:
-            continue
-
-        stack = [(start, (start,), 1)]
+        start_return = min((1 + dist[u] for u in succ[start] if dist[u] is not None), default=None)
+        stack = [(start, (start,), 1)] if start_return is not None else []
         while stack:
             v, path, p = stack.pop()
             explored += 1
@@ -549,15 +554,16 @@ def enumerate_loops(
                 raise BudgetExceeded(f"loop enumeration passed cap {cap}")
             L = len(path)
             ref = path[L - p]  # == start whenever p divides L
-            for w in succ[v]:
+            for w in reversed(succ[v]):
                 if w < ref:
-                    continue
+                    break
                 if w == start and L % p == 0:
                     if len(loops) >= cap:
                         raise BudgetExceeded(f"loop count passed cap {cap}")
                     loops.append(Loop(vertices=path, simple=p == L))
-                rem = dist.get(w) if w != start else start_return
+                rem = dist[w] if w != start else start_return
                 if rem is not None and L + rem <= max_len:
                     stack.append((w, path + (w,), p if w == ref else L + 1))
-    loops.sort(key=lambda loop: loop.vertices)
+        for v in queue:
+            dist[v] = None
     return loops

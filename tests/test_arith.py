@@ -186,6 +186,19 @@ class TestSparseSign:
         assert IntPolynomial(rebuilt) == p and e == min(p.degree, 0)
         assert [c for _, c in steps if c] == [c for c in reversed(p.coeffs) if c]
 
+    @given(
+        st.dictionaries(st.integers(0, 3000), st.integers(-(2**40), 2**40), max_size=7),
+        st.lists(st.tuples(st.integers(-(2**80), 2**80), st.integers(0, 90), st.sampled_from([1, 1, 3, 5, 7, 2**61 - 1])), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_dyadic_and_mixed_denominators(self, terms, points):
+        # b = 2^s m with m odd: m = 1 is a dyadic point, where the steps only
+        # shift; exponents up to 3000 give gaps in the thousands
+        p = IntPolynomial([terms.get(e, 0) for e in range(max(terms, default=-1) + 1)])
+        for a, s, m in points:
+            x = Fraction(a, m << s)
+            assert p.sign_at(x) == dense_sign_at(p, x)
+
 
 @st.composite
 def sparse_or_dense_polys(draw):
@@ -473,6 +486,34 @@ class TestLandRoot:
         largest_root_above(q_balance(c, d)[0], Fraction(1, 10**12))
         assert fallbacks == []
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            lambda: POLYNOMIALS["dream"](801),
+            lambda: POLYNOMIALS["dream"](3201),
+            lambda: POLYNOMIALS["persistent"](1601),
+            lambda: POLYNOMIALS["persistent"](6401),
+            lambda: q_balance(Fraction(0), Fraction(1, 16000))[0],
+        ],
+        ids=["dream-801", "dream-3201", "persistent-1601", "persistent-6401", "beta-0-1/16000"],
+    )
+    def test_large_gaps_land_without_bisection(self, fallbacks, p):
+        # Horner steps with gaps in the thousands, far above
+        # _TRUNCATED_POWERS_FROM: the guess's truncated powers still pick the cell
+        p = p()
+        assert max(g for g, _ in p.horner_steps()) > 40 * arith._TRUNCATED_POWERS_FROM
+        largest_root_above(p, Fraction(1, 10**12))
+        assert fallbacks == []
+
+    @given(st.integers(0, 2**20), st.integers(1, 5000), st.integers(30, 130))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_truncated_power_bounds(self, frac, e, P):
+        # x in [1, 2) at P bits: every product truncated, for a relative
+        # error under about 2e / 2^P, always from below
+        x = (1 << P) + (frac << (P - 20))
+        exact = (x**e << P) >> P * e
+        assert 0 <= exact - arith._truncated_power(x, e, P) <= 2 * e * (exact >> P) + 2 * e + 2
+
     def test_checks_only_points_in_the_piece(self, monkeypatch):
         # a guess in the first cell checks cells 0 and 1 and then bisects: the
         # cell below lo never passes, and below 1 (x - 1) p, which carries
@@ -490,6 +531,68 @@ class TestLandRoot:
         want = bisect_root(p.sign_at, lo, hi, tol)
         monkeypatch.setattr(arith, "_newton_guess", lambda *a: hi)
         assert land_root(p, lo, hi, tol) == want and len(fallbacks) == 1
+
+
+@st.composite
+def kernel_cases(draw):
+    """(p, tol, shape): p times (x - 1)^m, m <= 3, times x^s, maybe negated,
+    where p(1) < 0 < lead, so p has a root above 1.  Of degree up to about
+    3000, p has one sign variation: nonpositive then nonnegative coefficients
+    ("runs"), a few terms at exponents far apart ("few"), or
+    (D x - N)(1 + x + ... + x^k) ("cell_end"), whose one root above 1,
+    r = N / D = 2^j / (2^j - i), lies on a cell end: the Cauchy bound is
+    1 + r, and r - 1 = i r / 2^j, a cell end at depth j and below.  Of
+    degree 2 or 12, p has random coefficients ("several")."""
+    rnd = draw(st.randoms(use_true_random=False))
+    shape = rnd.choice(["runs", "few", "cell_end", "several"])
+    d = rnd.choice([2, 12] if shape == "several" else [2, 12, 40, 300, 3000])
+    tol = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2**10)] + ([Fraction(1, 10**9)] if d < 3000 else [])))
+    if shape == "cell_end":
+        j = rnd.randint(1, 2 if tol == Fraction(1, 3) else 6)  # the cells' depth K is at least 2, or 10
+        i = rnd.randint(1, 2**j - 1)
+        p = IntPolynomial([-(2**j), 2**j - i]) * IntPolynomial([1] * d)
+    else:
+        if shape == "few":
+            exponents = sorted(rnd.sample(range(d), min(d, rnd.randint(1, 5)))) + [d]
+        else:
+            exponents = range(d + 1)
+        cut = rnd.randint(1, len(exponents) - 1)  # one variation: the exponents below it carry c <= 0
+        bound = 10**6 if shape == "few" else 9
+        cs = [0] * (d + 1)
+        for t, e in enumerate(exponents):
+            cs[e] = rnd.randint(-bound, bound) if shape == "several" else (-1) ** (t < cut) * rnd.randint(0, bound)
+        cs[d] = rnd.randint(1, bound)
+        if sum(cs) >= 0:  # p(1) < 0 < lead: a root above 1
+            cs[exponents[0]] -= sum(cs) + 1
+        p = IntPolynomial(cs)
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * linear(1)
+    p = p.shift(draw(st.sampled_from([0, 1, 5]))) * draw(st.sampled_from([1, -1]))
+    return p, tol, shape
+
+
+class TestDenseReference:
+    """The kernel's bracket is the one `bisect_root` ends in on the piece it
+    isolates, with signs from the dense Horner over every coefficient of the
+    polynomial as given: no deflation, no sparse steps, no guess."""
+
+    @given(kernel_cases())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_equals_dense_bisection(self, case):
+        p, tol, shape = case
+        pieces = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "land_root", lambda q, lo, hi, t: pieces.append((lo, hi)) or land_root(q, lo, hi, t))
+            got = _outcome(p, tol)
+        assert isinstance(got, CertifiedRoot)
+        if shape == "cell_end":  # the bracket starts at the root
+            assert dense_sign_at(p, got.lower) == 0
+        orient = 1 if p.leading() > 0 else -1  # above 1, the deflated form's sign is orient * p's
+        if pieces:
+            ((lo, hi),) = pieces
+            assert lo >= 1 and got == bisect_root(lambda x: orient * dense_sign_at(p, x), lo, hi, tol)
+        else:  # a cut hit the root
+            assert got.width == 0 and got.lower > 1 and dense_sign_at(p, got.lower) == 0
 
 
 @st.composite

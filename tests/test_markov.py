@@ -452,6 +452,17 @@ def graphs_with_cycle(draw):
     return matrix
 
 
+@st.composite
+def random_graphs(draw):
+    """Sorted successor lists of random graphs on up to 9 vertices: arrows
+    drawn freely, self-arrows included, then every arrow at a drawn set of
+    vertices dropped, so some vertices have no arrows at all."""
+    n = draw(st.integers(1, 9))
+    arrows = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    bare = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return [sorted(w for u, w in arrows if u == v and not {u, w} & bare) for v in range(n)]
+
+
 def all_rotations_reference(succ, max_len):
     """Every closed walk of length <= max_len, canonicalized by its least
     rotation among all L, sorted; simple when no shorter word repeats to it."""
@@ -1105,6 +1116,25 @@ class TestLoops:
         sub = [[w for w in out if data.draw(st.booleans())] for out in M.successors]
         got = [(l.vertices, l.simple) for l in enumerate_loops(M, 7, succ=sub)]
         assert got == all_rotations_reference(sub, 7)
+
+    @given(random_graphs(), st.integers(1, 8))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_random_graphs_match_all_rotations_reference(self, succ, max_len):
+        # the DFS leaves the loops in the reference's sorted order; a cap
+        # below the loop count stops it with BudgetExceeded
+        M = FakeSystem.from_successors(succ)
+        want = all_rotations_reference(M.successors, max_len)
+        assert [(l.vertices, l.simple) for l in enumerate_loops(M, max_len)] == want
+        if want:
+            with pytest.raises(BudgetExceeded):
+                enumerate_loops(M, max_len, cap=len(want) - 1)
+
+    @given(random_graphs(), st.sets(st.integers(0, 8), max_size=4))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_walk_until_loop_closes_the_same_first_loop(self, succ, skip):
+        # stopping at the first back arrow keeps the loop the whole walk finds
+        skip = {v for v in skip if v < len(succ)}
+        assert markov._walk(succ, skip, until_loop=True)[2] == markov._walk(succ, skip)[2]
 
     def test_long_cycle_has_no_loop_below_its_length(self):
         # the return search from each start stays above it and within max_len
