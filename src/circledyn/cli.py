@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[instance, out], help="brute-force periods of a family instance")
     p.add_argument("--max-period", type=int, required=True)
     p.add_argument(
-        "--loop-cap", type=_at_least(1, "loop cap"), default=DEFAULT_LOOP_CAP, help="loop enumeration budget"
+        "--loop-cap", type=_at_least(1, "loop cap"), default=DEFAULT_LOOP_CAP, help="loop budget in DFS steps"
     )
     p.set_defaults(fn=_cmd_oracle)
 

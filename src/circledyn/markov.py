@@ -146,17 +146,17 @@ class MarkovSystem:
 def build_markov_system(F: Lifting) -> MarkovSystem:
     """Markov system modulo 1 generated by the breakpoints.
 
-    The point set is closed under the circle map; NotInvariant if the forward
-    closure does not terminate within budget (a point count, and a total
-    reduced-denominator bit length for closures whose denominators keep
-    growing), NotShort if some basic interval has an image of length >= 1
-    (the partition would not project to a Markov partition of the circle
-    map).  The closure runs on F's integer grid (D, X, V): a point p is the
-    key p*D in [0, D), an int on the grid and a Fraction between grid points.
-    A breakpoint's image is read off V; F is evaluated only at the other
-    points.  Keys off the grid refine it once, after the closure, by the lcm
-    E of their denominators.  (To put a point p into the partition, make it a
-    breakpoint of F with the value F.eval(p).)
+    The point set is closed under the circle map; NotInvariant, naming the
+    budget and its limit, if the forward closure passes a point count or a
+    total reduced-denominator bit length, NotShort if some basic interval
+    has an image of length >= 1 (the partition would not project to a
+    Markov partition of the circle map).  The closure runs on F's integer
+    grid (D, X, V): a point p is the key p*D in [0, D), an int on the grid
+    and a Fraction between grid points.  A breakpoint's image is read off
+    V; F is evaluated only at the other points.  Keys off the grid refine it
+    once, after the closure, by the lcm E of their denominators.  (To put a
+    point p into the partition, make it a breakpoint of F with the value
+    F.eval(p).)
 
     After the closure everything is integer: on the partition's common
     denominator D*E, point p is the key X = p*D*E and its image the integer
@@ -174,8 +174,10 @@ def build_markov_system(F: Lifting) -> MarkovSystem:
     frontier = list(pts)
     bits = sum([(D // gcd(x, D)).bit_length() for x in pts])  # the grid keys x are ints
     while frontier:
-        if len(pts) > _CLOSURE_BUDGET or bits > _CLOSURE_BITS:
-            raise NotInvariant("forward closure of the partition does not stabilize")
+        if len(pts) > _CLOSURE_BUDGET:
+            raise NotInvariant(f"forward closure of the partition passed {_CLOSURE_BUDGET} points")
+        if bits > _CLOSURE_BITS:
+            raise NotInvariant(f"forward closure of the partition passed {_CLOSURE_BITS} denominator bits")
         x = frontier.pop()
         y = images.get(x)
         if y is None:
@@ -497,32 +499,28 @@ def bracket_above(high: CertifiedRoot, low: CertifiedRoot) -> bool:
 
 @dataclass(frozen=True)
 class Loop:
-    vertices: tuple  # canonical rotation (lexicographically minimal)
-    simple: bool  # not a repetition of a shorter loop
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
+    vertices: tuple  # a Lyndon word: the least rotation, of no shorter word repeated
+    simple = True  # a constant, not a field: bench/tracer.py reads it
 
 
 def enumerate_loops(
     system, max_len: int, cap: int = DEFAULT_LOOP_CAP, succ: Optional[list] = None
 ) -> list[Loop]:
-    """All loops of length <= max_len up to cyclic rotation, sorted, in the
-    whole covering graph or in the subgraph given by the sorted successor
-    lists `succ`.
+    """The simple loops of length <= max_len, each once as its least rotation
+    (a Lyndon word), sorted, in the whole covering graph or in the subgraph
+    given by the sorted successor lists `succ`.
 
-    Each loop is met once, as its least rotation (a necklace), by a DFS from
-    its least vertex.  The starts go up, and from each the DFS takes the
-    smaller successor first, so a path comes before its extensions and
-    before every larger path: the loops come out sorted.  A path a_1..a_L
-    carries p, the length of its longest Lyndon prefix
+    A DFS from each loop's least vertex: the starts go up, and from each the
+    DFS takes the smaller successor first, so a path comes before its
+    extensions and before every larger path, and the loops come out sorted.
+    A path a_1..a_L carries p, the length of its longest Lyndon prefix
     (Fredricksen-Kessler-Maiorana): a next vertex w keeps p if
     w == a_(L+1-p), makes it L + 1 if w is larger, and if w is smaller the
-    path is the prefix of no necklace and is cut.  A closed walk is a
-    necklace iff p divides L, and simple (a Lyndon word) iff p == L.  Paths
-    are also cut by their shortest return to the start through vertices
-    above it.  BudgetExceeded past `cap` DFS steps or `cap` loops.
+    path is the prefix of no necklace and is cut.  A closed walk is a Lyndon
+    word iff p == L.  Paths are also cut by their shortest return to the
+    start through vertices above it.  The DFS keeps one path, cut back to
+    each popped entry's depth.  BudgetExceeded past `cap` DFS steps (paths
+    visited); a step closes at most one loop.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -532,6 +530,7 @@ def enumerate_loops(
     loops = []
     explored = 0
     dist = [None] * len(succ)  # None outside the current start's return search
+    path = []
     for start in range(len(succ)):
         if max(succ[start], default=-1) < start or max(pred[start], default=-1) < start:
             continue  # start is the least vertex of no loop
@@ -546,24 +545,23 @@ def enumerate_loops(
                         dist[u] = dist[w] + 1
                         queue.append(u)
         start_return = min((1 + dist[u] for u in succ[start] if dist[u] is not None), default=None)
-        stack = [(start, (start,), 1)] if start_return is not None else []
+        stack = [(start, 0, 1)] if start_return is not None else []  # (vertex, depth, p)
         while stack:
-            v, path, p = stack.pop()
+            v, L, p = stack.pop()
             explored += 1
             if explored > cap:
                 raise BudgetExceeded(f"loop enumeration passed cap {cap}")
-            L = len(path)
-            ref = path[L - p]  # == start whenever p divides L
+            path[L:] = (v,)
+            L += 1
+            ref = path[L - p]  # == start whenever p == L
             for w in reversed(succ[v]):
                 if w < ref:
                     break
-                if w == start and L % p == 0:
-                    if len(loops) >= cap:
-                        raise BudgetExceeded(f"loop count passed cap {cap}")
-                    loops.append(Loop(vertices=path, simple=p == L))
+                if w == start and p == L:
+                    loops.append(Loop(vertices=tuple(path)))
                 rem = dist[w] if w != start else start_return
                 if rem is not None and L + rem <= max_len:
-                    stack.append((w, path + (w,), p if w == ref else L + 1))
+                    stack.append((w, L, p if w == ref else L + 1))
         for v in queue:
             dist[v] = None
     return loops

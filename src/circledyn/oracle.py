@@ -117,8 +117,8 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
     the loops to a subgraph, such as the critical subgraph of an endpoint;
     every partition orbit up to P is kept either way.
 
-    Each witness's pair is stated, not searched for.  A simple loop is a
-    Lyndon word, hence primitive, and its orbit points lie strictly inside
+    Each witness's pair is stated, not searched for.  Each loop is a Lyndon
+    word, hence primitive, and its orbit points lie strictly inside
     one class each, so a return after m < L steps would give the cyclic word
     the period gcd(m, L) < L: a point that follows the loop has the pair
     (L, K/L), K its summed shifts.  So a loop whose pair is already witnessed
@@ -129,8 +129,9 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
     inner point of the class follows the word.  An identity branch gets its
     witness at the class midpoint.  A reflection fixes the midpoint; every
     other inner point, the one a third of the way in among them, has period
-    2L.  These are the only orbits a non-simple loop carries: the doubled
-    word of a branch with slope -1.
+    2L.  These are the only orbits that a repeated word carries, and
+    `enumerate_loops` lists no repetitions: the doubled word of a branch
+    with slope -1.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -139,8 +140,6 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
     for r, m, rho, orbit in M.partition_cycles:
         result.add(PeriodicWitness(Fraction(M.keys[r], D), m, rho, orbit))
     for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
-        if not loop.simple:
-            continue
         word = loop.vertices
         steps = _steps(M, word)
         a, b, c, K = loop_branch(steps)

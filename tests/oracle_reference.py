@@ -87,8 +87,6 @@ def reference_periods_up_to(M, P, succ=None):
         result.add(PeriodicWitness(M.partition[r], m, rho, orbit))
     solved = []
     for loop in enumerate_loops(M, P, succ=succ):
-        if not loop.simple:
-            continue
         word = loop.vertices
         steps = reference_steps(M, word, shift)
         a, b, c, _ = loop_branch(steps)
@@ -102,6 +100,6 @@ def reference_periods_up_to(M, P, succ=None):
         if data is not None:
             m, rho = data
             result.add(PeriodicWitness(Fraction(u, v * M.denominator), m, rho, word[:m]))
-        if a == -c and 2 * loop.length <= P:
+        if a == -c and 2 * len(word) <= P:
             sample_degenerate(M, word + word, steps + steps, result)
     return result, solved

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circledyn import markov
+from circledyn import cli, markov
 from circledyn.arith import CertifiedRoot, IntPolynomial, floor_frac, rat_str
 from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
 from circledyn.families import dream, make, montevideo, persistent, persistent_poly
@@ -88,7 +88,7 @@ def reference_build(F: Lifting, extra_points=()):
     frontier = list(pts)
     while frontier:
         if len(pts) > 100000:
-            raise NotInvariant("forward closure of the partition does not stabilize")
+            raise NotInvariant("forward closure of the partition passed 100000 points")
         y = F.eval(frontier.pop())
         y -= floor_frac(y)
         if y not in pts:
@@ -265,12 +265,12 @@ class TestIndexWalkBuild:
 
     def test_bit_budget_message(self):
         # the test_budgets.py map: the reference has no bit budget and would
-        # run into its point budget only after minutes, so the message is
-        # compared as the reference words it
+        # run into its point budget only after minutes; the program names
+        # the budget that tripped
         F = Lifting((F2(0), F2(1, 3)), (F2(1, 7), F2(9, 10)))
         with pytest.raises(NotInvariant) as got:
             build_markov_system(F)
-        assert str(got.value) == "forward closure of the partition does not stabilize"
+        assert str(got.value) == "forward closure of the partition passed 1000000 denominator bits"
 
     @pytest.mark.parametrize("extra", [[], [F2(1, 40)]])
     def test_budgets_count_exactly(self, monkeypatch, extra):
@@ -280,14 +280,29 @@ class TestIndexWalkBuild:
         F = Lifting((F2(0),), (F2(1, 20),))
         pts = reference_build(F, extra)[0]
         bits = sum(p.denominator.bit_length() for p in pts)
-        for name, size in (("_CLOSURE_BUDGET", len(pts)), ("_CLOSURE_BITS", bits)):
+        for name, size, unit in (("_CLOSURE_BUDGET", len(pts), "points"), ("_CLOSURE_BITS", bits, "denominator bits")):
             with monkeypatch.context() as m:
                 m.setattr(markov, name, size)
                 assert build_markov_system(with_points(F, extra)).partition == pts
                 m.setattr(markov, name, size - 1)
                 with pytest.raises(NotInvariant) as got:
                     build_markov_system(with_points(F, extra))
-                assert str(got.value) == "forward closure of the partition does not stabilize"
+                assert str(got.value) == f"forward closure of the partition passed {size - 1} {unit}"
+
+    @pytest.mark.parametrize(
+        "name,n,unit", [("dream", 20, "denominator bits"), ("montevideo", 4, "denominator bits"), ("montevideo", 4, "points")]
+    )
+    def test_family_closure_names_its_budget(self, monkeypatch, capsys, name, n, unit):
+        # a family's closure is finite, its orbit points alone (4n - 2 for
+        # dream, 4n^2 for montevideo); past a budget set just below it the
+        # `family` command names that budget and its limit, not a closure
+        # that never ends (the real bit budget trips at dream n >= 16281 and
+        # montevideo n >= 128)
+        pts = make(name, n).markov.partition
+        size = len(pts) if unit == "points" else sum(p.denominator.bit_length() for p in pts)
+        monkeypatch.setattr(markov, "_CLOSURE_BUDGET" if unit == "points" else "_CLOSURE_BITS", size - 1)
+        assert cli.main(["family", name, "--n", str(n)]) == 1
+        assert capsys.readouterr().err == f"error: forward closure of the partition passed {size - 1} {unit}\n"
 
 
 class TestPartitionRotationInterval:
@@ -464,8 +479,8 @@ def random_graphs(draw):
 
 
 def all_rotations_reference(succ, max_len):
-    """Every closed walk of length <= max_len, canonicalized by its least
-    rotation among all L, sorted; simple when no shorter word repeats to it."""
+    """Every primitive closed walk (no shorter word repeats to it) of length
+    <= max_len, canonicalized by its least rotation among all L, sorted."""
     words = set()
     paths = [(v,) for v in range(len(succ))]
     while paths:
@@ -474,7 +489,17 @@ def all_rotations_reference(succ, max_len):
             words.add(min(path[t:] + path[:t] for t in range(len(path))))
         if len(path) < max_len:
             paths.extend(path + (w,) for w in succ[path[-1]])
-    return [(w, all(w[p:] + w[:p] != w for p in range(1, len(w)))) for w in sorted(words)]
+    return sorted(w for w in words if all(w[p:] + w[:p] != w for p in range(1, len(w))))
+
+
+def walk_count(succ, max_len):
+    """The number of walks of 1..max_len vertices, the paths that
+    `all_rotations_reference` visits."""
+    count, ends = 0, [1] * len(succ)
+    for _ in range(max_len):
+        count += sum(ends)
+        ends = [sum(ends[v] for v in range(len(succ)) if w in succ[v]) for w in range(len(succ))]
+    return count
 
 
 def reach_closure(succ, allowed):
@@ -1076,15 +1101,15 @@ class TestEntropy:
 
 class TestLoops:
     def test_self_loop(self):
+        # the walks (0, 0) and (0, 0, 0) repeat the self-loop: not listed
         loops = enumerate_loops(FakeSystem([[1]]), 3)
-        assert [(l.vertices, l.simple) for l in loops] == [((0,), True), ((0, 0), False), ((0, 0, 0), False)]
+        assert [(l.vertices, l.simple) for l in loops] == [((0,), True)]
 
     def test_rigid_two_cycle(self):
         M = rigid_half_system()
-        loops = enumerate_loops(M, 4)
-        simples = [l for l in loops if l.simple]
-        assert len(simples) == 1 and simples[0].length == 2
-        assert [M.orientation[v] for v in simples[0].vertices] == [1, 1]
+        (loop,) = enumerate_loops(M, 4)
+        assert len(loop.vertices) == 2
+        assert [M.orientation[v] for v in loop.vertices] == [1, 1]
 
     def test_persistent_j0_j2_loop_positive(self):
         inst = persistent(5)
@@ -1092,17 +1117,14 @@ class TestLoops:
         j0 = class_index(inst, F2(0), inst.y_positions[0])
         j2 = class_index(inst, inst.x_positions[1], inst.y_positions[3])
         loops = enumerate_loops(M, 2)
-        two = [l for l in loops if l.length == 2 and set(l.vertices) == {j0, j2}]
-        assert len(two) == 1 and two[0].simple
+        assert [l.vertices for l in loops if set(l.vertices) == {j0, j2}] == [tuple(sorted((j0, j2)))]
         assert M.orientation[j0] * M.orientation[j2] == 1
 
     def test_persistent_no_simple_length4(self):
+        # the only closed walk of length 4 repeats the 2-loop: not listed
         M = persistent(5).markov
-        loops = enumerate_loops(M, 4)
-        assert not any(l.simple and l.length == 4 for l in loops)
-        # the only length-4 loop is the 2-repetition of the 2-loop
-        reps = [l for l in loops if l.length == 4]
-        assert len(reps) == 1 and not reps[0].simple
+        lengths = [len(l.vertices) for l in enumerate_loops(M, 4)]
+        assert 4 not in lengths and 2 in lengths
 
     @given(graphs_with_cycle(), st.sets(st.integers(0, 9)), st.data())
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -1110,12 +1132,15 @@ class TestLoops:
         for v in self_loops:
             matrix[v % len(matrix)][v % len(matrix)] = 1
         M = FakeSystem(matrix)
-        got = [(l.vertices, l.simple) for l in enumerate_loops(M, 7)]
-        assert got == all_rotations_reference(M.successors, 7)
+        # up to 7, as long as the reference visits at most 20,000 walks (a
+        # complete graph on 8 vertices has 2.4 million of length <= 7)
+        max_len = max(L for L in range(1, 8) if walk_count(M.successors, L) <= 20000)
+        got = [l.vertices for l in enumerate_loops(M, max_len)]
+        assert got == all_rotations_reference(M.successors, max_len)
         # the subgraph of a drawn share of the arrows
         sub = [[w for w in out if data.draw(st.booleans())] for out in M.successors]
-        got = [(l.vertices, l.simple) for l in enumerate_loops(M, 7, succ=sub)]
-        assert got == all_rotations_reference(sub, 7)
+        got = [l.vertices for l in enumerate_loops(M, max_len, succ=sub)]
+        assert got == all_rotations_reference(sub, max_len)
 
     @given(random_graphs(), st.integers(1, 8))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -1124,7 +1149,7 @@ class TestLoops:
         # below the loop count stops it with BudgetExceeded
         M = FakeSystem.from_successors(succ)
         want = all_rotations_reference(M.successors, max_len)
-        assert [(l.vertices, l.simple) for l in enumerate_loops(M, max_len)] == want
+        assert [l.vertices for l in enumerate_loops(M, max_len)] == want
         if want:
             with pytest.raises(BudgetExceeded):
                 enumerate_loops(M, max_len, cap=len(want) - 1)
@@ -1142,11 +1167,23 @@ class TestLoops:
         assert enumerate_loops(M, 1500) == []
 
     def test_two_cycle_repetitions(self):
-        # 800 closed walks 0101..., only the first of them simple
+        # 800 closed walks 0101... up to 1,600, only the first of them
+        # simple: the search still visits the 1,600 paths 0, 01, 010, ...
         M = FakeSystem.from_successors([[1], [0]])
-        loops = enumerate_loops(M, 1600)
-        assert [l.vertices for l in loops] == [(0, 1) * k for k in range(1, 801)]
-        assert [l for l in loops if l.simple] == [loops[0]]
+        assert [l.vertices for l in enumerate_loops(M, 1600, cap=1600)] == [(0, 1)]
+        with pytest.raises(BudgetExceeded):
+            enumerate_loops(M, 1600, cap=1599)
+
+    def test_two_cycle_work_is_linear(self):
+        # one step per path and no loop per repetition: 100,000 steps, no
+        # copy of the path (a quadratic search would build about 50,000
+        # loops holding billions of vertices)
+        M = FakeSystem.from_successors([[1], [0]])
+        start = time.perf_counter()
+        assert [l.vertices for l in enumerate_loops(M, 100000, cap=100000)] == [(0, 1)]
+        with pytest.raises(BudgetExceeded):
+            enumerate_loops(M, 100000, cap=99999)
+        assert time.perf_counter() - start < 2
 
     def test_budget(self):
         from circledyn.errors import BudgetExceeded
