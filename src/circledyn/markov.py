@@ -500,6 +500,7 @@ def bracket_above(high: CertifiedRoot, low: CertifiedRoot) -> bool:
 @dataclass(frozen=True)
 class Loop:
     vertices: tuple  # a Lyndon word: the least rotation, of no shorter word repeated
+    shared: int  # leading vertices in common with the loop listed before (0 for the first)
     simple = True  # a constant, not a field: bench/tracer.py reads it
 
 
@@ -521,6 +522,10 @@ def enumerate_loops(
     start through vertices above it.  The DFS keeps one path, cut back to
     each popped entry's depth.  BudgetExceeded past `cap` DFS steps (paths
     visited); a step closes at most one loop.
+
+    A loop's `shared` is the least depth the path was cut back to since the
+    loop before: the entry put there replaces a sibling or is a new start,
+    so the two words agree on exactly their first `shared` vertices.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -531,6 +536,7 @@ def enumerate_loops(
     explored = 0
     dist = [None] * len(succ)  # None outside the current start's return search
     path = []
+    low = 0  # the least depth the path was cut back to since the last loop
     for start in range(len(succ)):
         if max(succ[start], default=-1) < start or max(pred[start], default=-1) < start:
             continue  # start is the least vertex of no loop
@@ -552,13 +558,16 @@ def enumerate_loops(
             if explored > cap:
                 raise BudgetExceeded(f"loop enumeration passed cap {cap}")
             path[L:] = (v,)
+            if L < low:
+                low = L
             L += 1
             ref = path[L - p]  # == start whenever p == L
             for w in reversed(succ[v]):
                 if w < ref:
                     break
                 if w == start and p == L:
-                    loops.append(Loop(vertices=tuple(path)))
+                    loops.append(Loop(tuple(path), low))
+                    low = L
                 rem = dist[w] if w != start else start_return
                 if rem is not None and L + rem <= max_len:
                     stack.append((w, L, p if w == ref else L + 1))

@@ -6,7 +6,8 @@ the cycles of the Markov system's index map.  Both read only the integers of
 the system (its per-arrow step table on the keys X): a branch is an integer
 triple (a, b, c) for x -> (a*x + b)/c on the keys, a point an integer pair
 (u, v) for the key u/v.  A loop is solved only while its (period, rotation)
-pair has no witness, and a point becomes a Fraction only when reported.
+pair, tested as integers, has no witness, and a point and its rotation
+become Fractions only when reported.
 Zero tolerance anywhere: witnesses satisfy their defining equations as
 rationals.
 """
@@ -77,23 +78,34 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _steps(M: MarkovSystem, word: tuple) -> list[tuple]:
-    """The `arrow_steps` entry of each arrow along the loop word."""
-    return list(map(M.arrow_steps.__getitem__, zip(word, word[1:] + word[:1])))
-
-
-def loop_branch(steps: list) -> tuple[int, int, int, int]:
-    """Composed return map x -> (a*x + b)/c on the keys along a loop's steps,
-    and K, the sum of their shifts.
+def loop_branches(M: MarkovSystem, loops):
+    """(word, steps, (a, b, c, K)) for each loop in turn: its steps, the
+    `arrow_steps` entry of each arrow along the word with the closing arrow
+    last, and their composed return map x -> (a*x + b)/c on the keys, with K
+    the sum of their shifts.
 
     Each step is x -> F(x) - shift on the class representative, so a fixed
     point of the composition is a point whose F-orbit realizes the itinerary
-    and comes back to itself modulo the integer translation K.
+    and comes back to itself modulo the integer translation K.  A loop that
+    shares its first `shared` vertices with the one before shares its first
+    `shared - 1` arrows: their composition is kept from that loop, and only
+    the other arrows are looked up and composed.  The step list is reused,
+    so it is read before the next loop is drawn.
     """
-    a, b, c, K = 1, 0, 1, 0
-    for _, _, dx, dy, e, k in steps:
-        a, b, c, K = dy * a, dy * b + e * c, dx * c, K + k
-    return a, b, c, K
+    table = M.arrow_steps
+    steps, prefix = [], [(1, 0, 1, 0)]  # prefix[t]: the first t steps composed
+    for loop in loops:
+        word = loop.vertices
+        L, t = len(word), max(loop.shared, 1)
+        del steps[t - 1 :], prefix[t:]
+        a, b, c, K = prefix[-1]
+        for i in range(t - 1, L):
+            step = table[word[i], word[i + 1 - L]]  # word[i + 1], word[0] last
+            _, _, dx, dy, e, k = step
+            a, b, c, K = dy * a, dy * b + e * c, dx * c, K + k
+            steps.append(step)
+            prefix.append((a, b, c, K))
+        yield word, steps, (a, b, c, K)
 
 
 def _follows(steps: list, u: int, v: int) -> bool:
@@ -132,6 +144,9 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
     2L.  These are the only orbits that a repeated word carries, and
     `enumerate_loops` lists no repetitions: the doubled word of a branch
     with slope -1.
+
+    `loop_branches` composes each shared loop prefix once.  A pair is tested
+    as the integers (L, K); K/L becomes a Fraction only for a kept witness.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -139,22 +154,27 @@ def periods_up_to(M: MarkovSystem, P: int, loop_cap: int = DEFAULT_LOOP_CAP, suc
     D = M.denominator
     for r, m, rho, orbit in M.partition_cycles:
         result.add(PeriodicWitness(Fraction(M.keys[r], D), m, rho, orbit))
-    for loop in enumerate_loops(M, P, cap=loop_cap, succ=succ):
-        word = loop.vertices
-        steps = _steps(M, word)
-        a, b, c, K = loop_branch(steps)
-        L, rho = len(word), Fraction(K, len(word))
+    witnessed = {(m, int(m * rho)) for m, rho in result.witnesses}  # (period, K)
+
+    def add(u, v, m, K, itinerary):
+        """Keeps the witness at the key u/v of the pair (m, K/m) if it is new."""
+        if (m, K) not in witnessed:
+            witnessed.add((m, K))
+            result.add(PeriodicWitness(Fraction(u, v * D), m, Fraction(K, m), itinerary))
+
+    for word, steps, (a, b, c, K) in loop_branches(M, enumerate_loops(M, P, cap=loop_cap, succ=succ)):
+        L = len(word)
         lo, hi = steps[0][:2]
         if a == c:
             if b == 0:
                 result.degenerate_loops.append(word)
-                result.add(PeriodicWitness(Fraction(lo + hi, 2 * D), L, rho, word))
+                add(lo + hi, 2, L, K, word)
             continue
-        if (L, rho) not in result.witnesses:
+        if (L, K) not in witnessed:
             u, v = (b, c - a) if c > a else (-b, a - c)  # the fixed point u/v = b/(c - a)
             if _follows(steps, u, v):
-                result.add(PeriodicWitness(Fraction(u, v * D), L, rho, word))
+                add(u, v, L, K, word)
         if a == -c and 2 * L <= P:
             result.degenerate_loops.append(word + word)
-            result.add(PeriodicWitness(Fraction(2 * lo + hi, 3 * D), 2 * L, rho, word + word))
+            add(2 * lo + hi, 3, 2 * L, 2 * K, word + word)
     return result

@@ -4,6 +4,9 @@ searches for each witness instead of stating it.
 - `reference_steps`, for `MarkovSystem.arrow_steps`: each loop's steps
   computed for that loop alone from the keys, the index map and the arrow
   shifts.
+- `loop_branch`, for `loop_branches`: each loop's steps composed from the
+  first, where the program keeps the composed prefix it shares with the
+  loop before.
 - `orbit_data`, for the check walk: it finds the minimal period and the
   rotation number of a point by testing every divisor of the loop length
   for an early return, where the program states the pair (L, K/L).
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from circledyn.markov import enumerate_loops
-from circledyn.oracle import OracleResult, PeriodicWitness, loop_branch
+from circledyn.oracle import OracleResult, PeriodicWitness
 
 
 def reference_steps(M, word, shift):
@@ -35,6 +38,20 @@ def reference_steps(M, word, shift):
         dx, dy = X[i + 1] - X[i], y1 - y0
         steps.append((X[i], X[i + 1], dx, dy, (y0 - k * D) * dx - X[i] * dy, k))
     return steps
+
+
+def word_steps(M, word):
+    """`reference_steps` of the word under the system's own arrow shifts."""
+    return reference_steps(M, word, {(i, j): k for i, j, k in M.coverings})
+
+
+def loop_branch(steps):
+    """Composed return map x -> (a*x + b)/c on the keys along a loop's steps,
+    and K, the sum of their shifts, composed from the first step."""
+    a, b, c, K = 1, 0, 1, 0
+    for _, _, dx, dy, e, k in steps:
+        a, b, c, K = dy * a, dy * b + e * c, dx * c, K + k
+    return a, b, c, K
 
 
 def orbit_data(steps, u0, v0):

@@ -502,6 +502,11 @@ def walk_count(succ, max_len):
     return count
 
 
+def common_prefix(u, w):
+    """The number of leading entries the sequences u and w have in common."""
+    return next((t for t, (x, y) in enumerate(zip(u, w)) if x != y), min(len(u), len(w)))
+
+
 def reach_closure(succ, allowed):
     """reach[v][w]: a walk of one or more arrows v -> w inside `allowed`."""
     n = len(succ)
@@ -1146,13 +1151,51 @@ class TestLoops:
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_random_graphs_match_all_rotations_reference(self, succ, max_len):
         # the DFS leaves the loops in the reference's sorted order; a cap
-        # below the loop count stops it with BudgetExceeded
+        # below the loop count stops it with BudgetExceeded.  max_len as
+        # drawn, as long as the reference visits at most 20,000 walks (a
+        # complete graph on 9 vertices has 48 million of length <= 8)
         M = FakeSystem.from_successors(succ)
+        max_len = max(L for L in range(1, max_len + 1) if walk_count(M.successors, L) <= 20000)
         want = all_rotations_reference(M.successors, max_len)
         assert [l.vertices for l in enumerate_loops(M, max_len)] == want
         if want:
             with pytest.raises(BudgetExceeded):
                 enumerate_loops(M, max_len, cap=len(want) - 1)
+
+    @given(random_graphs(), st.integers(1, 8), st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_shared_is_the_common_prefix_with_the_loop_before(self, succ, max_len, data):
+        # on the whole graph and on a subgraph given as successor lists; the
+        # loops run over several starts, where a start shares nothing
+        M = FakeSystem.from_successors(succ)
+        max_len = max(L for L in range(1, max_len + 1) if walk_count(M.successors, L) <= 20000)
+        sub = [[w for w in out if data.draw(st.booleans())] for out in M.successors]
+        for graph in (None, sub):
+            before = ()
+            for loop in enumerate_loops(M, max_len, succ=graph):
+                assert loop.shared == common_prefix(before, loop.vertices)
+                before = loop.vertices
+
+    def test_shared_across_starts(self):
+        # the complete graph on 3 vertices: each start's first loop shares
+        # nothing, and a loop extending the one before shares all of it
+        M = FakeSystem([[1] * 3 for _ in range(3)])
+        assert [(l.vertices, l.shared) for l in enumerate_loops(M, 3)] == [
+            ((0,), 0),
+            ((0, 0, 1), 1),
+            ((0, 0, 2), 2),
+            ((0, 1), 1),
+            ((0, 1, 1), 2),
+            ((0, 1, 2), 2),
+            ((0, 2), 1),
+            ((0, 2, 1), 2),
+            ((0, 2, 2), 2),
+            ((1,), 0),
+            ((1, 1, 2), 1),
+            ((1, 2), 1),
+            ((1, 2, 2), 2),
+            ((2,), 0),
+        ]
 
     @given(random_graphs(), st.sets(st.integers(0, 8), max_size=4))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -1173,6 +1216,15 @@ class TestLoops:
         assert [l.vertices for l in enumerate_loops(M, 1600, cap=1600)] == [(0, 1)]
         with pytest.raises(BudgetExceeded):
             enumerate_loops(M, 1600, cap=1599)
+
+    def test_least_cap_at_persistent_6401(self):
+        # the lower end 1/2's critical subgraph closes the one 2-cycle and
+        # its walk runs to max_len: one step per path visited
+        M = persistent(6401).markov
+        succ = critical_successors(M, M.rotation.c, 1)
+        assert [l.vertices for l in enumerate_loops(M, 6400, cap=6400, succ=succ)] == [(0, 6400)]
+        with pytest.raises(BudgetExceeded):
+            enumerate_loops(M, 6400, cap=6399, succ=succ)
 
     def test_two_cycle_work_is_linear(self):
         # one step per path and no loop per repetition: 100,000 steps, no

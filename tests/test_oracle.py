@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle_reference import orbit_data, reference_periods_up_to
+from oracle_reference import loop_branch, orbit_data, reference_periods_up_to, reference_steps, word_steps
 from test_periods import two_orbit_maps
 
 from circledyn import oracle
@@ -14,7 +14,7 @@ from circledyn.errors import CircledynError
 from circledyn.families import dream, make, persistent
 from circledyn.lifting import Lifting, rotation_interval
 from circledyn.markov import MarkovSystem, build_markov_system, critical_successors, enumerate_loops
-from circledyn.oracle import PeriodicWitness, _follows, _steps, loop_branch, periods_up_to
+from circledyn.oracle import PeriodicWitness, _follows, loop_branches, periods_up_to
 from circledyn.periods import per_from_rotation
 
 F2 = Fraction
@@ -70,7 +70,7 @@ def test_partition_point_is_not_a_loop_orbit(name, n):
     ]
     assert words
     for word in words:
-        assert not _follows(_steps(M, word), M.keys[word[0]], 1)
+        assert not _follows(word_steps(M, word), M.keys[word[0]], 1)
 
 
 @pytest.mark.parametrize("name,n,P", [("dream", 3, 8), ("persistent", 7, 10), ("montevideo", 3, 9)])
@@ -95,8 +95,8 @@ def test_two_repetition_of_negative_loop_has_half_period():
     checked = 0
     for l in neg_simple:
         doubled = l.vertices + l.vertices
-        steps = _steps(M, l.vertices)
-        assert _steps(M, doubled) == steps + steps
+        steps = word_steps(M, l.vertices)
+        assert word_steps(M, doubled) == steps + steps
         a, b, c, K = loop_branch(steps + steps)
         a1, b1, c1, K1 = loop_branch(steps)
         assert (a, c, K) == (a1 * a1, c1 * c1, 2 * K1)
@@ -190,6 +190,28 @@ class TestWitnessedPairsSkipped:
         assert len(solved) == 575
         assert len(calls) == new_pairs < len(solved) // 10
 
+    def test_montevideo6_composes_each_shared_prefix_once(self, monkeypatch):
+        # one `arrow_steps` lookup per arrow the loop does not share with the
+        # loop before, the closing arrow included: 7,216 lookups where
+        # composing every loop from its first arrow takes one per arrow, 19,014
+        inst = make("montevideo", 6)
+        M = inst.markov
+        P = sbc(per_from_rotation(inst.lifting, M)) + 3
+        lookups = []
+
+        class CountedSteps(dict):
+            def __getitem__(self, arrow):
+                lookups.append(arrow)
+                return dict.__getitem__(self, arrow)
+
+        monkeypatch.setitem(vars(M), "arrow_steps", CountedSteps(M.arrow_steps))
+        res = periods_up_to(M, P)
+        loops = enumerate_loops(M, P)
+        assert (P, len(loops), sum(len(l.vertices) for l in loops)) == (37, 575, 19014)
+        assert len(lookups) == sum(len(l.vertices) - max(l.shared, 1) + 1 for l in loops) == 7216
+        monkeypatch.undo()
+        assert res.to_json() == periods_up_to(M, P).to_json()
+
 
 @st.composite
 def grid_liftings(draw, max_N=7):
@@ -216,7 +238,7 @@ def exact_degenerate_witnesses(M, entry):
     L = len(entry)
     reflection = L % 2 == 0 and entry[: L // 2] == entry[L // 2 :]
     word = entry[: L // 2] if reflection else entry
-    _, _, _, K = loop_branch(_steps(M, word))
+    _, _, _, K = loop_branch(word_steps(M, word))
     bounds = M.partition + (M.partition[0] + 1,)
     lo, hi = bounds[word[0]], bounds[word[0] + 1]
     rho = F2(K, len(word))
@@ -277,3 +299,63 @@ class TestDegenerateBranchesByProof:
         res = periods_up_to(hiding_partition_orbits(M), rho.denominator + 1)
         (w,) = res.witnesses.values()
         assert w == next(exact_degenerate_witnesses(M, res.degenerate_loops[0]))
+
+
+def split_class_system():
+    """F(x) = 2x on [0, 2/3], falling to F(1) = 1: the class [1/3, 2/3]
+    covers [2/3, 1] with shift 0 and [1, 4/3] with shift 1, so its two
+    arrows have different steps."""
+    return build_markov_system(Lifting((F2(0), F2(1, 3), F2(2, 3)), (F2(0), F2(2, 3), F2(4, 3))))
+
+
+def check_loop_branches(M, P, succ=None):
+    """Each loop's steps and composed branch from `loop_branches` equal those
+    computed for that loop alone; returns the loops."""
+    shift = {(i, j): k for i, j, k in M.coverings}
+    loops = enumerate_loops(M, P, succ=succ)
+    seen = 0
+    for loop, (word, steps, branch) in zip(loops, loop_branches(M, loops)):
+        want = reference_steps(M, word, shift)
+        assert word == loop.vertices
+        assert steps == want
+        assert branch == loop_branch(want)
+        seen += 1
+    assert seen == len(loops)
+    return loops
+
+
+class TestLoopBranches:
+    """`loop_branches` keeps the composed prefix each loop shares with the
+    one before.  Arrows leaving one class have the same step unless their
+    shifts differ, so a kept prefix that the search has cut away shows only
+    on graphs with such classes."""
+
+    def test_split_class_prefix_is_recomposed(self):
+        M = split_class_system()
+        shift = {(i, j): k for i, j, k in M.coverings}
+        assert {shift[1, 0], shift[1, 2]} == {0, 1}
+        loops = check_loop_branches(M, 8)
+        # loops cut back right after the split class, to its other arrow
+        cut = [
+            (before, loop)
+            for before, loop in zip(loops, loops[1:])
+            if 0 < loop.shared < len(before.vertices)
+            and loop.vertices[loop.shared - 1] == 1
+            and shift[1, before.vertices[loop.shared]] != shift[1, loop.vertices[loop.shared]]
+        ]
+        assert cut
+        assert periods_up_to(M, 8).to_json() == reference_periods_up_to(M, 8)[0].to_json()
+
+    @given(data=grid_liftings())
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_grid_liftings(self, data):
+        _, M = data
+        check_loop_branches(M, 6)
+
+    @given(data=two_orbit_maps())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_two_orbit_maps(self, data):
+        # the full graph and both endpoints' critical subgraphs
+        _, M, rot = data
+        for succ in (None, critical_successors(M, rot.c, 1), critical_successors(M, rot.d, -1)):
+            check_loop_branches(M, 7, succ)
