@@ -183,21 +183,25 @@ def build_from_orbits(orbits: Sequence[LiftedOrbit]) -> Lifting:
 def orbit_lifting(D: int, orbits) -> Lifting:
     """`build_from_orbits` on integer keys: each orbit is (keys, shift), the
     keys x_j = points[j]*D strictly increasing in [0, D), and the extension
-    x_(j + q*l) = x_j + l*D moves by the index shift j -> j + shift."""
-    pts = []  # (key, image key)
+    x_(j + q*l) = x_j + l*D moves by the index shift j -> j + shift: the
+    images are keys[r:] + k*D, then keys[:r] + (k+1)*D, for k, r =
+    divmod(shift, q).  A key listed twice: OrderConflict or Degenerate at
+    the least one, as its first two (key, image) pairs in order differ."""
+    pairs = []  # (keys, their images) per orbit
     for keys, shift in orbits:
-        q = len(keys)
-        for j, x in enumerate(keys):
-            k, r = divmod(j + shift, q)
-            pts.append((x, keys[r] + k * D))
-    pts.sort()
-    for (x1, v1), (x2, v2) in zip(pts, pts[1:]):
-        if x1 == x2:
-            p = rat_str(Fraction(x1, D))
-            if v1 != v2:
-                raise OrderConflict(f"point {p} prescribed two images")
-            raise Degenerate(f"orbit point {p} duplicated")
-    return _on_grid(D, [x for x, _ in pts], [v for _, v in pts])
+        k, r = divmod(shift, len(keys))
+        pairs.append((keys, [x + k * D for x in keys[r:]] + [x + (k + 1) * D for x in keys[:r]]))
+    images = {x: v for keys, vs in pairs for x, v in zip(keys, vs)}
+    if len(images) < sum(len(keys) for keys, _ in pairs):
+        pts = sorted(p for keys, vs in pairs for p in zip(keys, vs))
+        for (x1, v1), (x2, v2) in zip(pts, pts[1:]):
+            if x1 == x2:
+                p = rat_str(Fraction(x1, D))
+                if v1 != v2:
+                    raise OrderConflict(f"point {p} prescribed two images")
+                raise Degenerate(f"orbit point {p} duplicated")
+    X = sorted(images)
+    return _on_grid(D, X, list(map(images.__getitem__, X)))
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,14 @@ def build_markov_system(F: Lifting) -> MarkovSystem:
     budget and its limit, if the forward closure passes a point count or a
     total reduced-denominator bit length, NotShort if some basic interval
     has an image of length >= 1 (the partition would not project to a
-    Markov partition of the circle map).  The closure runs on F's integer
-    grid (D, X, V): a point p is the key p*D in [0, D), an int on the grid
-    and a Fraction between grid points.  A breakpoint's image is read off
-    V; F is evaluated only at the other points.  Keys off the grid refine it
-    once, after the closure, by the lcm E of their denominators.  (To put a
-    point p into the partition, make it a breakpoint of F with the value
-    F.eval(p).)
+    Markov partition of the circle map).  An invariant grid (an orbit
+    lifting's: each breakpoint's image a breakpoint mod 1) is the partition
+    as it stands, E = 1.  Else the closure runs on F's integer grid
+    (D, X, V): a point p is the key p*D in [0, D), an int on the grid and a
+    Fraction between grid points.  A breakpoint's image is read off V; F is
+    evaluated only at the other points.  Keys off the grid refine it once,
+    after the closure, by the lcm E of their denominators.  (To put a point
+    p into the partition, make it a breakpoint of F with the value F.eval(p).)
 
     After the closure everything is integer: on the partition's common
     denominator D*E, point p is the key X = p*D*E and its image the integer
@@ -168,38 +169,48 @@ def build_markov_system(F: Lifting) -> MarkovSystem:
     lifted classes min(G[i],G[i+1]) .. max(G[i],G[i+1])-1, where
     G[n] = G[0] + n closes the wrap class.
     """
-    D, X, V = F.grid
-    images = dict(zip(X[:-1], V))  # key -> key of its image, not reduced mod D
-    pts = set(images)
-    frontier = list(pts)
-    bits = sum([(D // gcd(x, D)).bit_length() for x in pts])  # the grid keys x are ints
-    while frontier:
-        if len(pts) > _CLOSURE_BUDGET:
+    D, X, Y = F.grid
+    n = len(X) - 1
+    index = dict(zip(X, range(n)))
+    try:  # the grid is invariant
+        G = [index[r] + n * k for k, r in map(divmod, Y[:n], repeat(D))]
+    except KeyError:  # it is not: close it
+        images = dict(zip(X[:-1], Y))  # key -> key of its image, not reduced mod D
+        pts = set(images)
+        frontier = list(pts)
+        bits = sum([(D // gcd(x, D)).bit_length() for x in pts])  # the grid keys x are ints
+        while frontier:
+            if len(pts) > _CLOSURE_BUDGET:
+                raise NotInvariant(f"forward closure of the partition passed {_CLOSURE_BUDGET} points")
+            if bits > _CLOSURE_BITS:
+                raise NotInvariant(f"forward closure of the partition passed {_CLOSURE_BITS} denominator bits")
+            x = frontier.pop()
+            y = images.get(x)
+            if y is None:
+                y = images[x] = F.eval(Fraction(x, D)) * D
+            y %= D
+            if y not in pts:
+                pts.add(y)
+                frontier.append(y)
+                bits += (y.denominator * D // gcd(y.numerator, D)).bit_length()
+        n = len(pts)
+        E = lcm(*{x.denominator for x in pts})
+        D *= E
+        points = sorted(pts)
+        X = [x.numerator * (E // x.denominator) for x in points]
+        Y = [y.numerator * (E // y.denominator) for y in map(images.__getitem__, points)]
+        index = {key: i for i, key in enumerate(X)}
+        G = [index[r] + n * k for k, r in map(divmod, Y, repeat(D))]
+        X.append(X[0] + D)
+        Y.append(Y[0] + D)
+    else:  # the same budgets; a key's bits are at most D's, so the sum runs only past that bound
+        if n > _CLOSURE_BUDGET:
             raise NotInvariant(f"forward closure of the partition passed {_CLOSURE_BUDGET} points")
+        bits = n * D.bit_length() > _CLOSURE_BITS and sum([(D // gcd(x, D)).bit_length() for x in X[:n]])
         if bits > _CLOSURE_BITS:
             raise NotInvariant(f"forward closure of the partition passed {_CLOSURE_BITS} denominator bits")
-        x = frontier.pop()
-        y = images.get(x)
-        if y is None:
-            y = images[x] = F.eval(Fraction(x, D)) * D
-        y %= D
-        if y not in pts:
-            pts.add(y)
-            frontier.append(y)
-            bits += (y.denominator * D // gcd(y.numerator, D)).bit_length()
-    n = len(pts)
     if n < 2:
         raise NotInvariant("need at least two partition points mod 1")
-
-    E = lcm(*{x.denominator for x in pts})
-    D *= E
-    points = sorted(pts)
-    X = [x.numerator * (E // x.denominator) for x in points]
-    Y = [y.numerator * (E // y.denominator) for y in map(images.__getitem__, points)]
-    index = {key: i for i, key in enumerate(X)}
-    G = [index[r] + n * k for k, r in map(divmod, Y, repeat(D))]
-    X.append(X[0] + D)
-    Y.append(Y[0] + D)
     G.append(G[0] + n)
 
     coverings = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circledyn import lifting
+from circledyn import errors, lifting
 from circledyn.errors import CircledynError, Degenerate, DepthExceeded
 from circledyn.families import dream, montevideo, persistent
 from circledyn.lifting import (
@@ -76,6 +76,28 @@ class TestBuildFromOrbits:
             build_from_orbits(
                 [LiftedOrbit((F2(0),), shift=1), LiftedOrbit((F2(0), F2(1, 2)), shift=1)]
             )
+
+    @pytest.mark.parametrize(
+        "orbits,error,message",
+        [
+            # the same orbit twice: every point duplicated, the least one named
+            ([("1/3 1/2", 1)] * 2, "Degenerate", "orbit point 1/3 duplicated"),
+            # 1/4 -> 5/4 on the fixed orbit, 1/4 -> 3/4 on the other
+            ([("1/4", 1), ("1/4 3/4", 1)], "OrderConflict", "point 1/4 prescribed two images"),
+            # 1/4 listed three times, images 5/4, 5/4, 3/4: the pairs sort
+            # by image, so the first two read apart are the conflicting ones
+            ([("1/4", 1), ("1/4", 1), ("1/4 3/4", 1)], "OrderConflict", "point 1/4 prescribed two images"),
+            # images 5/4, 3/4, 3/4: the two equal ones come first
+            ([("1/4", 1), ("1/4 3/4", 1), ("1/4 3/4", 1)], "Degenerate", "orbit point 1/4 duplicated"),
+            # 1/4 duplicated before 3/4 conflicts (3/4 -> 5/4, 5/4, 3/4)
+            ([("1/4 3/4", 1), ("1/4 3/4", 1), ("3/4", 0)], "Degenerate", "orbit point 1/4 duplicated"),
+        ],
+    )
+    def test_shared_point_names_least_key(self, orbits, error, message):
+        lifted = [LiftedOrbit(tuple(map(F2, pts.split())), shift) for pts, shift in orbits]
+        with pytest.raises(CircledynError) as got:
+            build_from_orbits(lifted)
+        assert type(got.value) is getattr(errors, error) and str(got.value) == message
 
     def test_dream_breakpoint_count(self):
         inst = dream(3)

@@ -305,6 +305,69 @@ class TestIndexWalkBuild:
         assert capsys.readouterr().err == f"error: forward closure of the partition passed {size - 1} {unit}\n"
 
 
+def build_with_evals(F):
+    """build_markov_system(F), or its error as `_build_outcome` gives it,
+    and the number of Lifting.eval calls the build made."""
+    with mock.patch.object(Lifting, "eval", autospec=True, side_effect=Lifting.eval) as spy:
+        outcome = _build_outcome(build_markov_system, F)
+    return outcome, spy.call_count
+
+
+class TestInvariantGrid:
+    """A grid whose breakpoint images are breakpoints mod 1 is the partition
+    as it stands: the build evaluates F nowhere, and the closure's budgets
+    keep their exact verdicts there."""
+
+    @pytest.mark.parametrize(
+        "name,n", [("dream", 3), ("dream", 20), ("persistent", 5), ("persistent", 51), ("montevideo", 3), ("montevideo", 10)]
+    )
+    def test_families_evaluate_nothing(self, name, n):
+        inst = make(name, n)
+        assert build_with_evals(inst.lifting) == (inst.markov, 0)
+
+    @given(twist_orbit_maps())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_twist_orbit_maps_evaluate_nothing(self, case):
+        assert build_with_evals(case[0])[1] == 0
+
+    @given(grid_maps())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_grid_maps_evaluate_nothing(self, case):
+        # NotShort and the one-point NotInvariant included
+        assert build_with_evals(case[0])[1] == 0
+
+    @pytest.mark.parametrize("k", [-1, 0, 2])
+    @pytest.mark.parametrize("extra", [[], [F2(1, 12)]])
+    @pytest.mark.parametrize("values", [(F2(1, 6), F2(5, 6), F2(1, 2)), (F2(1, 6), F2(-1, 6), F2(1, 2))])
+    def test_closure_evaluates_each_added_point_once(self, values, extra, k):
+        # test_closure_leaves_breakpoint_grid's maps: the breakpoints' images
+        # are read off the grid, F runs once at each point the closure adds
+        G = with_points(Lifting((F2(0), F2(1, 3), F2(2, 3)), values).translate(k), extra)
+        M, evals = build_with_evals(G)
+        assert evals == M.size - len(G.breakpoints) > 0
+
+    def test_budgets_count_exactly_on_invariant_grid(self, monkeypatch):
+        # rotation by 1/20 with every j/20 a breakpoint: 20 points, whose
+        # exact bit sum is below the bound 20 * bitlen(20) = 100 that lets
+        # the build skip the sum
+        F = with_points(Lifting((F2(0),), (F2(1, 20),)), [F2(j, 20) for j in range(20)])
+        pts = tuple(F2(j, 20) for j in range(20))
+        bits = sum((20 // math.gcd(j, 20)).bit_length() for j in range(20))
+        assert bits < 20 * (20).bit_length()
+        assert build_with_evals(F)[1] == 0
+        for name, size, unit in (("_CLOSURE_BUDGET", 20, "points"), ("_CLOSURE_BITS", bits, "denominator bits")):
+            with monkeypatch.context() as m:
+                m.setattr(markov, name, size)
+                assert build_markov_system(F).partition == pts
+                m.setattr(markov, name, size - 1)
+                with pytest.raises(NotInvariant) as got:
+                    build_markov_system(F)
+                assert str(got.value) == f"forward closure of the partition passed {size - 1} {unit}"
+        for budget in (bits + 1, 99, 100):  # between the exact sum and the bound, and at the bound
+            monkeypatch.setattr(markov, "_CLOSURE_BITS", budget)
+            assert build_markov_system(F).partition == pts
+
+
 class TestPartitionRotationInterval:
     """Rot(F) read off the lifted index map against the lifting's envelopes."""
 
