@@ -558,18 +558,25 @@ def bareiss_det(matrix):
     return sign * m[n - 1][n - 1]
 
 
-def kronecker_det(matrix) -> IntPolynomial:
-    """Determinant of a square matrix over Z[y], entries {power: coefficient}
-    dicts, as one integer `bareiss_det` at y = 2^B.  Every |coefficient| of det
-    is at most per(S) <= H, the product of the row sums of S, the entries'
-    absolute coefficient sums.  With 2^(B-1) > H and 8 | B they are the balanced
-    base-2^B digits of det(2^B), read as the bytes of det(2^B) + 2^(B-1) (1 + 2^B + ...):
-    byte k of every digit, worth 2^(8k), is the byte slice raw[k::B/8]."""
-    size = (math.prod(sum(sum(map(abs, e.values())) for e in row) for row in matrix).bit_length() + 8) // 8
-    bits, half = 8 * size, 1 << (8 * size - 1)
-    v = bareiss_det([[sum(c << bits * k for k, c in e.items() if c) for e in row] for row in matrix])
-    digits = v.bit_length() // bits + 1  # > degree, as |v| > 2^(B*degree - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * digits, "little")
-    raw = (v + bias).to_bytes(size * digits, "little")
-    columns = [map(operator.lshift, raw[k::size], repeat(8 * k)) for k in range(size)]
-    return IntPolynomial(map(sum, zip(repeat(-half), *columns)))
+def kronecker_det(matrix, bits: int) -> list[int]:
+    """The coefficients of the determinant of a square matrix over Z[y],
+    highest power first ([] when it vanishes), from one integer
+    `bareiss_det` at y = 2^B, B = `bits`: each entry comes packed as
+    sum(c << B*k) over its terms c*y^k.  Every |coefficient| of det must be
+    below 2^(B-1), and 8 | B; the caller takes B from a bound H on them (the
+    product of the row sums of absolute coefficients: |coefficient| <=
+    per(S) <= H).  They are then the balanced base-2^B digits of det(2^B),
+    read off the big-endian bytes of det(2^B) + 2^(B-1) (1 + 2^B + ...):
+    a digit is its top byte minus 2^7, then its lower bytes in base 2^8,
+    byte k of every digit being the slice raw[k::B/8]."""
+    if bits % 8:
+        raise ValueError("bits must be a multiple of 8")
+    size = bits // 8
+    v = bareiss_det(matrix)
+    digits = v.bit_length() // bits + 1 if v else 0  # degree + 1, as |v| > 2^(B*degree - 1)
+    bias = int.from_bytes((1 << (bits - 1)).to_bytes(size, "big") * digits, "big")
+    raw = (v + bias).to_bytes(size * digits, "big")
+    coeffs = map(operator.sub, raw[0::size], repeat(128))
+    for k in range(1, size):
+        coeffs = map(operator.add, map(operator.lshift, coeffs, repeat(8)), raw[k::size])
+    return list(coeffs)

@@ -8,7 +8,10 @@ Later stages walk indices, keys and arrows instead of evaluating the lifting.
 The graph passes here (transitivity, romes, loops) read one thing of a
 system, `successors` (sorted successor lists of the covering graph), so any
 other graph (an extension, a test fixture) is its successor lists alone;
-`critical_successors` also reads `coverings` and `envelope_cycles`.
+`critical_successors` also reads `coverings` and `envelope_cycles`.  A
+depth-first walk (`_walk`) gives orders and loops; romes and their
+polynomial come from one successor chase (`_chase`) of the graph outside
+its branching vertices, where each vertex has one successor at most.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .arith import CertifiedRoot, IntPolynomial, kronecker_det, largest_root_above, rat_str
@@ -270,19 +273,19 @@ def _reverse(succ) -> list[list[int]]:
     return pred
 
 
-def _walk(succ, skip=(), until_loop=False) -> tuple[list[int], list[int], Optional[list[int]]]:
+def _walk(succ, skip=(), until_loop=False) -> tuple[list[int], Optional[list[int]]]:
     """One iterative depth-first walk of the graph without the vertices in
     `skip`, roots and successors in increasing order.  Returns the finishing
     order (each vertex after every vertex it reaches, unless they share a
-    loop; the first root finishes last iff it reaches every vertex), the
-    targets of the back arrows, and the first loop it closes (w .. v w for
-    the first back arrow v -> w), or None when no loop avoids `skip`.  With
-    `until_loop` the walk stops at that first back arrow, for callers that
-    read only the loop: the order and targets are then partial."""
+    loop; the first root finishes last iff it reaches every vertex) and the
+    first loop it closes (w .. v w for the first back arrow v -> w), or None
+    when no loop avoids `skip`.  With `until_loop` the walk stops at that
+    first back arrow, for callers that read only the loop: the order is then
+    partial."""
     state = [0] * len(succ)  # 0 unseen, 1 on the path, 2 finished or skipped
     for v in skip:
         state[v] = 2
-    order, targets, loop = [], [], None
+    order, loop = [], None
     for root in range(len(succ)):
         if state[root]:
             continue
@@ -295,18 +298,16 @@ def _walk(succ, skip=(), until_loop=False) -> tuple[list[int], list[int], Option
                     path.append(w)
                     its.append(iter(succ[w]))
                     break
-                if state[w] == 1:
-                    targets.append(w)
-                    if loop is None:
-                        loop = path[path.index(w) :] + [w]
-                        if until_loop:
-                            return order, targets, loop
+                if state[w] == 1 and loop is None:
+                    loop = path[path.index(w) :] + [w]
+                    if until_loop:
+                        return order, loop
             else:
                 its.pop()
                 v = path.pop()
                 state[v] = 2
                 order.append(v)
-    return order, targets, loop
+    return order, loop
 
 
 def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[list[int]]:
@@ -341,7 +342,7 @@ def critical_successors(system: MarkovSystem, e: Fraction, side: int) -> list[li
             raise RotationMismatch(f"arrow ({i}, {j}, {k}) costs {cost} on the cycle of mean {rat_str(rho)}")
         if cost == 0:
             tight[i].append(j)
-    if _walk(tight, until_loop=True)[2] is None:
+    if _walk(tight, until_loop=True)[1] is None:
         raise RotationMismatch(f"no loop has mean {rat_str(rho)}")
     if e != rho:  # the loops of mean rho are beyond e, or none has mean e
         message = "a loop has mean beyond" if side * (e - rho) > 0 else "no loop has mean"
@@ -380,78 +381,113 @@ def transitivity_certificate(system) -> dict:
 
 @dataclass(frozen=True)
 class Rome:
+    """A vertex set that every loop meets; `chase` is the `_chase` that
+    `find_rome` found it by (None for a rome given by its members)."""
+
     members: frozenset
-    order: Optional[tuple] = field(default=None, compare=False, repr=False)  # find_rome's walk order
+    chase: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
 
 
-def validate_rome(system, rome: Rome) -> list[int]:
-    """InvalidRome, with the first loop of `_walk`, if a loop avoids the rome;
-    otherwise the complement's finishing order, each vertex after its
-    successors."""
-    order, _, loop = _walk(system.successors, rome.members)
+def _chase(succ, rome=frozenset()) -> tuple[list[int], list[int], list[int]]:
+    """Each vertex's one path to the rome that starts from the vertices in
+    `rome` and every vertex of out-degree >= 2: outside them each vertex has
+    one successor at most.  From each vertex in increasing order the chase
+    follows successors to a member, a vertex with no arrow out or a vertex
+    already resolved; a loop it closes on its own path at w avoids the rome,
+    and w joins it.  Unwinding fills in each path vertex's member column and
+    path length.  Returns (columns, end, length): the members in column
+    order (the starting ones ascending, then the joined vertices as met);
+    end[v] the column v's path ends at (-1: none, it ends at a vertex with
+    no arrow out, for which index n stands) and length[v] its length."""
+    n = len(succ)
+    columns = sorted(rome.union(v for v, out in enumerate(succ) if len(out) > 1))
+    end = [-2] * n + [-1]  # -2: not met yet, -3: on the current chase
+    length = [0] * (n + 1)
+    for c, r in enumerate(columns):
+        end[r] = c
+    for v in range(n):
+        if end[v] != -2:
+            continue
+        path, w = [], v
+        while end[w] == -2:
+            end[w] = -3
+            path.append(w)
+            out = succ[w]
+            w = out[0] if out else n
+        if end[w] == -3:  # a loop outside the rome, closed at w
+            end[w] = len(columns)
+            columns.append(w)
+        c, k = end[w], length[w]
+        for u in reversed(path):
+            if u == w:
+                k = 0
+            else:
+                k += 1
+                end[u], length[u] = c, k
+    return columns, end, length
+
+
+def validate_rome(system, rome: Rome) -> None:
+    """InvalidRome, with the first loop of `_walk`, if a loop avoids the rome."""
+    loop = _walk(system.successors, rome.members, until_loop=True)[1]
     if loop is not None:
         raise InvalidRome(f"loop avoiding the rome: {loop}")
-    return order
 
 
 def find_rome(system) -> Rome:
     """Greedy rome: all vertices of out-degree >= 2, then one vertex of each
-    loop of the (now functional) complement graph.  One `_walk` of the
-    complement closes each such loop at exactly one back arrow, so the
-    members are those arrows' targets; no loop avoids the result.  The walk's
-    finishing order goes with the rome: an arrow into a vertex that finishes
-    later is a back arrow, so it ends at a member."""
-    succ = system.successors
-    members = {i for i, out in enumerate(succ) if len(out) >= 2}
-    order, targets, _ = _walk(succ, members)
-    return Rome(members.union(targets), tuple(order))
+    loop of the (now functional) complement graph, the vertex at which
+    `_chase` closes it; no loop avoids the result.  The members are those of
+    the restart-per-loop greedy (the first vertex of the first loop a
+    depth-first walk from vertex 0 finds, each time), and the chase goes
+    with the rome."""
+    chase = _chase(system.successors)
+    return Rome(chase[0], chase)
 
 
 def rome_char_poly(system, rome: Rome) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M) by the rome method (Block,
-    Guckenheimer, Misiurewicz & Young 1980): (-1)^(k-m) x^k det(M_R(x) - I),
-    made monic; M_R(y)[i][j] sums y^length over the paths r_i -> r_j with no
-    member inside (an empty rome, on an acyclic graph, gives x^n).  One pass
-    over the rome's `order` (`validate_rome`'s if it has none) joins to the
-    rome each vertex of out-degree >= 2 (no rome or member order changes the
-    polynomial) and carries every other vertex's one path to the rome: the
-    member's column and the length, in two int lists.  The rows go to
-    `kronecker_det` as {length: count} dicts (its bound H: the product over
-    rows of 1 + the row's path count)."""
+    """Exact characteristic polynomial det(xI - M) = x^n det(I - M_R(1/x)) by
+    the rome method (Block, Guckenheimer, Misiurewicz & Young 1980), where
+    M_R(y)[i][j] sums y^length over the paths r_i -> r_j with no member
+    inside (an empty rome, on an acyclic graph, gives x^n).
+
+    The rows come from the rome's `_chase`.  A rome without one is checked
+    by `validate_rome` and then chased, which joins every vertex of
+    out-degree >= 2 to it (no rome changes the polynomial) and closes no
+    loop.  Member r's row of I - M_R(y) has 1 at its own column and
+    -y^(length[w] + 1) at column end[w] for each arrow r -> w with
+    end[w] >= 0, packed at y = 2^B as `kronecker_det` takes it: every
+    |coefficient| of the determinant is at most H, the product over rows of
+    1 + the row's path count, and 2^(B-1) > H with 8 | B.  Its coefficients,
+    highest power first, are those of x^n det(I - M_R(1/x)) from x^(n-degree)
+    up, and its constant term det(I) = 1 makes the result monic."""
     succ = system.successors
     n = len(succ)
-    order = validate_rome(system, rome) if rome.order is None else rome.order
-    members = list(rome.members)
-    end, length = [-1] * n, [0] * n  # column of the member v's path ends at (-1: no path), its length
-    for c, r in enumerate(members):
-        end[r] = c
-    for v in order:
-        if end[v] < 0:  # outside the rome
-            if len(succ[v]) > 1:
-                end[v] = len(members)
-                members.append(v)
-            elif succ[v]:
-                w = succ[v][0]
-                end[v], length[v] = end[w], length[w] + 1
+    if rome.chase is None:
+        validate_rome(system, rome)
+        columns, end, length = _chase(succ, rome.members)
+    else:
+        columns, end, length = rome.chase
+    paths = [[w for w in succ[r] if end[w] >= 0] for r in columns]  # the arrows that start a rome path
+    bits = 8 * ((prod(len(row) + 1 for row in paths).bit_length() + 8) // 8)
     rows = []
-    for c, r in enumerate(members):
-        row = [{} for _ in members]
-        row[c][0] = -1  # M_R(y) - I: every path has length >= 1
-        for w in succ[r]:
-            if end[w] >= 0:
-                row[end[w]][length[w] + 1] = row[end[w]].get(length[w] + 1, 0) + 1
-        rows.append(row)
-    det = kronecker_det(rows).coeffs
+    for c, row in enumerate(paths):
+        packed = [0] * len(columns)
+        packed[c] = 1
+        for w in row:
+            packed[end[w]] -= 1 << bits * (length[w] + 1)
+        rows.append(packed)
+    det = kronecker_det(rows, bits)
     if not det:
         raise ArithmeticError("rome determinant vanished identically")
     if len(det) > n + 1:
         raise ArithmeticError("rome path length exceeded matrix size")
-    if det[0] not in (1, -1):  # the x^n coefficient of x^n det(1/x)
+    if det[-1] != 1:  # det(I - M_R(0)): every path has length >= 1
         raise ArithmeticError("rome polynomial is not monic of degree n")
-    return IntPolynomial([0] * (n + 1 - len(det)) + [det[0] * c for c in reversed(det)])
+    return IntPolynomial([0] * (n + 1 - len(det)) + det)
 
 
 def markov_char_poly(system) -> IntPolynomial:

@@ -63,7 +63,7 @@ def bellman_ford_critical_successors(system, e: Fraction, side: int) -> list[lis
                     queued[j] = True
                     queue.append(j)
     tight = [[j for j, w in out[i] if w + pi[i] == pi[j]] for i in range(n)]
-    if _walk(tight)[2] is None:
+    if _walk(tight)[1] is None:
         raise RotationMismatch(f"no loop has mean {rat_str(e)}")
     return tight
 
@@ -154,9 +154,10 @@ def reference_envelopes(index_map) -> tuple[list[int], list[int]]:
 def per_vertex_rome_matrix(system, rome):
     """(sorted members, m x m matrix of IntPolynomials in y = 1/x): entry
     (i, j) has the number of paths r_i -> r_j of length l with no member
-    inside as its coefficient of y^l.  One pass over the complement in
-    `validate_rome`'s finishing order carries, for each vertex, its path
-    counts to the members as {(member, length): count}."""
+    inside as its coefficient of y^l.  One pass over the complement in the
+    finishing order of `_walk` (each vertex after its successors, as
+    `validate_rome` leaves no loop outside the rome) carries, for each
+    vertex, its path counts to the members as {(member, length): count}."""
     succ = system.successors
     members = sorted(rome.members)
     paths: dict[int, dict] = {}
@@ -169,7 +170,8 @@ def per_vertex_rome_matrix(system, rome):
                 acc[r, length + 1] = acc.get((r, length + 1), 0) + count
         return acc
 
-    for v in validate_rome(system, rome):
+    validate_rome(system, rome)
+    for v in _walk(succ, rome.members)[0]:
         paths[v] = step(v)
     col = {r: jc for jc, r in enumerate(members)}
     rm = []

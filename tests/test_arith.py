@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -836,9 +837,14 @@ wide_entries = st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_si
 
 
 def kronecker(matrix):
-    """`kronecker_det` of a matrix of IntPolynomials, each entry handed over
-    as its {power: coefficient} dict."""
-    return kronecker_det([[dict(enumerate(p.coeffs)) for p in row] for row in matrix])
+    """`kronecker_det` of a matrix of IntPolynomials, each entry packed at
+    y = 2^B for the least B with 8 | B and 2^(B-1) above H, the product of
+    the rows' absolute coefficient sums; its coefficients, highest power
+    first, back as an IntPolynomial."""
+    H = math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in matrix)
+    bits = 8 * ((H.bit_length() + 8) // 8)
+    packed = [[sum(c << bits * k for k, c in enumerate(p.coeffs)) for p in row] for row in matrix]
+    return IntPolynomial(reversed(kronecker_det(packed, bits)))
 
 
 class TestKroneckerDet:
@@ -879,17 +885,23 @@ class TestKroneckerDet:
 
     def test_bound_counts_absolute_values(self):
         # the signed coefficient sums cancel; the bound must not
-        assert kronecker_det([[{0: 200, 1: -200}]]) == IntPolynomial([200, -200])
-        m = [[{0: 300, 2: -300}, {1: 1}], [{1: -1}, {0: 1}]]
-        assert kronecker_det(m) == IntPolynomial([300, 0, -299])
+        assert kronecker([[IntPolynomial([200, -200])]]) == IntPolynomial([200, -200])
+        m = [[IntPolynomial([300, 0, -300]), Y], [-Y, ONE]]
+        assert kronecker(m) == IntPolynomial([300, 0, -299])
 
     def test_sparse_entries(self):
-        # entries are {power: coefficient} dicts in any order; zero
-        # coefficients and empty dicts add nothing
-        assert kronecker_det([[{3: 2, 0: 0, 1: -1}]]) == IntPolynomial([0, -1, 0, 2])
-        m = [[{}, {5: 1}], [{2: 1, 0: -1}, {}]]
-        dense = [[IntPolynomial([]), IntPolynomial([0, 0, 0, 0, 0, 1])], [Y * Y - ONE, IntPolynomial([])]]
-        assert kronecker_det(m) == IntPolynomial([0, 0, 0, 0, 0, 1, 0, -1]) == leibniz_det(dense, ONE)
+        # entries with gaps between their terms, and zero entries, add nothing
+        # between the packed digits
+        assert kronecker([[IntPolynomial([0, -1, 0, 2])]]) == IntPolynomial([0, -1, 0, 2])
+        m = [[IntPolynomial([]), IntPolynomial([0, 0, 0, 0, 0, 1])], [Y * Y - ONE, IntPolynomial([])]]
+        assert kronecker(m) == IntPolynomial([0, 0, 0, 0, 0, 1, 0, -1]) == leibniz_det(m, ONE)
+
+    def test_too_few_bits_is_wrong_and_unaligned_bits_refused(self):
+        # the bound is the caller's: at B = 8 the digit 200 is past 2^7 and wraps
+        assert kronecker_det([[(1 << 8) + 200]], 8) != [1, 200]
+        assert kronecker_det([[(1 << 16) + 200]], 16) == [1, 200]
+        with pytest.raises(ValueError, match="multiple of 8"):
+            kronecker_det([[1]], 12)
 
     def test_not_square(self):
         with pytest.raises(ValueError):

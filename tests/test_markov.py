@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from circledyn import cli, markov
 from circledyn.arith import CertifiedRoot, IntPolynomial, floor_frac, rat_str
 from circledyn.errors import BudgetExceeded, InvalidRome, NoRootAbove, NotInvariant, NotShort, RotationMismatch
-from circledyn.families import dream, make, montevideo, persistent, persistent_poly
+from circledyn.families import dream, make, montevideo, mts1_scan, persistent, persistent_poly
 from circledyn.graphext import extend
 from circledyn.lifting import LiftedOrbit, Lifting, RotationInterval, build_from_orbits, rotation_interval
 from circledyn.markov import (
@@ -775,19 +777,36 @@ class TestOnePassRomeMatrix:
         for rome in (find_rome(M), Rome(range(len(matrix))), Rome(find_rome(M).members)):
             check_rome(M, rome, M.matrix)
 
-    def test_found_rome_carries_its_walk(self, monkeypatch):
-        # markov_char_poly walks the graph once: find_rome's finishing order
-        # goes with its rome, and rome_char_poly does not walk it again
+    def test_char_poly_chases_once(self, monkeypatch):
+        # markov_char_poly makes no depth-first walk: find_rome's chase goes
+        # with its rome and rome_char_poly reads its rows off it, each
+        # called once through the module, where bench/tracer.py wraps them
         for name, n in (("dream", 7), ("persistent", 9), ("montevideo", 4)):
             M = make(name, n).markov
-            walk = mock.Mock(wraps=markov._walk)
-            monkeypatch.setattr(markov, "_walk", walk)
+            spies = {f: mock.Mock(wraps=getattr(markov, f)) for f in ("_walk", "find_rome", "rome_char_poly")}
+            for f, spy in spies.items():
+                monkeypatch.setattr(markov, f, spy)
             char = markov_char_poly(M)
-            assert walk.call_count == 1
             monkeypatch.undo()
+            assert {f: spy.call_count for f, spy in spies.items()} == {"_walk": 0, "find_rome": 1, "rome_char_poly": 1}
             rome = find_rome(M)
-            assert rome == Rome(rome.members) and rome.order is not None
+            assert rome == Rome(rome.members) and rome.chase is not None
             assert char == rome_char_poly(M, Rome(rome.members)) == reference_rome_char_poly(M, rome)
+
+    def test_tracer_sees_the_rome_on_scan(self, monkeypatch):
+        # the benchmark's spans and rome-size counter read non-zero on a scan
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracer
+
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            mts1_scan("dream", 5, 5)
+        finally:
+            tr.uninstall()
+        times = tracer.self_times(tr.spans)
+        assert times["markov.find_rome"][1] == times["markov.rome_char_poly"][1] >= 1
+        assert tr.counts["markov.rome_size"] > 0
 
 
 class TestDenseViews:
@@ -882,28 +901,27 @@ class TestRome:
         assert rome_char_poly(M, Rome(frozenset())) == IntPolynomial([0, 0, 0, 1]) == char_poly(M.matrix)
 
     def test_vanishing_determinant_raises(self, monkeypatch):
-        # rows of M_R(y) - I equal: no graph has this rome matrix, since
+        # rows of I - M_R(y) equal: no graph has this rome matrix, since
         # det(xI - M) is monic, so it can only come from a fault upstream
-        rows = [[{1: 1}, {1: 1}], [{1: 1}, {1: 1}]]
         det = markov.kronecker_det
-        assert det(rows).is_zero()
-        monkeypatch.setattr(markov, "kronecker_det", lambda _: det(rows))
+        assert det([[1 << 8, 1 << 8], [1 << 8, 1 << 8]], 8) == []
+        monkeypatch.setattr(markov, "kronecker_det", lambda rows, bits: det([[1 << bits] * 2] * 2, bits))
         with pytest.raises(ArithmeticError, match="rome determinant vanished identically"):
             rome_char_poly(FakeSystem([[1, 1], [1, 1]]), Rome({0, 1}))
 
     def test_non_monic_result_raises(self, monkeypatch):
-        # a path of length 0 (a constant term) leaves det(M_R(0) - I) != +-1;
+        # a path of length 0 (a constant term) leaves det(I - M_R(0)) != 1;
         # the check is a raise, not an assert, so it holds under python -O
-        monkeypatch.setattr(markov, "kronecker_det", lambda _: IntPolynomial([3]))
+        monkeypatch.setattr(markov, "kronecker_det", lambda rows, bits: [3])
         with pytest.raises(ArithmeticError, match="not monic of degree n"):
             rome_char_poly(FakeSystem([[1]]), Rome({0}))
-        monkeypatch.setattr(markov, "kronecker_det", lambda _: IntPolynomial([0, 1]))
+        monkeypatch.setattr(markov, "kronecker_det", lambda rows, bits: [1, 0])
         with pytest.raises(ArithmeticError, match="not monic of degree n"):
             rome_char_poly(FakeSystem([[1]]), Rome({0}))
 
     def test_long_path_raises(self, monkeypatch):
         # a determinant of degree above n: longer paths than the graph has
-        monkeypatch.setattr(markov, "kronecker_det", lambda _: IntPolynomial([-1, 0, 1]))
+        monkeypatch.setattr(markov, "kronecker_det", lambda rows, bits: [-1, 0, 1])
         with pytest.raises(ArithmeticError, match="rome path length exceeded matrix size"):
             rome_char_poly(FakeSystem([[1]]), Rome({0}))
 
@@ -986,10 +1004,11 @@ def greedy_rome_reference(succ):
 
 
 class TestWalk:
-    """The one depth-first walk behind `transitivity_certificate`,
-    `critical_successors`, `find_rome`, `validate_rome` and `rome_char_poly`,
-    against brute force and the restart-per-loop greedy, on graphs with a
-    cycle and on drawn subgraphs of them."""
+    """The depth-first walk behind `transitivity_certificate`,
+    `critical_successors` and `validate_rome`, and the successor chase
+    behind `find_rome` and `rome_char_poly`, against brute force, the
+    restart-per-loop greedy and the reference rome polynomials, on graphs
+    with a cycle and on drawn subgraphs of them."""
 
     @given(graphs_with_cycle(), st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -1039,6 +1058,137 @@ class TestWalk:
     def test_irreducible_on_at_most_one_vertex(self, succ, irreducible):
         # a lone vertex is irreducible only with its self-arrow
         assert transitivity_certificate(FakeSystem.from_successors(succ))["irreducible"] == irreducible
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_chased_rows_give_the_char_poly(self, matrix, data):
+        # found and supplied romes alike, on the graph and on a drawn subgraph
+        # (sinks, and loops of out-degree-1 vertices outside a supplied rome)
+        M = FakeSystem(matrix)
+        n = len(matrix)
+        succ = [[w for w in out if data.draw(st.booleans())] for out in M.successors]
+        sub = FakeSystem([[int(j in out) for j in range(n)] for out in succ])
+        for system in (M, sub):
+            found = find_rome(system)
+            extra = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+            shrunk = shrunk_rome(system, data.draw(st.permutations(range(n))))
+            want = char_poly(system.matrix)
+            for rome in (found, Rome(found.members), Rome(found.members | extra), shrunk, Rome(range(n))):
+                assert rome_char_poly(system, rome) == reference_rome_char_poly(system, rome) == want
+
+    @pytest.mark.parametrize(
+        "matrix,members",
+        [
+            ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], set()),  # acyclic: the empty rome, x^n
+            ([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], {0}),  # acyclic, a branching vertex
+            ([[0, 1, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]], {1, 2}),  # a self-arrow outside the branching
+            ([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0]], {0}),  # a loop and its tail
+            ([[0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 0]], {1}),  # a branching loop vertex and a sink
+            ([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 1, 0, 0]], {0, 2}),  # two loops
+        ],
+    )
+    def test_chased_rows_on_fixed_graphs(self, matrix, members):
+        # `members`: the found rome; each loop outside the branching vertices
+        # joins at the vertex the chase from the least start closes it at
+        M = FakeSystem(matrix)
+        found = find_rome(M)
+        assert found.members == members
+        romes = [found, Rome(members), Rome(range(len(matrix)))]
+        if char_poly(M.matrix) == IntPolynomial([0] * len(matrix) + [1]):  # acyclic: x^n, and the empty rome
+            romes.append(Rome(frozenset()))
+        for rome in romes:
+            assert rome_char_poly(M, rome) == reference_rome_char_poly(M, rome) == char_poly(M.matrix)
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_found_columns_are_branching_then_loops(self, matrix, data):
+        # the fixed column order: the out-degree >= 2 vertices ascending, then
+        # the loop vertices in the order the chase closes their loops, which
+        # is the order of the depth-first walk's back arrows
+        succ = [[w for w in out if data.draw(st.booleans())] for out in FakeSystem(matrix).successors]
+        columns, end, length = find_rome(FakeSystem.from_successors(succ)).chase
+        branching = [v for v, out in enumerate(succ) if len(out) > 1]
+        assert columns[: len(branching)] == branching
+        assert columns[len(branching) :] == back_arrow_targets(succ, branching)
+        for v, out in enumerate(succ):  # each vertex's one path to the rome, or none (-1)
+            if v in columns:
+                assert (end[v], length[v]) == (columns.index(v), 0)
+            elif not out or end[out[0]] < 0:
+                assert end[v] == -1
+            else:
+                assert (end[v], length[v]) == (end[out[0]], length[out[0]] + 1)
+
+    @given(graphs_with_cycle(), st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_polynomial_ignores_column_order(self, matrix, data):
+        M = FakeSystem(matrix)
+        rome = find_rome(M)
+        want = rome_char_poly(M, rome)
+        for _ in range(3):
+            perm = data.draw(st.permutations(range(len(rome.members))))
+            assert rome_char_poly(M, permuted_columns(rome, perm)) == want
+
+    @pytest.mark.parametrize("name", sorted(SCAN_RANGES))
+    def test_scan_polynomials_ignore_column_order(self, name):
+        # every permutation of the found rome's columns (at most 5 here)
+        for n in SCAN_RANGES[name]:
+            M = make(name, n).markov
+            rome = find_rome(M)
+            want = rome_char_poly(M, rome)
+            assert len(rome.members) <= 5
+            for perm in itertools.permutations(range(len(rome.members))):
+                assert rome_char_poly(M, permuted_columns(rome, perm)) == want
+
+    def test_supplied_rome_columns_ignore_set_order(self, monkeypatch):
+        # 8 and 16 share a hash slot, so the two frozensets list them in
+        # their insertion orders; the rows handed to `kronecker_det` are the same
+        succ = [[(v + 1) % 24] for v in range(24)]
+        succ[8], succ[16] = [0, 9], [8, 17]
+        M = FakeSystem.from_successors(succ)
+        first, second = frozenset([8, 16, 0]), frozenset([16, 8, 0])
+        assert list(first) != list(second)
+        calls = []
+        det = markov.kronecker_det
+        monkeypatch.setattr(markov, "kronecker_det", lambda rows, bits: calls.append((rows, bits)) or det(rows, bits))
+        assert rome_char_poly(M, Rome(first)) == rome_char_poly(M, Rome(second)) == markov_char_poly(M)
+        assert calls[0] == calls[1]
+
+
+def back_arrow_targets(succ, skip):
+    """The targets of the back arrows of a depth-first walk without the
+    vertices in `skip`, roots and successors in increasing order, in the
+    order the walk meets them."""
+    state = [0] * len(succ)
+    for v in skip:
+        state[v] = 2
+    targets = []
+    for root in range(len(succ)):
+        if state[root]:
+            continue
+        state[root] = 1
+        path, its = [root], [iter(succ[root])]
+        while path:
+            for w in its[-1]:
+                if not state[w]:
+                    state[w] = 1
+                    path.append(w)
+                    its.append(iter(succ[w]))
+                    break
+                if state[w] == 1:
+                    targets.append(w)
+            else:
+                its.pop()
+                state[path.pop()] = 2
+    return targets
+
+
+def permuted_columns(rome, perm):
+    """The rome with its chase's column c moved to column perm[c]."""
+    columns, end, length = rome.chase
+    moved = [None] * len(columns)
+    for c, r in enumerate(columns):
+        moved[perm[c]] = r
+    return Rome(rome.members, (moved, [perm[c] if c >= 0 else c for c in end], length))
 
 
 def _rome_matches_char_poly(case):
@@ -1265,7 +1415,7 @@ class TestLoops:
     def test_walk_until_loop_closes_the_same_first_loop(self, succ, skip):
         # stopping at the first back arrow keeps the loop the whole walk finds
         skip = {v for v in skip if v < len(succ)}
-        assert markov._walk(succ, skip, until_loop=True)[2] == markov._walk(succ, skip)[2]
+        assert markov._walk(succ, skip, until_loop=True)[1] == markov._walk(succ, skip)[1]
 
     def test_long_cycle_has_no_loop_below_its_length(self):
         # the return search from each start stays above it and within max_len
